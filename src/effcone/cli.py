@@ -73,14 +73,14 @@ def emit_report(rows: Sequence[CheckRow], fmt: str = "text") -> str:
             "summary": {"checks": len(rows), "failed": failed},
         }
         return json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    def fmt(value):
+    def show(value):
         return value if isinstance(value, str) else json.dumps(value, separators=(",", ":"))
 
     lines = []
     for r in rows:
         status = "PASS" if r.ok else "FAIL"
         lines.append(
-            f"{status}  {r.module}/{r.check}  expected={fmt(r.expected)} actual={fmt(r.actual)}  [{r.citation}]"
+            f"{status}  {r.module}/{r.check}  expected={show(r.expected)} actual={show(r.actual)}  [{r.citation}]"
         )
     lines.append(f"{len(rows)} checks, {failed} failed")
     return "\n".join(lines) + "\n"

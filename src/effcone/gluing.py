@@ -7,25 +7,43 @@ genus m+1.  Pulling back the genus-(m+1) Picard basis:
   * lambda pulls back to lambda;
   * the separating class delta_i pulls back to the sum of delta_{0;S} over
     S a union of i glued pairs, plus (for i below the middle index) the sum
-    over S whose complement is a union of i-1 glued pairs.  When m is odd
-    and i = (m+1)/2 the two membership conditions coincide, so only the
-    first sum is emitted;
+    over S whose complement is a union of i-1 glued pairs, i.e. S a union
+    of m-i+1 pairs.  When m is odd and i = (m+1)/2 the two conditions
+    coincide, so that family is counted once;
   * the total boundary delta pulls back to (12-2m)*lambda minus
     (|S|-1)*delta_{0;S} summed over all |S| >= 2, each glued pair
     contributing minus the two cotangent classes at its markings;
   * delta_irr pulls back to the total-boundary pullback minus the
     separating pullbacks, since the bases determine it by elimination.
 
+Together these give one rule per subset.  With w_irr the delta_irr
+coefficient, the coefficient of delta_{0;S} is
+
+    row[|S|] = (1 - |S|) * w_irr,  plus by_pairs[k] if S is a union of k pairs,
+
+where by_pairs[k] folds delta_i - w_irr over the i whose family holds the
+k-pair unions (i = k, and i = m-k+1 for the complements).  S is a union of
+glued pairs iff ``S & odd == (S >> 1) & odd``, with ``odd`` the bits of the
+odd markings 1, 3, ..., 2m-1.
+
 The forgetful pullback from m to n markings sends lambda to lambda and
 delta_{0;S} to the sum of delta_{0;T} over the subsets T of {1..n} whose
-intersection with {1..m} is S.
+intersection with {1..m} is S, so its coefficient at T is the source
+coefficient at ``T & low``, with ``low`` the mask of {1..m}.
+
+Neither pullback is expanded.  Each returns a class whose boundary is a
+read-only, zero-pruned mapping view that applies its rule to the subsets
+asked for: a pairing reads the profile support and nothing else.  ``len``
+is counted combinatorially; iterating the view (export, equality,
+relabeling, linear combination) lists its nonzero coefficients in one pass.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Dict, Tuple
+from typing import Dict, Iterator, List, Sequence, Tuple
 
 from .picard import (
     CurveProfile,
@@ -34,7 +52,7 @@ from .picard import (
     SpaceMismatchError,
     full_mask,
 )
-from .scalars import Scalar, canon
+from .scalars import Scalar, binom, canon
 
 
 @dataclass(frozen=True)
@@ -63,17 +81,88 @@ def lambda_family(i: int, m: int) -> LambdaFamily:
     return LambdaFamily(m, i, tuple(sorted(sets)))
 
 
-def _separating_support(i: int, m: int) -> Tuple[int, ...]:
-    """Boundary indices S carrying the pullback of delta_i (each with
-    coefficient one)."""
-    top = full_mask(2 * m)
-    direct = lambda_family(i, m).sets
-    if m % 2 == 1 and 2 * i == m + 1:
-        # middle index for odd m: S and its complement describe the same
-        # degeneration, so a single sum avoids double counting
-        return direct
-    complements = tuple(top ^ s for s in lambda_family(i - 1, m).sets)
-    return direct + complements
+class _CoefficientView(Mapping):
+    """Read-only boundary mapping whose coefficients come from a rule.
+    Subclasses give ``get`` (None for a zero coefficient), ``items`` (one
+    pass over the nonzero coefficients) and ``__len__``."""
+
+    __slots__ = ()
+
+    def __getitem__(self, mask: int) -> Scalar:
+        value = self.get(mask)
+        if value is None:
+            raise KeyError(mask)
+        return value
+
+    def __iter__(self) -> Iterator[int]:
+        return (mask for mask, _ in self.items())
+
+
+def _pruned(values: Sequence[Scalar]) -> List[Scalar | None]:
+    return [None if v == 0 else v for v in values]
+
+
+class GluedBoundary(_CoefficientView):
+    """Boundary of a gluing pullback on 2m markings: ``row[|S|]``, plus
+    ``by_pairs[|S| / 2]`` when S is a union of glued pairs."""
+
+    __slots__ = ("m", "n", "_odd", "_by_size", "_on_pairs")
+
+    def __init__(self, m: int, row: Sequence[Scalar], by_pairs: Sequence[Scalar]):
+        self.m, self.n = m, 2 * m
+        self._odd = full_mask(2 * m) // 3  # 0b0101...01: markings 1, 3, ..., 2m-1
+        self._by_size = _pruned(row)
+        self._on_pairs = _pruned([canon(row[2 * k] + by_pairs[k]) for k in range(m + 1)])
+
+    def get(self, mask: int, default=None):
+        if mask >> self.n:
+            return default
+        odd = self._odd
+        if mask & odd == (mask >> 1) & odd:
+            value = self._on_pairs[mask.bit_count() >> 1]
+        else:
+            value = self._by_size[mask.bit_count()]
+        return default if value is None else value
+
+    def __len__(self) -> int:
+        m, by_size, on_pairs = self.m, self._by_size, self._on_pairs
+        count = sum(binom(2 * m, b) for b, value in enumerate(by_size) if value is not None)
+        for k in range(1, m + 1):
+            count += binom(m, k) * ((on_pairs[k] is not None) - (by_size[2 * k] is not None))
+        return count
+
+    def items(self) -> Iterator[Tuple[int, Scalar]]:
+        odd, by_size, on_pairs = self._odd, self._by_size, self._on_pairs
+        for mask in range(3, 1 << self.n):
+            b = mask.bit_count()
+            value = on_pairs[b >> 1] if mask & odd == (mask >> 1) & odd else by_size[b]
+            if value is not None:
+                yield mask, value
+
+
+class ForgetfulBoundary(_CoefficientView):
+    """Boundary of a forgetful pullback from m to n markings: the
+    coefficient at T is the source coefficient at T intersect {1..m}."""
+
+    __slots__ = ("base", "m", "n", "_low")
+
+    def __init__(self, base: Mapping, m: int, n: int):
+        self.base, self.m, self.n = base, m, n
+        self._low = full_mask(m)
+
+    def get(self, mask: int, default=None):
+        if mask >> self.n:
+            return default
+        return self.base.get(mask & self._low, default)
+
+    def __len__(self) -> int:
+        return len(self.base) << (self.n - self.m)
+
+    def items(self) -> Iterator[Tuple[int, Scalar]]:
+        extensions = [t << self.m for t in range(1 << (self.n - self.m))]
+        for s, value in self.base.items():
+            for t in extensions:
+                yield s | t, value
 
 
 def glue_pullback(W: DivisorClassMg, m: int) -> DivisorClassM1n:
@@ -83,30 +172,18 @@ def glue_pullback(W: DivisorClassMg, m: int) -> DivisorClassM1n:
         raise ValueError(f"need at least two glued pairs, got m={m}")
     if W.g != m + 1:
         raise SpaceMismatchError(f"class lives on genus {W.g}, gluing lands in genus {m + 1}")
-    n = 2 * m
     w_irr = W.delta_irr
     lam = canon(W.lam + (12 - 2 * m) * w_irr)
-
-    boundary: Dict[int, Scalar] = {}
-    if w_irr != 0:
-        # total-boundary part: coefficient (1-|S|)*w_irr for every |S| >= 2;
-        # one shared scalar per subset size
-        row = {b: canon((1 - b) * w_irr) for b in range(2, n + 1)}
-        for s in range(3, 1 << n):
-            b = s.bit_count()
-            if b >= 2:
-                boundary[s] = row[b]
+    row = [0, 0] + [canon((1 - b) * w_irr) for b in range(2, 2 * m + 1)]
+    by_pairs: List[Scalar] = [0] * (m + 1)
     for i in range(1, (m + 1) // 2 + 1):
-        adjust = canon(W.delta[i - 1] - w_irr)
-        if adjust == 0:
-            continue
-        for s in _separating_support(i, m):
-            value = canon(boundary.get(s, 0) + adjust)
-            if value == 0:
-                boundary.pop(s, None)
-            else:
-                boundary[s] = value
-    return DivisorClassM1n._trusted(n, lam, boundary)
+        adjust = W.delta[i - 1] - w_irr
+        by_pairs[i] += adjust
+        if 2 * i != m + 1:
+            # complements of (i-1)-pair unions; at the odd-m middle index
+            # they are the i-pair unions already counted
+            by_pairs[m - i + 1] += adjust
+    return DivisorClassM1n._trusted(2 * m, lam, GluedBoundary(m, row, by_pairs))
 
 
 def forget_pullback(W: DivisorClassM1n, n: int) -> DivisorClassM1n:
@@ -117,12 +194,7 @@ def forget_pullback(W: DivisorClassM1n, n: int) -> DivisorClassM1n:
         raise ValueError(f"cannot forget down from {m} to {n} markings")
     if n == m:
         return W
-    extensions = [t << m for t in range(1 << (n - m))]
-    boundary: Dict[int, Scalar] = {}
-    for s, value in W.boundary.items():
-        for t in extensions:
-            boundary[s | t] = value
-    return DivisorClassM1n._trusted(n, W.lam, boundary)
+    return DivisorClassM1n._trusted(n, W.lam, ForgetfulBoundary(W.boundary, m, n))
 
 
 def pushforward_profile(profile: CurveProfile, m: int) -> CurveProfile:

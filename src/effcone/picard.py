@@ -8,7 +8,10 @@ curves (g >= 3) the basis is (lambda, delta_irr, delta_1, ..., delta_{g//2}).
 Boundary indices S are encoded as bit masks: bit i-1 is set iff marking i
 belongs to S.  All coefficients are exact scalars from :mod:`.scalars`;
 boundary mappings are sparse and zero-pruned, so equality of classes is
-plain structural equality.
+plain structural equality.  A class's ``boundary`` is either a dict or a
+read-only, zero-pruned mapping view that computes each coefficient from a
+rule (the pullbacks of :mod:`.gluing`); readers use ``get``, ``items`` and
+``len`` and never mutate it.
 """
 
 from __future__ import annotations
@@ -54,10 +57,6 @@ def subset_members(mask: int) -> Tuple[int, ...]:
     return tuple(out)
 
 
-def subset_size(mask: int) -> int:
-    return mask.bit_count()
-
-
 def full_mask(n: int) -> int:
     return (1 << n) - 1
 
@@ -83,8 +82,15 @@ def _checked_boundary(boundary, n: int) -> Dict[int, Scalar]:
     return out
 
 
+def boundary_order(mask: int) -> Tuple[int, int]:
+    """Sort key listing subsets by size, then by sorted members.  Among
+    subsets of one size, the one holding the lowest marking where two differ
+    comes first; that is the one whose 64-bit reversal is larger."""
+    return mask.bit_count(), -int(f"{mask:064b}"[::-1], 2)
+
+
 def _sparse_repr(mapping: Mapping[int, Scalar], limit: int = 6) -> str:
-    items = sorted(mapping.items(), key=lambda kv: (kv[0].bit_count(), subset_members(kv[0])))
+    items = sorted(mapping.items(), key=lambda kv: boundary_order(kv[0]))
     parts = [f"d0;{set(subset_members(m))}: {v}" for m, v in items[:limit]]
     if len(items) > limit:
         parts.append(f"... ({len(items)} terms)")
@@ -108,8 +114,9 @@ class DivisorClassM1n:
         self.boundary = _checked_boundary(boundary, n)
 
     @classmethod
-    def _trusted(cls, n: int, lam: Scalar, boundary: Dict[int, Scalar]) -> "DivisorClassM1n":
-        # internal fast path: caller guarantees canonical, pruned, in-range data
+    def _trusted(cls, n: int, lam: Scalar, boundary: Mapping[int, Scalar]) -> "DivisorClassM1n":
+        # internal fast path: caller guarantees canonical, pruned, in-range
+        # data; ``boundary`` may be a read-only view
         obj = object.__new__(cls)
         obj.n = n
         obj.lam = lam
@@ -315,17 +322,37 @@ def permute_mask(mask: int, sigma: Sequence[int]) -> int:
     return out
 
 
+def _permuted(mapping: Mapping[int, Scalar], sigma: Sequence[int]) -> Dict[int, Scalar]:
+    """``mapping`` with each key S moved to sigma(S), through one lookup
+    table per byte of the mask: ``tables[j][v]`` is the image of the subset
+    whose bits in byte j read v."""
+    tables = []
+    for start in range(0, len(sigma), 8):
+        table = [0]
+        for image in sigma[start:start + 8]:
+            bit = 1 << (image - 1)
+            table += [t | bit for t in table]
+        tables.append(table)
+    out = {}
+    for mask, value in mapping.items():
+        moved = 0
+        for table in tables:
+            moved |= table[mask & 0xFF]
+            mask >>= 8
+        out[moved] = value
+    return out
+
+
 def permute_markings(cls: DivisorClassM1n, sigma: Sequence[int]) -> DivisorClassM1n:
     """Relabel markings by ``sigma`` (a sequence of images of 1..n): lambda
     is fixed and each delta_{0;S} coefficient is carried to delta_{0;sigma(S)}."""
     sigma = _check_permutation(sigma, cls.n)
-    boundary = {permute_mask(m, sigma): v for m, v in cls.boundary.items()}
-    return DivisorClassM1n._trusted(cls.n, cls.lam, boundary)
+    return DivisorClassM1n._trusted(cls.n, cls.lam, _permuted(cls.boundary, sigma))
 
 
 def permute_profile(profile: CurveProfile, sigma: Sequence[int]) -> CurveProfile:
     sigma = _check_permutation(sigma, profile.n)
-    boundary = {permute_mask(m, sigma): v for m, v in profile.on_boundary.items()}
+    boundary = _permuted(profile.on_boundary, sigma)
     out = object.__new__(CurveProfile)
     out.n = profile.n
     out.on_lambda = profile.on_lambda
@@ -343,7 +370,7 @@ def compose_permutations(first: Sequence[int], second: Sequence[int]) -> Tuple[i
 
 
 def _boundary_to_json(mapping: Mapping[int, Scalar]) -> list:
-    items = sorted(mapping.items(), key=lambda kv: (kv[0].bit_count(), subset_members(kv[0])))
+    items = sorted(mapping.items(), key=lambda kv: boundary_order(kv[0]))
     return [{"S": list(subset_members(m)), "coeff": scalar_to_json(v)} for m, v in items]
 
 

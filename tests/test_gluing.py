@@ -1,6 +1,7 @@
 """The gluing pullback, its pair combinatorics, and the forgetful pullback."""
 
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -23,7 +24,58 @@ from effcone.picard import (
     permute_markings,
     subset_mask,
 )
-from effcone.scalars import binom
+from effcone.scalars import binom, canon
+
+
+def dense_glue_pullback(W, m):
+    """Reference: the gluing pullback expanded into a dict, subset by
+    subset, from the separate delta_i families.  Test-only; the package
+    computes coefficients per subset instead."""
+    n = 2 * m
+    w_irr = W.delta_irr
+    lam = canon(W.lam + (12 - 2 * m) * w_irr)
+    boundary = {}
+    if w_irr != 0:
+        row = {b: canon((1 - b) * w_irr) for b in range(2, n + 1)}
+        for s in range(3, 1 << n):
+            b = s.bit_count()
+            if b >= 2:
+                boundary[s] = row[b]
+    for i in range(1, (m + 1) // 2 + 1):
+        adjust = canon(W.delta[i - 1] - w_irr)
+        if adjust == 0:
+            continue
+        support = lambda_family(i, m).sets
+        if not (m % 2 == 1 and 2 * i == m + 1):
+            support += tuple(full_mask(n) ^ s for s in lambda_family(i - 1, m).sets)
+        for s in support:
+            value = canon(boundary.get(s, 0) + adjust)
+            if value == 0:
+                boundary.pop(s, None)
+            else:
+                boundary[s] = value
+    return lam, boundary
+
+
+def assert_view_matches(boundary, expected, n):
+    """Every coordinate, the length, the one-pass listing and equality."""
+    for mask in range(1 << n):
+        assert boundary.get(mask) == expected.get(mask), bin(mask)
+        assert (mask in boundary) == (mask in expected)
+    assert boundary.get(1 << n) is None and boundary.get(-1) is None
+    assert len(boundary) == len(expected)
+    listed = list(boundary.items())
+    assert len(listed) == len(expected) and dict(listed) == expected
+    assert all(value != 0 for _, value in listed)
+    assert set(boundary) == set(expected)
+    assert boundary == expected and expected == boundary
+
+
+def _random_mg(rng, g, w_irr=None):
+    def rat():
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+
+    return DivisorClassMg(g, rat(), rat() if w_irr is None else w_irr, [rat() for _ in range(g // 2)])
 
 
 class TestLambdaFamily:
@@ -140,6 +192,98 @@ class TestGluePullback:
         assert permute_markings(cls, (2, 1, 3, 4, 5, 6)) == cls  # in-pair swap
         assert permute_markings(cls, (3, 4, 1, 2, 5, 6)) == cls  # block swap
         assert permute_markings(cls, (5, 6, 1, 2, 4, 3)) == cls  # 3-cycle with a swap
+
+
+class TestGluedViewAgainstDenseExpansion:
+    NAMED = [(bn_class(3), 4), (bn_class(4), 6), (bn_class(5), 8), (gp_class(), 3)]
+
+    @pytest.mark.parametrize("W,m", NAMED, ids=["bn3", "bn4", "bn5", "gp"])
+    def test_named_classes(self, W, m):
+        lam, expected = dense_glue_pullback(W, m)
+        result = glue_pullback(W, m)
+        assert result.lam == lam
+        assert_view_matches(result.boundary, expected, 2 * m)
+
+    @pytest.mark.parametrize("m", range(2, 9))
+    def test_random_classes(self, m):
+        rng = random.Random(100 + m)
+        for _ in range(2 if m < 8 else 1):
+            W = _random_mg(rng, m + 1)
+            lam, expected = dense_glue_pullback(W, m)
+            result = glue_pullback(W, m)
+            assert result.lam == lam
+            assert_view_matches(result.boundary, expected, 2 * m)
+
+    @pytest.mark.parametrize("m", range(2, 8))
+    def test_zero_delta_irr(self, m):
+        W = _random_mg(random.Random(m), m + 1, w_irr=0)
+        _, expected = dense_glue_pullback(W, m)
+        assert all(s.bit_count() % 2 == 0 for s in expected)
+        assert_view_matches(glue_pullback(W, m).boundary, expected, 2 * m)
+
+    @pytest.mark.parametrize("m", range(2, 8))
+    def test_all_adjustments_zero(self, m):
+        # delta_i = delta_irr for every i: only the total-boundary row remains
+        W = DivisorClassMg(m + 1, 1, Fraction(-2, 3), [Fraction(-2, 3)] * ((m + 1) // 2))
+        _, expected = dense_glue_pullback(W, m)
+        assert len(expected) == 2 ** (2 * m) - 2 * m - 1
+        assert_view_matches(glue_pullback(W, m).boundary, expected, 2 * m)
+
+    @pytest.mark.parametrize("m", [3, 5, 7])
+    def test_odd_middle_index_counted_once(self, m):
+        # only the middle class delta_{(m+1)/2} is nonzero
+        middle = (m + 1) // 2
+        delta = [0] * middle
+        delta[middle - 1] = 5
+        W = DivisorClassMg(m + 1, 0, 0, delta)
+        _, expected = dense_glue_pullback(W, m)
+        assert set(expected) == set(lambda_family(middle, m).sets)
+        assert set(expected.values()) == {5}
+        assert_view_matches(glue_pullback(W, m).boundary, expected, 2 * m)
+
+    def test_adjustment_cancelling_the_row(self):
+        # delta_1 - delta_irr = 1 = -(1 - 2) * delta_irr: the two-marking pairs vanish
+        W = DivisorClassMg(5, 0, 1, (2, 0))
+        _, expected = dense_glue_pullback(W, 4)
+        assert subset_mask((1, 2), 8) not in expected
+        assert_view_matches(glue_pullback(W, 4).boundary, expected, 8)
+
+    def test_zero_class(self):
+        result = glue_pullback(DivisorClassMg(5, 0, 0, (0, 0)), 4)
+        assert result.is_zero() and len(result.boundary) == 0
+        assert list(result.boundary.items()) == []
+
+
+class TestForgetfulView:
+    @staticmethod
+    def extended(boundary, m, n):
+        return {s | t << m: v for s, v in boundary.items() for t in range(1 << (n - m))}
+
+    @pytest.mark.parametrize("n", [5, 7, 9])
+    def test_dict_source(self, n):
+        rng = random.Random(n)
+        source = DivisorClassM1n(
+            4, 2, {mask: Fraction(rng.randint(-5, 5), 3) for mask in range(16) if mask.bit_count() >= 2}
+        )
+        result = forget_pullback(source, n)
+        assert result.lam == 2
+        assert len(result.boundary) == len(source.boundary) << (n - 4)
+        assert_view_matches(result.boundary, self.extended(source.boundary, 4, n), n)
+
+    @pytest.mark.parametrize("W,m", [(bn_class(3), 4), (gp_class(), 3), (bn_class(4), 6)])
+    def test_glued_source_and_repeated_lifts(self, W, m):
+        n = 2 * m
+        glued = glue_pullback(W, m)
+        once = forget_pullback(glued, n + 1)
+        twice = forget_pullback(once, n + 3)
+        expected = self.extended(dict(glued.boundary.items()), n, n + 1)
+        assert_view_matches(once.boundary, expected, n + 1)
+        assert_view_matches(twice.boundary, self.extended(expected, n + 1, n + 3), n + 3)
+
+    def test_length_matches_d6_lift_without_enumeration(self):
+        glued = glue_pullback(bn_class(6), 10)
+        assert len(glued.boundary) == 1048435
+        assert len(forget_pullback(glued, 22).boundary) == 4 * 1048435
 
 
 class TestForgetPullback:

@@ -1,6 +1,7 @@
 """Divisor classes, profiles, the pairing, and the marking action."""
 
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -15,6 +16,7 @@ from effcone.picard import (
     DivisorClassMg,
     MarkingIndexError,
     SpaceMismatchError,
+    boundary_order,
     compose_permutations,
     expand_symbol,
     linear_combine,
@@ -24,6 +26,8 @@ from effcone.picard import (
     mg_class_to_json,
     pair,
     permute_markings,
+    permute_mask,
+    permute_profile,
     profile_from_json,
     profile_to_json,
     scale,
@@ -214,6 +218,18 @@ class TestPermutations:
         assert moved.lam == cls.lam
 
 
+    def test_table_relabeling_matches_bitwise_relabeling(self):
+        # one to three lookup tables per mask, including a partial last byte
+        rng = random.Random(11)
+        for n in (3, 8, 9, 16, 20):
+            sigma = tuple(rng.sample(range(1, n + 1), n))
+            masks = {rng.randrange(1 << n) for _ in range(200)}
+            masks = {m for m in masks if m.bit_count() >= 2}
+            prof = CurveProfile(n, 0, {m: m for m in masks})
+            moved = permute_profile(prof, sigma)
+            assert moved.on_boundary == {permute_mask(m, sigma): m for m in masks}
+
+
 class TestJson:
     def test_class_round_trip(self):
         cls = DivisorClassM1n(4, Fraction(3, 2), {subset_mask((1, 3), 4): -2})
@@ -260,6 +276,13 @@ class TestJson:
     @settings(max_examples=100)
     def test_round_trip_random(self, cls):
         assert m1n_class_from_json(m1n_class_to_json(cls)) == cls
+
+
+def test_boundary_order_is_size_then_sorted_members():
+    for n in range(1, 11):
+        masks = list(range(1 << n))
+        by_members = sorted(masks, key=lambda m: (m.bit_count(), subset_members(m)))
+        assert sorted(masks, key=boundary_order) == by_members
 
 
 def test_subset_members_inverts_mask():
