@@ -1,6 +1,9 @@
 """Command-line driver: verification suites, ad-hoc pullback and pairing
 queries, and JSON export of the named corpus.
 
+``SUITES`` registers the verification suites by the module name of their
+rows; it supplies the ``verify`` choices, and ``verify all`` runs them all.
+
 Exit codes: 0 when every check passes, 1 on any check failure, 2 on usage
 or input errors.
 """
@@ -14,8 +17,9 @@ import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import permutations
 from pathlib import Path
-from typing import List, Sequence
+from typing import Callable, Dict, List, Sequence
 
 from . import certify as certify_mod
 from . import chow, corpus, gluing, gonal, picard
@@ -378,22 +382,14 @@ def _random_rat(rng: random.Random) -> Fraction:
     return Fraction(rng.randint(-30, 30), rng.randint(1, 12))
 
 
-def _random_class(rng: random.Random, n: int) -> picard.DivisorClassM1n:
+def _random_element(rng: random.Random, n: int, kind):
+    """A random class or profile (``kind``) on n markings, boundary first."""
     boundary = {}
     for _ in range(rng.randint(0, 6)):
         mask = rng.randint(0, (1 << n) - 1)
         if mask.bit_count() >= 2:
             boundary[mask] = _random_rat(rng)
-    return picard.DivisorClassM1n(n, _random_rat(rng), boundary)
-
-
-def _random_profile(rng: random.Random, n: int) -> picard.CurveProfile:
-    boundary = {}
-    for _ in range(rng.randint(0, 6)):
-        mask = rng.randint(0, (1 << n) - 1)
-        if mask.bit_count() >= 2:
-            boundary[mask] = _random_rat(rng)
-    return picard.CurveProfile(n, _random_rat(rng), boundary)
+    return kind(n, _random_rat(rng), boundary)
 
 
 def _random_mg_class(rng: random.Random, g: int) -> picard.DivisorClassMg:
@@ -432,8 +428,9 @@ def property_suite(reps: int = PROPERTY_REPS, seed: int = PROPERTY_SEED) -> List
 
     for _ in range(reps):
         n = rng.randint(4, 6)
-        p = _random_profile(rng, n)
-        x, y = _random_class(rng, n), _random_class(rng, n)
+        p = _random_element(rng, n, picard.CurveProfile)
+        x = _random_element(rng, n, picard.DivisorClassM1n)
+        y = _random_element(rng, n, picard.DivisorClassM1n)
         s, t = _random_rat(rng), _random_rat(rng)
         combo = picard.linear_combine([(s, x), (t, y)])
         lhs = picard.pair(p, combo)
@@ -489,13 +486,11 @@ def property_suite(reps: int = PROPERTY_REPS, seed: int = PROPERTY_SEED) -> List
             failures["binomial_identities"] += 1
 
     form = chow.top_form()
-    from itertools import permutations as _perms
-
     for i in range(6):
         for j in range(6):
             for k in range(6):
                 base = form.value(i, j, k)
-                if any(form.value(*p) != base for p in _perms((i, j, k))):
+                if any(form.value(*p) != base for p in permutations((i, j, k))):
                     failures["top_form_symmetry"] += 1
 
     return [
@@ -504,15 +499,16 @@ def property_suite(reps: int = PROPERTY_REPS, seed: int = PROPERTY_SEED) -> List
     ]
 
 
-def all_suites(max_d: int, direct_max_d: int) -> List[CheckRow]:
-    rows = []
-    rows += trigonal_suite()
-    rows += gonal_suite(max_d, direct_max_d)
-    rows += gp_suite()
-    rows += chow_suite()
-    rows += certificate_suite(direct_max_d)
-    rows += property_suite()
-    return rows
+# Each entry looks its suite up by name when called, so that a suite
+# replaced on this module (a test double, a timing wrapper) is the one run.
+SUITES: Dict[str, Callable[[argparse.Namespace], List[CheckRow]]] = {
+    "trigonal": lambda args: trigonal_suite(),
+    "gonal": lambda args: gonal_suite(args.max_d, args.direct_max_d),
+    "gp": lambda args: gp_suite(),
+    "chow": lambda args: chow_suite(),
+    "certify": lambda args: certificate_suite(args.direct_max_d),
+    "properties": lambda args: property_suite(),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -540,12 +536,18 @@ def _dump_json(obj, output: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _cmd_pullback(args) -> int:
-    obj = _load_json(args.input)
+def _read(path: str, parse, what: str):
+    """Parse the JSON file at ``path`` with ``parse``; a file that does not
+    hold a ``what`` is an input error."""
+    obj = _load_json(path)
     try:
-        cls = picard.mg_class_from_json(obj)
+        return parse(obj)
     except (KeyError, TypeError, ValueError) as exc:
-        raise InputError(f"{args.input}: not a genus-g class file: {exc}") from exc
+        raise InputError(f"{path}: not a {what} file: {exc}") from exc
+
+
+def _cmd_pullback(args) -> int:
+    cls = _read(args.input, picard.mg_class_from_json, "genus-g class")
     if cls.g != args.g:
         raise InputError(f"class lives on genus {cls.g}, but --g {args.g} was given")
     result = gluing.glue_pullback(cls, args.m)
@@ -554,19 +556,9 @@ def _cmd_pullback(args) -> int:
 
 
 def _cmd_intersect(args) -> int:
-    try:
-        prof = picard.profile_from_json(_load_json(args.profile))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InputError(f"{args.profile}: not a profile file: {exc}") from exc
-    try:
-        cls = picard.m1n_class_from_json(_load_json(args.class_file))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InputError(f"{args.class_file}: not a marked-space class file: {exc}") from exc
-    try:
-        value = picard.pair(prof, cls)
-    except picard.SpaceMismatchError as exc:
-        raise InputError(str(exc)) from exc
-    out = scalar_to_json(value)
+    prof = _read(args.profile, picard.profile_from_json, "profile")
+    cls = _read(args.class_file, picard.m1n_class_from_json, "marked-space class")
+    out = scalar_to_json(picard.pair(prof, cls))
     print(out if isinstance(out, str) else json.dumps(out))
     return 0
 
@@ -597,16 +589,8 @@ def _cmd_export(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    if args.suite == "all":
-        rows = all_suites(args.max_d, args.direct_max_d)
-    elif args.suite == "trigonal":
-        rows = trigonal_suite()
-    elif args.suite == "gonal":
-        rows = gonal_suite(args.max_d, args.direct_max_d)
-    elif args.suite == "gp":
-        rows = gp_suite()
-    else:
-        rows = chow_suite()
+    names = SUITES if args.suite == "all" else (args.suite,)
+    rows = [row for name in names for row in SUITES[name](args)]
     sys.stdout.write(emit_report(rows, "json" if args.json else "text"))
     return 0 if all(r.ok for r in rows) else 1
 
@@ -622,7 +606,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     verify = sub.add_parser("verify", help="run a verification suite")
-    verify.add_argument("suite", choices=("all", "trigonal", "gonal", "gp", "chow"))
+    verify.set_defaults(run=_cmd_verify)
+    verify.add_argument("suite", choices=("all", *SUITES))
     verify.add_argument("--max-d", type=int, default=DEFAULT_MAX_D, help="sign sweep bound")
     verify.add_argument(
         "--direct-max-d",
@@ -633,16 +618,19 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--json", action="store_true", help="emit the JSON report")
 
     pullback = sub.add_parser("pullback", help="pull a genus-g class back along the gluing map")
+    pullback.set_defaults(run=_cmd_pullback)
     pullback.add_argument("--g", type=int, required=True)
     pullback.add_argument("--m", type=int, required=True)
     pullback.add_argument("--input", required=True, help="genus-g class JSON file")
     pullback.add_argument("--output", help="destination file (stdout when omitted)")
 
     intersect = sub.add_parser("intersect", help="pair a profile against a class")
+    intersect.set_defaults(run=_cmd_intersect)
     intersect.add_argument("--profile", required=True, help="profile JSON file")
     intersect.add_argument("--class", dest="class_file", required=True, help="class JSON file")
 
     export = sub.add_parser("export", help="write a named corpus item as JSON")
+    export.set_defaults(run=_cmd_export)
     export.add_argument("--name", required=True, help="e.g. bn(3), gp, pullback-trigonal, profile-gonal(4)")
     export.add_argument("--output", help="destination file (stdout when omitted)")
 
@@ -656,22 +644,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:
-        if args.command == "verify":
-            return _cmd_verify(args)
-        if args.command == "pullback":
-            return _cmd_pullback(args)
-        if args.command == "intersect":
-            return _cmd_intersect(args)
-        if args.command == "export":
-            return _cmd_export(args)
-        parser.error(f"unknown command {args.command!r}")
-    except InputError as exc:
+        return args.run(args)
+    except ValueError as exc:  # InputError, MarkingIndexError, SpaceMismatchError
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (picard.MarkingIndexError, picard.SpaceMismatchError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    return 2
 
 
 if __name__ == "__main__":

@@ -50,6 +50,7 @@ from .picard import (
     DivisorClassM1n,
     DivisorClassMg,
     SpaceMismatchError,
+    _check_n,
     full_mask,
 )
 from .scalars import Scalar, binom, canon
@@ -170,6 +171,7 @@ def glue_pullback(W: DivisorClassMg, m: int) -> DivisorClassM1n:
     space along the gluing map."""
     if m < 2:
         raise ValueError(f"need at least two glued pairs, got m={m}")
+    _check_n(2 * m)
     if W.g != m + 1:
         raise SpaceMismatchError(f"class lives on genus {W.g}, gluing lands in genus {m + 1}")
     w_irr = W.delta_irr
@@ -192,6 +194,7 @@ def forget_pullback(W: DivisorClassM1n, n: int) -> DivisorClassM1n:
     m = W.n
     if n < m:
         raise ValueError(f"cannot forget down from {m} to {n} markings")
+    _check_n(n)
     if n == m:
         return W
     return DivisorClassM1n._trusted(n, W.lam, ForgetfulBoundary(W.boundary, m, n))

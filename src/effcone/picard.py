@@ -377,11 +377,25 @@ def _boundary_to_json(mapping: Mapping[int, Scalar]) -> list:
 def _boundary_from_json(entries, n: int) -> Dict[int, Scalar]:
     out: Dict[int, Scalar] = {}
     for entry in entries:
+        if any(type(i) is not int for i in entry["S"]):
+            raise ValueError(f"markings must be integers, got {entry['S']!r}")
         mask = subset_mask(entry["S"], n)
         if mask in out:
             raise ValueError(f"duplicate boundary index {entry['S']}")
         out[mask] = scalar_from_json(entry["coeff"])
     return out
+
+
+def _space(obj: dict, kind: str, key: str, what: str) -> int:
+    """The size ``key`` (``n`` or ``g``) of the space of a serialized
+    ``what``, which must live on a space of type ``kind``."""
+    space = obj["space"]
+    if space.get("type") != kind:
+        raise ValueError(f"expected an {kind} {what}, got space {space!r}")
+    size = space[key]
+    if type(size) is not int:
+        raise ValueError(f"space {key} must be an integer, got {size!r}")
+    return size
 
 
 def m1n_class_to_json(cls: DivisorClassM1n) -> dict:
@@ -393,10 +407,7 @@ def m1n_class_to_json(cls: DivisorClassM1n) -> dict:
 
 
 def m1n_class_from_json(obj: dict) -> DivisorClassM1n:
-    space = obj["space"]
-    if space.get("type") != "M1n":
-        raise ValueError(f"expected an M1n class, got space {space!r}")
-    n = space["n"]
+    n = _space(obj, "M1n", "n", "class")
     return DivisorClassM1n(n, scalar_from_json(obj["lambda"]), _boundary_from_json(obj["boundary"], n))
 
 
@@ -409,10 +420,7 @@ def profile_to_json(profile: CurveProfile) -> dict:
 
 
 def profile_from_json(obj: dict) -> CurveProfile:
-    space = obj["space"]
-    if space.get("type") != "M1n":
-        raise ValueError(f"expected an M1n profile, got space {space!r}")
-    n = space["n"]
+    n = _space(obj, "M1n", "n", "profile")
     return CurveProfile(n, scalar_from_json(obj["on_lambda"]), _boundary_from_json(obj["on_boundary"], n))
 
 
@@ -426,11 +434,8 @@ def mg_class_to_json(cls: DivisorClassMg) -> dict:
 
 
 def mg_class_from_json(obj: dict) -> DivisorClassMg:
-    space = obj["space"]
-    if space.get("type") != "Mg":
-        raise ValueError(f"expected an Mg class, got space {space!r}")
     return DivisorClassMg(
-        space["g"],
+        _space(obj, "Mg", "g", "class"),
         scalar_from_json(obj["lambda"]),
         scalar_from_json(obj["delta_irr"]),
         [scalar_from_json(c) for c in obj["delta"]],

@@ -10,6 +10,7 @@ denote the same ring element.  There is no floating point anywhere.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from math import comb
 from typing import Iterable, Sequence, Union
@@ -52,7 +53,7 @@ class Poly:
     @classmethod
     def from_strings(cls, items: Sequence[str]) -> "Poly":
         """Parse the serialized form: rational strings, ascending degree."""
-        return cls(Fraction(s) for s in items)
+        return cls(parse_rat(s) for s in items)
 
     @property
     def coeffs(self) -> tuple:
@@ -225,8 +226,18 @@ def format_rat(x: Rat) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
+# ASCII digits only: ``\d`` would also match digits of other scripts
+_RAT = re.compile(r"(-?[0-9]+)(?:/(0*[1-9][0-9]*))?")
+
+
 def parse_rat(text: str) -> Rat:
-    return canon(Fraction(text))
+    """Inverse of :func:`format_rat`: accepts exactly ``p`` or ``p/q`` with
+    decimal integers p (optionally negative) and q (nonzero)."""
+    match = _RAT.fullmatch(text) if isinstance(text, str) else None
+    if match is None:
+        raise ValueError(f"not a rational string: {text!r}")
+    num, den = match.groups()
+    return int(num) if den is None else canon(Fraction(int(num), int(den)))
 
 
 def scalar_to_json(value: Scalar):

@@ -195,3 +195,31 @@ class TestPropertySuite:
             "binomial_identities",
             "top_form_symmetry",
         }
+
+
+class TestSuiteRegistry:
+    NAMES = ("trigonal", "gonal", "gp", "chow", "certify", "properties")
+    SMALL = ("--direct-max-d", "4", "--max-d", "5")
+
+    def _checks(self, capsys, suite):
+        assert main(["verify", suite, "--json", *self.SMALL]) == 0
+        return json.loads(capsys.readouterr().out)["checks"]
+
+    def test_all_is_the_union_of_the_suites(self, capsys):
+        def key(row):
+            return json.dumps(row, sort_keys=True)
+
+        everything = self._checks(capsys, "all")
+        parts = [row for name in self.NAMES for row in self._checks(capsys, name)]
+        assert sorted(everything, key=key) == sorted(parts, key=key)
+
+    @pytest.mark.parametrize("suite", ["certify", "properties"])
+    def test_every_suite_is_selectable(self, capsys, suite):
+        assert main(["verify", suite]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith(f"PASS  {suite}/") and "0 failed" in out
+
+    def test_suites_are_looked_up_when_run(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "gp_suite", lambda: [CheckRow("gp", "replaced", "0", "1", "")])
+        assert main(["verify", "gp"]) == 1
+        assert "FAIL  gp/replaced" in capsys.readouterr().out
