@@ -5,7 +5,7 @@ queries, and JSON export of the named corpus.
 rows; it supplies the ``verify`` choices, and ``verify all`` runs them all.
 
 Exit codes: 0 when every check passes, 1 on any check failure, 2 on usage
-or input errors.
+or input errors and on a refused resource budget.
 """
 
 from __future__ import annotations
@@ -28,6 +28,10 @@ from .scalars import Poly, binom, poly_eval, scalar_to_json
 DEFAULT_MAX_D = 12
 PROPERTY_SEED = 1729
 PROPERTY_REPS = 100
+# most boundary entries a class file may list: a pullback to 2m markings has
+# at most 2^20 - 21 of them at m = 10, and 2^22 - 23 at m = 11 when its
+# delta_irr coefficient is nonzero
+EXPORT_BUDGET = 1 << 21
 
 
 class InputError(ValueError):
@@ -529,7 +533,7 @@ def _load_json(path: str):
 
 
 def _dump_json(obj, output: str | None) -> None:
-    text = json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    text = picard.json_text(obj)
     if output:
         Path(output).write_text(text, encoding="utf-8")
     else:
@@ -551,6 +555,14 @@ def _cmd_pullback(args) -> int:
     if cls.g != args.g:
         raise InputError(f"class lives on genus {cls.g}, but --g {args.g} was given")
     result = gluing.glue_pullback(cls, args.m)
+    # the view counts its entries combinatorially; len() itself would refuse
+    # a count past sys.maxsize (64 markings)
+    entries = result.boundary.__len__()
+    if entries > EXPORT_BUDGET:
+        raise gonal.ResourceGuardError(
+            f"export budget is {EXPORT_BUDGET} boundary entries; the pullback to "
+            f"{result.n} markings has {entries}"
+        )
     _dump_json(picard.m1n_class_to_json(result), args.output)
     return 0
 
@@ -645,7 +657,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 0 if exc.code in (0, None) else 2
     try:
         return args.run(args)
-    except ValueError as exc:  # InputError, MarkingIndexError, SpaceMismatchError
+    # InputError, MarkingIndexError, SpaceMismatchError; a refused budget
+    except (ValueError, gonal.ResourceGuardError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -32,7 +32,8 @@ DIRECT_ROUTE_DEFAULT_CAP = 6
 
 
 class ResourceGuardError(RuntimeError):
-    """The direct enumeration route was asked to exceed its cap."""
+    """An enumeration was asked to exceed its budget: the direct route's cap
+    here, or the export budget of the ``pullback`` command."""
 
 
 def pairing_direct(d: int, max_d: int = DIRECT_ROUTE_DEFAULT_CAP) -> Rat:

@@ -12,13 +12,20 @@ plain structural equality.  A class's ``boundary`` is either a dict or a
 read-only, zero-pruned mapping view that computes each coefficient from a
 rule (the pullbacks of :mod:`.gluing`); readers use ``get``, ``items`` and
 ``len`` and never mutate it.
+
+Serialized classes and profiles list their boundary entries by subset size,
+then by sorted members; :func:`json_text` renders them as the canonical
+indented, sorted-key JSON text.
 """
 
 from __future__ import annotations
 
+import heapq
+import json
+from operator import itemgetter
 from typing import Dict, Iterable, Mapping, Sequence, Tuple
 
-from .scalars import Scalar, canon, scalar_from_json, scalar_to_json
+from .scalars import Scalar, canon, parse_rat, scalar_from_json, scalar_to_json
 
 MAX_MARKINGS = 64
 
@@ -45,16 +52,30 @@ def subset_mask(members: Iterable[int], n: int) -> int:
     return mask
 
 
+def _byte_members() -> Tuple[Tuple[Tuple[int, ...], ...], ...]:
+    """``tables[j][v]``: the sorted markings whose bits lie in byte j of a
+    mask and read v there."""
+    tables = []
+    for start in range(1, MAX_MARKINGS + 1, 8):
+        table = [()]
+        for marking in range(start, start + 8):
+            table += [t + (marking,) for t in table]
+        tables.append(tuple(table))
+    return tuple(tables)
+
+
+_BYTE_MEMBERS = _byte_members()
+
+
 def subset_members(mask: int) -> Tuple[int, ...]:
-    """Sorted tuple of markings in a mask."""
-    out = []
-    i = 1
+    """Sorted tuple of markings in a mask of at most MAX_MARKINGS bits."""
+    out = ()
+    j = 0
     while mask:
-        if mask & 1:
-            out.append(i)
-        mask >>= 1
-        i += 1
-    return tuple(out)
+        out += _BYTE_MEMBERS[j][mask & 0xFF]
+        mask >>= 8
+        j += 1
+    return out
 
 
 def full_mask(n: int) -> int:
@@ -82,18 +103,16 @@ def _checked_boundary(boundary, n: int) -> Dict[int, Scalar]:
     return out
 
 
-def boundary_order(mask: int) -> Tuple[int, int]:
-    """Sort key listing subsets by size, then by sorted members.  Among
-    subsets of one size, the one holding the lowest marking where two differ
-    comes first; that is the one whose 64-bit reversal is larger."""
-    return mask.bit_count(), -int(f"{mask:064b}"[::-1], 2)
+def boundary_order(mask: int) -> Tuple[int, Tuple[int, ...]]:
+    """Sort key listing subsets by size, then by sorted members."""
+    return mask.bit_count(), subset_members(mask)
 
 
 def _sparse_repr(mapping: Mapping[int, Scalar], limit: int = 6) -> str:
-    items = sorted(mapping.items(), key=lambda kv: boundary_order(kv[0]))
-    parts = [f"d0;{set(subset_members(m))}: {v}" for m, v in items[:limit]]
-    if len(items) > limit:
-        parts.append(f"... ({len(items)} terms)")
+    first = heapq.nsmallest(limit, mapping.items(), key=lambda kv: boundary_order(kv[0]))
+    parts = [f"d0;{set(subset_members(m))}: {v}" for m, v in first]
+    if len(mapping) > limit:
+        parts.append(f"... ({len(mapping)} terms)")
     return ", ".join(parts)
 
 
@@ -151,6 +170,15 @@ class CurveProfile:
         self.n = n
         self.on_lambda = canon(on_lambda)
         self.on_boundary = _checked_boundary(on_boundary, n)
+
+    @classmethod
+    def _trusted(cls, n: int, on_lambda: Scalar, on_boundary: Dict[int, Scalar]) -> "CurveProfile":
+        # internal fast path: caller guarantees canonical, pruned, in-range data
+        obj = object.__new__(cls)
+        obj.n = n
+        obj.on_lambda = on_lambda
+        obj.on_boundary = on_boundary
+        return obj
 
     def value_on(self, mask: int) -> Scalar:
         return self.on_boundary.get(mask, 0)
@@ -352,12 +380,7 @@ def permute_markings(cls: DivisorClassM1n, sigma: Sequence[int]) -> DivisorClass
 
 def permute_profile(profile: CurveProfile, sigma: Sequence[int]) -> CurveProfile:
     sigma = _check_permutation(sigma, profile.n)
-    boundary = _permuted(profile.on_boundary, sigma)
-    out = object.__new__(CurveProfile)
-    out.n = profile.n
-    out.on_lambda = profile.on_lambda
-    out.on_boundary = boundary
-    return out
+    return CurveProfile._trusted(profile.n, profile.on_lambda, _permuted(profile.on_boundary, sigma))
 
 
 def compose_permutations(first: Sequence[int], second: Sequence[int]) -> Tuple[int, ...]:
@@ -370,19 +393,60 @@ def compose_permutations(first: Sequence[int], second: Sequence[int]) -> Tuple[i
 
 
 def _boundary_to_json(mapping: Mapping[int, Scalar]) -> list:
-    items = sorted(mapping.items(), key=lambda kv: boundary_order(kv[0]))
-    return [{"S": list(subset_members(m)), "coeff": scalar_to_json(v)} for m, v in items]
+    """Entries in boundary order; each distinct coefficient is serialized once.
+    Sorting the members within each size keeps the sort keys flat tuples of
+    ints, which compare fastest."""
+    by_size: Dict[int, list] = {}
+    for mask, value in mapping.items():
+        size, members = boundary_order(mask)
+        by_size.setdefault(size, []).append((members, value))
+    texts: dict = {}
+    out = []
+    for size in sorted(by_size):
+        for members, value in sorted(by_size[size], key=itemgetter(0)):
+            text = texts.get(value)
+            if text is None:
+                text = texts[value] = scalar_to_json(value)
+            out.append({"S": list(members), "coeff": text if type(text) is str else list(text)})
+    return out
 
 
 def _boundary_from_json(entries, n: int) -> Dict[int, Scalar]:
+    """Boundary coefficients of serialized entries, checked in one pass:
+    integer markings in 1..n, none repeated, at least two per subset and no
+    subset twice.  Each distinct coefficient string is parsed once, and zero
+    coefficients are dropped."""
     out: Dict[int, Scalar] = {}
+    values: Dict[str, Scalar] = {}
+    zeros = []
     for entry in entries:
-        if any(type(i) is not int for i in entry["S"]):
-            raise ValueError(f"markings must be integers, got {entry['S']!r}")
-        mask = subset_mask(entry["S"], n)
+        members = entry["S"]
+        mask = 0
+        for i in members:
+            if type(i) is not int:
+                raise ValueError(f"markings must be integers, got {members!r}")
+            if not 1 <= i <= n:
+                raise MarkingIndexError(f"marking {i} not in 1..{n}")
+            bit = 1 << (i - 1)
+            if mask & bit:
+                raise ValueError(f"marking {i} repeated in {members!r}")
+            mask |= bit
         if mask in out:
-            raise ValueError(f"duplicate boundary index {entry['S']}")
-        out[mask] = scalar_from_json(entry["coeff"])
+            raise ValueError(f"duplicate boundary index {members}")
+        if mask.bit_count() < 2:
+            raise ValueError(f"boundary index {members} has fewer than two markings")
+        coeff = entry["coeff"]
+        if type(coeff) is str:
+            value = values.get(coeff)
+            if value is None:
+                value = values[coeff] = parse_rat(coeff)
+        else:
+            value = scalar_from_json(coeff)
+        out[mask] = value
+        if not value:
+            zeros.append(mask)
+    for mask in zeros:
+        del out[mask]
     return out
 
 
@@ -408,7 +472,8 @@ def m1n_class_to_json(cls: DivisorClassM1n) -> dict:
 
 def m1n_class_from_json(obj: dict) -> DivisorClassM1n:
     n = _space(obj, "M1n", "n", "class")
-    return DivisorClassM1n(n, scalar_from_json(obj["lambda"]), _boundary_from_json(obj["boundary"], n))
+    _check_n(n)
+    return DivisorClassM1n._trusted(n, scalar_from_json(obj["lambda"]), _boundary_from_json(obj["boundary"], n))
 
 
 def profile_to_json(profile: CurveProfile) -> dict:
@@ -421,7 +486,8 @@ def profile_to_json(profile: CurveProfile) -> dict:
 
 def profile_from_json(obj: dict) -> CurveProfile:
     n = _space(obj, "M1n", "n", "profile")
-    return CurveProfile(n, scalar_from_json(obj["on_lambda"]), _boundary_from_json(obj["on_boundary"], n))
+    _check_n(n)
+    return CurveProfile._trusted(n, scalar_from_json(obj["on_lambda"]), _boundary_from_json(obj["on_boundary"], n))
 
 
 def mg_class_to_json(cls: DivisorClassMg) -> dict:
@@ -440,3 +506,35 @@ def mg_class_from_json(obj: dict) -> DivisorClassMg:
         scalar_from_json(obj["delta_irr"]),
         [scalar_from_json(c) for c in obj["delta"]],
     )
+
+
+# marking lines and entry template of the text json.dumps(indent=2) gives a
+# boundary entry
+_MARKING_LINES = tuple(f"        {i}" for i in range(MAX_MARKINGS + 1))
+_ENTRY = '    {\n      "S": [\n%s\n      ],\n      "coeff": %s\n    }'
+
+
+def json_text(obj: dict) -> str:
+    """``json.dumps(obj, indent=2, sort_keys=True) + "\\n"`` for a serialized
+    class or profile, byte for byte.  ``indent`` makes ``json.dumps`` use its
+    pure-Python encoder, so the boundary entries are rendered here instead:
+    each fills one template, and each distinct coefficient is encoded once.
+    The rest of the object, and any object without boundary entries, still
+    goes through ``json.dumps``."""
+    key = next((k for k in ("boundary", "on_boundary") if k in obj), None)
+    if key is None or not obj[key]:
+        return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    # a line break followed by two spaces and a quoted key only starts a
+    # top-level key: strings never hold a raw line break
+    marker = f'\n  "{key}": '
+    head, _, tail = json.dumps({**obj, key: []}, indent=2, sort_keys=True).partition(marker + "[]")
+    texts: dict = {}
+    parts = []
+    for entry in obj[key]:
+        coeff = entry["coeff"]
+        ckey = coeff if type(coeff) is str else tuple(coeff)
+        text = texts.get(ckey)
+        if text is None:
+            text = texts[ckey] = json.dumps(coeff, indent=2).replace("\n", "\n      ")
+        parts.append(_ENTRY % (",\n".join([_MARKING_LINES[i] for i in entry["S"]]), text))
+    return "".join((head, marker, "[\n", ",\n".join(parts), "\n  ]", tail, "\n"))

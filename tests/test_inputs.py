@@ -7,7 +7,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from effcone import picard
+from effcone import cli, picard
 from effcone.cli import main
 from effcone.gluing import forget_pullback, glue_pullback
 from effcone.picard import DivisorClassM1n, DivisorClassMg
@@ -151,3 +151,83 @@ class TestMarkingBound:
         path.write_text(json.dumps(picard.mg_class_to_json(DivisorClassMg(34, 1, 1, [1] * 17))))
         assert main(["pullback", "--g", "34", "--m", "33", "--input", str(path)]) == 2
         assert "marking count must be in 2..64, got 66" in capsys.readouterr().err
+
+
+BAD_ENTRIES = {
+    "repeated marking": [{"S": [1, 1, 2], "coeff": "1"}],
+    "repeated pair": [{"S": [2, 2], "coeff": "1"}],
+    "repeated last marking": [{"S": [1, 2, 1], "coeff": "1"}],
+    "one marking": [{"S": [1], "coeff": "1"}],
+    "no markings": [{"S": [], "coeff": "1"}],
+    "marking zero": [{"S": [0, 1], "coeff": "1"}],
+    "marking past n": [{"S": [1, 9], "coeff": "1"}],
+    "subset twice": [{"S": [1, 2], "coeff": "1"}, {"S": [2, 1], "coeff": "1"}],
+    "subset twice, zero first": [{"S": [1, 2], "coeff": "0"}, {"S": [1, 2], "coeff": "3"}],
+    "no coefficient": [{"S": [1, 2]}],
+    "entry not an object": [[[1, 2], "1"]],
+    "markings not a list": [{"S": 12, "coeff": "1"}],
+}
+
+
+class TestBoundaryEntries:
+    @pytest.mark.parametrize("case", BAD_ENTRIES)
+    def test_malformed_profile(self, files, capsys, case):
+        bad = files.write("bad.json", {**files.prof, "on_boundary": BAD_ENTRIES[case]})
+        _intersect_fails(capsys, bad, files.cls_path)
+
+    @pytest.mark.parametrize("case", BAD_ENTRIES)
+    def test_malformed_class(self, files, capsys, case):
+        bad = files.write("bad.json", {**files.cls, "boundary": BAD_ENTRIES[case]})
+        _intersect_fails(capsys, files.prof_path, bad)
+
+    def test_repeated_marking_is_named(self):
+        obj = {"space": {"type": "M1n", "n": 3}, "lambda": "0", "boundary": [{"S": [1, 1, 2], "coeff": "3"}]}
+        with pytest.raises(ValueError, match="marking 1 repeated"):
+            picard.m1n_class_from_json(obj)
+
+    def test_zero_coefficients_are_dropped(self):
+        obj = {
+            "space": {"type": "M1n", "n": 4},
+            "on_lambda": "1",
+            "on_boundary": [{"S": [1, 2], "coeff": "0"}, {"S": [3, 4], "coeff": ["0/5"]}, {"S": [2, 3], "coeff": "-2/4"}],
+        }
+        prof = picard.profile_from_json(obj)
+        assert prof == picard.CurveProfile(4, 1, {0b0110: Fraction(-1, 2)})
+        assert prof.on_boundary == {0b0110: Fraction(-1, 2)}
+
+
+def _genus_file(tmp_path, g):
+    path = tmp_path / f"g{g}.json"
+    path.write_text(json.dumps(picard.mg_class_to_json(DivisorClassMg(g, 1, 1, [1] * (g // 2)))))
+    return str(path)
+
+
+class TestExportBudget:
+    @pytest.mark.parametrize("m, entries", [(32, 2**64 - 65), (11, 2**22 - 23)])
+    def test_refused_before_enumerating(self, tmp_path, capsys, monkeypatch, m, entries):
+        def enumerate_entries(cls):
+            raise AssertionError("the class was enumerated")
+
+        monkeypatch.setattr(picard, "m1n_class_to_json", enumerate_entries)
+        assert main(["pullback", "--g", str(m + 1), "--m", str(m), "--input", _genus_file(tmp_path, m + 1)]) == 2
+        err = capsys.readouterr().err
+        assert f"export budget is {cli.EXPORT_BUDGET} boundary entries" in err
+        assert f"{2 * m} markings has {entries}" in err
+
+    def test_admits_every_pullback_to_ten_pairs(self, tmp_path, monkeypatch):
+        written = []
+
+        def record(cls):
+            written.append(len(cls.boundary))
+            return picard.mg_class_to_json(DivisorClassMg(3, 0, 0, [0]))
+
+        monkeypatch.setattr(picard, "m1n_class_to_json", record)
+        out = tmp_path / "out.json"
+        assert main(["pullback", "--g", "11", "--m", "10", "--input", _genus_file(tmp_path, 11), "--output", str(out)]) == 0
+        assert written == [2**20 - 21] and 2**20 - 21 <= cli.EXPORT_BUDGET < 2**22 - 23
+
+    def test_m8_still_writes(self, tmp_path):
+        src, out = tmp_path / "bn5.json", tmp_path / "pb.json"
+        assert main(["export", "--name", "bn(5)", "--output", str(src)]) == 0
+        assert main(["pullback", "--g", "9", "--m", "8", "--input", str(src), "--output", str(out)]) == 0
+        assert len(json.loads(out.read_text())["boundary"]) == 65519

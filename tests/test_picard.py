@@ -9,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import curve_profiles, m1n_classes, rationals
-from effcone.corpus import golden_pullback, profile
+from effcone.corpus import bn_class, golden_pullback, profile
+from effcone.gluing import glue_pullback
 from effcone.picard import (
     CurveProfile,
     DivisorClassM1n,
@@ -288,3 +289,21 @@ def test_boundary_order_is_size_then_sorted_members():
 def test_subset_members_inverts_mask():
     mask = subset_mask((2, 5, 7), 8)
     assert subset_members(mask) == (2, 5, 7)
+
+
+class TestRepr:
+    def test_small_class_text(self):
+        cls = DivisorClassM1n(4, 2, {0b1111: -2, 0b0101: Fraction(3, 2), 0b0011: 1, 0b1010: 5})
+        assert repr(cls) == "<DivisorClassM1n n=4 lambda=2 d0;{1, 2}: 1, d0;{1, 3}: 3/2, d0;{2, 4}: 5, d0;{1, 2, 3, 4}: -2>"
+
+    def test_profile_text_lists_the_first_six(self):
+        prof = CurveProfile(4, 1, {m: m for m in range(16) if m.bit_count() >= 2})
+        assert repr(prof) == (
+            "<CurveProfile n=4 lambda=1 d0;{1, 2}: 3, d0;{1, 3}: 5, d0;{1, 4}: 9, d0;{2, 3}: 6, "
+            "d0;{2, 4}: 10, d0;{3, 4}: 12, ... (11 terms)>"
+        )
+
+    def test_large_view_counts_its_terms(self):
+        text = repr(glue_pullback(bn_class(6), 10))
+        assert text.startswith("<DivisorClassM1n n=20 lambda=210 d0;{1, 2}: -42, d0;{1, 3}: 14, ")
+        assert text.endswith(", d0;{1, 7}: 14, ... (1048435 terms)>")
