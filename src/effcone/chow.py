@@ -225,19 +225,6 @@ class ChowDeg2:
                 out[target] = out.get(target, 0) + mult * value
         self.entries = {k: canon(v) for k, v in out.items() if canon(v) != 0}
 
-    @classmethod
-    def product(cls, x: ChowDeg1, y: ChowDeg1) -> "ChowDeg2":
-        entries: Dict[Tuple[int, int], Scalar] = {}
-        for i, xi in enumerate(x.coeffs):
-            if xi == 0:
-                continue
-            for j, yj in enumerate(y.coeffs):
-                if yj == 0:
-                    continue
-                key = (i, j) if i <= j else (j, i)
-                entries[key] = entries.get(key, 0) + xi * yj
-        return cls(entries)
-
     def __add__(self, other):
         if not isinstance(other, ChowDeg2):
             return NotImplemented
@@ -275,7 +262,16 @@ class ChowDeg2:
 
 
 def product(x: ChowDeg1, y: ChowDeg1) -> ChowDeg2:
-    return ChowDeg2.product(x, y)
+    entries: Dict[Tuple[int, int], Scalar] = {}
+    for i, xi in enumerate(x.coeffs):
+        if xi == 0:
+            continue
+        for j, yj in enumerate(y.coeffs):
+            if yj == 0:
+                continue
+            key = (i, j) if i <= j else (j, i)
+            entries[key] = entries.get(key, 0) + xi * yj
+    return ChowDeg2(entries)
 
 
 def dot(d2: ChowDeg2, d1: ChowDeg1) -> Scalar:

@@ -4,8 +4,8 @@ queries, and JSON export of the named corpus.
 ``SUITES`` registers the verification suites by the module name of their
 rows; it supplies the ``verify`` choices, and ``verify all`` runs them all.
 
-Exit codes: 0 when every check passes, 1 on any check failure, 2 on usage
-or input errors and on a refused resource budget.
+Exit codes: 0 when every check passes, 1 on any failing row (an internal
+error in a suite is one), 2 on usage or input errors and on a refused budget.
 """
 
 from __future__ import annotations
@@ -23,15 +23,12 @@ from typing import Callable, Dict, List, Sequence
 
 from . import certify as certify_mod
 from . import chow, corpus, gluing, gonal, picard
+from .picard import EXPORT_BUDGET
 from .scalars import Poly, binom, poly_eval, scalar_to_json
 
 DEFAULT_MAX_D = 12
 PROPERTY_SEED = 1729
 PROPERTY_REPS = 100
-# most boundary entries a class file may list: a pullback to 2m markings has
-# at most 2^20 - 21 of them at m = 10, and 2^22 - 23 at m = 11 when its
-# delta_irr coefficient is nonzero
-EXPORT_BUDGET = 1 << 21
 
 
 class InputError(ValueError):
@@ -550,6 +547,14 @@ def _read(path: str, parse, what: str):
         raise InputError(f"{path}: not a {what} file: {exc}") from exc
 
 
+def _check_export_budget(entries: int, what: str) -> None:
+    """Refuse a file of ``entries`` boundary entries, counted before any is built."""
+    if entries > EXPORT_BUDGET:
+        raise gonal.ResourceGuardError(
+            f"export budget is {EXPORT_BUDGET} boundary entries; {what} has {entries}"
+        )
+
+
 def _cmd_pullback(args) -> int:
     cls = _read(args.input, picard.mg_class_from_json, "genus-g class")
     if cls.g != args.g:
@@ -557,12 +562,7 @@ def _cmd_pullback(args) -> int:
     result = gluing.glue_pullback(cls, args.m)
     # the view counts its entries combinatorially; len() itself would refuse
     # a count past sys.maxsize (64 markings)
-    entries = result.boundary.__len__()
-    if entries > EXPORT_BUDGET:
-        raise gonal.ResourceGuardError(
-            f"export budget is {EXPORT_BUDGET} boundary entries; the pullback to "
-            f"{result.n} markings has {entries}"
-        )
+    _check_export_budget(result.boundary.__len__(), f"the pullback to {result.n} markings")
     _dump_json(picard.m1n_class_to_json(result), args.output)
     return 0
 
@@ -592,7 +592,9 @@ def _cmd_export(args) -> int:
     elif match := re.fullmatch(r"bn\((\d+)\)", name):
         obj = picard.mg_class_to_json(corpus.bn_class(int(match.group(1))))
     elif match := re.fullmatch(r"profile-gonal\((\d+)\)", name):
-        obj = picard.profile_to_json(corpus.profile("gonal", int(match.group(1))))
+        d = int(match.group(1))
+        _check_export_budget(corpus.gonal_support(d), f"profile-gonal({d}) on {4 * d - 4} markings")
+        obj = picard.profile_to_json(corpus.profile("gonal", d))
     else:
         known = ", ".join(sorted(_EXPORTERS) + ["bn(d)", "profile-gonal(d)"])
         raise InputError(f"unknown corpus item {name!r}; known: {known}")
@@ -602,7 +604,14 @@ def _cmd_export(args) -> int:
 
 def _cmd_verify(args) -> int:
     names = SUITES if args.suite == "all" else (args.suite,)
-    rows = [row for name in names for row in SUITES[name](args)]
+    rows = []
+    for name in names:
+        try:
+            rows += SUITES[name](args)
+        # an internal consistency check failed; the other suites still report
+        except (ArithmeticError, certify_mod.CertificateRefused) as exc:
+            actual = f"{type(exc).__name__}: {exc}"
+            rows.append(CheckRow(name, "internal_error", "no error", actual, "internal consistency failure"))
     sys.stdout.write(emit_report(rows, "json" if args.json else "text"))
     return 0 if all(r.ok for r in rows) else 1
 

@@ -20,7 +20,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import factorial
 
-from .picard import CurveProfile, DivisorClassM1n, DivisorClassMg, subset_mask
+from .picard import CurveProfile, DivisorClassM1n, DivisorClassMg, _check_n, subset_mask
 from .scalars import A
 
 
@@ -102,6 +102,16 @@ def golden_pullback(name: str) -> DivisorClassM1n:
     return DivisorClassM1n(n, lam, boundary)
 
 
+def gonal_support(d: int) -> int:
+    """Number of boundary entries of the d-gonal profile on 4d-4 markings,
+    d * 4^(d-1) - 2d + 1, counted without building it.  Refuses a d with no
+    such profile: d < 3, or more than 64 markings (d > 17)."""
+    if d is None or d < 3:
+        raise ValueError("gonal profiles need d >= 3")
+    _check_n(4 * d - 4)
+    return d * 4 ** (d - 1) - 2 * d + 1
+
+
 def profile(name: str, d: int | None = None) -> CurveProfile:
     """Intersection profile of a named test family.
 
@@ -126,8 +136,7 @@ def profile(name: str, d: int | None = None) -> CurveProfile:
         return CurveProfile(n, 1, {subset_mask(range(1, 8), n): -1})
 
     if name == "gonal":
-        if d is None or d < 3:
-            raise ValueError("gonal profiles need d >= 3")
+        gonal_support(d)  # refuses d before any subset is enumerated
         n = 4 * d - 4
         evens = tuple(range(2, n + 1, 2))
         boundary = {}

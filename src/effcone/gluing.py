@@ -98,6 +98,9 @@ class _CoefficientView(Mapping):
     def __iter__(self) -> Iterator[int]:
         return (mask for mask, _ in self.items())
 
+    def __bool__(self) -> bool:  # len() refuses counts past sys.maxsize (64 markings)
+        return self.__len__() > 0
+
 
 def _pruned(values: Sequence[Scalar]) -> List[Scalar | None]:
     return [None if v == 0 else v for v in values]

@@ -23,17 +23,17 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List
 
-from .corpus import bn_class, bn_scale, profile
+from .corpus import bn_class, bn_scale, gonal_support, profile
 from .gluing import glue_pullback
 from .picard import pair
-from .scalars import Rat, binom, canon, format_rat
+from .scalars import Rat, binom, canon
 
 DIRECT_ROUTE_DEFAULT_CAP = 6
 
 
 class ResourceGuardError(RuntimeError):
     """An enumeration was asked to exceed its budget: the direct route's cap
-    here, or the export budget of the ``pullback`` command."""
+    here, or the export budget of the ``pullback`` and ``export`` commands."""
 
 
 def pairing_direct(d: int, max_d: int = DIRECT_ROUTE_DEFAULT_CAP) -> Rat:
@@ -43,7 +43,7 @@ def pairing_direct(d: int, max_d: int = DIRECT_ROUTE_DEFAULT_CAP) -> Rat:
         raise ValueError(f"gonal pairings need d >= 3, got {d}")
     if d > max_d:
         raise ResourceGuardError(
-            f"direct route capped at d = {max_d} ({d * 4 ** (d - 1) - 2 * d + 1} "
+            f"direct route capped at d = {max_d} ({gonal_support(d)} "
             f"profile entries to build and read at d = {d}); "
             "raise the cap explicitly to override"
         )
@@ -117,10 +117,3 @@ def negativity_report(d_max: int) -> List[GonalRow]:
         sign = "+" if value > 0 else ("-" if value < 0 else "0")
         rows.append(GonalRow(d, value, canon(value / bn_scale(d)), sign))
     return rows
-
-
-def format_report(rows: List[GonalRow]) -> str:
-    lines = ["  d  sign  pairing (unscaled)"]
-    for row in rows:
-        lines.append(f"{row.d:3d}   {row.sign}   {format_rat(row.value)} ({format_rat(row.unscaled)})")
-    return "\n".join(lines)

@@ -28,6 +28,10 @@ from typing import Dict, Iterable, Mapping, Sequence, Tuple
 from .scalars import Scalar, canon, parse_rat, scalar_from_json, scalar_to_json
 
 MAX_MARKINGS = 64
+# most boundary entries a class or profile file may list: a pullback to 2m
+# markings has at most 2^20 - 21 of them at m = 10, and 2^22 - 23 at m = 11
+# when its delta_irr coefficient is nonzero
+EXPORT_BUDGET = 1 << 21
 
 
 class SpaceMismatchError(ValueError):
@@ -109,10 +113,15 @@ def boundary_order(mask: int) -> Tuple[int, Tuple[int, ...]]:
 
 
 def _sparse_repr(mapping: Mapping[int, Scalar], limit: int = 6) -> str:
-    first = heapq.nsmallest(limit, mapping.items(), key=lambda kv: boundary_order(kv[0]))
+    """The first ``limit`` entries in boundary order, which are not looked for
+    past EXPORT_BUDGET entries, and the count (``len()`` refuses 2^63 and up)."""
+    count = mapping.__len__()
+    first = () if count > EXPORT_BUDGET else heapq.nsmallest(
+        limit, mapping.items(), key=lambda kv: boundary_order(kv[0])
+    )
     parts = [f"d0;{set(subset_members(m))}: {v}" for m, v in first]
-    if len(mapping) > limit:
-        parts.append(f"... ({len(mapping)} terms)")
+    if count > limit:
+        parts.append(f"... ({count} terms)")
     return ", ".join(parts)
 
 
@@ -247,51 +256,6 @@ class DivisorClassMg:
 # operations
 
 
-def delta_irr_class(n: int) -> DivisorClassM1n:
-    """delta_irr rewritten in the basis: it equals 12*lambda here."""
-    return DivisorClassM1n(n, 12)
-
-
-def psi_class(i: int, n: int) -> DivisorClassM1n:
-    """The cotangent class at marking i: lambda plus every delta_{0;S} with
-    i in S (and |S| >= 2)."""
-    _check_n(n)
-    if not 1 <= i <= n:
-        raise MarkingIndexError(f"marking {i} not in 1..{n}")
-    bit = 1 << (i - 1)
-    boundary = {}
-    for rest in range(1 << n):
-        if rest & bit or rest.bit_count() < 1:
-            continue
-        boundary[rest | bit] = 1
-    return DivisorClassM1n._trusted(n, 1, boundary)
-
-
-def total_delta_class(n: int) -> DivisorClassM1n:
-    """Class of the union of all boundary divisors: 12*lambda plus every
-    delta_{0;S} with |S| >= 2."""
-    _check_n(n)
-    boundary = {s: 1 for s in range(1 << n) if s.bit_count() >= 2}
-    return DivisorClassM1n._trusted(n, 12, boundary)
-
-
-def expand_symbol(symbol: str, n: int, index: int | None = None) -> DivisorClassM1n:
-    """Rewrite a derived divisor symbol in the (lambda, delta_{0;S}) basis.
-
-    ``symbol`` is one of ``delta_irr``, ``psi`` (requires ``index``) or
-    ``total_delta``.
-    """
-    if symbol == "delta_irr":
-        return delta_irr_class(n)
-    if symbol == "psi":
-        if index is None:
-            raise ValueError("psi requires a marking index")
-        return psi_class(index, n)
-    if symbol == "total_delta":
-        return total_delta_class(n)
-    raise ValueError(f"unknown symbol {symbol!r}")
-
-
 def linear_combine(terms: Sequence[Tuple[Scalar, DivisorClassM1n]]) -> DivisorClassM1n:
     """Exact linear combination of classes on one marked space."""
     terms = list(terms)
@@ -312,10 +276,6 @@ def linear_combine(terms: Sequence[Tuple[Scalar, DivisorClassM1n]]) -> DivisorCl
     boundary = {m: canon(v) for m, v in boundary.items()}
     boundary = {m: v for m, v in boundary.items() if v != 0}
     return DivisorClassM1n._trusted(n, canon(lam), boundary)
-
-
-def scale(coeff: Scalar, cls: DivisorClassM1n) -> DivisorClassM1n:
-    return linear_combine([(coeff, cls)])
 
 
 def pair(profile: CurveProfile, cls: DivisorClassM1n) -> Scalar:
@@ -381,11 +341,6 @@ def permute_markings(cls: DivisorClassM1n, sigma: Sequence[int]) -> DivisorClass
 def permute_profile(profile: CurveProfile, sigma: Sequence[int]) -> CurveProfile:
     sigma = _check_permutation(sigma, profile.n)
     return CurveProfile._trusted(profile.n, profile.on_lambda, _permuted(profile.on_boundary, sigma))
-
-
-def compose_permutations(first: Sequence[int], second: Sequence[int]) -> Tuple[int, ...]:
-    """Permutation acting as ``first`` then ``second``."""
-    return tuple(second[f - 1] for f in first)
 
 
 # ---------------------------------------------------------------------------

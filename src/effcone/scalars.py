@@ -12,18 +12,11 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import comb
+from math import comb as binom  # noqa: F401  exact C(n, k); 0 when k > n
 from typing import Iterable, Sequence, Union
 
 Rat = Union[int, Fraction]
 Scalar = Union[int, Fraction, "Poly"]
-
-
-def binom(n: int, k: int) -> int:
-    """Binomial coefficient C(n, k), computed exactly; 0 when k > n."""
-    if n < 0 or k < 0:
-        raise ValueError("binom requires nonnegative arguments")
-    return comb(n, k)
 
 
 class Poly:

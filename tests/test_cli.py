@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from effcone import cli, corpus, picard
+from effcone import certify, chow, cli, corpus, picard
 from effcone.cli import CheckRow, emit_report, main
 from effcone.gluing import glue_pullback
 from effcone.picard import m1n_class_from_json, subset_mask
@@ -169,6 +169,42 @@ class TestExportCommand:
         assert main(["export", "--name", "profile-gonal(4)", "--output", str(a)]) == 0
         assert main(["export", "--name", "profile-gonal(4)", "--output", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+
+class TestInternalFailures:
+    """A consistency failure inside a suite is a failing row and exit 1."""
+
+    SMALL = ("--direct-max-d", "4", "--max-d", "5")
+
+    def _fails_once(self, capsys, monkeypatch, module, name, error, suite):
+        def broken(*args, **kwargs):
+            raise error
+
+        monkeypatch.setattr(module, name, broken)
+        assert main(["verify", "all", "--json", *self.SMALL]) == 1
+        checks = json.loads(capsys.readouterr().out)["checks"]
+        failing = [row for row in checks if row["status"] == "fail"]
+        assert [row["check"] for row in failing] == ["internal_error"]
+        assert failing[0]["actual"] == f"{type(error).__name__}: {error}"
+        assert "pullback_golden_match" in {row["check"] for row in checks}
+        assert main(["verify", suite]) == 1
+        assert f"FAIL  {suite}/internal_error" in capsys.readouterr().out
+
+    def test_arithmetic_error_in_lift(self, capsys, monkeypatch):
+        error = ArithmeticError("lift changed the pairing: -1 became -2")
+        self._fails_once(capsys, monkeypatch, certify, "lift", error, "certify")
+
+    def test_integrality_error(self, capsys, monkeypatch):
+        error = chow.IntegralityError("c2 is not divisible by 12: got 1/2")
+        self._fails_once(capsys, monkeypatch, chow, "family_invariants", error, "chow")
+
+    def test_certificate_refused(self, capsys, monkeypatch):
+        error = certify.CertificateRefused("pairing 1 is nonnegative; no extremality certificate", 1)
+        self._fails_once(capsys, monkeypatch, certify, "certify", error, "certify")
+
+    def test_usage_errors_still_exit_two(self, capsys):
+        assert main(["verify", "gonal", "--max-d", "2"]) == 2
+        assert "error: report range" in capsys.readouterr().err
 
 
 class TestUsageErrors:

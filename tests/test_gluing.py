@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from conftest import curve_profiles, m1n_classes, mg_classes, rationals
 from effcone.corpus import bn_class, golden_pullback, gp_class
 from effcone.gluing import (
+    GluedBoundary,
     forget_pullback,
     glue_pullback,
     lambda_family,
@@ -252,6 +253,18 @@ class TestGluedViewAgainstDenseExpansion:
         result = glue_pullback(DivisorClassMg(5, 0, 0, (0, 0)), 4)
         assert result.is_zero() and len(result.boundary) == 0
         assert list(result.boundary.items()) == []
+
+    def test_sixty_four_markings_without_enumeration(self, monkeypatch):
+        def enumerate_entries(self):
+            raise AssertionError("the view was enumerated")
+
+        monkeypatch.setattr(GluedBoundary, "items", enumerate_entries)
+        # lambda pulls back to 52 + (12 - 64) * 1 = 0, so is_zero reads the boundary
+        result = glue_pullback(DivisorClassMg(33, 52, 1, [1] * 16), 32)
+        assert result.lam == 0 and bool(result.boundary) is True
+        assert not result.is_zero()
+        assert (result.boundary or {}) is result.boundary
+        assert repr(result) == f"<DivisorClassM1n n=64 lambda=0 ... ({2**64 - 65} terms)>"
 
 
 class TestForgetfulView:

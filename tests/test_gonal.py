@@ -13,7 +13,6 @@ from effcone.gonal import (
     DIRECT_ROUTE_DEFAULT_CAP,
     ResourceGuardError,
     even_subset_sum,
-    format_report,
     negativity_report,
     pairing_binomial,
     pairing_closed,
@@ -104,11 +103,6 @@ class TestNegativityReport:
     def test_requires_reach_to_three(self):
         with pytest.raises(ValueError):
             negativity_report(2)
-
-    def test_format_report_lists_every_row(self):
-        text = format_report(negativity_report(5))
-        assert "3   +   2" in text
-        assert "-4118" in text and "-2031542" in text
 
 
 class TestBinomialIdentities:

@@ -7,7 +7,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from effcone import cli, picard
+from effcone import cli, corpus, picard
 from effcone.cli import main
 from effcone.gluing import forget_pullback, glue_pullback
 from effcone.picard import DivisorClassM1n, DivisorClassMg
@@ -225,6 +225,20 @@ class TestExportBudget:
         out = tmp_path / "out.json"
         assert main(["pullback", "--g", "11", "--m", "10", "--input", _genus_file(tmp_path, 11), "--output", str(out)]) == 0
         assert written == [2**20 - 21] and 2**20 - 21 <= cli.EXPORT_BUDGET < 2**22 - 23
+
+    @pytest.mark.parametrize("d", [10, 20])
+    def test_gonal_profile_refused_before_enumerating(self, capsys, monkeypatch, d):
+        def enumerate_profile(name, d=None):
+            raise AssertionError("the profile was enumerated")
+
+        monkeypatch.setattr(corpus, "profile", enumerate_profile)
+        assert main(["export", "--name", f"profile-gonal({d})"]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_gonal_profile_below_the_budget_still_writes(self, tmp_path):
+        out = tmp_path / "gonal5.json"
+        assert main(["export", "--name", "profile-gonal(5)", "--output", str(out)]) == 0
+        assert len(json.loads(out.read_text())["on_boundary"]) == 1271 == corpus.gonal_support(5)
 
     def test_m8_still_writes(self, tmp_path):
         src, out = tmp_path / "bn5.json", tmp_path / "pb.json"

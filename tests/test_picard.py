@@ -18,8 +18,6 @@ from effcone.picard import (
     MarkingIndexError,
     SpaceMismatchError,
     boundary_order,
-    compose_permutations,
-    expand_symbol,
     linear_combine,
     m1n_class_from_json,
     m1n_class_to_json,
@@ -31,7 +29,6 @@ from effcone.picard import (
     permute_profile,
     profile_from_json,
     profile_to_json,
-    scale,
     subset_mask,
     subset_members,
 )
@@ -80,43 +77,6 @@ class TestConstruction:
         assert cls.delta_form() == (8, -1, (-3, -5))
 
 
-class TestExpandSymbol:
-    def test_psi_on_two_markings(self):
-        assert expand_symbol("psi", 2, 1) == DivisorClassM1n(2, 1, {subset_mask((1, 2), 2): 1})
-
-    def test_delta_irr_is_twelve_lambda(self):
-        assert expand_symbol("delta_irr", 8) == DivisorClassM1n(8, 12)
-
-    def test_total_delta_on_three_markings(self):
-        expected = DivisorClassM1n(
-            3,
-            12,
-            {
-                subset_mask((1, 2), 3): 1,
-                subset_mask((1, 3), 3): 1,
-                subset_mask((2, 3), 3): 1,
-                subset_mask((1, 2, 3), 3): 1,
-            },
-        )
-        assert expand_symbol("total_delta", 3) == expected
-
-    def test_psi_support_counts(self):
-        # subsets containing marking i with at least two elements: 2^(n-1) - 1
-        cls = expand_symbol("psi", 5, 2)
-        assert len(cls.boundary) == 2 ** 4 - 1
-        assert all(m & 0b10 for m in cls.boundary)
-
-    def test_psi_index_out_of_range(self):
-        with pytest.raises(MarkingIndexError):
-            expand_symbol("psi", 4, 5)
-        with pytest.raises(ValueError):
-            expand_symbol("psi", 4)
-
-    def test_unknown_symbol(self):
-        with pytest.raises(ValueError):
-            expand_symbol("kappa", 4)
-
-
 class TestLinearCombine:
     def test_doubling_lambda(self):
         lam = DivisorClassM1n(3, 1)
@@ -128,7 +88,7 @@ class TestLinearCombine:
         assert result.is_zero() and result.boundary == {}
 
     def test_doubled_trigonal_pullback_pair_coefficient(self):
-        doubled = scale(2, golden_pullback("trigonal"))
+        doubled = linear_combine([(2, golden_pullback("trigonal"))])
         assert doubled.coeff(subset_mask((1, 2), 8)) == -4
 
     def test_mismatched_spaces(self):
@@ -206,7 +166,7 @@ class TestPermutations:
     def test_group_action(self, cls, first, second):
         first, second = tuple(first), tuple(second)
         stepwise = permute_markings(permute_markings(cls, first), second)
-        composed = permute_markings(cls, compose_permutations(first, second))
+        composed = permute_markings(cls, tuple(second[f - 1] for f in first))
         assert stepwise == composed
 
     @given(cls=m1n_classes(n=5), sigma=st.permutations(range(1, 6)))
