@@ -603,6 +603,11 @@ def _cmd_export(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    d = args.direct_max_d
+    if d >= 3:
+        # the direct route builds profile-gonal(d) whole; refused before any suite runs
+        what = f"--direct-max-d {d} (profile-gonal({d}) on {4 * d - 4} markings)"
+        _check_export_budget(corpus.gonal_support(d), what)
     names = SUITES if args.suite == "all" else (args.suite,)
     rows = []
     for name in names:

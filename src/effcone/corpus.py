@@ -137,24 +137,32 @@ def profile(name: str, d: int | None = None) -> CurveProfile:
 
     if name == "gonal":
         gonal_support(d)  # refuses d before any subset is enumerated
-        n = 4 * d - 4
-        evens = tuple(range(2, n + 1, 2))
+        # every entry is listed: pair k is bits 2k-2 (odd marking 2k-1) and
+        # 2k-1 (even marking 2k); values are indexed by the number of even
+        # markings in the subset
+        n, m = 4 * d - 4, 2 * d - 2
+        evens = sum(0b10 << (2 * j) for j in range(m))
+        on_evens = [2 * (d - 2) ** (m - size) for size in range(m + 1)]
+        on_odd_fiber = [(d - 1) * (d - 2) ** (m - 1 - size) for size in range(m)]
         boundary = {}
         # pair collisions p_{2k} = p_{2k-1}, weighted by the base change
-        for k in range(1, 2 * d - 1):
-            boundary[subset_mask((2 * k - 1, 2 * k), n)] = (d - 1) ** (2 * d - 2)
-        # rational fibers through one of the two free base points
-        for size in range(2, len(evens) + 1):
-            for S in combinations(evens, size):
-                boundary[subset_mask(S, n)] = 2 * (d - 2) ** (2 * d - 2 - size)
-        # rational fibers through a fixed marked point 2k-1
-        for k in range(1, 2 * d - 1):
-            rest = tuple(e for e in evens if e != 2 * k)
-            for size in range(1, len(rest) + 1):
-                for S in combinations(rest, size):
-                    boundary[subset_mask(S + (2 * k - 1,), n)] = (
-                        (d - 1) * (d - 2) ** (2 * d - 3 - size)
-                    )
+        for j in range(m):
+            boundary[0b11 << (2 * j)] = (d - 1) ** m
+        # rational fibers through one of the two free base points: every
+        # subset of the even markings with at least two of them
+        sub = evens
+        while sub:
+            if sub & (sub - 1):
+                boundary[sub] = on_evens[sub.bit_count()]
+            sub = (sub - 1) & evens
+        # rational fibers through a fixed marked point 2k-1: the odd marking
+        # with a nonempty subset of the evens other than its partner
+        for j in range(m):
+            odd, rest = 1 << (2 * j), evens & ~(0b10 << (2 * j))
+            sub = rest
+            while sub:
+                boundary[sub | odd] = on_odd_fiber[sub.bit_count()]
+                sub = (sub - 1) & rest
         return CurveProfile(n, 0, boundary)
 
     if name == "gp":

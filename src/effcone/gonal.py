@@ -8,6 +8,8 @@ The three routes are:
   that computes each coefficient on demand, so the cost is the profile
   support, d * 4^(d-1) - 2d + 1 entries (6,133 reads at d = 6), which still
   grows exponentially in d; the route is guarded by a cap (default d <= 6).
+  ``verify --direct-max-d`` also holds the cap to the export budget, which
+  admits d <= 9 (589,807 entries) and is checked before any profile is built.
 * ``pairing_binomial``: the binomial-sum expression obtained by grouping the
   profile support by subset size.
 * ``pairing_closed``: the closed form

@@ -92,9 +92,34 @@ def _check_n(n: int) -> None:
 
 
 def _checked_boundary(boundary, n: int) -> Dict[int, Scalar]:
+    """A canonical, zero-pruned copy of a boundary mapping whose keys are
+    subsets of 1..n with at least two markings.  The keys are checked over
+    the whole mapping at once; when a check fails, :func:`_checked_entries`
+    walks the entries to raise the error of the first offending one."""
+    if type(boundary) is not dict:
+        boundary = dict(boundary or {})
+    keys = boundary.keys()
+    if not (
+        keys
+        and set(map(type, keys)) == {int}
+        and min(keys) >= 0
+        and max(keys) <= full_mask(n)
+        and min(map(int.bit_count, keys)) >= 2
+    ):
+        return _checked_entries(boundary, n)
+    values = boundary.values()
+    if set(map(type, values)) == {int}:
+        # plain ints are canonical already; only zeros are dropped
+        if 0 not in values:
+            return dict(boundary)
+        return {mask: value for mask, value in boundary.items() if value}
+    return {mask: value for mask, value in zip(keys, map(canon, values)) if value != 0}
+
+
+def _checked_entries(boundary: dict, n: int) -> Dict[int, Scalar]:
     out: Dict[int, Scalar] = {}
     top = full_mask(n)
-    for mask, value in dict(boundary or {}).items():
+    for mask, value in boundary.items():
         if not isinstance(mask, int) or mask < 0 or mask & ~top:
             raise MarkingIndexError(f"subset {mask!r} not within 1..{n}")
         if mask.bit_count() < 2:

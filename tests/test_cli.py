@@ -4,10 +4,11 @@ import json
 
 import pytest
 
-from effcone import certify, chow, cli, corpus, picard
+from effcone import certify, chow, cli, corpus, gonal, picard
 from effcone.cli import CheckRow, emit_report, main
 from effcone.gluing import glue_pullback
 from effcone.picard import m1n_class_from_json, subset_mask
+from effcone.scalars import scalar_to_json
 
 
 @pytest.fixture()
@@ -41,6 +42,13 @@ class TestVerify:
         assert main(["verify", "gonal", "--direct-max-d", "3", "--max-d", "4"]) == 0
         out = capsys.readouterr().out
         assert "sign.d=04" in out and "sign.d=05" not in out
+
+    def test_direct_route_above_the_default_cap(self, capsys):
+        assert main(["verify", "gonal", "--direct-max-d", "8", "--max-d", "9", "--json"]) == 0
+        rows = {row["check"]: row for row in json.loads(capsys.readouterr().out)["checks"]}
+        for d in (7, 8):
+            row = rows[f"route_direct.d={d:02d}"]
+            assert row["expected"] == row["actual"] == scalar_to_json(gonal.pairing_closed(d))
 
     def test_tampered_golden_data_fails(self, capsys, monkeypatch):
         honest = corpus.golden_pullback

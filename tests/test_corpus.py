@@ -5,7 +5,8 @@ from itertools import combinations
 
 import pytest
 
-from effcone.corpus import bn_class, bn_scale, golden_pullback, gp_class, profile
+from effcone import picard
+from effcone.corpus import bn_class, bn_scale, golden_pullback, gonal_support, gp_class, profile
 from effcone.gluing import glue_pullback
 from effcone.picard import (
     DivisorClassMg,
@@ -174,3 +175,46 @@ class TestProfiles:
 
     def test_gp_pairing_against_golden(self):
         assert pair(profile("gp"), golden_pullback("gp")) == -16
+
+
+def _gonal_profile_by_combinations(d):
+    """The d-gonal profile's boundary built subset by subset with
+    ``combinations``, as the bitwise builder in ``corpus`` replaced."""
+    n = 4 * d - 4
+    evens = tuple(range(2, n + 1, 2))
+    boundary = {}
+    for k in range(1, 2 * d - 1):
+        boundary[subset_mask((2 * k - 1, 2 * k), n)] = (d - 1) ** (2 * d - 2)
+    for size in range(2, len(evens) + 1):
+        for S in combinations(evens, size):
+            boundary[subset_mask(S, n)] = 2 * (d - 2) ** (2 * d - 2 - size)
+    for k in range(1, 2 * d - 1):
+        rest = tuple(e for e in evens if e != 2 * k)
+        for size in range(1, len(rest) + 1):
+            for S in combinations(rest, size):
+                boundary[subset_mask(S + (2 * k - 1,), n)] = (d - 1) * (d - 2) ** (2 * d - 3 - size)
+    return boundary
+
+
+class TestGonalBuilder:
+    @pytest.mark.parametrize("d", [3, 4, 5, 6, 7])
+    def test_matches_the_combinations_builder(self, d):
+        prof = profile("gonal", d)
+        assert prof.n == 4 * d - 4 and prof.on_lambda == 0
+        assert prof.on_boundary == _gonal_profile_by_combinations(d)
+        assert len(prof.on_boundary) == gonal_support(d)
+        assert min(mask.bit_count() for mask in prof.on_boundary) >= 2
+
+    def test_built_through_the_validated_constructor(self, monkeypatch):
+        checked = []
+
+        def spy(boundary, n):
+            out = check(boundary, n)
+            checked.append((n, out))
+            return out
+
+        check = picard._checked_boundary
+        monkeypatch.setattr(picard, "_checked_boundary", spy)
+        prof = profile("gonal", 4)
+        assert len(checked) == 1 and checked[0][0] == 12
+        assert checked[0][1] is prof.on_boundary

@@ -7,7 +7,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from effcone import cli, corpus, picard
+from effcone import cli, corpus, gonal, picard
 from effcone.cli import main
 from effcone.gluing import forget_pullback, glue_pullback
 from effcone.picard import DivisorClassM1n, DivisorClassMg
@@ -234,6 +234,30 @@ class TestExportBudget:
         monkeypatch.setattr(corpus, "profile", enumerate_profile)
         assert main(["export", "--name", f"profile-gonal({d})"]) == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("d", [10, 12, 20])
+    def test_direct_route_refused_before_building(self, capsys, monkeypatch, d):
+        def build_profile(name, d=None):
+            raise AssertionError("the profile was built")
+
+        monkeypatch.setattr(corpus, "profile", build_profile)
+        monkeypatch.setattr(gonal, "profile", build_profile)
+        assert main(["verify", "all", "--direct-max-d", str(d)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        if d < 18:
+            assert err.startswith(f"error: export budget is {cli.EXPORT_BUDGET} boundary entries; ")
+            what = f"--direct-max-d {d} (profile-gonal({d}) on {4 * d - 4} markings)"
+            assert err.rstrip().endswith(f"{what} has {corpus.gonal_support(d)}")
+        else:
+            assert err == f"error: marking count must be in 2..64, got {4 * d - 4}\n"
+
+    def test_direct_route_budget_admits_nine(self):
+        assert corpus.gonal_support(9) <= cli.EXPORT_BUDGET < corpus.gonal_support(10)
+
+    def test_direct_route_below_three_is_not_counted(self, capsys):
+        assert main(["verify", "gonal", "--direct-max-d", "2", "--max-d", "4"]) == 0
+        assert "route_direct" not in capsys.readouterr().out
 
     def test_gonal_profile_below_the_budget_still_writes(self, tmp_path):
         out = tmp_path / "gonal5.json"

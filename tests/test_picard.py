@@ -13,6 +13,7 @@ from effcone.corpus import bn_class, golden_pullback, profile
 from effcone.gluing import glue_pullback
 from effcone.picard import (
     CurveProfile,
+    _checked_boundary,
     DivisorClassM1n,
     DivisorClassMg,
     MarkingIndexError,
@@ -32,6 +33,7 @@ from effcone.picard import (
     subset_mask,
     subset_members,
 )
+from effcone.scalars import Poly, canon
 
 
 def d0(n, *members):
@@ -267,3 +269,99 @@ class TestRepr:
         text = repr(glue_pullback(bn_class(6), 10))
         assert text.startswith("<DivisorClassM1n n=20 lambda=210 d0;{1, 2}: -42, d0;{1, 3}: 14, ")
         assert text.endswith(", d0;{1, 7}: 14, ... (1048435 terms)>")
+
+
+def _checked_by_entry(boundary, n):
+    """Boundary validation one entry at a time, as ``_checked_boundary`` did
+    before it checked the keys in bulk."""
+    out = {}
+    top = (1 << n) - 1
+    for mask, value in dict(boundary or {}).items():
+        if not isinstance(mask, int) or mask < 0 or mask & ~top:
+            raise MarkingIndexError(f"subset {mask!r} not within 1..{n}")
+        if mask.bit_count() < 2:
+            raise ValueError(f"boundary index {subset_members(mask)} has fewer than two markings")
+        value = canon(value)
+        if value != 0:
+            out[mask] = value
+    return out
+
+
+def _outcome(check, boundary, n):
+    """What a validator makes of a boundary: its entries with their value
+    types in order, or the type and message of the error it raises."""
+    try:
+        out = check(boundary, n)
+    except Exception as exc:  # the comparison is of which error, exactly
+        return type(exc), str(exc)
+    return [(mask, value, type(value)) for mask, value in out.items()]
+
+
+class TestCheckedBoundary:
+    """The bulk key checks accept and reject exactly what the per-entry loop
+    does, with the same first error and the same canonical values."""
+
+    @pytest.mark.parametrize(
+        "boundary",
+        [
+            pytest.param({0b0011: 1, "0b0101": 1}, id="non-int key"),
+            pytest.param({0b0011: 1, 5.0: 1}, id="float key"),
+            pytest.param({0b0011: 1, True: 1}, id="bool key"),
+            pytest.param({0b0011: 1, -0b0101: 1}, id="negative key"),
+            pytest.param({0b0011: 1, 0b10001: 1}, id="key past n"),
+            pytest.param({0b0011: 1, 0b0100: 1}, id="one-marking key"),
+            pytest.param({0b0011: 1, 0: 1}, id="empty key"),
+            pytest.param({0b0011: 1, 0b0101: 1.5}, id="float value"),
+            pytest.param({0b0011: 1, 0b0101: True}, id="bool value"),
+            pytest.param({0b0011: 1, 0b0101: "1"}, id="string value"),
+            pytest.param({0b0011: 1.5, 0b10001: 1}, id="bad value before bad key"),
+            pytest.param({0b10001: 1, 0b0011: 1.5}, id="bad key before bad value"),
+            pytest.param({0b0011: Fraction(1, 2), 0b0100: 1, 0b1000: 1}, id="first of two bad keys"),
+        ],
+    )
+    def test_same_first_error(self, boundary):
+        new = _outcome(_checked_boundary, boundary, 4)
+        assert isinstance(new, tuple) and issubclass(new[0], Exception)
+        assert new == _outcome(_checked_by_entry, boundary, 4)
+
+    @pytest.mark.parametrize(
+        "boundary",
+        [
+            pytest.param(None, id="none"),
+            pytest.param({}, id="empty"),
+            pytest.param({0b0011: 1, 0b1100: -4, 0b1111: 2**70}, id="int"),
+            pytest.param({0b0011: 1, 0b1100: 0, 0b1111: 5}, id="int with zeros"),
+            pytest.param({0b0011: Fraction(6, 3), 0b0101: Fraction(-1, 2)}, id="fraction"),
+            pytest.param({0b0011: Poly((3,)), 0b0101: Poly((Fraction(1, 2),))}, id="constant poly"),
+            pytest.param({0b0011: Poly((1, 2)), 0b0101: 7}, id="non-constant poly"),
+            pytest.param(
+                {0b0011: Fraction(0), 0b0101: Poly(()), 0b0110: Poly((0, 0)), 0b1001: 0, 0b1010: 3},
+                id="zeros of every type",
+            ),
+        ],
+    )
+    def test_same_canonical_entries(self, boundary):
+        new = _outcome(_checked_boundary, boundary, 4)
+        assert isinstance(new, list)
+        assert new == _outcome(_checked_by_entry, boundary, 4)
+
+    def test_returns_a_copy(self):
+        boundary = {0b0011: 1, 0b0101: 2}
+        out = _checked_boundary(boundary, 4)
+        assert out == boundary and out is not boundary
+
+    def test_mapping_view_input(self):
+        view = glue_pullback(bn_class(3), 4).boundary
+        assert _checked_boundary(view, 8) == _checked_by_entry(view, 8) == dict(view.items())
+
+    @given(st.integers(min_value=2, max_value=6).flatmap(
+        lambda n: st.tuples(st.just(n), st.dictionaries(
+            st.integers(min_value=-1, max_value=(1 << n) + 1),
+            st.one_of(rationals, st.integers(-3, 3), st.builds(Poly, st.lists(rationals, max_size=3))),
+            max_size=6,
+        ))
+    ))
+    @settings(max_examples=100, deadline=None)
+    def test_agrees_with_the_entry_loop(self, case):
+        n, boundary = case
+        assert _outcome(_checked_boundary, boundary, n) == _outcome(_checked_by_entry, boundary, n)
