@@ -1,8 +1,10 @@
 """Command-line driver: verification suites, ad-hoc pullback and pairing
 queries, and JSON export of the named corpus.
 
-``SUITES`` registers the verification suites by the module name of their
-rows; it supplies the ``verify`` choices, and ``verify all`` runs them all.
+Each suite is a check table: it lists ``(check, expected, actual, citation)``
+entries and hands them to ``_suite``, which names the module once and
+serializes every scalar. ``SUITES`` registers the suites by that module name;
+it supplies the ``verify`` choices, and ``verify all`` runs them all.
 
 Exit codes: 0 when every check passes, 1 on any failing row (an internal
 error in a suite is one), 2 on usage or input errors and on a refused budget.
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
 from pathlib import Path
-from typing import Callable, Dict, List, Sequence
+from typing import Callable, Dict, List, Sequence, Tuple
 
 from . import certify as certify_mod
 from . import chow, corpus, gluing, gonal, picard
@@ -50,13 +52,6 @@ class CheckRow:
     @property
     def ok(self) -> bool:
         return self.expected == self.actual
-
-
-def _row(module: str, check: str, expected, actual, citation: str) -> CheckRow:
-    def ser(v):
-        return v if isinstance(v, str) else scalar_to_json(v)
-
-    return CheckRow(module, check, ser(expected), ser(actual), citation)
 
 
 def emit_report(rows: Sequence[CheckRow], fmt: str = "text") -> str:
@@ -92,234 +87,118 @@ def emit_report(rows: Sequence[CheckRow], fmt: str = "text") -> str:
 
 
 # ---------------------------------------------------------------------------
-# suites
+# suites: each builds its (check, expected, actual, citation) table
 
 
-def _coordinate_match(computed: picard.DivisorClassM1n, golden: picard.DivisorClassM1n) -> str:
-    """Fraction of matching basis coordinates, counted over the lambda
-    coordinate and every subset with at least two markings."""
+def _suite(module: str, entries: Sequence[tuple]) -> List[CheckRow]:
+    """One row of ``module`` per ``(check, expected, actual, citation)``
+    entry; scalars are serialized, plain strings are kept as they are."""
+
+    def ser(v):
+        return v if isinstance(v, str) else scalar_to_json(v)
+
+    return [CheckRow(module, check, ser(exp), ser(act), cite) for check, exp, act, cite in entries]
+
+
+def _golden_match(
+    source: picard.DivisorClassMg, m: int, golden: str, expected: str
+) -> Tuple[picard.DivisorClassM1n, tuple]:
+    """The gluing pullback of ``source`` to 2m markings, and the entry that
+    counts its basis coordinates matching the hand-entered expansion
+    ``golden``. ``expected`` is entered by hand, never counted here."""
+    computed = gluing.glue_pullback(source, m)
+    reference = corpus.golden_pullback(golden)
     n = computed.n
-    total = (1 << n) - n - 1 + 1
-    mismatched = 0 if computed.lam == golden.lam else 1
-    for key in computed.boundary.keys() | golden.boundary.keys():
-        if computed.coeff(key) != golden.coeff(key):
+    total = (1 << n) - n  # lambda and every subset with at least two markings
+    mismatched = 0 if computed.lam == reference.lam else 1
+    for key in computed.boundary.keys() | reference.boundary.keys():
+        if computed.coeff(key) != reference.coeff(key):
             mismatched += 1
-    return f"{total - mismatched}/{total}"
+    match = f"{total - mismatched}/{total}"
+    citation = "gluing-map pullback against the hand-entered expansion"
+    return computed, ("pullback_golden_match", expected, match, citation)
 
 
 def trigonal_suite() -> List[CheckRow]:
-    rows = []
-    computed = gluing.glue_pullback(corpus.bn_class(3), 4)
-    golden = corpus.golden_pullback("trigonal")
-    rows.append(
-        _row(
-            "trigonal",
-            "pullback_golden_match",
-            "248/248",
-            _coordinate_match(computed, golden),
-            "gluing-map pullback against the hand-entered expansion",
-        )
-    )
-    rows.append(
-        _row(
-            "trigonal",
-            "three_pair_blocks_vanish",
-            0,
-            computed.coeff(picard.subset_mask((3, 4, 5, 6, 7, 8), 8)),
-            "three-pair unions receive coefficient zero",
-        )
-    )
-    rows.append(
-        _row(
-            "trigonal",
-            "B.pullback_BN13",
-            -1,
-            picard.pair(corpus.profile("trig"), computed),
-            "pencil of plane cubics through eight points on concurrent lines",
-        )
-    )
-    rows.append(
-        _row(
-            "trigonal",
-            "C.pullback_BN13",
-            -2,
-            picard.pair(corpus.profile("bnd"), computed),
-            "boundary pencil attached at a base point of a cubic pencil",
-        )
-    )
-    return rows
+    computed, match = _golden_match(corpus.bn_class(3), 4, "trigonal", "248/248")
+    three_pairs = picard.subset_mask((3, 4, 5, 6, 7, 8), 8)
+    return _suite("trigonal", [
+        match,
+        ("three_pair_blocks_vanish", 0, computed.coeff(three_pairs),
+         "three-pair unions receive coefficient zero"),
+        ("B.pullback_BN13", -1, picard.pair(corpus.profile("trig"), computed),
+         "pencil of plane cubics through eight points on concurrent lines"),
+        ("C.pullback_BN13", -2, picard.pair(corpus.profile("bnd"), computed),
+         "boundary pencil attached at a base point of a cubic pencil"),
+    ])
 
 
 def gonal_suite(max_d: int = DEFAULT_MAX_D, direct_max_d: int = gonal.DIRECT_ROUTE_DEFAULT_CAP) -> List[CheckRow]:
-    rows = []
+    entries = []
     for d in range(3, direct_max_d + 1):
         closed = gonal.pairing_closed(d)
-        rows.append(
-            _row(
-                "gonal",
-                f"route_direct.d={d:02d}",
-                closed,
-                gonal.pairing_direct(d, max_d=direct_max_d),
-                "full sparse enumeration of the pullback",
-            )
-        )
-        rows.append(
-            _row(
-                "gonal",
-                f"route_binomial.d={d:02d}",
-                closed,
-                gonal.pairing_binomial(d),
-                "size-grouped binomial sums",
-            )
-        )
-    rows.append(
-        _row(
-            "gonal",
-            "value.d=03",
-            2,
-            gonal.pairing_closed(3),
-            "positive pairing of the trigonal pencil",
-        )
-    )
-    rows.append(
-        _row(
-            "gonal",
-            "grouped_sum_collapse.d=04",
-            1586,
-            gonal.even_subset_sum(4),
-            "collapsed middle binomial sum",
-        )
-    )
-    for report_row in gonal.negativity_report(max_d):
-        rows.append(
-            _row(
-                "gonal",
-                f"sign.d={report_row.d:02d}",
-                "+" if report_row.d == 3 else "-",
-                report_row.sign,
-                "sign of the d-gonal pencil pairing",
-            )
-        )
-    return rows
+        entries += [
+            (f"route_direct.d={d:02d}", closed, gonal.pairing_direct(d, max_d=direct_max_d),
+             "full sparse enumeration of the pullback"),
+            (f"route_binomial.d={d:02d}", closed, gonal.pairing_binomial(d),
+             "size-grouped binomial sums"),
+        ]
+    entries += [
+        ("value.d=03", 2, gonal.pairing_closed(3), "positive pairing of the trigonal pencil"),
+        ("grouped_sum_collapse.d=04", 1586, gonal.even_subset_sum(4), "collapsed middle binomial sum"),
+    ]
+    entries += [
+        (f"sign.d={r.d:02d}", "+" if r.d == 3 else "-", r.sign, "sign of the d-gonal pencil pairing")
+        for r in gonal.negativity_report(max_d)
+    ]
+    return _suite("gonal", entries)
 
 
 def gp_suite() -> List[CheckRow]:
-    rows = []
-    computed = gluing.glue_pullback(corpus.gp_class(), 3)
-    golden = corpus.golden_pullback("gp")
-    rows.append(
-        _row(
-            "gp",
-            "pullback_golden_match",
-            "58/58",
-            _coordinate_match(computed, golden),
-            "gluing-map pullback against the hand-entered expansion",
-        )
-    )
+    computed, match = _golden_match(corpus.gp_class(), 3, "gp", "58/58")
     pairing = picard.pair(corpus.profile("gp"), computed)
     degree = pairing.degree() if isinstance(pairing, Poly) else 0
-    rows.append(
-        _row(
-            "gp",
-            "T.pullback_GP",
-            -16,
-            pairing,
-            "marked fibration pencil against the pullback class",
-        )
-    )
-    rows.append(
-        _row(
-            "gp",
-            "T.pullback_GP.degree",
-            "0",
-            str(max(degree, 0)),
-            "the a-linear terms cancel identically",
-        )
-    )
-    rows.append(
-        _row(
-            "gp",
-            "T.pullback_GP.at_a=5",
-            -16,
-            poly_eval(pairing, 5),
-            "specialization of the pairing",
-        )
-    )
-    return rows
+    return _suite("gp", [
+        match,
+        ("T.pullback_GP", -16, pairing, "marked fibration pencil against the pullback class"),
+        ("T.pullback_GP.degree", "0", str(max(degree, 0)), "the a-linear terms cancel identically"),
+        ("T.pullback_GP.at_a=5", -16, poly_eval(pairing, 5), "specialization of the pairing"),
+    ])
 
 
 def chow_suite() -> List[CheckRow]:
-    rows = []
-    for check in chow.intersection_table_check():
-        rows.append(
-            _row("chow", f"table.{check.name}", check.expected, check.actual, "derived top-intersection form")
-        )
-    data = chow.chern_data()
-    rows.append(
-        _row(
-            "chow",
-            "c1c2.bundle",
-            24,
-            chow.dot(data.c2_ty, -1 * data.k_y),
-            "characteristic-class normalization chi(O) = 1",
-        )
-    )
-    rows.append(
-        _row(
-            "chow",
-            "c1c2.blowup",
-            24,
-            chow.dot(data.c2_tx, -1 * data.k_x),
-            "characteristic-class normalization chi(O) = 1",
-        )
-    )
-    inv = chow.family_invariants()
-    expectations = [
-        ("kd_squared", inv.kd_squared, Poly((-1, -1)), "fiberwise canonical self-intersection"),
-        ("c2_TD", inv.c2_td, Poly((-11, 13)), "Euler number of the total surface"),
-        ("twelve_lambda", 12 * inv.hodge_lambda, Poly((-12, 12)), "Noether formula"),
-        ("hodge_lambda", inv.hodge_lambda, Poly((-1, 1)), "Noether formula"),
-        ("hodge_lambda_rr", inv.hodge_lambda_rr, Poly((-1, 1)), "Riemann-Roch on the ambient threefold"),
-        ("rational_tails", inv.rational_tails, Poly((1, 1)), "fibers meeting the complementary section"),
-        ("directrix_cycles", inv.directrix_cycles, Poly((-2, 1)), "fibers through the directrix section"),
-        ("two_section_genus", inv.two_section_genus, Poly((-1, 1)), "adjunction on the exceptional surface"),
-        ("ramification", inv.ramification, Poly((0, 2)), "Riemann-Hurwitz for the 2-section double cover"),
-        ("irreducible_nodal", inv.irreducible_nodal, Poly((-8, 10)), "Euler number census of singular fibers"),
+    entries = [
+        (f"table.{c.name}", c.expected, c.actual, "derived top-intersection form")
+        for c in chow.intersection_table_check()
     ]
-    for name, actual, expected, citation in expectations:
-        rows.append(_row("chow", name, expected, actual, citation))
-    rows.append(
-        _row(
-            "chow",
-            "noether_identity",
-            Poly(),
-            12 * inv.hodge_lambda - inv.kd_squared - inv.c2_td,
-            "Noether formula",
-        )
-    )
-    rows.append(
-        _row(
-            "chow",
-            "lambda_two_routes",
-            Poly(),
-            inv.hodge_lambda - inv.hodge_lambda_rr,
-            "two routes to the Hodge degree",
-        )
-    )
-    rows.append(
-        _row(
-            "chow",
-            "euler_census",
-            Poly(),
-            inv.irreducible_nodal + inv.rational_tails + 2 * inv.directrix_cycles - inv.c2_td,
-            "Euler number census of singular fibers",
-        )
-    )
-    return rows
+    data = chow.chern_data()
+    normalization = "characteristic-class normalization chi(O) = 1"
+    entries += [
+        ("c1c2.bundle", 24, chow.dot(data.c2_ty, -1 * data.k_y), normalization),
+        ("c1c2.blowup", 24, chow.dot(data.c2_tx, -1 * data.k_x), normalization),
+    ]
+    inv = chow.family_invariants()
+    noether, census = "Noether formula", "Euler number census of singular fibers"
+    entries += [
+        ("kd_squared", Poly((-1, -1)), inv.kd_squared, "fiberwise canonical self-intersection"),
+        ("c2_TD", Poly((-11, 13)), inv.c2_td, "Euler number of the total surface"),
+        ("twelve_lambda", Poly((-12, 12)), 12 * inv.hodge_lambda, noether),
+        ("hodge_lambda", Poly((-1, 1)), inv.hodge_lambda, noether),
+        ("hodge_lambda_rr", Poly((-1, 1)), inv.hodge_lambda_rr, "Riemann-Roch on the ambient threefold"),
+        ("rational_tails", Poly((1, 1)), inv.rational_tails, "fibers meeting the complementary section"),
+        ("directrix_cycles", Poly((-2, 1)), inv.directrix_cycles, "fibers through the directrix section"),
+        ("two_section_genus", Poly((-1, 1)), inv.two_section_genus, "adjunction on the exceptional surface"),
+        ("ramification", Poly((0, 2)), inv.ramification, "Riemann-Hurwitz for the 2-section double cover"),
+        ("irreducible_nodal", Poly((-8, 10)), inv.irreducible_nodal, census),
+        ("noether_identity", Poly(), 12 * inv.hodge_lambda - inv.kd_squared - inv.c2_td, noether),
+        ("lambda_two_routes", Poly(), inv.hodge_lambda - inv.hodge_lambda_rr, "two routes to the Hodge degree"),
+        ("euler_census", Poly(),
+         inv.irreducible_nodal + inv.rational_tails + 2 * inv.directrix_cycles - inv.c2_td, census),
+    ]
+    return _suite("chow", entries)
 
 
 def certificate_suite(direct_max_d: int = gonal.DIRECT_ROUTE_DEFAULT_CAP) -> List[CheckRow]:
-    rows = []
     assertions = certify_mod.REQUIRED_ASSERTIONS
     targets = [
         ("trigonal", corpus.bn_class(3), 4, corpus.profile("trig"), "trig", -1),
@@ -336,43 +215,26 @@ def certificate_suite(direct_max_d: int = gonal.DIRECT_ROUTE_DEFAULT_CAP) -> Lis
                 gonal.pairing_closed(d),
             )
         )
+    entries = []
     for label, divisor, m, prof, prof_name, expected in targets:
         cert = certify_mod.certify(divisor, m, prof, assertions, profile_name=prof_name)
-        rows.append(
-            _row(
-                "certify",
-                f"pairing.{label}",
-                expected,
-                cert.pairing,
-                "negative constant pairing premise",
-            )
-        )
         lifted = certify_mod.lift(cert, cert.n + 2)
-        rows.append(
-            _row(
-                "certify",
-                f"lift_preserves.{label}",
-                cert.pairing,
-                lifted.pairing,
-                "forgetful lift preserves the pairing",
-            )
-        )
+        entries += [
+            (f"pairing.{label}", expected, cert.pairing, "negative constant pairing premise"),
+            (f"lift_preserves.{label}", cert.pairing, lifted.pairing,
+             "forgetful lift preserves the pairing"),
+        ]
     try:
         certify_mod.certify(corpus.bn_class(3), 4, corpus.profile("gonal", 3), assertions)
     except certify_mod.CertificateRefused as exc:
         refusal = f"refused with pairing {exc.pairing}"
     else:
         refusal = "accepted"
-    rows.append(
-        _row(
-            "certify",
-            "refuses_positive.gonal.d=3",
-            "refused with pairing 2",
-            refusal,
-            "nonnegative pairings yield no certificate",
-        )
+    entries.append(
+        ("refuses_positive.gonal.d=3", "refused with pairing 2", refusal,
+         "nonnegative pairings yield no certificate")
     )
-    return rows
+    return _suite("certify", entries)
 
 
 # ---------------------------------------------------------------------------
@@ -410,14 +272,14 @@ def pair_symmetry_permutation(rng: random.Random, m: int) -> tuple:
     sigma = []
     for k in range(1, m + 1):
         target = blocks[k - 1]
-        swap = rng.random() < 0.5
+        swap = rng.randrange(2)
         odd, even = 2 * target - 1, 2 * target
         sigma.extend((even, odd) if swap else (odd, even))
     return tuple(sigma)
 
 
-def property_suite(reps: int = PROPERTY_REPS, seed: int = PROPERTY_SEED) -> List[CheckRow]:
-    rng = random.Random(seed)
+def property_suite(reps: int = PROPERTY_REPS) -> List[CheckRow]:
+    rng = random.Random(PROPERTY_SEED)
     failures = {
         "pair_bilinearity": 0,
         "pullback_linearity": 0,
@@ -494,10 +356,10 @@ def property_suite(reps: int = PROPERTY_REPS, seed: int = PROPERTY_SEED) -> List
                 if any(form.value(*p) != base for p in permutations((i, j, k))):
                     failures["top_form_symmetry"] += 1
 
-    return [
-        _row("properties", name, "0 failures", f"{count} failures", "randomized property check")
+    return _suite("properties", [
+        (name, "0 failures", f"{count} failures", "randomized property check")
         for name, count in sorted(failures.items())
-    ]
+    ])
 
 
 # Each entry looks its suite up by name when called, so that a suite
@@ -555,6 +417,13 @@ def _check_export_budget(entries: int, what: str) -> None:
         )
 
 
+def _check_gonal_budget(d: int, via: str = "") -> None:
+    """Refuse profile-gonal(d) past the export budget before it is built;
+    ``via`` names the option that asked for it."""
+    what = f"profile-gonal({d}) on {4 * d - 4} markings"
+    _check_export_budget(corpus.gonal_support(d), f"{via} ({what})" if via else what)
+
+
 def _cmd_pullback(args) -> int:
     cls = _read(args.input, picard.mg_class_from_json, "genus-g class")
     if cls.g != args.g:
@@ -589,11 +458,11 @@ def _cmd_export(args) -> int:
     name = args.name
     if name in _EXPORTERS:
         obj = _EXPORTERS[name]()
-    elif match := re.fullmatch(r"bn\((\d+)\)", name):
+    elif match := re.fullmatch(r"bn\(([0-9]+)\)", name):
         obj = picard.mg_class_to_json(corpus.bn_class(int(match.group(1))))
-    elif match := re.fullmatch(r"profile-gonal\((\d+)\)", name):
+    elif match := re.fullmatch(r"profile-gonal\(([0-9]+)\)", name):
         d = int(match.group(1))
-        _check_export_budget(corpus.gonal_support(d), f"profile-gonal({d}) on {4 * d - 4} markings")
+        _check_gonal_budget(d)
         obj = picard.profile_to_json(corpus.profile("gonal", d))
     else:
         known = ", ".join(sorted(_EXPORTERS) + ["bn(d)", "profile-gonal(d)"])
@@ -606,8 +475,7 @@ def _cmd_verify(args) -> int:
     d = args.direct_max_d
     if d >= 3:
         # the direct route builds profile-gonal(d) whole; refused before any suite runs
-        what = f"--direct-max-d {d} (profile-gonal({d}) on {4 * d - 4} markings)"
-        _check_export_budget(corpus.gonal_support(d), what)
+        _check_gonal_budget(d, f"--direct-max-d {d}")
     names = SUITES if args.suite == "all" else (args.suite,)
     rows = []
     for name in names:
@@ -616,7 +484,7 @@ def _cmd_verify(args) -> int:
         # an internal consistency check failed; the other suites still report
         except (ArithmeticError, certify_mod.CertificateRefused) as exc:
             actual = f"{type(exc).__name__}: {exc}"
-            rows.append(CheckRow(name, "internal_error", "no error", actual, "internal consistency failure"))
+            rows += _suite(name, [("internal_error", "no error", actual, "internal consistency failure")])
     sys.stdout.write(emit_report(rows, "json" if args.json else "text"))
     return 0 if all(r.ok for r in rows) else 1
 

@@ -137,15 +137,18 @@ def boundary_order(mask: int) -> Tuple[int, Tuple[int, ...]]:
     return mask.bit_count(), subset_members(mask)
 
 
-def _sparse_repr(mapping: Mapping[int, Scalar], limit: int = 6) -> str:
-    """The first ``limit`` entries in boundary order, which are not looked for
-    past EXPORT_BUDGET entries, and the count (``len()`` refuses 2^63 and up)."""
+_REPR_ENTRIES = 6
+
+
+def _sparse_repr(mapping: Mapping[int, Scalar]) -> str:
+    """The first ``_REPR_ENTRIES`` entries in boundary order, which are not looked
+    for past EXPORT_BUDGET entries, and the count (``len()`` refuses 2^63 and up)."""
     count = mapping.__len__()
     first = () if count > EXPORT_BUDGET else heapq.nsmallest(
-        limit, mapping.items(), key=lambda kv: boundary_order(kv[0])
+        _REPR_ENTRIES, mapping.items(), key=lambda kv: boundary_order(kv[0])
     )
     parts = [f"d0;{set(subset_members(m))}: {v}" for m, v in first]
-    if count > limit:
+    if count > _REPR_ENTRIES:
         parts.append(f"... ({count} terms)")
     return ", ".join(parts)
 

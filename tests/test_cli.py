@@ -1,6 +1,7 @@
 """The command-line driver: suites, file commands, exit codes, reports."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -267,3 +268,12 @@ class TestSuiteRegistry:
         monkeypatch.setattr(cli, "gp_suite", lambda: [CheckRow("gp", "replaced", "0", "1", "")])
         assert main(["verify", "gp"]) == 1
         assert "FAIL  gp/replaced" in capsys.readouterr().out
+
+
+class TestWholeReport:
+    def test_verify_all_matches_the_recorded_report(self, capsys):
+        """Every row of ``verify all``, byte for byte: a dropped, renamed or
+        reworded row shows here, not only in the summary count."""
+        recorded = (Path(__file__).parent / "data" / "verify_all.txt").read_text(encoding="utf-8")
+        assert main(["verify", "all"]) == 0
+        assert capsys.readouterr().out == recorded

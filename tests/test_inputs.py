@@ -269,3 +269,11 @@ class TestExportBudget:
         assert main(["export", "--name", "bn(5)", "--output", str(src)]) == 0
         assert main(["pullback", "--g", "9", "--m", "8", "--input", str(src), "--output", str(out)]) == 0
         assert len(json.loads(out.read_text())["boundary"]) == 65519
+
+
+class TestExportNames:
+    @pytest.mark.parametrize("name", ["bn(٣)", "profile-gonal(٥)"])  # ARABIC-INDIC THREE, FIVE
+    def test_parameters_take_ascii_digits_only(self, capsys, name):
+        assert main(["export", "--name", name]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(f"error: unknown corpus item {name!r}")

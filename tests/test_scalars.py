@@ -1,11 +1,14 @@
 """Exact scalar arithmetic: binomials, polynomials, serialization."""
 
+import ast
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import effcone
 from effcone.scalars import (
     A,
     Poly,
@@ -139,3 +142,19 @@ class TestSerialization:
     def test_rejects_garbage(self):
         with pytest.raises(ValueError):
             scalar_from_json({"not": "a scalar"})
+
+
+class TestNoFloatingPoint:
+    @pytest.mark.parametrize(
+        "path", sorted(Path(effcone.__file__).parent.glob("*.py")), ids=lambda p: p.name
+    )
+    def test_package_source_is_exact(self, path):
+        """No float or complex literal and no ``float(...)`` call in the package."""
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found = [
+            node.lineno
+            for node in ast.walk(tree)
+            if (isinstance(node, ast.Constant) and type(node.value) in (float, complex))
+            or (isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "float")
+        ]
+        assert found == [], f"{path.name}: floating point at lines {found}"
