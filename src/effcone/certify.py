@@ -12,7 +12,7 @@ facts are inputs, never inferred; every certificate marks them as declared.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence, Tuple
 
 from .gluing import forget_pullback, glue_pullback
@@ -133,17 +133,7 @@ def lift(cert: Certificate, n: int) -> Certificate:
         raise ArithmeticError(
             f"lift changed the pairing: {cert.pairing} became {value}"
         )
-    return Certificate(
-        n=n,
-        source=cert.source,
-        source_m=cert.source_m,
-        pullback=pullback,
-        profile_name=cert.profile_name,
-        profile=profile,
-        pairing=cert.pairing,
-        assertions=cert.assertions,
-        conclusion=cert.conclusion,
-    )
+    return replace(cert, n=n, pullback=pullback, profile=profile)
 
 
 def certificate_to_json(cert: Certificate) -> dict:

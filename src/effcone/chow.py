@@ -17,15 +17,17 @@ top form on these generators, derived from:
   ruling class r (l.l = 1, l.r = 1, r.r = 0, canonical class -2l - r); the
   surface restricts on itself to r - l, while zeta and f1 restrict to r.
 
-Degree-2 classes are formal symmetric pair monomials in the generators,
-normalized by the relations above that already hold at degree 2.
+The top form is the one place these relations are written.  A degree-2
+class is recorded up to numerical equivalence, as its six intersection
+numbers with the generators, so a product of two divisors is read off the
+top form and every relation among degree-2 classes follows from it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
 from .scalars import A, Poly, Rat, Scalar, canon
 
@@ -38,48 +40,65 @@ class IntegralityError(ArithmeticError):
 
 
 # ---------------------------------------------------------------------------
-# degree-1 classes
+# six-vectors: degree-1 classes and degree-2 classes
 
 
-class ChowDeg1:
-    """A degree-1 class: six coefficients on (zeta, f1, f2, e1, e2, e3)."""
+class _SixVector:
+    """Six exact numbers indexed by the generators (zeta, f1, f2, e1, e2, e3),
+    with the vector operations both degrees share."""
 
     __slots__ = ("coeffs",)
+    _names = GENERATOR_NAMES
 
-    def __init__(self, coeffs):
+    def __init__(self, coeffs=(0,) * 6):
         coeffs = tuple(canon(c) for c in coeffs)
         if len(coeffs) != 6:
             raise ValueError(f"expected 6 generator coefficients, got {len(coeffs)}")
         self.coeffs = coeffs
 
     def __add__(self, other):
-        if not isinstance(other, ChowDeg1):
+        if type(other) is not type(self):
             return NotImplemented
-        return ChowDeg1(a + b for a, b in zip(self.coeffs, other.coeffs))
+        return type(self)(a + b for a, b in zip(self.coeffs, other.coeffs))
 
     def __sub__(self, other):
-        if not isinstance(other, ChowDeg1):
+        if type(other) is not type(self):
             return NotImplemented
-        return ChowDeg1(a - b for a, b in zip(self.coeffs, other.coeffs))
+        return type(self)(a - b for a, b in zip(self.coeffs, other.coeffs))
 
     def __neg__(self):
-        return ChowDeg1(-c for c in self.coeffs)
+        return type(self)(-c for c in self.coeffs)
 
     def __mul__(self, scalar):
-        if isinstance(scalar, ChowDeg1):
+        if isinstance(scalar, _SixVector):
             return NotImplemented
-        return ChowDeg1(c * scalar for c in self.coeffs)
+        return type(self)(c * scalar for c in self.coeffs)
 
     __rmul__ = __mul__
 
     def __eq__(self, other):
-        if not isinstance(other, ChowDeg1):
+        if type(other) is not type(self):
             return NotImplemented
         return self.coeffs == other.coeffs
 
     def __repr__(self):
-        terms = [f"{c}*{name}" for c, name in zip(self.coeffs, GENERATOR_NAMES) if c != 0]
-        return "<ChowDeg1 " + (" + ".join(terms) if terms else "0") + ">"
+        terms = [f"{c}*{name}" for c, name in zip(self.coeffs, self._names) if c != 0]
+        return f"<{type(self).__name__} " + (" + ".join(terms) if terms else "0") + ">"
+
+
+class ChowDeg1(_SixVector):
+    """A degree-1 class: six coefficients on (zeta, f1, f2, e1, e2, e3)."""
+
+    __slots__ = ()
+
+
+class ChowDeg2(_SixVector):
+    """A degree-2 class up to numerical equivalence: its six intersection
+    numbers with (zeta, f1, f2, e1, e2, e3).  ``ChowDeg2()`` is zero."""
+
+    __slots__ = ()
+    # the dual basis: g* meets the generator g once and the others not at all
+    _names = tuple(f"{name}*" for name in GENERATOR_NAMES)
 
 
 def _unit(i: int) -> ChowDeg1:
@@ -98,10 +117,10 @@ SIGMA = ZETA - F1 - 2 * F2
 PI_SECTION = ZETA
 
 
-def family_divisor(a: Scalar = A) -> ChowDeg1:
+def family_divisor() -> ChowDeg1:
     """The class 3 zeta + (a-2) f1 - 2 e cutting the pencil of marked
     genus-one fibrations."""
-    return 3 * ZETA + (a - 2) * F1 - 2 * E_SUM
+    return 3 * ZETA + (A - 2) * F1 - 2 * E_SUM
 
 
 # ---------------------------------------------------------------------------
@@ -188,105 +207,14 @@ def triple(x: ChowDeg1, y: ChowDeg1, z: ChowDeg1) -> Scalar:
 # ---------------------------------------------------------------------------
 # degree-2 classes
 
-# relations that already hold at degree 2: the bundle relation, vanishing
-# base squares, disjointness of the exceptional surfaces, and f2 restricting
-# to zero on them
-_DEG2_REWRITE = {
-    (_ZETA, _ZETA): (((_ZETA, _F1), 1), ((_ZETA, _F2), 2)),
-    (_F1, _F1): (),
-    (_F2, _F2): (),
-}
-
-
-def _deg2_rewrite(key: Tuple[int, int]):
-    if key in _DEG2_REWRITE:
-        return _DEG2_REWRITE[key]
-    i, j = key
-    if i >= 3 and j >= 3 and i != j:
-        return ()
-    if i == _F2 and j >= 3:
-        return ()
-    return None
-
-
-class ChowDeg2:
-    """A degree-2 class: coefficients on unordered generator-pair monomials,
-    normalized by the degree-2 relations."""
-
-    __slots__ = ("entries",)
-
-    def __init__(self, entries: Dict[Tuple[int, int], Scalar] | None = None):
-        out: Dict[Tuple[int, int], Scalar] = {}
-        for (i, j), value in (entries or {}).items():
-            key = (i, j) if i <= j else (j, i)
-            rewrite = _deg2_rewrite(key)
-            targets = ((key, 1),) if rewrite is None else rewrite
-            for target, mult in targets:
-                out[target] = out.get(target, 0) + mult * value
-        self.entries = {k: canon(v) for k, v in out.items() if canon(v) != 0}
-
-    def __add__(self, other):
-        if not isinstance(other, ChowDeg2):
-            return NotImplemented
-        entries = dict(self.entries)
-        for key, value in other.entries.items():
-            entries[key] = entries.get(key, 0) + value
-        return ChowDeg2(entries)
-
-    def __sub__(self, other):
-        if not isinstance(other, ChowDeg2):
-            return NotImplemented
-        return self + (-1) * other
-
-    def __mul__(self, scalar):
-        if isinstance(scalar, (ChowDeg1, ChowDeg2)):
-            return NotImplemented
-        return ChowDeg2({k: v * scalar for k, v in self.entries.items()})
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other):
-        if not isinstance(other, ChowDeg2):
-            return NotImplemented
-        return self.entries == other.entries
-
-    def __repr__(self):
-        def mono(key):
-            i, j = key
-            if i == j:
-                return f"{GENERATOR_NAMES[i]}^2"
-            return f"{GENERATOR_NAMES[i]}.{GENERATOR_NAMES[j]}"
-
-        terms = [f"{v}*{mono(k)}" for k, v in sorted(self.entries.items())]
-        return "<ChowDeg2 " + (" + ".join(terms) if terms else "0") + ">"
-
 
 def product(x: ChowDeg1, y: ChowDeg1) -> ChowDeg2:
-    entries: Dict[Tuple[int, int], Scalar] = {}
-    for i, xi in enumerate(x.coeffs):
-        if xi == 0:
-            continue
-        for j, yj in enumerate(y.coeffs):
-            if yj == 0:
-                continue
-            key = (i, j) if i <= j else (j, i)
-            entries[key] = entries.get(key, 0) + xi * yj
-    return ChowDeg2(entries)
+    return ChowDeg2(triple(x, y, _unit(k)) for k in range(6))
 
 
 def dot(d2: ChowDeg2, d1: ChowDeg1) -> Scalar:
-    """Contract a degree-2 class against a degree-1 class via the top form."""
-    table = top_form().table
-    total: Scalar = 0
-    for (i, j), value in d2.entries.items():
-        line = table[i][j]
-        for k, ck in enumerate(d1.coeffs):
-            if ck == 0:
-                continue
-            t = line[k]
-            if t:
-                total = total + value * (ck * t)
-    return canon(total)
+    """Contract a degree-2 class against a degree-1 class."""
+    return canon(sum(n * c for n, c in zip(d2.coeffs, d1.coeffs)))
 
 
 # ---------------------------------------------------------------------------
@@ -457,11 +385,7 @@ class TableCheck:
 
 def _vanishes_against_everything(x: ChowDeg1, y: ChowDeg1) -> Scalar:
     """0 when x.y.g vanishes for every generator g, else the first offender."""
-    for g in range(6):
-        value = triple(x, y, _unit(g))
-        if value != 0:
-            return value
-    return 0
+    return next((v for v in product(x, y).coeffs if v != 0), 0)
 
 
 def intersection_table_check() -> List[TableCheck]:

@@ -190,7 +190,7 @@ def chow_suite() -> List[CheckRow]:
         ("two_section_genus", Poly((-1, 1)), inv.two_section_genus, "adjunction on the exceptional surface"),
         ("ramification", Poly((0, 2)), inv.ramification, "Riemann-Hurwitz for the 2-section double cover"),
         ("irreducible_nodal", Poly((-8, 10)), inv.irreducible_nodal, census),
-        ("noether_identity", Poly(), 12 * inv.hodge_lambda - inv.kd_squared - inv.c2_td, noether),
+        ("noether_identity", Poly(), 12 * inv.hodge_lambda_rr - inv.kd_squared - inv.c2_td, noether),
         ("lambda_two_routes", Poly(), inv.hodge_lambda - inv.hodge_lambda_rr, "two routes to the Hodge degree"),
         ("euler_census", Poly(),
          inv.irreducible_nodal + inv.rational_tails + 2 * inv.directrix_cycles - inv.c2_td, census),

@@ -78,8 +78,6 @@ class Poly:
             acc = acc * x + c
         return canon(acc)
 
-    __call__ = eval
-
     def to_strings(self) -> list:
         return [format_rat(c) for c in self._coeffs]
 

@@ -1,5 +1,6 @@
 """The command-line driver: suites, file commands, exit codes, reports."""
 
+import dataclasses
 import json
 from pathlib import Path
 
@@ -277,3 +278,22 @@ class TestWholeReport:
         recorded = (Path(__file__).parent / "data" / "verify_all.txt").read_text(encoding="utf-8")
         assert main(["verify", "all"]) == 0
         assert capsys.readouterr().out == recorded
+
+
+class TestNoetherRow:
+    def test_fails_when_the_canonical_square_is_off(self, capsys, monkeypatch):
+        """``noether_identity`` compares Noether's formula with the
+        Riemann-Roch Hodge degree, so a wrong K_D^2 fails it even though
+        the Noether-route degree is recomputed from that wrong value."""
+        honest = chow.family_invariants
+
+        def skewed():
+            inv = honest()
+            kd_squared = inv.kd_squared + 12
+            hodge_lambda = chow._exact_div(kd_squared + inv.c2_td, 12, "K_D^2 + c2(T_D)")
+            return dataclasses.replace(inv, kd_squared=kd_squared, hodge_lambda=hodge_lambda)
+
+        monkeypatch.setattr(chow, "family_invariants", skewed)
+        assert main(["verify", "chow", "--json"]) == 1
+        status = {row["check"]: row["status"] for row in json.loads(capsys.readouterr().out)["checks"]}
+        assert status["noether_identity"] == "fail"

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import effcone
+from effcone import cli
 from effcone.scalars import (
     A,
     Poly,
@@ -158,3 +159,50 @@ class TestNoFloatingPoint:
             or (isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "float")
         ]
         assert found == [], f"{path.name}: floating point at lines {found}"
+
+    INTEGER_VALUED_MATH = {"comb", "factorial", "gcd", "isqrt", "lcm", "perm"}
+
+    @pytest.mark.parametrize(
+        "path", sorted(Path(effcone.__file__).parent.glob("*.py")), ids=lambda p: p.name
+    )
+    def test_only_integer_valued_math(self, path):
+        """Names taken from ``math``, by ``from math import`` or as an
+        attribute of the imported module, are integer-valued functions."""
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        modules = {
+            alias.asname or alias.name
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Import)
+            for alias in node.names
+            if alias.name == "math"
+        }
+        used = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "math":
+                used |= {alias.name for alias in node.names}
+            elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in modules:
+                used.add(node.attr)
+        assert used <= self.INTEGER_VALUED_MATH, f"{path.name}: math names {sorted(used - self.INTEGER_VALUED_MATH)}"
+
+
+class TestVerifyScalarsAreExact:
+    def test_every_serialized_verify_all_scalar(self, monkeypatch, capsys):
+        """Each scalar behind a ``verify all`` row is an int, a Fraction, or a
+        Poly with Fraction coefficients."""
+        seen = []
+
+        def recording(value):
+            seen.append(value)
+            return scalar_to_json(value)
+
+        monkeypatch.setattr(cli, "scalar_to_json", recording)
+        assert cli.main(["verify", "all"]) == 0
+        capsys.readouterr()
+
+        def exact(value):
+            if type(value) is Poly:
+                return all(type(c) is Fraction for c in value.coeffs)
+            return type(value) in (int, Fraction)
+
+        assert [v for v in seen if not exact(v)] == []
+        assert {type(v) for v in seen} >= {int, Poly}
