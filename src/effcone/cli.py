@@ -318,16 +318,24 @@ def property_suite(reps: int = PROPERTY_REPS) -> List[CheckRow]:
         if lhs != rhs:
             failures["pullback_linearity"] += 1
 
+    # each pullback is listed into a dict once, so that every rep compares
+    # two dicts instead of walking a glued view twice
     pullbacks = [
-        (4, gluing.glue_pullback(corpus.bn_class(3), 4)),
-        (3, gluing.glue_pullback(corpus.gp_class(), 3)),
-        (6, gluing.glue_pullback(corpus.bn_class(4), 6)),
+        (m, picard.DivisorClassM1n(2 * m, cls.lam, dict(cls.boundary.items())))
+        for m, cls in (
+            (4, gluing.glue_pullback(corpus.bn_class(3), 4)),
+            (3, gluing.glue_pullback(corpus.gp_class(), 3)),
+            (6, gluing.glue_pullback(corpus.bn_class(4), 6)),
+        )
     ]
     for _ in range(reps):
         m, cls = pullbacks[rng.randrange(len(pullbacks))]
         sigma = pair_symmetry_permutation(rng, m)
         if picard.permute_markings(cls, sigma) != cls:
             failures["pullback_pair_symmetry"] += 1
+    # freed before the later checks, which would otherwise allocate on top of
+    # them and raise the peak memory of `verify all`
+    del pullbacks, cls
 
     for m in range(1, 13):
         for i in range(m + 1):

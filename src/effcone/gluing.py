@@ -82,12 +82,24 @@ def lambda_family(i: int, m: int) -> LambdaFamily:
     return LambdaFamily(m, i, tuple(sorted(sets)))
 
 
+_MISSING = object()
+
+
 class _CoefficientView(Mapping):
     """Read-only boundary mapping whose coefficients come from a rule.
     Subclasses give ``get`` (None for a zero coefficient), ``items`` (one
-    pass over the nonzero coefficients) and ``__len__``."""
+    pass over the nonzero coefficients) and ``__len__``.  Equality with a
+    dict reads the view only at the dict's keys."""
 
     __slots__ = ()
+
+    def __eq__(self, other):
+        if type(other) is not dict:
+            return Mapping.__eq__(self, other)
+        if self.__len__() != len(other):  # len() refuses 2^63 and up
+            return False
+        get = self.get
+        return all(get(mask, _MISSING) == value for mask, value in other.items())
 
     def __getitem__(self, mask: int) -> Scalar:
         value = self.get(mask)
@@ -117,6 +129,17 @@ class GluedBoundary(_CoefficientView):
         self._odd = full_mask(2 * m) // 3  # 0b0101...01: markings 1, 3, ..., 2m-1
         self._by_size = _pruned(row)
         self._on_pairs = _pruned([canon(row[2 * k] + by_pairs[k]) for k in range(m + 1)])
+
+    def __eq__(self, other):
+        """Two glued views agree iff they agree on every row ``get`` reads:
+        ``_by_size`` for sizes 2..2m-1 and ``_on_pairs``; the only subset of
+        size 2m is a union of pairs, so ``_by_size[2m]`` is never read."""
+        if type(other) is not GluedBoundary:
+            return super().__eq__(other)
+        if self.m != other.m:
+            return not self and not other
+        top = 2 * self.m
+        return self._on_pairs == other._on_pairs and self._by_size[2:top] == other._by_size[2:top]
 
     def get(self, mask: int, default=None):
         if mask >> self.n:

@@ -22,7 +22,8 @@ from __future__ import annotations
 
 import heapq
 import json
-from operator import itemgetter
+from itertools import repeat
+from operator import and_, itemgetter, or_, rshift
 from typing import Dict, Iterable, Mapping, Sequence, Tuple
 
 from .scalars import Scalar, canon, parse_rat, scalar_from_json, scalar_to_json
@@ -285,7 +286,10 @@ class DivisorClassMg:
 
 
 def linear_combine(terms: Sequence[Tuple[Scalar, DivisorClassM1n]]) -> DivisorClassM1n:
-    """Exact linear combination of classes on one marked space."""
+    """Exact linear combination of classes on one marked space.  Within a
+    term, each distinct coefficient is scaled once (a glued view on 2m
+    markings holds at most about 3m distinct values), and the first term
+    at a mask is stored without adding it to zero."""
     terms = list(terms)
     if not terms:
         raise ValueError("empty combination has no ambient space")
@@ -299,8 +303,13 @@ def linear_combine(terms: Sequence[Tuple[Scalar, DivisorClassM1n]]) -> DivisorCl
         if coeff == 0:
             continue
         lam = lam + coeff * cls.lam
+        scaled: Dict[Scalar, Scalar] = {}
         for mask, value in cls.boundary.items():
-            boundary[mask] = boundary.get(mask, 0) + coeff * value
+            term = scaled.get(value)
+            if term is None:
+                term = scaled[value] = coeff * value
+            old = boundary.get(mask)
+            boundary[mask] = term if old is None else old + term
     boundary = {m: canon(v) for m, v in boundary.items()}
     boundary = {m: v for m, v in boundary.items() if v != 0}
     return DivisorClassM1n._trusted(n, canon(lam), boundary)
@@ -340,23 +349,31 @@ def permute_mask(mask: int, sigma: Sequence[int]) -> int:
 
 def _permuted(mapping: Mapping[int, Scalar], sigma: Sequence[int]) -> Dict[int, Scalar]:
     """``mapping`` with each key S moved to sigma(S), through one lookup
-    table per byte of the mask: ``tables[j][v]`` is the image of the subset
-    whose bits in byte j read v."""
-    tables = []
+    table per byte of the mask: the table of byte j sends v to the image of
+    the subset whose bits in byte j read v.  The keys run through C-level
+    ``map`` pipelines (shift, mask the byte, look it up, or the images
+    together), so no Python code runs per entry.  A view is listed once,
+    and is refused past EXPORT_BUDGET entries."""
+    if type(mapping) is not dict:
+        count = mapping.__len__()  # len() refuses 2^63 and up
+        if count > EXPORT_BUDGET:
+            raise ValueError(
+                f"cannot relabel {count} boundary entries; the budget is {EXPORT_BUDGET}"
+            )
+        mapping = dict(mapping.items())
+    keys = mapping.keys()
+    moved = None
     for start in range(0, len(sigma), 8):
         table = [0]
         for image in sigma[start:start + 8]:
             bit = 1 << (image - 1)
             table += [t | bit for t in table]
-        tables.append(table)
-    out = {}
-    for mask, value in mapping.items():
-        moved = 0
-        for table in tables:
-            moved |= table[mask & 0xFF]
-            mask >>= 8
-        out[moved] = value
-    return out
+        byte = map(rshift, keys, repeat(start)) if start else keys
+        if start + 8 < len(sigma):  # the top byte needs no mask: keys lie below 2^n
+            byte = map(and_, byte, repeat(0xFF))
+        part = map(table.__getitem__, byte)
+        moved = part if moved is None else map(or_, moved, part)
+    return dict(zip(moved, mapping.values()))
 
 
 def permute_markings(cls: DivisorClassM1n, sigma: Sequence[int]) -> DivisorClassM1n:

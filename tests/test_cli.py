@@ -2,13 +2,14 @@
 
 import dataclasses
 import json
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 from effcone import certify, chow, cli, corpus, gonal, picard
 from effcone.cli import CheckRow, emit_report, main
-from effcone.gluing import glue_pullback
+from effcone.gluing import GluedBoundary, glue_pullback
 from effcone.picard import m1n_class_from_json, subset_mask
 from effcone.scalars import scalar_to_json
 
@@ -297,3 +298,56 @@ class TestNoetherRow:
         assert main(["verify", "chow", "--json"]) == 1
         status = {row["check"]: row["status"] for row in json.loads(capsys.readouterr().out)["checks"]}
         assert status["noether_identity"] == "fail"
+
+
+class TestPropertySuiteCanFail:
+    REPS = 10
+
+    def _actual(self):
+        return {row.check: row.actual for row in cli.property_suite(reps=self.REPS)}
+
+    def test_pair_symmetry_fails_when_relabeling_moves_a_coefficient(self, monkeypatch):
+        """The pair-symmetry pullbacks are built once, but every rep still
+        relabels them through ``permute_markings``."""
+        honest = picard.permute_markings
+
+        def skewed(cls, sigma):
+            moved = honest(cls, sigma)
+            boundary = dict(moved.boundary)
+            mask = min(boundary)
+            boundary[mask] += 1
+            return picard.DivisorClassM1n(moved.n, moved.lam, boundary)
+
+        monkeypatch.setattr(picard, "permute_markings", skewed)
+        actual = self._actual()
+        assert actual["pullback_pair_symmetry"] == f"{self.REPS} failures"
+        assert actual["pair_bilinearity"] == actual["pullback_linearity"] == "0 failures"
+
+    def test_linearity_rows_fail_when_combination_is_off(self, monkeypatch):
+        honest = picard.linear_combine
+
+        def skewed(terms):
+            combo = honest(terms)
+            return picard.DivisorClassM1n(combo.n, combo.lam + 1, combo.boundary)
+
+        monkeypatch.setattr(picard, "linear_combine", skewed)
+        actual = self._actual()
+        assert actual["pair_bilinearity"] != "0 failures"
+        assert actual["pullback_linearity"] == f"{self.REPS} failures"
+        assert actual["pullback_pair_symmetry"] == "0 failures"
+
+
+class TestPropertySuiteListing:
+    def test_pair_symmetry_pullbacks_are_listed_once(self, monkeypatch):
+        """The 8- and 12-marking glued pullbacks are listed once for the
+        whole suite, not once per rep."""
+        listed = Counter()
+        honest = GluedBoundary.items
+
+        def counted(self):
+            listed[self.n] += 1
+            return honest(self)
+
+        monkeypatch.setattr(GluedBoundary, "items", counted)
+        assert all(row.ok for row in cli.property_suite())
+        assert listed[12] == 1 and listed[8] == 1

@@ -1,14 +1,18 @@
 """The gluing pullback, its pair combinatorics, and the forgetful pullback."""
 
 import random
+import signal
+from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import curve_profiles, m1n_classes, mg_classes, rationals
 from effcone.corpus import bn_class, golden_pullback, gp_class
 from effcone.gluing import (
+    ForgetfulBoundary,
     GluedBoundary,
     forget_pullback,
     glue_pullback,
@@ -349,3 +353,113 @@ def test_full_pair_symmetry_orbit_randomized():
             odd, even = 2 * target - 1, 2 * target
             sigma.extend((even, odd) if rng.random() < 0.5 else (odd, even))
         assert permute_markings(cls, tuple(sigma)) == cls
+
+
+class TestViewEquality:
+    """``==`` on glued views compares the rows ``get`` reads, and a view
+    against a dict reads the view at the dict's keys; both must agree with
+    equality of the fully listed mappings."""
+
+    @staticmethod
+    def listed(boundary):
+        return dict(boundary.items())
+
+    @given(
+        m=st.integers(min_value=2, max_value=4),
+        values=st.lists(st.sampled_from([0, 1, -1]), min_size=11, max_size=11),
+        up=st.integers(min_value=-1, max_value=10),
+        down=st.integers(min_value=-1, max_value=10),
+    )
+    @settings(max_examples=500, deadline=None)
+    def test_every_row_get_reads_is_compared(self, m, values, up, down):
+        # rows built directly, so that each may differ on its own.  The
+        # second view moves one entry up and one down (either may be
+        # skipped): row[2k] + 1 with by_pairs[k] - 1 changes only the
+        # subsets of size 2k that are not pair unions, and at k = m only
+        # the never-read row[2m]
+        size = 3 * m - 1
+        values = values[:size]
+        other = list(values)
+        if 0 <= up < size:
+            other[up] += 1
+        if 0 <= down < size:
+            other[down] -= 1
+
+        def view(v):
+            return GluedBoundary(m, [0, 0] + v[:2 * m - 1], [0] + v[2 * m - 1:])
+
+        a, b = view(values), view(other)
+        expected = self.listed(a) == self.listed(b)
+        assert (a == b) is expected and (b == a) is expected and (a != b) is not expected
+
+    def test_classes_differing_only_in_lambda_have_equal_views(self):
+        a = glue_pullback(DivisorClassMg(5, 1, 2, (3, 4)), 4).boundary
+        b = glue_pullback(DivisorClassMg(5, 7, 2, (3, 4)), 4).boundary
+        assert a is not b and a == b
+
+    def test_views_on_different_pair_counts(self):
+        empty4 = glue_pullback(DivisorClassMg(5, 0, 0, (0, 0)), 4).boundary
+        empty3 = glue_pullback(DivisorClassMg(4, 0, 0, (0, 0)), 3).boundary
+        assert empty4 == empty3 == {}
+        assert glue_pullback(bn_class(3), 4).boundary != glue_pullback(gp_class(), 3).boundary
+
+    @pytest.mark.parametrize("W,m", [(bn_class(3), 4), (gp_class(), 3)], ids=["bn3", "gp"])
+    def test_view_against_dicts(self, W, m):
+        view = glue_pullback(W, m).boundary
+        listed = self.listed(view)
+        assert view == listed and listed == view
+        mask = min(listed)
+        changed = {**listed, mask: listed[mask] + 1}
+        assert view != changed and changed != view
+        dropped = {k: v for k, v in listed.items() if k != mask}
+        assert view != dropped and dropped != view
+        # a zero entry is still a key the view does not hold
+        assert view != {**dropped, mask: 0}
+        assert view != {**listed, full_mask(2 * m) + 1: 1}
+
+    def test_forgetful_view_against_a_dict(self):
+        view = forget_pullback(glue_pullback(gp_class(), 3), 8).boundary
+        listed = self.listed(view)
+        assert view == listed and listed == view
+        assert view != {**listed, min(listed): 0}
+
+    def test_view_against_other_mappings(self):
+        view = glue_pullback(gp_class(), 3).boundary
+        same = ForgetfulBoundary(self.listed(view), 6, 6)
+        assert view == same and same == view
+        assert view != ForgetfulBoundary({3: 1}, 6, 6)
+        assert (view == [1, 2]) is False
+
+
+def _expire(signum, frame):
+    raise TimeoutError("still running at the wall-clock bound")
+
+
+@contextmanager
+def wall_clock_bound(seconds):
+    """Raise TimeoutError in the block after ``seconds``: an enumeration of
+    2^64 masks fails the test instead of hanging it."""
+    previous = signal.signal(signal.SIGALRM, _expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+class TestSixtyFourMarkingViews:
+    W = DivisorClassMg(33, 1, 1, [1] * 16)
+
+    def test_equality_without_enumeration(self):
+        with wall_clock_bound(2):
+            assert glue_pullback(self.W, 32) == glue_pullback(self.W, 32)
+            other = glue_pullback(DivisorClassMg(33, 1, 1, [1] * 15 + [2]), 32)
+            assert glue_pullback(self.W, 32) != other
+            assert glue_pullback(self.W, 32).boundary != {}
+
+    def test_relabeling_is_refused_with_the_count(self):
+        identity = tuple(range(1, 65))
+        with wall_clock_bound(2):
+            with pytest.raises(ValueError, match=f"cannot relabel {2**64 - 65} boundary entries"):
+                permute_markings(glue_pullback(self.W, 32), identity)

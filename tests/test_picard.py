@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from conftest import curve_profiles, m1n_classes, rationals
 from effcone.corpus import bn_class, golden_pullback, profile
-from effcone.gluing import glue_pullback
+from effcone.gluing import forget_pullback, glue_pullback
 from effcone.picard import (
     CurveProfile,
     _checked_boundary,
@@ -365,3 +365,120 @@ class TestCheckedBoundary:
     def test_agrees_with_the_entry_loop(self, case):
         n, boundary = case
         assert _outcome(_checked_boundary, boundary, n) == _outcome(_checked_by_entry, boundary, n)
+
+
+def _relabeled(mapping, sigma):
+    """Reference: every key moved one bit at a time."""
+    return {permute_mask(mask, sigma): value for mask, value in mapping.items()}
+
+
+def _sources(n, rng):
+    """A dict, a forgetful view and (for even n) a glued view on n markings.
+    The glued view on 20 markings keeps only pair unions, so that listing
+    it stays small."""
+    def rat():
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+
+    masks = {rng.randrange(1 << n) for _ in range(300)}
+    yield "dict", DivisorClassM1n(n, 1, {m: rat() for m in masks if m.bit_count() >= 2})
+    base_n = max(2, n - 3)
+    base = {m: rat() for m in (rng.randrange(1 << base_n) for _ in range(40)) if m.bit_count() >= 2}
+    yield "forgetful", forget_pullback(DivisorClassM1n(base_n, 1, base), n)
+    if n % 2 == 0:
+        m = n // 2
+        w_irr = 0 if n == 20 else rat()
+        yield "glued", glue_pullback(DivisorClassMg(m + 1, rat(), w_irr, [rat() for _ in range((m + 1) // 2)]), m)
+
+
+class TestPermutationPipeline:
+    """The byte-table pipelines of ``permute_markings`` and
+    ``permute_profile`` against bit-by-bit relabeling: one to three
+    tables, a partial last byte, dicts and both views, and eight tables on
+    64 markings with polynomial values."""
+
+    @pytest.mark.parametrize("n", [3, 8, 9, 16, 20])
+    def test_classes_and_profiles(self, n):
+        rng = random.Random(n)
+        for kind, cls in _sources(n, rng):
+            sigma = tuple(rng.sample(range(1, n + 1), n))
+            expected = _relabeled(dict(cls.boundary.items()), sigma)
+            moved = permute_markings(cls, sigma)
+            assert type(moved.boundary) is dict and moved.boundary == expected, kind
+            assert moved.n == n and moved.lam == cls.lam
+            prof = CurveProfile(n, 2, cls.boundary)
+            assert permute_profile(prof, sigma).on_boundary == expected, kind
+
+    def test_sixty_four_markings_with_polynomial_values(self):
+        rng = random.Random(64)
+        n = 64
+        boundary = {}
+        for _ in range(500):
+            mask = rng.getrandbits(n) | 1 << 63 | 1
+            boundary[mask] = Poly((rng.randint(-5, 5), rng.randint(1, 5)))
+        sigma = tuple(rng.sample(range(1, n + 1), n))
+        expected = _relabeled(boundary, sigma)
+        assert permute_markings(DivisorClassM1n(n, 0, boundary), sigma).boundary == expected
+        assert permute_profile(CurveProfile(n, 0, boundary), sigma).on_boundary == expected
+        assert all(type(value) is Poly for value in expected.values())
+
+
+def _combined_by_entry(terms):
+    """Reference: the per-entry loop that scales every coefficient and adds
+    it to zero for a new key."""
+    lam, boundary = 0, {}
+    for coeff, cls in terms:
+        coeff = canon(coeff)
+        if coeff == 0:
+            continue
+        lam = lam + coeff * cls.lam
+        for mask, value in cls.boundary.items():
+            boundary[mask] = boundary.get(mask, 0) + coeff * value
+    boundary = {m: canon(v) for m, v in boundary.items()}
+    return canon(lam), {m: v for m, v in boundary.items() if v != 0}
+
+
+def _is_canonical(value):
+    if type(value) is Fraction:
+        return value.denominator != 1
+    if type(value) is Poly:
+        return not value.is_constant()
+    return type(value) is int
+
+
+_values = st.sampled_from([1, -2, Fraction(1, 2), Fraction(-3, 4), Poly((0, 1)), Poly((1, -1, 2))])
+_coefficients = st.one_of(st.just(0), rationals, st.sampled_from([Poly((0, 1)), Poly((2, 0, 1))]))
+
+
+@st.composite
+def _combination_classes(draw):
+    """A class on 6 markings whose few distinct values repeat: a dict, or
+    a glued view on three pairs with rational or polynomial values."""
+    if draw(st.booleans()):
+        masks = st.integers(min_value=3, max_value=63).filter(lambda m: m.bit_count() >= 2)
+        return DivisorClassM1n(6, draw(_values), draw(st.dictionaries(masks, _values, max_size=20)))
+    return glue_pullback(DivisorClassMg(4, draw(_values), draw(_values), [draw(_values), draw(_values)]), 3)
+
+
+@st.composite
+def _combinations(draw):
+    count = draw(st.integers(min_value=1, max_value=3))
+    terms = []
+    while len(terms) < count:
+        terms.append((draw(_coefficients), draw(_combination_classes())))
+        if len(terms) < count and draw(st.booleans()):
+            # a term that cancels the one before it
+            coeff, cls = terms[-1]
+            terms.append((-coeff, cls))
+    return terms
+
+
+class TestMemoizedLinearCombine:
+    @given(terms=_combinations())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_the_per_entry_loop(self, terms):
+        lam, boundary = _combined_by_entry(terms)
+        result = linear_combine(terms)
+        assert result.n == 6 and result.lam == lam and result.boundary == boundary
+        assert type(result.boundary) is dict
+        assert _is_canonical(result.lam)
+        assert all(_is_canonical(value) and value != 0 for value in result.boundary.values())
