@@ -5,6 +5,10 @@ Each suite is a check table: it lists ``(check, expected, actual, citation)``
 entries and hands them to ``_suite``, which names the module once and
 serializes every scalar. ``SUITES`` registers the suites by that module name;
 it supplies the ``verify`` choices, and ``verify all`` runs them all.
+``chow`` is imported by the chow and property suites and ``certify`` by the
+certify suite, where they are called, so that the commands which run neither
+(``verify gonal``, ``pullback``, ``export``, ``intersect``) do not pay for
+loading them at start-up.
 
 Exit codes: 0 when every check passes, 1 on any failing row (an internal
 error in a suite is one), 2 on usage or input errors and on a refused budget.
@@ -17,14 +21,12 @@ import json
 import random
 import re
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
 from pathlib import Path
-from typing import Callable, Dict, List, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Sequence, Tuple
 
-from . import certify as certify_mod
-from . import chow, corpus, gluing, gonal, picard
+from . import corpus, gluing, gonal, picard
 from .picard import EXPORT_BUDGET
 from .scalars import Poly, binom, poly_eval, scalar_to_json
 
@@ -41,8 +43,7 @@ class InputError(ValueError):
 # check rows and reports
 
 
-@dataclass(frozen=True)
-class CheckRow:
+class CheckRow(NamedTuple):
     module: str
     check: str
     expected: object  # serialized scalar (str or list of str) or plain str
@@ -167,6 +168,8 @@ def gp_suite() -> List[CheckRow]:
 
 
 def chow_suite() -> List[CheckRow]:
+    from . import chow
+
     entries = [
         (f"table.{c.name}", c.expected, c.actual, "derived top-intersection form")
         for c in chow.intersection_table_check()
@@ -199,7 +202,9 @@ def chow_suite() -> List[CheckRow]:
 
 
 def certificate_suite(direct_max_d: int = gonal.DIRECT_ROUTE_DEFAULT_CAP) -> List[CheckRow]:
-    assertions = certify_mod.REQUIRED_ASSERTIONS
+    from . import certify
+
+    assertions = certify.REQUIRED_ASSERTIONS
     targets = [
         ("trigonal", corpus.bn_class(3), 4, corpus.profile("trig"), "trig", -1),
         ("gp", corpus.gp_class(), 3, corpus.profile("gp"), "gp", -16),
@@ -217,16 +222,16 @@ def certificate_suite(direct_max_d: int = gonal.DIRECT_ROUTE_DEFAULT_CAP) -> Lis
         )
     entries = []
     for label, divisor, m, prof, prof_name, expected in targets:
-        cert = certify_mod.certify(divisor, m, prof, assertions, profile_name=prof_name)
-        lifted = certify_mod.lift(cert, cert.n + 2)
+        cert = certify.certify(divisor, m, prof, assertions, profile_name=prof_name)
+        lifted = certify.lift(cert, cert.n + 2)
         entries += [
             (f"pairing.{label}", expected, cert.pairing, "negative constant pairing premise"),
             (f"lift_preserves.{label}", cert.pairing, lifted.pairing,
              "forgetful lift preserves the pairing"),
         ]
     try:
-        certify_mod.certify(corpus.bn_class(3), 4, corpus.profile("gonal", 3), assertions)
-    except certify_mod.CertificateRefused as exc:
+        certify.certify(corpus.bn_class(3), 4, corpus.profile("gonal", 3), assertions)
+    except certify.CertificateRefused as exc:
         refusal = f"refused with pairing {exc.pairing}"
     else:
         refusal = "accepted"
@@ -355,6 +360,8 @@ def property_suite(reps: int = PROPERTY_REPS) -> List[CheckRow]:
         lhs2 = sum(s * binom(cap, s) * x ** (cap - s) for s in range(1, cap + 1))
         if lhs2 != cap * (x + 1) ** (cap - 1):
             failures["binomial_identities"] += 1
+
+    from . import chow
 
     form = chow.top_form()
     for i in range(6):
@@ -485,12 +492,17 @@ def _cmd_verify(args) -> int:
         # the direct route builds profile-gonal(d) whole; refused before any suite runs
         _check_gonal_budget(d, f"--direct-max-d {d}")
     names = SUITES if args.suite == "all" else (args.suite,)
+    internal = (ArithmeticError,)
+    if "certify" in names:  # certify is loaded only for its suite
+        from .certify import CertificateRefused
+
+        internal += (CertificateRefused,)
     rows = []
     for name in names:
         try:
             rows += SUITES[name](args)
         # an internal consistency check failed; the other suites still report
-        except (ArithmeticError, certify_mod.CertificateRefused) as exc:
+        except internal as exc:
             actual = f"{type(exc).__name__}: {exc}"
             rows += _suite(name, [("internal_error", "no error", actual, "internal consistency failure")])
     sys.stdout.write(emit_report(rows, "json" if args.json else "text"))

@@ -41,9 +41,8 @@ relabeling, linear combination) lists its nonzero coefficients in one pass.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass
 from itertools import combinations
-from typing import Dict, Iterator, List, Sequence, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Sequence, Tuple
 
 from .picard import (
     CurveProfile,
@@ -56,8 +55,7 @@ from .picard import (
 from .scalars import Scalar, binom, canon
 
 
-@dataclass(frozen=True)
-class LambdaFamily:
+class LambdaFamily(NamedTuple):
     """All subsets of {1, ..., 2m} that are unions of exactly i glued pairs
     {2k-1, 2k}; for i = 0 the family is {empty set}."""
 
@@ -176,6 +174,19 @@ class ForgetfulBoundary(_CoefficientView):
     def __init__(self, base: Mapping, m: int, n: int):
         self.base, self.m, self.n = base, m, n
         self._low = full_mask(m)
+
+    def __eq__(self, other):
+        """Two forgetful views on n markings read their bases at T & {1..M},
+        M the larger base's marking count, so they agree iff the smaller
+        base forgotten to M markings agrees with the larger base."""
+        if type(other) is not ForgetfulBoundary:
+            return super().__eq__(other)
+        if self.n != other.n:
+            return not self and not other
+        small, large = (self, other) if self.m <= other.m else (other, self)
+        if small.m == large.m:
+            return small.base == large.base
+        return ForgetfulBoundary(small.base, small.m, large.m) == large.base
 
     def get(self, mask: int, default=None):
         if mask >> self.n:

@@ -21,9 +21,8 @@ for every d >= 4.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import List
+from typing import List, NamedTuple
 
 from .corpus import bn_class, bn_scale, gonal_support, profile
 from .gluing import glue_pullback
@@ -101,8 +100,7 @@ def pairing_closed(d: int) -> Rat:
     return canon(bn_scale(d) * Fraction(2, 3) * core)
 
 
-@dataclass(frozen=True)
-class GonalRow:
+class GonalRow(NamedTuple):
     d: int
     value: Rat
     unscaled: Rat  # value divided by the class normalization constant

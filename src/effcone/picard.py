@@ -285,11 +285,23 @@ class DivisorClassMg:
 # operations
 
 
+def _check_listing_budget(mapping: Mapping[int, Scalar], verb: str) -> None:
+    """Refuse to list a view past EXPORT_BUDGET entries, counted before any
+    entry is listed; ``verb`` names what the listing was for."""
+    if type(mapping) is not dict:
+        count = mapping.__len__()  # len() refuses 2^63 and up
+        if count > EXPORT_BUDGET:
+            raise ValueError(
+                f"cannot {verb} {count} boundary entries; the budget is {EXPORT_BUDGET}"
+            )
+
+
 def linear_combine(terms: Sequence[Tuple[Scalar, DivisorClassM1n]]) -> DivisorClassM1n:
     """Exact linear combination of classes on one marked space.  Within a
     term, each distinct coefficient is scaled once (a glued view on 2m
     markings holds at most about 3m distinct values), and the first term
-    at a mask is stored without adding it to zero."""
+    at a mask is stored without adding it to zero.  A view past
+    EXPORT_BUDGET entries is refused before it is listed."""
     terms = list(terms)
     if not terms:
         raise ValueError("empty combination has no ambient space")
@@ -302,6 +314,7 @@ def linear_combine(terms: Sequence[Tuple[Scalar, DivisorClassM1n]]) -> DivisorCl
         coeff = canon(coeff)
         if coeff == 0:
             continue
+        _check_listing_budget(cls.boundary, "combine")
         lam = lam + coeff * cls.lam
         scaled: Dict[Scalar, Scalar] = {}
         for mask, value in cls.boundary.items():
@@ -354,12 +367,8 @@ def _permuted(mapping: Mapping[int, Scalar], sigma: Sequence[int]) -> Dict[int, 
     ``map`` pipelines (shift, mask the byte, look it up, or the images
     together), so no Python code runs per entry.  A view is listed once,
     and is refused past EXPORT_BUDGET entries."""
+    _check_listing_budget(mapping, "relabel")
     if type(mapping) is not dict:
-        count = mapping.__len__()  # len() refuses 2^63 and up
-        if count > EXPORT_BUDGET:
-            raise ValueError(
-                f"cannot relabel {count} boundary entries; the budget is {EXPORT_BUDGET}"
-            )
         mapping = dict(mapping.items())
     keys = mapping.keys()
     moved = None

@@ -2,11 +2,15 @@
 
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
 import pytest
 
+import effcone
 from effcone import certify, chow, cli, corpus, gonal, picard
 from effcone.cli import CheckRow, emit_report, main
 from effcone.gluing import GluedBoundary, glue_pullback
@@ -351,3 +355,54 @@ class TestPropertySuiteListing:
         monkeypatch.setattr(GluedBoundary, "items", counted)
         assert all(row.ok for row in cli.property_suite())
         assert listed[12] == 1 and listed[8] == 1
+
+
+# Runs in a fresh interpreter: imports effcone.cli, runs each command line
+# given as JSON through main(), and prints the exit code and which of
+# HEAVY are loaded after each.
+STARTUP_CHILD = """
+import contextlib, io, json, sys
+HEAVY = ("effcone.chow", "effcone.certify", "dataclasses")
+def loaded():
+    return [name for name in HEAVY if name in sys.modules]
+from effcone import cli
+report = [["import", 0, loaded()]]
+for step in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        report.append([" ".join(step), cli.main(step), loaded()])
+print(json.dumps(report))
+"""
+
+
+class TestStartupImports:
+    """Commands load only the modules they run: ``chow`` and ``certify``
+    come with their suites, and no module on the shared path needs
+    ``dataclasses``.  The child runs without ``site`` (``-S``), so only
+    effcone's own imports are seen."""
+
+    @staticmethod
+    def _run(steps, cwd):
+        env = {**os.environ, "PYTHONPATH": str(Path(effcone.__file__).resolve().parents[1])}
+        child = subprocess.run(
+            [sys.executable, "-S", "-c", STARTUP_CHILD, json.dumps(steps)],
+            cwd=cwd, env=env, capture_output=True, text=True, check=True,
+        )
+        return json.loads(child.stdout)
+
+    def test_commands_without_chow_or_certify_load_neither(self, tmp_path):
+        steps = [
+            ["export", "--name", "bn(3)", "--output", "bn3.json"],
+            ["export", "--name", "profile-trig", "--output", "trig.json"],
+            ["pullback", "--g", "5", "--m", "4", "--input", "bn3.json", "--output", "pulled.json"],
+            ["intersect", "--profile", "trig.json", "--class", "pulled.json"],
+            ["verify", "gonal"],
+        ]
+        report = self._run(steps, tmp_path)
+        assert [step for step, _, _ in report] == ["import"] + [" ".join(s) for s in steps]
+        assert [(step, code, heavy) for step, code, heavy in report if code or heavy] == []
+
+    @pytest.mark.parametrize("suite,module", [("chow", "effcone.chow"), ("certify", "effcone.certify")])
+    def test_a_suite_loads_its_module(self, tmp_path, suite, module):
+        # positive control: the check sees a module once its suite runs
+        (before, after) = self._run([["verify", suite, "--direct-max-d", "4"]], tmp_path)
+        assert before[2] == [] and after[1] == 0 and module in after[2]

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import curve_profiles, m1n_classes, mg_classes, rationals
+from conftest import curve_profiles, m1n_classes, mg_classes, rationals, subset_masks
 from effcone.corpus import bn_class, golden_pullback, gp_class
 from effcone.gluing import (
     ForgetfulBoundary,
@@ -423,6 +423,43 @@ class TestViewEquality:
         assert view == listed and listed == view
         assert view != {**listed, min(listed): 0}
 
+    @staticmethod
+    def forgetful(base, k, n, listed):
+        """The view on n markings of ``base`` (4 markings) forgotten first to
+        k markings, that middle view listed into a dict or kept as a view."""
+        middle = ForgetfulBoundary(base, 4, k)
+        return ForgetfulBoundary(dict(middle.items()) if listed else middle, k, n)
+
+    @given(
+        x=st.dictionaries(subset_masks(4), st.sampled_from([1, -1]), max_size=4),
+        edit=st.none() | st.tuples(subset_masks(4), st.sampled_from([0, 1, 2])),
+        ka=st.integers(min_value=4, max_value=6),
+        kb=st.integers(min_value=4, max_value=6),
+        na=st.integers(min_value=6, max_value=7),
+        nb=st.integers(min_value=6, max_value=7),
+        listed=st.tuples(st.booleans(), st.booleans()),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_forgetful_views_against_each_other(self, x, edit, ka, kb, na, nb, listed):
+        # the second base is the first with at most one entry changed,
+        # added or dropped, so that equal views on different m are common
+        y = dict(x)
+        if edit is not None:
+            mask, value = edit
+            if value:
+                y[mask] = value
+            else:
+                y.pop(mask, None)
+        a, b = self.forgetful(x, ka, na, listed[0]), self.forgetful(y, kb, nb, listed[1])
+        expected = self.listed(a) == self.listed(b)
+        assert (a == b) is expected and (b == a) is expected and (a != b) is not expected
+
+    def test_forgetful_views_on_different_marking_counts(self):
+        empty = DivisorClassM1n(4)
+        assert forget_pullback(empty, 6).boundary == forget_pullback(empty, 7).boundary
+        one = DivisorClassM1n(4, 0, {3: 1})
+        assert forget_pullback(one, 6).boundary != forget_pullback(one, 7).boundary
+
     def test_view_against_other_mappings(self):
         view = glue_pullback(gp_class(), 3).boundary
         same = ForgetfulBoundary(self.listed(view), 6, 6)
@@ -457,6 +494,21 @@ class TestSixtyFourMarkingViews:
             other = glue_pullback(DivisorClassMg(33, 1, 1, [1] * 15 + [2]), 32)
             assert glue_pullback(self.W, 32) != other
             assert glue_pullback(self.W, 32).boundary != {}
+
+    def test_forgetful_views_compare_without_enumeration(self):
+        x = DivisorClassM1n(4, 0, {3: 1})
+        on_ten = DivisorClassM1n(10, 0, dict(forget_pullback(x, 10).boundary.items()))
+        with wall_clock_bound(2):
+            assert forget_pullback(x, 64) == forget_pullback(x, 64)
+            assert forget_pullback(x, 64) == forget_pullback(on_ten, 64)
+            assert forget_pullback(on_ten, 64) == forget_pullback(forget_pullback(x, 10), 64)
+            assert forget_pullback(x, 64) != forget_pullback(DivisorClassM1n(4, 0, {3: 2}), 64)
+            assert forget_pullback(x, 64).boundary != forget_pullback(x, 63).boundary
+
+    def test_linear_combination_is_refused_with_the_count(self):
+        with wall_clock_bound(2):
+            with pytest.raises(ValueError, match=f"cannot combine {2**64 - 65} boundary entries"):
+                linear_combine([(1, glue_pullback(self.W, 32))])
 
     def test_relabeling_is_refused_with_the_count(self):
         identity = tuple(range(1, 65))
