@@ -407,11 +407,14 @@ def _load_json(path: str):
 
 
 def _dump_json(obj, output: str | None) -> None:
-    text = picard.json_text(obj)
+    """Stream the canonical text of ``obj`` into ``output``, or to stdout
+    when it is omitted, a chunk of entries at a time. Every refusal comes
+    before this call, so a refused command leaves ``output`` untouched."""
     if output:
-        Path(output).write_text(text, encoding="utf-8")
+        with open(output, "w", encoding="utf-8") as fh:
+            picard.write_json(obj, fh.write)
     else:
-        sys.stdout.write(text)
+        picard.write_json(obj, sys.stdout.write)
 
 
 def _read(path: str, parse, what: str):

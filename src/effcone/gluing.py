@@ -34,8 +34,11 @@ coefficient at ``T & low``, with ``low`` the mask of {1..m}.
 Neither pullback is expanded.  Each returns a class whose boundary is a
 read-only, zero-pruned mapping view that applies its rule to the subsets
 asked for: a pairing reads the profile support and nothing else.  ``len``
-is counted combinatorially; iterating the view (export, equality,
-relabeling, linear combination) lists its nonzero coefficients in one pass.
+is counted combinatorially; iterating the view (equality, relabeling,
+linear combination) lists its nonzero coefficients in one pass.  A glued
+view also lists itself in boundary order for export, one subset size at a
+time: a default coefficient for the size and the few unions of pairs that
+differ from it (``size_rows``), so no entry is sorted.
 """
 
 from __future__ import annotations
@@ -49,6 +52,7 @@ from .picard import (
     DivisorClassM1n,
     DivisorClassMg,
     SpaceMismatchError,
+    _check_listing_budget,
     _check_n,
     full_mask,
 )
@@ -87,12 +91,18 @@ class _CoefficientView(Mapping):
     """Read-only boundary mapping whose coefficients come from a rule.
     Subclasses give ``get`` (None for a zero coefficient), ``items`` (one
     pass over the nonzero coefficients) and ``__len__``.  Equality with a
-    dict reads the view only at the dict's keys."""
+    dict reads the view only at the dict's keys; with any other mapping it
+    lists both sides, and refuses a side past EXPORT_BUDGET entries before
+    either is listed."""
 
     __slots__ = ()
 
     def __eq__(self, other):
         if type(other) is not dict:
+            if not isinstance(other, Mapping):
+                return NotImplemented
+            _check_listing_budget(self, "compare")
+            _check_listing_budget(other, "compare")
             return Mapping.__eq__(self, other)
         if self.__len__() != len(other):  # len() refuses 2^63 and up
             return False
@@ -155,6 +165,24 @@ class GluedBoundary(_CoefficientView):
         for k in range(1, m + 1):
             count += binom(m, k) * ((on_pairs[k] is not None) - (by_size[2 * k] is not None))
         return count
+
+    def size_rows(self) -> Iterator[Tuple[int, Scalar | None, list]]:
+        """For each size b from 2 to 2m: ``(b, row[b], exceptions)``, where
+        ``exceptions`` lists ``(members, value)`` for the unions of b/2 pairs
+        in boundary order when their coefficient differs from ``row[b]``
+        (None stands for zero).  Unions of pairs in the order of their pair
+        indices are in the order of their members."""
+        m, by_size, on_pairs = self.m, self._by_size, self._on_pairs
+        for b in range(2, 2 * m + 1):
+            default = by_size[b]
+            exceptions = []
+            if b % 2 == 0 and on_pairs[b >> 1] != default:
+                value = on_pairs[b >> 1]
+                exceptions = [
+                    (tuple(i for k in pairs for i in (2 * k - 1, 2 * k)), value)
+                    for pairs in combinations(range(1, m + 1), b >> 1)
+                ]
+            yield b, default, exceptions
 
     def items(self) -> Iterator[Tuple[int, Scalar]]:
         odd, by_size, on_pairs = self._odd, self._by_size, self._on_pairs

@@ -14,17 +14,22 @@ rule (the pullbacks of :mod:`.gluing`); readers use ``get``, ``items`` and
 ``len`` and never mutate it.
 
 Serialized classes and profiles list their boundary entries by subset size,
-then by sorted members; :func:`json_text` renders them as the canonical
-indented, sorted-key JSON text.
+then by sorted members.  A view that lists itself in that order
+(``size_rows``, the gluing pullback) is serialized lazily and never sorted;
+a dict, or any other view, is sorted once into a list.  One writer,
+:func:`write_json`, streams the canonical indented, sorted-key JSON text a
+bounded piece at a time, so its memory does not grow with the entry count;
+:func:`json_text` is the same text as one string.
 """
 
 from __future__ import annotations
 
 import heapq
 import json
-from itertools import repeat
+from itertools import combinations, islice, repeat
+from math import comb
 from operator import and_, itemgetter, or_, rshift
-from typing import Dict, Iterable, Mapping, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Iterator, Mapping, Sequence, Tuple
 
 from .scalars import Scalar, canon, parse_rat, scalar_from_json, scalar_to_json
 
@@ -143,12 +148,18 @@ _REPR_ENTRIES = 6
 
 def _sparse_repr(mapping: Mapping[int, Scalar]) -> str:
     """The first ``_REPR_ENTRIES`` entries in boundary order, which are not looked
-    for past EXPORT_BUDGET entries, and the count (``len()`` refuses 2^63 and up)."""
+    for past EXPORT_BUDGET entries, and the count (``len()`` refuses 2^63 and up).
+    A view that lists itself in order gives its first entries; other mappings
+    are searched whole."""
     count = mapping.__len__()
-    first = () if count > EXPORT_BUDGET else heapq.nsmallest(
-        _REPR_ENTRIES, mapping.items(), key=lambda kv: boundary_order(kv[0])
-    )
-    parts = [f"d0;{set(subset_members(m))}: {v}" for m, v in first]
+    if count > EXPORT_BUDGET:
+        first = ()
+    elif hasattr(mapping, "size_rows"):
+        first = islice(_entries(mapping), _REPR_ENTRIES)
+    else:
+        found = heapq.nsmallest(_REPR_ENTRIES, mapping.items(), key=lambda kv: boundary_order(kv[0]))
+        first = [(subset_members(mask), value) for mask, value in found]
+    parts = [f"d0;{set(members)}: {v}" for members, v in first]
     if count > _REPR_ENTRIES:
         parts.append(f"... ({count} terms)")
     return ", ".join(parts)
@@ -401,10 +412,82 @@ def permute_profile(profile: CurveProfile, sigma: Sequence[int]) -> CurveProfile
 # JSON formats
 
 
-def _boundary_to_json(mapping: Mapping[int, Scalar]) -> list:
-    """Entries in boundary order; each distinct coefficient is serialized once.
-    Sorting the members within each size keeps the sort keys flat tuples of
-    ints, which compare fastest."""
+def _lex_rank(members: Tuple[int, ...], n: int) -> int:
+    """Position of a sorted subset among the subsets of its size of
+    {1, ..., n}, listed by sorted members."""
+    rank, previous, left = 0, 0, len(members)
+    for marking in members:
+        left -= 1
+        for skipped in range(previous + 1, marking):
+            rank += comb(n - skipped, left)
+        previous = marking
+    return rank
+
+
+def _runs(rows: Iterable[tuple], labels: Sequence) -> Iterator[tuple]:
+    """The entries of a view's size rows in boundary order, as runs ``(value,
+    members)`` of one coefficient: ``members`` iterates the subsets of the
+    run once, as tuples of labels, ``labels[i]`` standing for marking i of
+    1..n, with n = len(labels) - 1.  The default of a size is walked with
+    ``combinations``, which yields the subsets already in boundary order, and
+    each exception is spliced in at its rank.  The runs of one size share the
+    walk, so each must be drawn to its end before the next is drawn."""
+    n = len(labels) - 1
+    for size, default, exceptions in rows:
+        if default is not None:
+            walk = combinations(labels[1:], size)
+            done = 0
+        for members, value in exceptions:
+            if default is not None:
+                rank = _lex_rank(members, n)
+                yield default, islice(walk, rank - done)
+                next(walk)
+                done = rank + 1
+            if value is not None:
+                yield value, iter((tuple(map(labels.__getitem__, members)),))
+        if default is not None:
+            yield default, walk
+
+
+def _entries(view: Mapping[int, Scalar]) -> Iterator[tuple]:
+    """``(members, value)`` of each nonzero entry of a view on ``view.n``
+    markings that lists itself in boundary order."""
+    for value, members in _runs(view.size_rows(), range(view.n + 1)):
+        for subset in members:
+            yield subset, value
+
+
+class _Listing:
+    """The serialized boundary entries of a view that lists itself in
+    boundary order, built lazily: iterating yields the same ``{"S",
+    "coeff"}`` dicts as the list of a dict, one at a time, and
+    :func:`write_json` renders the view's runs straight to text."""
+
+    __slots__ = ("view",)
+
+    def __init__(self, view: Mapping[int, Scalar]):
+        self.view = view
+
+    def __iter__(self) -> Iterator[dict]:
+        encoded: dict = {}
+        for members, value in _entries(self.view):
+            coeff = encoded.get(value)
+            if coeff is None:
+                coeff = encoded[value] = scalar_to_json(value)
+            yield {"S": list(members), "coeff": coeff if type(coeff) is str else list(coeff)}
+
+    def __bool__(self) -> bool:  # len() refuses counts past sys.maxsize (64 markings)
+        return self.view.__len__() > 0
+
+
+def _boundary_to_json(mapping: Mapping[int, Scalar]):
+    """Entries in boundary order, each distinct coefficient serialized once.
+    A view that has ``size_rows`` lists itself in that order, and gets a lazy
+    :class:`_Listing`.  Other mappings give a list, sorted once; sorting the
+    members within each size keeps the sort keys flat tuples of ints, which
+    compare fastest."""
+    if hasattr(mapping, "size_rows"):
+        return _Listing(mapping)
     by_size: Dict[int, list] = {}
     for mask, value in mapping.items():
         size, members = boundary_order(mask)
@@ -518,32 +601,79 @@ def mg_class_from_json(obj: dict) -> DivisorClassMg:
 
 
 # marking lines and entry template of the text json.dumps(indent=2) gives a
-# boundary entry
+# boundary entry; entries are written this many at a time
 _MARKING_LINES = tuple(f"        {i}" for i in range(MAX_MARKINGS + 1))
 _ENTRY = '    {\n      "S": [\n%s\n      ],\n      "coeff": %s\n    }'
+_CHUNK_ENTRIES = 4096
 
 
-def json_text(obj: dict) -> str:
-    """``json.dumps(obj, indent=2, sort_keys=True) + "\\n"`` for a serialized
-    class or profile, byte for byte.  ``indent`` makes ``json.dumps`` use its
-    pure-Python encoder, so the boundary entries are rendered here instead:
-    each fills one template, and each distinct coefficient is encoded once.
-    The rest of the object, and any object without boundary entries, still
-    goes through ``json.dumps``."""
-    key = next((k for k in ("boundary", "on_boundary") if k in obj), None)
-    if key is None or not obj[key]:
-        return json.dumps(obj, indent=2, sort_keys=True) + "\n"
-    # a line break followed by two spaces and a quoted key only starts a
-    # top-level key: strings never hold a raw line break
-    marker = f'\n  "{key}": '
-    head, _, tail = json.dumps({**obj, key: []}, indent=2, sort_keys=True).partition(marker + "[]")
+def _coeff_text(coeff) -> str:
+    """The text of a serialized coefficient inside a boundary entry."""
+    return json.dumps(coeff, indent=2).replace("\n", "\n      ")
+
+
+def _entry_pieces(entries) -> Iterator[str]:
+    """The rendered boundary entries in pieces of at most ``_CHUNK_ENTRIES``
+    entries, to be joined by ``",\\n"``; each distinct coefficient is encoded
+    once.  A lazy listing is rendered a run at a time: the entries of a run
+    share their coefficient, so the text between two member lists is one
+    constant and a piece is one ``join``, with no Python code per entry.  A
+    list is rendered one entry dict at a time."""
     texts: dict = {}
-    parts = []
-    for entry in obj[key]:
+    if type(entries) is _Listing:
+        head, middle, end = _ENTRY.split("%s")
+        view = entries.view
+        for value, members in _runs(view.size_rows(), _MARKING_LINES[:view.n + 1]):
+            text = texts.get(value)
+            if text is None:
+                text = texts[value] = _coeff_text(scalar_to_json(value))
+            tail = middle + text + end
+            between = tail + ",\n" + head
+            while piece := between.join(map(",\n".join, islice(members, _CHUNK_ENTRIES))):
+                yield head + piece + tail
+        return
+    rendered = _listed_entry_texts(entries, texts)
+    while piece := ",\n".join(islice(rendered, _CHUNK_ENTRIES)):
+        yield piece
+
+
+def _listed_entry_texts(entries, texts: dict) -> Iterator[str]:
+    for entry in entries:
         coeff = entry["coeff"]
         ckey = coeff if type(coeff) is str else tuple(coeff)
         text = texts.get(ckey)
         if text is None:
-            text = texts[ckey] = json.dumps(coeff, indent=2).replace("\n", "\n      ")
-        parts.append(_ENTRY % (",\n".join([_MARKING_LINES[i] for i in entry["S"]]), text))
-    return "".join((head, marker, "[\n", ",\n".join(parts), "\n  ]", tail, "\n"))
+            text = texts[ckey] = _coeff_text(coeff)
+        yield _ENTRY % (",\n".join([_MARKING_LINES[i] for i in entry["S"]]), text)
+
+
+def write_json(obj: dict, write: Callable[[str], object]) -> None:
+    """Write ``json.dumps(obj, indent=2, sort_keys=True) + "\\n"`` for a
+    serialized class or profile through ``write``, byte for byte, a piece of
+    at most ``_CHUNK_ENTRIES`` boundary entries at a time, so that memory does
+    not grow with the entry count.  ``indent`` makes ``json.dumps`` use its
+    pure-Python encoder, so the boundary entries are rendered here instead,
+    each through one template.  The rest of the object, and any object
+    without boundary entries, still goes through ``json.dumps``."""
+    key = next((k for k in ("boundary", "on_boundary") if k in obj), None)
+    if key is None or not obj[key]:
+        write(json.dumps({**obj, key: []} if key else obj, indent=2, sort_keys=True) + "\n")
+        return
+    # a line break followed by two spaces and a quoted key only starts a
+    # top-level key: strings never hold a raw line break
+    marker = f'\n  "{key}": '
+    head, _, tail = json.dumps({**obj, key: []}, indent=2, sort_keys=True).partition(marker + "[]")
+    write(head + marker + "[\n")
+    separator = ""
+    for piece in _entry_pieces(obj[key]):
+        write(separator)
+        write(piece)
+        separator = ",\n"
+    write("\n  ]" + tail + "\n")
+
+
+def json_text(obj: dict) -> str:
+    """The text :func:`write_json` writes, as one string."""
+    parts: list = []
+    write_json(obj, parts.append)
+    return "".join(parts)

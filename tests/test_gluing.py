@@ -460,6 +460,28 @@ class TestViewEquality:
         one = DivisorClassM1n(4, 0, {3: 1})
         assert forget_pullback(one, 6).boundary != forget_pullback(one, 7).boundary
 
+    @given(
+        m=st.integers(min_value=2, max_value=3),
+        values=st.lists(st.sampled_from([0, 1, -1]), min_size=8, max_size=8),
+        k=st.integers(min_value=2, max_value=6),
+        base=st.sampled_from(["listed", "view", "dict"]),
+        x=st.dictionaries(subset_masks(6), st.sampled_from([1, -1]), max_size=4),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_glued_against_forgetful_views(self, m, values, k, base, x):
+        # the forgetful view's base is the glued view itself, its listing, or
+        # a random dict on k markings, so that both outcomes are common
+        n = 2 * m
+        glued = GluedBoundary(m, [0, 0] + values[:n - 1], [0] + values[n - 1:n + m - 1])
+        if base == "dict":
+            k = min(k, n)
+            forgetful = ForgetfulBoundary({s: v for s, v in x.items() if not s >> k}, k, n)
+        else:
+            forgetful = ForgetfulBoundary(self.listed(glued) if base == "listed" else glued, n, n)
+        expected = self.listed(glued) == self.listed(forgetful)
+        assert (glued == forgetful) is expected and (forgetful == glued) is expected
+        assert (glued != forgetful) is not expected
+
     def test_view_against_other_mappings(self):
         view = glue_pullback(gp_class(), 3).boundary
         same = ForgetfulBoundary(self.listed(view), 6, 6)
@@ -504,6 +526,26 @@ class TestSixtyFourMarkingViews:
             assert forget_pullback(on_ten, 64) == forget_pullback(forget_pullback(x, 10), 64)
             assert forget_pullback(x, 64) != forget_pullback(DivisorClassM1n(4, 0, {3: 2}), 64)
             assert forget_pullback(x, 64).boundary != forget_pullback(x, 63).boundary
+
+    def test_glued_against_forgetful_is_refused_with_the_count(self):
+        glued = glue_pullback(self.W, 32).boundary
+        forgetful = forget_pullback(DivisorClassM1n(4, 0, {3: 1}), 64).boundary
+        with wall_clock_bound(2):
+            with pytest.raises(ValueError, match=f"cannot compare {2**64 - 65} boundary entries"):
+                glued == forgetful
+            with pytest.raises(ValueError, match=f"cannot compare {2**60} boundary entries"):
+                forgetful == glued
+
+    def test_forgetful_view_of_a_glued_base_is_refused_with_the_count(self):
+        # the larger base is a glued view on 32 markings, so the smaller base
+        # forgotten to 32 markings is compared with it as a mapping
+        on_glued = forget_pullback(glue_pullback(DivisorClassMg(17, 1, 1, [1] * 8), 16), 64).boundary
+        on_four = forget_pullback(DivisorClassM1n(4, 0, {3: 1}), 64).boundary
+        with wall_clock_bound(2):
+            with pytest.raises(ValueError, match=f"cannot compare {2**28} boundary entries"):
+                on_glued == on_four
+            with pytest.raises(ValueError, match=f"cannot compare {2**28} boundary entries"):
+                on_four == on_glued
 
     def test_linear_combination_is_refused_with_the_count(self):
         with wall_clock_bound(2):

@@ -214,6 +214,13 @@ class TestExportBudget:
         assert f"export budget is {cli.EXPORT_BUDGET} boundary entries" in err
         assert f"{2 * m} markings has {entries}" in err
 
+    def test_refused_pullback_leaves_the_output_file_untouched(self, tmp_path, capsys):
+        out = tmp_path / "out.json"
+        out.write_bytes(b"kept\n")
+        assert main(["pullback", "--g", "12", "--m", "11", "--input", _genus_file(tmp_path, 12), "--output", str(out)]) == 2
+        assert "export budget" in capsys.readouterr().err
+        assert out.read_bytes() == b"kept\n"
+
     def test_admits_every_pullback_to_ten_pairs(self, tmp_path, monkeypatch):
         written = []
 

@@ -1,9 +1,15 @@
 """The class file writer: ``picard.json_text`` gives the same bytes as
 ``json.dumps(obj, indent=2, sort_keys=True) + "\\n"``, which stays here as
-the oracle, and the members table behind the boundary order."""
+the oracle, and the members table behind the boundary order.  The writer
+streams a glued view from its size rows with flat memory, and a command
+writes the same bytes to stdout as to its output file."""
 
 import json
+import random
+import sys
+import tracemalloc
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -17,12 +23,15 @@ from effcone.picard import (
     CurveProfile,
     DivisorClassM1n,
     DivisorClassMg,
+    _lex_rank,
     boundary_order,
     json_text,
     m1n_class_to_json,
+    m1n_class_from_json,
     mg_class_to_json,
     profile_to_json,
     subset_members,
+    write_json,
 )
 from effcone.scalars import Poly
 
@@ -114,3 +123,108 @@ class TestMembersTable:
     def test_high_bits(self, n):
         for mask in (1 << (n - 1), (1 << n) - 1, (1 << (n - 1)) | 1, ((1 << n) - 1) ^ (1 << (n // 2))):
             assert subset_members(mask) == members_by_bits(mask)
+
+
+COEFFICIENTS = (0, 0, 1, 1, -1, 2, Fraction(1, 2), Fraction(-3, 2))
+
+
+def _random_genus_class(rng, g):
+    """A genus-g class drawn from a few values, zeros and repeats included,
+    so that pair-union coefficients often equal the row or vanish."""
+    lam, delta_irr, *delta = (rng.choice(COEFFICIENTS) for _ in range(g // 2 + 2))
+    return DivisorClassMg(g, lam, delta_irr, delta)
+
+
+def _row_kind(view, b):
+    """How the subsets of size b get their coefficients: one row value for
+    all, the row with the unions of pairs set to another value or to zero,
+    or the unions of pairs alone."""
+    default = view._by_size[b]
+    special = view._on_pairs[b // 2] if b % 2 == 0 else default
+    if special == default:
+        return "empty" if default is None else ("default only" if b % 2 else "equal")
+    if default is None:
+        return "exceptions only"
+    return "zero exceptions" if special is None else "mixed"
+
+
+def _listed(cls):
+    """The same class with its boundary listed into a dict: the oracle's route."""
+    return DivisorClassM1n(cls.n, cls.lam, dict(cls.boundary.items()))
+
+
+class TestGluedViewWriter:
+    @pytest.mark.parametrize("m", range(2, 7))
+    def test_random_classes_match_the_listed_dict(self, m):
+        """Classes are drawn until every kind of size row has been written,
+        and at least eight of them."""
+        rng = random.Random(8000 + m)
+        wanted = {"default only", "exceptions only", "equal", "mixed", "zero exceptions"}
+        kinds = set()
+        for draw in range(200):
+            cls = glue_pullback(_random_genus_class(rng, m + 1), m)
+            kinds |= {_row_kind(cls.boundary, b) for b in range(2, 2 * m + 1)}
+            listed = m1n_class_to_json(_listed(cls))
+            lazy = m1n_class_to_json(cls)
+            assert json_text(lazy) == oracle(listed)
+            assert list(lazy["boundary"]) == listed["boundary"]
+            assert m1n_class_from_json(lazy) == cls
+            if draw >= 7 and kinds >= wanted:
+                break
+        assert kinds >= wanted
+
+    @pytest.mark.parametrize("delta_irr", [0, 1])
+    def test_every_piece_boundary(self, monkeypatch, delta_irr):
+        """Pieces of three entries split runs and exceptions everywhere."""
+        monkeypatch.setattr(picard, "_CHUNK_ENTRIES", 3)
+        cls = glue_pullback(DivisorClassMg(6, 2, delta_irr, [3, delta_irr, 5]), 5)
+        listed = m1n_class_to_json(_listed(cls))
+        pieces = []
+        write_json(m1n_class_to_json(cls), pieces.append)
+        assert "".join(pieces) == oracle(listed) == json_text(listed)
+        assert max(piece.count('"S"') for piece in pieces) <= 3
+
+    def test_lex_rank_counts_the_subsets_before(self):
+        for n in range(1, 9):
+            for size in range(1, n + 1):
+                for rank, members in enumerate(combinations(range(1, n + 1), size)):
+                    assert _lex_rank(members, n) == rank
+
+
+def _brill_noether_file(tmp_path, m):
+    """Six times the Brill-Noether slope form on genus m + 1, nonzero on
+    every row and on every union of pairs."""
+    g = m + 1
+    cls = DivisorClassMg(g, 6 * (g + 3), -(g + 1), [-6 * i * (g - i) for i in range(1, g // 2 + 1)])
+    src = tmp_path / "cls.json"
+    src.write_text(oracle(mg_class_to_json(cls)))
+    return str(src)
+
+
+class TestStreamedFile:
+    M = 9  # 2^18 - 19 entries, about 39 MiB of text
+
+    def pullback(self, tmp_path):
+        return ["pullback", "--g", str(self.M + 1), "--m", str(self.M), "--input", _brill_noether_file(tmp_path, self.M)]
+
+    def test_memory_stays_flat(self, tmp_path):
+        out = tmp_path / "pb.json"
+        args = self.pullback(tmp_path)
+        tracemalloc.start()
+        try:
+            assert main([*args, "--output", str(out)]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        size = out.stat().st_size
+        assert size > 32 * 2**20
+        assert peak < 8 * 2**20, f"traced peak {peak / 2**20:.1f} MiB for a {size / 2**20:.0f} MiB file"
+
+    def test_stdout_matches_the_output_file(self, tmp_path, monkeypatch):
+        args = self.pullback(tmp_path)
+        out, printed = tmp_path / "pb.json", tmp_path / "stdout.json"
+        assert main([*args, "--output", str(out)]) == 0
+        with open(printed, "w", encoding="utf-8") as fh:
+            monkeypatch.setattr(sys, "stdout", fh)
+            assert main(args) == 0
+        assert printed.read_bytes() == out.read_bytes()

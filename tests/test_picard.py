@@ -1,5 +1,6 @@
 """Divisor classes, profiles, the pairing, and the marking action."""
 
+import heapq
 import json
 import random
 from fractions import Fraction
@@ -264,6 +265,26 @@ class TestRepr:
             "<CurveProfile n=4 lambda=1 d0;{1, 2}: 3, d0;{1, 3}: 5, d0;{1, 4}: 9, d0;{2, 3}: 6, "
             "d0;{2, 4}: 10, d0;{3, 4}: 12, ... (11 terms)>"
         )
+
+    @staticmethod
+    def searched(cls):
+        """The text of a class with its first entries found by searching
+        every entry, as the repr did before glued views listed themselves."""
+        first = heapq.nsmallest(6, cls.boundary.items(), key=lambda kv: boundary_order(kv[0]))
+        parts = [f"d0;{set(subset_members(mask))}: {value}" for mask, value in first]
+        if len(cls.boundary) > 6:
+            parts.append(f"... ({len(cls.boundary)} terms)")
+        return f"<DivisorClassM1n n={cls.n} lambda={cls.lam} {', '.join(parts)}>"
+
+    @pytest.mark.parametrize("m", range(2, 7))
+    def test_glued_view_text_matches_the_search(self, m):
+        rng = random.Random(600 + m)
+        g = m + 1
+        for w_irr in (0, 1, Fraction(-1, 2)):
+            for _ in range(4):
+                delta = [rng.choice((0, 1, -1, w_irr)) for _ in range(g // 2)]
+                cls = glue_pullback(DivisorClassMg(g, rng.choice((0, 3)), w_irr, delta), m)
+                assert repr(cls) == self.searched(cls)
 
     def test_large_view_counts_its_terms(self):
         text = repr(glue_pullback(bn_class(6), 10))
