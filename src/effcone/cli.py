@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import re
 import sys
@@ -342,12 +343,19 @@ def property_suite(reps: int = PROPERTY_REPS) -> List[CheckRow]:
     # them and raise the peak memory of `verify all`
     del pullbacks, cls
 
-    for m in range(1, 13):
-        for i in range(m + 1):
-            family = gluing.lambda_family(i, m)
-            if len(family.sets) != binom(m, i):
-                failures["lambda_family_sizes"] += 1
-            if any(s.bit_count() != 2 * i for s in family.sets):
+    # the pair-union predicate of the gluing rule, read through ``get`` of a
+    # view that is nonzero exactly on the nonempty unions of pairs: the masks
+    # it holds on, by size, are the lambda families (i pairs at size 2i), and
+    # none has odd size
+    for m in range(1, 7):
+        view = gluing.GluedBoundary(m, [0] * (2 * m + 1), [0] + [1] * m)
+        unions = [[] for _ in range(2 * m + 1)]
+        for mask in range(1 << 2 * m):
+            if view.get(mask) is not None:
+                unions[mask.bit_count()].append(mask)
+        for size, found in enumerate(unions[1:], 1):
+            family = gluing.lambda_family(size >> 1, m).sets if size % 2 == 0 else ()
+            if tuple(found) != family:
                 failures["lambda_family_sizes"] += 1
 
     for _ in range(reps):
@@ -561,11 +569,18 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:
-        return args.run(args)
+        code = args.run(args)
+        sys.stdout.flush()
+        return code
     # InputError, MarkingIndexError, SpaceMismatchError; a refused budget
     except (ValueError, gonal.ResourceGuardError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the reader closed stdout early (``| head``): what is still buffered
+        # goes to devnull, so that the flush at exit raises nothing
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":

@@ -13,18 +13,17 @@ read-only, zero-pruned mapping view that computes each coefficient from a
 rule (the pullbacks of :mod:`.gluing`); readers use ``get``, ``items`` and
 ``len`` and never mutate it.
 
-Serialized classes and profiles list their boundary entries by subset size,
-then by sorted members.  A view that lists itself in that order
-(``size_rows``, the gluing pullback) is serialized lazily and never sorted;
-a dict, or any other view, is sorted once into a list.  One writer,
-:func:`write_json`, streams the canonical indented, sorted-key JSON text a
-bounded piece at a time, so its memory does not grow with the entry count;
-:func:`json_text` is the same text as one string.
+Files and reprs list boundary entries by subset size, then by sorted
+members, all through :func:`_entries`: a view that lists itself in that
+order (``size_rows``, the gluing pullback) is walked, never sorted, and
+serialized lazily; a dict, or any other view, is sorted once into a list.
+One writer, :func:`write_json`, streams the canonical indented, sorted-key
+JSON text a bounded piece at a time, so its memory does not grow with the
+entry count; :func:`json_text` is the same text as one string.
 """
 
 from __future__ import annotations
 
-import heapq
 import json
 from itertools import combinations, islice, repeat
 from math import comb
@@ -147,18 +146,11 @@ _REPR_ENTRIES = 6
 
 
 def _sparse_repr(mapping: Mapping[int, Scalar]) -> str:
-    """The first ``_REPR_ENTRIES`` entries in boundary order, which are not looked
-    for past EXPORT_BUDGET entries, and the count (``len()`` refuses 2^63 and up).
-    A view that lists itself in order gives its first entries; other mappings
-    are searched whole."""
+    """The first ``_REPR_ENTRIES`` entries of :func:`_entries`, which are not
+    listed past EXPORT_BUDGET entries, and the count (``len()`` refuses 2^63
+    and up)."""
     count = mapping.__len__()
-    if count > EXPORT_BUDGET:
-        first = ()
-    elif hasattr(mapping, "size_rows"):
-        first = islice(_entries(mapping), _REPR_ENTRIES)
-    else:
-        found = heapq.nsmallest(_REPR_ENTRIES, mapping.items(), key=lambda kv: boundary_order(kv[0]))
-        first = [(subset_members(mask), value) for mask, value in found]
+    first = islice(_entries(mapping), _REPR_ENTRIES) if count <= EXPORT_BUDGET else ()
     parts = [f"d0;{set(members)}: {v}" for members, v in first]
     if count > _REPR_ENTRIES:
         parts.append(f"... ({count} terms)")
@@ -449,19 +441,29 @@ def _runs(rows: Iterable[tuple], labels: Sequence) -> Iterator[tuple]:
             yield default, walk
 
 
-def _entries(view: Mapping[int, Scalar]) -> Iterator[tuple]:
-    """``(members, value)`` of each nonzero entry of a view on ``view.n``
-    markings that lists itself in boundary order."""
-    for value, members in _runs(view.size_rows(), range(view.n + 1)):
-        for subset in members:
-            yield subset, value
+def _entries(mapping: Mapping[int, Scalar]) -> Iterator[tuple]:
+    """``(members, value)`` of each nonzero entry of a mapping, in boundary
+    order.  A view that has ``size_rows`` (on ``mapping.n`` markings) is
+    walked run by run; any other mapping is sorted once, by members within
+    each size, which keeps the sort keys flat tuples of ints."""
+    if hasattr(mapping, "size_rows"):
+        for value, members in _runs(mapping.size_rows(), range(mapping.n + 1)):
+            for subset in members:
+                yield subset, value
+        return
+    by_size: Dict[int, list] = {}
+    for mask, value in mapping.items():
+        size, members = boundary_order(mask)
+        by_size.setdefault(size, []).append((members, value))
+    for size in sorted(by_size):
+        yield from sorted(by_size[size], key=itemgetter(0))
 
 
 class _Listing:
-    """The serialized boundary entries of a view that lists itself in
-    boundary order, built lazily: iterating yields the same ``{"S",
-    "coeff"}`` dicts as the list of a dict, one at a time, and
-    :func:`write_json` renders the view's runs straight to text."""
+    """The serialized boundary entries of a mapping: iterating yields the
+    ``{"S", "coeff"}`` dict of each entry of :func:`_entries`, the only place
+    such dicts are built.  :func:`write_json` renders a listing of a view
+    that has ``size_rows`` straight from the view's runs instead."""
 
     __slots__ = ("view",)
 
@@ -481,26 +483,10 @@ class _Listing:
 
 
 def _boundary_to_json(mapping: Mapping[int, Scalar]):
-    """Entries in boundary order, each distinct coefficient serialized once.
-    A view that has ``size_rows`` lists itself in that order, and gets a lazy
-    :class:`_Listing`.  Other mappings give a list, sorted once; sorting the
-    members within each size keeps the sort keys flat tuples of ints, which
-    compare fastest."""
-    if hasattr(mapping, "size_rows"):
-        return _Listing(mapping)
-    by_size: Dict[int, list] = {}
-    for mask, value in mapping.items():
-        size, members = boundary_order(mask)
-        by_size.setdefault(size, []).append((members, value))
-    texts: dict = {}
-    out = []
-    for size in sorted(by_size):
-        for members, value in sorted(by_size[size], key=itemgetter(0)):
-            text = texts.get(value)
-            if text is None:
-                text = texts[value] = scalar_to_json(value)
-            out.append({"S": list(members), "coeff": text if type(text) is str else list(text)})
-    return out
+    """The :class:`_Listing` of a mapping: lazy for a view that has
+    ``size_rows``, and a plain list for anything else."""
+    listing = _Listing(mapping)
+    return listing if hasattr(mapping, "size_rows") else list(listing)
 
 
 def _boundary_from_json(entries, n: int) -> Dict[int, Scalar]:
@@ -546,12 +532,23 @@ def _space(obj: dict, kind: str, key: str, what: str) -> int:
     """The size ``key`` (``n`` or ``g``) of the space of a serialized
     ``what``, which must live on a space of type ``kind``."""
     space = obj["space"]
+    if type(space) is not dict:
+        raise ValueError(f"space must be a JSON object, got {type(space).__name__}")
     if space.get("type") != kind:
         raise ValueError(f"expected an {kind} {what}, got space {space!r}")
     size = space[key]
     if type(size) is not int:
         raise ValueError(f"space {key} must be an integer, got {size!r}")
     return size
+
+
+def _array(obj: dict, key: str):
+    """``obj[key]``, which must be a JSON array; the lazy :class:`_Listing`
+    of a serialized view stands for the array it lists."""
+    value = obj[key]
+    if type(value) is not list and type(value) is not _Listing:
+        raise ValueError(f"{key} must be a JSON array, got {type(value).__name__}")
+    return value
 
 
 def m1n_class_to_json(cls: DivisorClassM1n) -> dict:
@@ -565,7 +562,7 @@ def m1n_class_to_json(cls: DivisorClassM1n) -> dict:
 def m1n_class_from_json(obj: dict) -> DivisorClassM1n:
     n = _space(obj, "M1n", "n", "class")
     _check_n(n)
-    return DivisorClassM1n._trusted(n, scalar_from_json(obj["lambda"]), _boundary_from_json(obj["boundary"], n))
+    return DivisorClassM1n._trusted(n, scalar_from_json(obj["lambda"]), _boundary_from_json(_array(obj, "boundary"), n))
 
 
 def profile_to_json(profile: CurveProfile) -> dict:
@@ -579,7 +576,7 @@ def profile_to_json(profile: CurveProfile) -> dict:
 def profile_from_json(obj: dict) -> CurveProfile:
     n = _space(obj, "M1n", "n", "profile")
     _check_n(n)
-    return CurveProfile._trusted(n, scalar_from_json(obj["on_lambda"]), _boundary_from_json(obj["on_boundary"], n))
+    return CurveProfile._trusted(n, scalar_from_json(obj["on_lambda"]), _boundary_from_json(_array(obj, "on_boundary"), n))
 
 
 def mg_class_to_json(cls: DivisorClassMg) -> dict:
@@ -596,7 +593,7 @@ def mg_class_from_json(obj: dict) -> DivisorClassMg:
         _space(obj, "Mg", "g", "class"),
         scalar_from_json(obj["lambda"]),
         scalar_from_json(obj["delta_irr"]),
-        [scalar_from_json(c) for c in obj["delta"]],
+        [scalar_from_json(c) for c in _array(obj, "delta")],
     )
 
 

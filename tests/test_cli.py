@@ -357,6 +357,57 @@ class TestPropertySuiteListing:
         assert listed[12] == 1 and listed[8] == 1
 
 
+class TestLambdaFamilyRow:
+    """``properties/lambda_family_sizes`` reads the pair-union predicate
+    through ``GluedBoundary.get``, so a skewed predicate fails the row once
+    for each pair count m = 2..6 it shows at."""
+
+    @pytest.mark.parametrize(
+        "mask, value",
+        [(0b0110, 1), (0b1111, None)],
+        ids=["{2, 3} read as a union of pairs", "{1, 2, 3, 4} read as none"],
+    )
+    def test_a_skewed_get_fails_the_row(self, monkeypatch, mask, value):
+        honest = GluedBoundary.get
+
+        def skewed(self, asked, default=None):
+            if asked == mask:
+                return default if value is None else value
+            return honest(self, asked, default)
+
+        monkeypatch.setattr(GluedBoundary, "get", skewed)
+        rows = {row.check: row for row in cli.property_suite(reps=1)}
+        assert rows["lambda_family_sizes"].actual == "5 failures"
+
+
+class TestClosedStdout:
+    """A reader that stops after the first line (``| head -1``) ends the
+    command with exit 1 and nothing on stderr: no traceback, and no
+    "Exception ignored" from the flush at exit."""
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["pullback", "--g", "9", "--m", "8", "--input", "bn5.json"],
+            ["export", "--name", "profile-gonal(7)"],
+        ],
+    )
+    def test_no_traceback(self, tmp_path, args):
+        assert main(["export", "--name", "bn(5)", "--output", str(tmp_path / "bn5.json")]) == 0
+        env = {**os.environ, "PYTHONPATH": str(Path(effcone.__file__).resolve().parents[1])}
+        read_end, write_end = os.pipe()
+        with subprocess.Popen(
+            [sys.executable, "-m", "effcone.cli", *args],
+            cwd=tmp_path, env=env, stdout=write_end, stderr=subprocess.PIPE,
+        ) as child:
+            os.close(write_end)
+            with open(read_end, "rb") as out:
+                first = out.readline()
+            _, err = child.communicate(timeout=60)
+        assert first == b"{\n"
+        assert child.returncode == 1 and err == b""
+
+
 # Runs in a fresh interpreter: imports effcone.cli, runs each command line
 # given as JSON through main(), and prints the exit code and which of
 # HEAVY are loaded after each.

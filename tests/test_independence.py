@@ -117,3 +117,13 @@ class TestHodgeRoutes:
 
     def test_the_noether_route_is_seen_to_use_them(self):
         assert self.NOETHER_ROUTE <= _local_closure("chow.family_invariants", "hodge_lambda")
+
+
+class TestLambdaFamily:
+    def test_reaches_nothing_of_the_glued_view(self):
+        glued = {"gluing.GluedBoundary"} | reach("gluing.GluedBoundary")
+        assert reach("gluing.lambda_family") & glued == set()
+
+    def test_the_row_is_seen_to_use_both(self):
+        # the walk is not vacuous: the property suite compares the two
+        assert {"gluing.GluedBoundary", "gluing.lambda_family"} <= reach("cli.property_suite")

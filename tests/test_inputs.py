@@ -284,3 +284,51 @@ class TestExportNames:
         assert main(["export", "--name", name]) == 2
         out, err = capsys.readouterr()
         assert out == "" and err.startswith(f"error: unknown corpus item {name!r}")
+
+
+class TestJsonKinds:
+    """``space`` is a JSON object, and ``delta``, ``boundary`` and
+    ``on_boundary`` are JSON arrays: a string there is not read character by
+    character, nor an object key by key."""
+
+    @pytest.mark.parametrize("space", [5, ["M1n"], "M1n", None])
+    def test_space(self, files, capsys, space):
+        _intersect_fails(capsys, files.write("p.json", {**files.prof, "space": space}), files.cls_path)
+        _intersect_fails(capsys, files.prof_path, files.write("c.json", {**files.cls, "space": space}))
+
+    @pytest.mark.parametrize("obj", [[], 5, "M1n", None])
+    def test_file_is_an_object(self, files, capsys, obj):
+        _intersect_fails(capsys, files.write("p.json", obj), files.cls_path)
+        _intersect_fails(capsys, files.prof_path, files.write("c.json", obj))
+
+    NOT_ARRAYS = [{}, "", "12", {"S": [1, 2], "coeff": "1"}, None, 0]
+
+    @pytest.mark.parametrize("entries", NOT_ARRAYS)
+    def test_profile_entries(self, files, capsys, entries):
+        bad = files.write("bad.json", {**files.prof, "on_boundary": entries})
+        _intersect_fails(capsys, bad, files.cls_path)
+
+    @pytest.mark.parametrize("entries", NOT_ARRAYS)
+    def test_class_entries(self, files, capsys, entries):
+        bad = files.write("bad.json", {**files.cls, "boundary": entries})
+        _intersect_fails(capsys, files.prof_path, bad)
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("delta", "46"), ("delta", {"-4": 1, "-6": 2}), ("space", 5), ("space", ["Mg"])],
+    )
+    def test_genus_class(self, tmp_path, capsys, key, value):
+        path = tmp_path / "bn3.json"
+        assert main(["export", "--name", "bn(3)", "--output", str(path)]) == 0
+        obj = json.loads(path.read_text())
+        path.write_text(json.dumps({**obj, key: value}))
+        assert main(["pullback", "--g", "5", "--m", "4", "--input", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and "Traceback" not in err
+        assert f"{key} must be a JSON " in err
+
+    def test_a_glued_listing_still_reads_back(self):
+        cls = glue_pullback(DivisorClassMg(5, 1, 2, [3, -4]), 4)
+        obj = picard.m1n_class_to_json(cls)
+        assert type(obj["boundary"]) is picard._Listing
+        assert picard.m1n_class_from_json(obj) == cls

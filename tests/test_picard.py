@@ -34,7 +34,7 @@ from effcone.picard import (
     subset_mask,
     subset_members,
 )
-from effcone.scalars import Poly, canon
+from effcone.scalars import Poly, canon, scalar_to_json
 
 
 def d0(n, *members):
@@ -409,6 +409,36 @@ def _sources(n, rng):
         m = n // 2
         w_irr = 0 if n == 20 else rat()
         yield "glued", glue_pullback(DivisorClassMg(m + 1, rat(), w_irr, [rat() for _ in range((m + 1) // 2)]), m)
+
+
+def _sorted_entries(boundary):
+    """Reference: every entry sorted by ``boundary_order`` and serialized on
+    its own."""
+    ordered = sorted(boundary.items(), key=lambda kv: boundary_order(kv[0]))
+    return [{"S": list(subset_members(mask)), "coeff": scalar_to_json(value)} for mask, value in ordered]
+
+
+class TestOneListing:
+    """The repr and the serialized entries of a dict, a forgetful view and a
+    glued view come from one listing: each is checked against a search or a
+    sort of every entry.  Only a glued view serializes lazily."""
+
+    @pytest.mark.parametrize("n", [3, 8, 9, 16])
+    def test_reprs_and_entries(self, n):
+        rng = random.Random(700 + n)
+        for kind, cls in _sources(n, rng):
+            assert repr(cls) == TestRepr.searched(cls), kind
+            entries = m1n_class_to_json(cls)["boundary"]
+            assert (type(entries) is list) == (kind != "glued"), kind
+            assert list(entries) == _sorted_entries(cls.boundary), kind
+
+    def test_polynomial_values_are_separate_lists(self):
+        value = Poly((1, -2))
+        cls = DivisorClassM1n(5, 0, {0b10101: value, 0b00011: value, 0b01100: 3, 0b11000: value})
+        entries = m1n_class_to_json(cls)["boundary"]
+        assert entries == _sorted_entries(cls.boundary)
+        entries[0]["coeff"].append("9")
+        assert entries[1:] == _sorted_entries(cls.boundary)[1:]
 
 
 class TestPermutationPipeline:
