@@ -15,7 +15,7 @@ import json
 from dataclasses import dataclass, replace
 from typing import Sequence, Tuple
 
-from .gluing import forget_pullback, glue_pullback
+from .gluing import forget_pullback, glue_pullback, pushforward_profile
 from .picard import (
     CurveProfile,
     DivisorClassM1n,
@@ -118,16 +118,22 @@ def lift(cert: Certificate, n: int) -> Certificate:
     """Lift a certificate along the map forgetting markings beyond cert.n.
 
     The divisor is replaced by its forgetful pullback and the profile by the
-    canonical lift supported on subsets of the original markings, whose
-    pushforward is the original profile; the pairing is recomputed and must
-    be preserved exactly.
+    canonical lift supported on subsets of the original markings.  The lift
+    must push forward to the original profile (the projection formula), and
+    the recomputed pairing must be preserved exactly; either failure raises
+    ``ArithmeticError``.
     """
     if n < cert.n:
         raise ValueError(f"cannot lift a certificate on {cert.n} markings down to {n}")
     if n == cert.n:
         return cert
     pullback = forget_pullback(cert.pullback, n)
-    profile = CurveProfile(n, cert.profile.on_lambda, cert.profile.on_boundary)
+    # the original masks lie in 1..cert.n, so the checked mapping is shared
+    profile = CurveProfile._trusted(n, cert.profile.on_lambda, cert.profile.on_boundary)
+    if pushforward_profile(profile, cert.n) != cert.profile:
+        raise ArithmeticError(
+            f"lifted profile on {n} markings does not push forward to the original on {cert.n}"
+        )
     value = _constant_pairing(pair(profile, pullback))
     if value != cert.pairing:
         raise ArithmeticError(

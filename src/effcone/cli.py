@@ -485,7 +485,10 @@ def _cmd_export(args) -> int:
     if name in _EXPORTERS:
         obj = _EXPORTERS[name]()
     elif match := re.fullmatch(r"bn\(([0-9]+)\)", name):
-        obj = picard.mg_class_to_json(corpus.bn_class(int(match.group(1))))
+        d = int(match.group(1))
+        if d >= 3:  # its gluing pullback lands on 4d - 4 markings
+            picard._check_n(4 * d - 4)
+        obj = picard.mg_class_to_json(corpus.bn_class(d))
     elif match := re.fullmatch(r"profile-gonal\(([0-9]+)\)", name):
         d = int(match.group(1))
         _check_gonal_budget(d)

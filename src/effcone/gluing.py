@@ -37,14 +37,14 @@ asked for: a pairing reads the profile support and nothing else.  ``len``
 is counted combinatorially; iterating the view (equality, relabeling,
 linear combination) lists its nonzero coefficients in one pass.  A glued
 view also lists itself in boundary order for export, one subset size at a
-time: a default coefficient for the size and the few unions of pairs that
-differ from it (``size_rows``), so no entry is sorted.
+time: the row value of the size, with the few unions of pairs that differ
+from it spliced in at their ranks (``runs``), so no entry is sorted.
 """
 
 from __future__ import annotations
 
 from collections.abc import Mapping
-from itertools import combinations
+from itertools import combinations, islice
 from typing import Dict, Iterator, List, NamedTuple, Sequence, Tuple
 
 from .picard import (
@@ -54,6 +54,7 @@ from .picard import (
     SpaceMismatchError,
     _check_listing_budget,
     _check_n,
+    _lex_rank,
     full_mask,
 )
 from .scalars import Scalar, binom, canon
@@ -166,23 +167,35 @@ class GluedBoundary(_CoefficientView):
             count += binom(m, k) * ((on_pairs[k] is not None) - (by_size[2 * k] is not None))
         return count
 
-    def size_rows(self) -> Iterator[Tuple[int, Scalar | None, list]]:
-        """For each size b from 2 to 2m: ``(b, row[b], exceptions)``, where
-        ``exceptions`` lists ``(members, value)`` for the unions of b/2 pairs
-        in boundary order when their coefficient differs from ``row[b]``
-        (None stands for zero).  Unions of pairs in the order of their pair
-        indices are in the order of their members."""
-        m, by_size, on_pairs = self.m, self._by_size, self._on_pairs
-        for b in range(2, 2 * m + 1):
+    def runs(self, labels: Sequence) -> Iterator[Tuple[Scalar, Iterator[tuple]]]:
+        """The nonzero entries in boundary order, as runs ``(value, members)``
+        of one coefficient: ``members`` iterates the subsets of the run once,
+        as tuples of labels, ``labels[i]`` standing for marking i.  The row
+        value of a size is walked with ``combinations``, which yields the
+        subsets already in boundary order, and each union of pairs whose
+        value differs is spliced in at its rank; unions listed by their pair
+        indices come in the order of their members.  The runs of one size
+        share the walk, so each must be drawn to its end before the next."""
+        m, n, by_size, on_pairs = self.m, self.n, self._by_size, self._on_pairs
+        markings = labels[1:n + 1]
+        for b in range(2, n + 1):
             default = by_size[b]
-            exceptions = []
-            if b % 2 == 0 and on_pairs[b >> 1] != default:
-                value = on_pairs[b >> 1]
-                exceptions = [
-                    (tuple(i for k in pairs for i in (2 * k - 1, 2 * k)), value)
-                    for pairs in combinations(range(1, m + 1), b >> 1)
-                ]
-            yield b, default, exceptions
+            special = on_pairs[b >> 1] if b % 2 == 0 else default
+            if default is not None:
+                walk = combinations(markings, b)
+                done = 0
+            if special != default:
+                for pairs in combinations(range(1, m + 1), b >> 1):
+                    members = tuple(i for k in pairs for i in (2 * k - 1, 2 * k))
+                    if default is not None:
+                        rank = _lex_rank(members, n)
+                        yield default, islice(walk, rank - done)
+                        next(walk)
+                        done = rank + 1
+                    if special is not None:
+                        yield special, iter((tuple(map(labels.__getitem__, members)),))
+            if default is not None:
+                yield default, walk
 
     def items(self) -> Iterator[Tuple[int, Scalar]]:
         odd, by_size, on_pairs = self._odd, self._by_size, self._on_pairs
@@ -272,15 +285,18 @@ def pushforward_profile(profile: CurveProfile, m: int) -> CurveProfile:
     markings."""
     if m > profile.n:
         raise ValueError(f"target marking count {m} exceeds {profile.n}")
+    _check_n(m)
     low = full_mask(m)
     out: Dict[int, Scalar] = {}
     for t, value in profile.on_boundary.items():
-        s = t & low
+        s = t & low if t > low else t  # a subset of 1..m is kept, not copied
         if s.bit_count() < 2:
             raise ValueError(
                 f"profile mass on {t:b} meets the retained markings in fewer than two points"
             )
-        out[s] = out.get(s, 0) + value
-    out = {k: canon(v) for k, v in out.items()}
-    out = {k: v for k, v in out.items() if v != 0}
-    return CurveProfile(m, profile.on_lambda, out)
+        old = out.get(s)
+        out[s] = value if old is None else canon(old + value)
+    for s in [s for s, value in out.items() if value == 0]:
+        del out[s]
+    # keys are subsets of 1..m with at least two markings, values canonical
+    return CurveProfile._trusted(m, profile.on_lambda, out)

@@ -15,7 +15,7 @@ rule (the pullbacks of :mod:`.gluing`); readers use ``get``, ``items`` and
 
 Files and reprs list boundary entries by subset size, then by sorted
 members, all through :func:`_entries`: a view that lists itself in that
-order (``size_rows``, the gluing pullback) is walked, never sorted, and
+order (``runs``, the gluing pullback) is walked, never sorted, and
 serialized lazily; a dict, or any other view, is sorted once into a list.
 One writer, :func:`write_json`, streams the canonical indented, sorted-key
 JSON text a bounded piece at a time, so its memory does not grow with the
@@ -25,7 +25,7 @@ entry count; :func:`json_text` is the same text as one string.
 from __future__ import annotations
 
 import json
-from itertools import combinations, islice, repeat
+from itertools import islice, repeat
 from math import comb
 from operator import and_, itemgetter, or_, rshift
 from typing import Callable, Dict, Iterable, Iterator, Mapping, Sequence, Tuple
@@ -416,38 +416,13 @@ def _lex_rank(members: Tuple[int, ...], n: int) -> int:
     return rank
 
 
-def _runs(rows: Iterable[tuple], labels: Sequence) -> Iterator[tuple]:
-    """The entries of a view's size rows in boundary order, as runs ``(value,
-    members)`` of one coefficient: ``members`` iterates the subsets of the
-    run once, as tuples of labels, ``labels[i]`` standing for marking i of
-    1..n, with n = len(labels) - 1.  The default of a size is walked with
-    ``combinations``, which yields the subsets already in boundary order, and
-    each exception is spliced in at its rank.  The runs of one size share the
-    walk, so each must be drawn to its end before the next is drawn."""
-    n = len(labels) - 1
-    for size, default, exceptions in rows:
-        if default is not None:
-            walk = combinations(labels[1:], size)
-            done = 0
-        for members, value in exceptions:
-            if default is not None:
-                rank = _lex_rank(members, n)
-                yield default, islice(walk, rank - done)
-                next(walk)
-                done = rank + 1
-            if value is not None:
-                yield value, iter((tuple(map(labels.__getitem__, members)),))
-        if default is not None:
-            yield default, walk
-
-
 def _entries(mapping: Mapping[int, Scalar]) -> Iterator[tuple]:
     """``(members, value)`` of each nonzero entry of a mapping, in boundary
-    order.  A view that has ``size_rows`` (on ``mapping.n`` markings) is
-    walked run by run; any other mapping is sorted once, by members within
-    each size, which keeps the sort keys flat tuples of ints."""
-    if hasattr(mapping, "size_rows"):
-        for value, members in _runs(mapping.size_rows(), range(mapping.n + 1)):
+    order.  A view that has ``runs`` is walked run by run; any other mapping
+    is sorted once, by members within each size, which keeps the sort keys
+    flat tuples of ints."""
+    if hasattr(mapping, "runs"):
+        for value, members in mapping.runs(range(mapping.n + 1)):
             for subset in members:
                 yield subset, value
         return
@@ -463,7 +438,7 @@ class _Listing:
     """The serialized boundary entries of a mapping: iterating yields the
     ``{"S", "coeff"}`` dict of each entry of :func:`_entries`, the only place
     such dicts are built.  :func:`write_json` renders a listing of a view
-    that has ``size_rows`` straight from the view's runs instead."""
+    that has ``runs`` straight from those runs instead."""
 
     __slots__ = ("view",)
 
@@ -484,9 +459,9 @@ class _Listing:
 
 def _boundary_to_json(mapping: Mapping[int, Scalar]):
     """The :class:`_Listing` of a mapping: lazy for a view that has
-    ``size_rows``, and a plain list for anything else."""
+    ``runs``, and a plain list for anything else."""
     listing = _Listing(mapping)
-    return listing if hasattr(mapping, "size_rows") else list(listing)
+    return listing if hasattr(mapping, "runs") else list(listing)
 
 
 def _boundary_from_json(entries, n: int) -> Dict[int, Scalar]:
@@ -612,15 +587,14 @@ def _coeff_text(coeff) -> str:
 def _entry_pieces(entries) -> Iterator[str]:
     """The rendered boundary entries in pieces of at most ``_CHUNK_ENTRIES``
     entries, to be joined by ``",\\n"``; each distinct coefficient is encoded
-    once.  A lazy listing is rendered a run at a time: the entries of a run
-    share their coefficient, so the text between two member lists is one
-    constant and a piece is one ``join``, with no Python code per entry.  A
-    list is rendered one entry dict at a time."""
+    once.  A listing of a view that has ``runs`` is rendered a run at a time:
+    the entries of a run share their coefficient, so the text between two
+    member lists is one constant and a piece is one ``join``, with no Python
+    code per entry.  Any other listing is rendered one entry dict at a time."""
     texts: dict = {}
-    if type(entries) is _Listing:
+    if type(entries) is _Listing and hasattr(entries.view, "runs"):
         head, middle, end = _ENTRY.split("%s")
-        view = entries.view
-        for value, members in _runs(view.size_rows(), _MARKING_LINES[:view.n + 1]):
+        for value, members in entries.view.runs(_MARKING_LINES):
             text = texts.get(value)
             if text is None:
                 text = texts[value] = _coeff_text(scalar_to_json(value))

@@ -2,6 +2,7 @@
 
 import pytest
 
+from effcone import certify as certify_module
 from effcone.certify import (
     ASSERTION_STATUS,
     INFERENCE_RULE,
@@ -115,6 +116,19 @@ class TestLift:
     def test_lifted_profile_is_supported_on_the_original_markings(self):
         lifted = lift(trigonal_certificate(), 11)
         assert all(mask < (1 << 8) for mask in lifted.profile.on_boundary)
+
+    def test_lift_checks_the_projection_formula(self, monkeypatch):
+        """A pushforward that moves the lifted profile off the original
+        makes the lift an internal consistency failure."""
+        pushforward = certify_module.pushforward_profile
+
+        def skewed(profile, m):
+            out = pushforward(profile, m)
+            return CurveProfile(m, out.on_lambda + 1, out.on_boundary)
+
+        monkeypatch.setattr(certify_module, "pushforward_profile", skewed)
+        with pytest.raises(ArithmeticError, match="does not push forward"):
+            lift(trigonal_certificate(), 10)
 
 
 class TestSerialization:

@@ -16,6 +16,7 @@ from effcone.cli import CheckRow, emit_report, main
 from effcone.gluing import GluedBoundary, glue_pullback
 from effcone.picard import m1n_class_from_json, subset_mask
 from effcone.scalars import scalar_to_json
+from test_gluing import wall_clock_bound
 
 
 @pytest.fixture()
@@ -179,6 +180,14 @@ class TestExportCommand:
     def test_bad_parameter(self, capsys):
         assert main(["export", "--name", "bn(2)"]) == 2
 
+    @pytest.mark.parametrize("d", [18, 60000])
+    def test_bn_past_64_markings_is_refused_before_it_is_built(self, capsys, d):
+        """bn(d) pulls back to 4d - 4 markings, so d >= 18 has no pullback
+        any command can take; bn(60000) alone takes seconds to build."""
+        with wall_clock_bound(2):
+            assert main(["export", "--name", f"bn({d})"]) == 2
+        assert f"marking count must be in 2..64, got {4 * d - 4}" in capsys.readouterr().err
+
     def test_export_is_deterministic(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         assert main(["export", "--name", "profile-gonal(4)", "--output", str(a)]) == 0
@@ -216,6 +225,22 @@ class TestInternalFailures:
     def test_certificate_refused(self, capsys, monkeypatch):
         error = certify.CertificateRefused("pairing 1 is nonnegative; no extremality certificate", 1)
         self._fails_once(capsys, monkeypatch, certify, "certify", error, "certify")
+
+    def test_lift_that_breaks_the_projection_formula(self, capsys, monkeypatch):
+        pushforward = certify.pushforward_profile
+
+        def skewed(profile, m):
+            out = pushforward(profile, m)
+            return picard.CurveProfile(m, out.on_lambda, {**out.on_boundary, 3: 7})
+
+        monkeypatch.setattr(certify, "pushforward_profile", skewed)
+        assert main(["verify", "certify", "--json", *self.SMALL]) == 1
+        checks = json.loads(capsys.readouterr().out)["checks"]
+        failing = [row for row in checks if row["status"] == "fail"]
+        assert [row["check"] for row in failing] == ["internal_error"]
+        assert "does not push forward" in failing[0]["actual"]
+        assert main(["verify", "certify"]) == 1
+        assert "FAIL  certify/internal_error" in capsys.readouterr().out
 
     def test_usage_errors_still_exit_two(self, capsys):
         assert main(["verify", "gonal", "--max-d", "2"]) == 2

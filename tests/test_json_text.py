@@ -1,9 +1,11 @@
 """The class file writer: ``picard.json_text`` gives the same bytes as
 ``json.dumps(obj, indent=2, sort_keys=True) + "\\n"``, which stays here as
 the oracle, and the members table behind the boundary order.  The writer
-streams a glued view from its size rows with flat memory, and a command
+streams a glued view from its runs with flat memory, and a command
 writes the same bytes to stdout as to its output file."""
 
+import ast
+import inspect
 import json
 import random
 import sys
@@ -16,13 +18,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import rationals
-from effcone import picard
+from effcone import gluing, picard
 from effcone.cli import _EXPORTERS, main
-from effcone.gluing import glue_pullback
+from effcone.gluing import GluedBoundary, glue_pullback
 from effcone.picard import (
     CurveProfile,
     DivisorClassM1n,
     DivisorClassMg,
+    _Listing,
     _lex_rank,
     boundary_order,
     json_text,
@@ -30,10 +33,11 @@ from effcone.picard import (
     m1n_class_from_json,
     mg_class_to_json,
     profile_to_json,
+    subset_mask,
     subset_members,
     write_json,
 )
-from effcone.scalars import Poly
+from effcone.scalars import Poly, canon
 
 
 def oracle(obj) -> str:
@@ -189,6 +193,56 @@ class TestGluedViewWriter:
             for size in range(1, n + 1):
                 for rank, members in enumerate(combinations(range(1, n + 1), size)):
                     assert _lex_rank(members, n) == rank
+
+
+class TestRuns:
+    """``GluedBoundary.runs`` against the ``items`` route, which reads the
+    pair-union predicate on every mask: the two listings agree entry for
+    entry in boundary order."""
+
+    KINDS = {"default only", "exceptions only", "equal", "mixed", "zero exceptions", "empty"}
+
+    @staticmethod
+    def _random_view(rng, m):
+        """Row values and pair-union values drawn independently from a few
+        values, zeros and repeats included."""
+        row = [0, 0] + [rng.choice(COEFFICIENTS) for _ in range(2, 2 * m + 1)]
+        on_pairs = [rng.choice(COEFFICIENTS) for _ in range(m + 1)]
+        return GluedBoundary(m, row, [canon(on_pairs[k] - row[2 * k]) for k in range(m + 1)])
+
+    @pytest.mark.parametrize("m", range(1, 7))
+    def test_runs_list_the_items_in_boundary_order(self, m):
+        rng = random.Random(9000 + m)
+        all_zero = GluedBoundary(m, [0] * (2 * m + 1), [0] * (m + 1))
+        # a zero delta_irr coefficient: the unions of pairs alone
+        pairs_only = GluedBoundary(m, [0] * (2 * m + 1), range(m + 1))
+        views = [all_zero, pairs_only] + [self._random_view(rng, m) for _ in range(40)]
+        kinds = set()
+        for view in views:
+            kinds |= {_row_kind(view, b) for b in range(2, 2 * m + 1)}
+            listed = [(subset_mask(s, 2 * m), v) for v, ms in view.runs(range(65)) for s in ms]
+            assert listed == sorted(view.items(), key=lambda kv: boundary_order(kv[0]))
+        # one subset size, two markings: no size holds subsets other than unions
+        assert kinds == (self.KINDS - {"default only"} if m == 1 else self.KINDS)
+
+    def test_runs_read_neither_get_items_nor_the_predicate(self):
+        """The writer tests compare ``runs`` with the ``items`` route, which
+        means something only while ``runs`` never reads ``get``, ``items``
+        or the odd-marking mask of the pair-union predicate."""
+        tree = ast.parse(inspect.getsource(gluing))
+        view = next(n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "GluedBoundary")
+        runs = next(n for n in view.body if isinstance(n, ast.FunctionDef) and n.name == "runs")
+        names = {n.attr for n in ast.walk(runs) if isinstance(n, ast.Attribute)}
+        names |= {n.id for n in ast.walk(runs) if isinstance(n, ast.Name)}
+        assert names.isdisjoint({"get", "items", "_odd"})
+        assert {"_by_size", "_on_pairs"} <= names
+
+
+class TestListingOfADict:
+    def test_a_listing_of_a_dict_is_written_entry_by_entry(self):
+        boundary = {0b111: Poly((1, 2)), 0b011: Fraction(-1, 2), 0b101: 3, 0b110: 3}
+        obj = {"space": {"type": "M1n", "n": 3}, "lambda": "0", "boundary": _Listing(boundary)}
+        assert json_text(obj) == oracle({**obj, "boundary": list(_Listing(boundary))})
 
 
 def _brill_noether_file(tmp_path, m):
