@@ -17,6 +17,7 @@ error in a suite is one), 2 on usage or input errors and on a refused budget.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import random
@@ -404,7 +405,7 @@ SUITES: Dict[str, Callable[[argparse.Namespace], List[CheckRow]]] = {
 def _load_json(path: str):
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
     try:
         return json.loads(text)
@@ -412,6 +413,8 @@ def _load_json(path: str):
         raise InputError(
             f"{path}: malformed JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from exc
+    except RecursionError as exc:
+        raise InputError(f"{path}: JSON nested too deeply to read: {exc}") from exc
 
 
 def _dump_json(obj, output: str | None) -> None:
@@ -427,12 +430,25 @@ def _dump_json(obj, output: str | None) -> None:
 
 def _read(path: str, parse, what: str):
     """Parse the JSON file at ``path`` with ``parse``; a file that does not
-    hold a ``what`` is an input error."""
-    obj = _load_json(path)
+    hold a ``what`` is an input error.
+
+    The cycle collector is paused for the decode and the parse, and then
+    put back as it was. A decoded JSON value is a tree with no cycles, so a
+    collection can find nothing in it, yet the allocations of a large file
+    start collections that walk the whole young tree. A pause around the
+    decode alone would only defer that walk to the first collection after
+    it; by the end of the parse the tree is freed."""
+    enabled = gc.isenabled()
+    gc.disable()
     try:
-        return parse(obj)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InputError(f"{path}: not a {what} file: {exc}") from exc
+        obj = _load_json(path)
+        try:
+            return parse(obj)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise InputError(f"{path}: not a {what} file: {exc}") from exc
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def _check_export_budget(entries: int, what: str) -> None:
@@ -441,6 +457,13 @@ def _check_export_budget(entries: int, what: str) -> None:
         raise gonal.ResourceGuardError(
             f"export budget is {EXPORT_BUDGET} boundary entries; {what} has {entries}"
         )
+
+
+def _check_pencil_markings(d: int) -> None:
+    """Refuse a degree d >= 3 whose gonal pencil and gluing pullback land
+    on 4d - 4 > 64 markings, before anything of degree d is built."""
+    if d >= 3:
+        picard._check_n(4 * d - 4)
 
 
 def _check_gonal_budget(d: int, via: str = "") -> None:
@@ -486,8 +509,7 @@ def _cmd_export(args) -> int:
         obj = _EXPORTERS[name]()
     elif match := re.fullmatch(r"bn\(([0-9]+)\)", name):
         d = int(match.group(1))
-        if d >= 3:  # its gluing pullback lands on 4d - 4 markings
-            picard._check_n(4 * d - 4)
+        _check_pencil_markings(d)  # its gluing pullback lands on 4d - 4 markings
         obj = picard.mg_class_to_json(corpus.bn_class(d))
     elif match := re.fullmatch(r"profile-gonal\(([0-9]+)\)", name):
         d = int(match.group(1))
@@ -505,6 +527,9 @@ def _cmd_verify(args) -> int:
     if d >= 3:
         # the direct route builds profile-gonal(d) whole; refused before any suite runs
         _check_gonal_budget(d, f"--direct-max-d {d}")
+    # the sign sweep reads the d-gonal pencil up to --max-d; refused, like
+    # bn(d), past 64 markings before any suite runs
+    _check_pencil_markings(args.max_d)
     names = SUITES if args.suite == "all" else (args.suite,)
     internal = (ArithmeticError,)
     if "certify" in names:  # certify is loaded only for its suite

@@ -19,13 +19,16 @@ order (``runs``, the gluing pullback) is walked, never sorted, and
 serialized lazily; a dict, or any other view, is sorted once into a list.
 One writer, :func:`write_json`, streams the canonical indented, sorted-key
 JSON text a bounded piece at a time, so its memory does not grow with the
-entry count; :func:`json_text` is the same text as one string.
+entry count; :func:`json_text` is the same text as one string.  The
+reader, :func:`_boundary_from_json`, checks a file's entries over the whole
+list at once; only when a check fails does :func:`_boundary_entries` walk
+them one by one, and it is the one place that words an entry's error.
 """
 
 from __future__ import annotations
 
 import json
-from itertools import islice, repeat
+from itertools import chain, islice, repeat
 from math import comb
 from operator import and_, itemgetter, or_, rshift
 from typing import Callable, Dict, Iterable, Iterator, Mapping, Sequence, Tuple
@@ -464,11 +467,67 @@ def _boundary_to_json(mapping: Mapping[int, Scalar]):
     return listing if hasattr(mapping, "runs") else list(listing)
 
 
+# the bit of each marking; any other key, 0 and 65 included, is a KeyError
+_BITS = {i: 1 << (i - 1) for i in range(1, MAX_MARKINGS + 1)}
+
+
 def _boundary_from_json(entries, n: int) -> Dict[int, Scalar]:
-    """Boundary coefficients of serialized entries, checked in one pass:
-    integer markings in 1..n, none repeated, at least two per subset and no
-    subset twice.  Each distinct coefficient string is parsed once, and zero
-    coefficients are dropped."""
+    """Boundary coefficients of serialized entries: integer markings in
+    1..n, none repeated, at least two per subset and no subset twice.  Each
+    distinct coefficient string is parsed once, and zero coefficients are
+    dropped.  The entries are walked once (a :class:`_Listing` builds its
+    dicts as it goes) and checked over the whole list at once, through
+    C-level ``map`` pipelines: a mask is the sum of its markings' bits, so
+    it has as many bits as markings only when none repeats.  When a check
+    fails, or the pass raises, :func:`_boundary_entries` walks the entries
+    to raise the error of the first offending one."""
+    if type(entries) is not list:
+        entries = list(entries)
+    try:
+        lists = list(map(itemgetter("S"), entries))
+        values, distinct = _coeff_values(list(map(itemgetter("coeff"), entries)))
+        masks = list(map(sum, map(map, repeat(_BITS.__getitem__), lists)))
+        sizes = list(map(len, lists))
+        out = dict(zip(masks, values))
+        if not out or (
+            len(out) == len(masks)
+            and not max(masks) >> n
+            and min(sizes) >= 2
+            and list(map(int.bit_count, masks)) == sizes
+            # a bool or a float equal to 1..64 is a key of _BITS too
+            and set(map(type, chain.from_iterable(lists))) == {int}
+        ):
+            if all(distinct):
+                return out
+            return {mask: value for mask, value in out.items() if value}
+    except (KeyError, TypeError, ValueError):
+        pass
+    return _boundary_entries(entries, n)
+
+
+def _coeff_values(coeffs: list) -> Tuple[list, Iterable[Scalar]]:
+    """The scalar of each serialized coefficient, and the distinct ones
+    among them; each distinct string is parsed once."""
+    if set(map(type, coeffs)) == {str}:
+        parsed = {text: parse_rat(text) for text in set(coeffs)}
+        return list(map(parsed.__getitem__, coeffs)), parsed.values()
+    parsed = {}
+    values = []
+    for coeff in coeffs:
+        if type(coeff) is str:
+            value = parsed.get(coeff)
+            if value is None:
+                value = parsed[coeff] = parse_rat(coeff)
+        else:
+            value = scalar_from_json(coeff)
+        values.append(value)
+    return values, values
+
+
+def _boundary_entries(entries, n: int) -> Dict[int, Scalar]:
+    """:func:`_boundary_from_json` one entry at a time, raising the error of
+    the first entry that breaks a rule; the one place those errors are
+    worded."""
     out: Dict[int, Scalar] = {}
     values: Dict[str, Scalar] = {}
     zeros = []

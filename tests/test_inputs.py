@@ -1,17 +1,23 @@
 """Strict input files: every malformed scalar, marking or space size is an
 input error (exit 2), and no pullback leaves the 64-marking range."""
 
+import gc
 import json
+import signal
 from fractions import Fraction
 from types import SimpleNamespace
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import rationals
 from effcone import cli, corpus, gonal, picard
 from effcone.cli import main
 from effcone.gluing import forget_pullback, glue_pullback
 from effcone.picard import DivisorClassM1n, DivisorClassMg
-from effcone.scalars import parse_rat, scalar_from_json
+from effcone.scalars import format_rat, parse_rat, scalar_from_json
 
 BAD_RATIONALS = [
     "1e3",
@@ -151,6 +157,32 @@ class TestMarkingBound:
         path.write_text(json.dumps(picard.mg_class_to_json(DivisorClassMg(34, 1, 1, [1] * 17))))
         assert main(["pullback", "--g", "34", "--m", "33", "--input", str(path)]) == 2
         assert "marking count must be in 2..64, got 66" in capsys.readouterr().err
+
+    def test_sign_sweep_refused_at_once(self, capsys):
+        def too_slow(signum, frame):
+            raise TimeoutError("--max-d 20000 ran the sign sweep")
+
+        previous = signal.signal(signal.SIGALRM, too_slow)
+        signal.alarm(2)
+        try:
+            assert main(["verify", "gonal", "--max-d", "20000"]) == 2
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert capsys.readouterr() == ("", "error: marking count must be in 2..64, got 79996\n")
+
+    def test_sign_sweep_refused_before_any_suite(self, capsys, monkeypatch):
+        def run(*args):
+            raise AssertionError("a suite ran")
+
+        for name in ("trigonal", "gonal", "gp", "chow", "certificate", "property"):
+            monkeypatch.setattr(cli, f"{name}_suite", run)
+        assert main(["verify", "all", "--max-d", "18"]) == 2
+        assert capsys.readouterr() == ("", "error: marking count must be in 2..64, got 68\n")
+
+    def test_sign_sweep_to_seventeen_still_runs(self, capsys):
+        assert main(["verify", "gonal", "--max-d", "17"]) == 0
+        assert "PASS  gonal/sign.d=17  expected=- actual=-" in capsys.readouterr().out
 
 
 BAD_ENTRIES = {
@@ -332,3 +364,161 @@ class TestJsonKinds:
         obj = picard.m1n_class_to_json(cls)
         assert type(obj["boundary"]) is picard._Listing
         assert picard.m1n_class_from_json(obj) == cls
+
+
+class TestUnreadableFiles:
+    """A file the JSON decoder cannot take is an input error that names the
+    file, not a traceback."""
+
+    def _fails(self, capsys, argv, path):
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and "Traceback" not in err
+        assert path in err
+
+    @pytest.fixture(params=["nested", "not utf-8"])
+    def bad(self, request, tmp_path):
+        path = tmp_path / "bad.json"
+        if request.param == "nested":
+            path.write_text("[" * 200_000 + "]" * 200_000)
+        else:
+            path.write_bytes(b'{"space": \xff}')
+        return str(path)
+
+    def test_profile(self, files, capsys, bad):
+        self._fails(capsys, ["intersect", "--profile", bad, "--class", files.cls_path], bad)
+
+    def test_genus_class(self, capsys, bad):
+        self._fails(capsys, ["pullback", "--g", "5", "--m", "4", "--input", bad], bad)
+
+
+# pairs of faults in one file: the first in file order is the one reported
+ORDERED_FAULTS = {
+    "bool then bad coeff": [{"S": [1, 2], "coeff": "1"}, {"S": [True, 3], "coeff": "1"}, {"S": [4, 5], "coeff": "x"}],
+    "bad coeff then bool": [{"S": [1, 2], "coeff": "x"}, {"S": [True, 3], "coeff": "1"}],
+    "duplicate then range": [{"S": [1, 2], "coeff": "1"}, {"S": [2, 1], "coeff": "1"}, {"S": [1, 9], "coeff": "1"}],
+    "range then duplicate": [{"S": [1, 9], "coeff": "1"}, {"S": [1, 2], "coeff": "1"}, {"S": [2, 1], "coeff": "1"}],
+}
+READER_FAULTS = {
+    **BAD_ENTRIES,
+    **ORDERED_FAULTS,
+    "bool marking": [{"S": [1, 2], "coeff": "1"}, {"S": [True, 3], "coeff": "1"}],
+    "float marking": [{"S": [2.0, 3], "coeff": "1"}],
+    "marking 65": [{"S": [1, 65], "coeff": "1"}],
+    "nested markings": [{"S": [[1, 2]], "coeff": "1"}],
+    "markings null": [{"S": None, "coeff": "1"}],
+    "markings string": [{"S": "12", "coeff": "1"}],
+    "entry null": [None],
+    "bad coeff": [{"S": [1, 2], "coeff": "1.5"}],
+    "bad polynomial coeff": [{"S": [1, 2], "coeff": ["1", "x"]}],
+}
+
+
+def _coefficients():
+    """Serialized coefficients: rational strings, polynomials and zeros,
+    not all of them canonical."""
+    rational = rationals.map(format_rat)
+    return st.one_of(
+        rational,
+        st.lists(rational, min_size=1, max_size=3),
+        st.sampled_from(["0", "-0", "0/5", "4/2", "-6/4", ["0"], ["0", "0"], ["1", "0"]]),
+    )
+
+
+@st.composite
+def _valid_entries(draw):
+    n = draw(st.sampled_from([2, 3, 5, 8, 13, 64]))
+    masks = draw(st.lists(
+        st.integers(0, (1 << n) - 1).filter(lambda m: m.bit_count() >= 2), unique=True, max_size=12
+    ))
+    entries = [
+        {"S": draw(st.permutations(picard.subset_members(mask))), "coeff": draw(_coefficients())}
+        for mask in masks
+    ]
+    return n, entries
+
+
+class TestBulkReader:
+    """The bulk check of :func:`picard._boundary_from_json` reads what the
+    entry loop :func:`picard._boundary_entries` reads, and leaves every
+    error to it."""
+
+    @pytest.mark.parametrize("case", READER_FAULTS)
+    def test_same_error(self, case):
+        entries = READER_FAULTS[case]
+        with pytest.raises((KeyError, TypeError, ValueError)) as looped:
+            picard._boundary_entries(entries, 8)
+        with pytest.raises(type(looped.value)) as bulk:
+            picard._boundary_from_json(entries, 8)
+        assert type(bulk.value) is type(looped.value) and str(bulk.value) == str(looped.value)
+
+    @pytest.mark.parametrize("case, message", [
+        ("bool then bad coeff", "markings must be integers, got [True, 3]"),
+        ("bad coeff then bool", "not a rational string: 'x'"),
+        ("duplicate then range", "duplicate boundary index [2, 1]"),
+        ("range then duplicate", "marking 9 not in 1..8"),
+    ])
+    def test_first_fault_is_reported(self, case, message):
+        with pytest.raises(ValueError) as caught:
+            picard._boundary_from_json(ORDERED_FAULTS[case], 8)
+        assert str(caught.value) == message
+
+    @settings(max_examples=200)
+    @given(_valid_entries())
+    def test_same_dict_in_the_same_order(self, drawn):
+        n, entries = drawn
+        looped = picard._boundary_entries(entries, n)
+        with mock.patch.object(picard, "_boundary_entries", side_effect=AssertionError("fell back")):
+            bulk = picard._boundary_from_json(entries, n)
+        assert list(bulk.items()) == list(looped.items())
+
+
+class TestReaderGuards:
+    """The fast paths of the reader stay taken: canonical files pass the
+    bulk check, and the cycle collector is paused for a read and then put
+    back as it was."""
+
+    @pytest.mark.parametrize("m", [4, 5, 6, 7, 8])
+    def test_pullback_files_take_the_bulk_check(self, monkeypatch, m):
+        cls = glue_pullback(DivisorClassMg(m + 1, Fraction(7, 2), -1, [Fraction(-3, 4)] * ((m + 1) // 2)), m)
+        obj = json.loads(picard.json_text(picard.m1n_class_to_json(cls)))
+        monkeypatch.setattr(picard, "_boundary_entries", mock.Mock(side_effect=AssertionError("fell back")))
+        assert picard.m1n_class_from_json(obj) == cls
+
+    @pytest.mark.parametrize("name", ["pullback-gp", "profile-gp", "profile-gonal(4)"])
+    def test_exported_files_take_the_bulk_check(self, tmp_path, monkeypatch, name):
+        path = tmp_path / "item.json"
+        assert main(["export", "--name", name, "--output", str(path)]) == 0
+        parse = picard.profile_from_json if name.startswith("profile") else picard.m1n_class_from_json
+        expected = parse(json.loads(path.read_text()))
+        monkeypatch.setattr(picard, "_boundary_entries", mock.Mock(side_effect=AssertionError("fell back")))
+        assert parse(json.loads(path.read_text())) == expected
+
+    def test_collector_paused_for_the_read(self, files, capsys, monkeypatch):
+        seen = []
+        parse = picard.m1n_class_from_json
+
+        def watched(obj):
+            seen.append(gc.isenabled())
+            return parse(obj)
+
+        monkeypatch.setattr(picard, "m1n_class_from_json", watched)
+        assert main(["intersect", "--profile", files.prof_path, "--class", files.cls_path]) == 0
+        assert seen == [False] and gc.isenabled()
+        assert capsys.readouterr().out == "-1\n"
+
+    def test_collector_back_on_after_a_bad_file(self, files, capsys):
+        bad = files.write("bad.json", {**files.cls, "boundary": BAD_ENTRIES["repeated marking"]})
+        _intersect_fails(capsys, files.prof_path, bad)
+        assert gc.isenabled()
+
+    def test_collector_left_off_when_it_was_off(self, files, capsys):
+        bad = files.write("bad.json", {**files.cls, "boundary": BAD_ENTRIES["repeated marking"]})
+        gc.disable()
+        try:
+            assert main(["intersect", "--profile", files.prof_path, "--class", files.cls_path]) == 0
+            assert not gc.isenabled()
+            _intersect_fails(capsys, files.prof_path, bad)
+            assert not gc.isenabled()
+        finally:
+            gc.enable()
