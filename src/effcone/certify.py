@@ -12,8 +12,7 @@ facts are inputs, never inferred; every certificate marks them as declared.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
-from typing import Sequence, Tuple
+from typing import NamedTuple, Sequence, Tuple
 
 from .gluing import forget_pullback, glue_pullback, pushforward_profile
 from .picard import (
@@ -47,8 +46,7 @@ class CertificateRefused(ValueError):
         self.degree = degree
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(NamedTuple):
     n: int                      # markings of the certified space
     source: DivisorClassMg      # class pulled back along the gluing map
     source_m: int               # number of glued pairs
@@ -139,7 +137,7 @@ def lift(cert: Certificate, n: int) -> Certificate:
         raise ArithmeticError(
             f"lift changed the pairing: {cert.pairing} became {value}"
         )
-    return replace(cert, n=n, pullback=pullback, profile=profile)
+    return cert._replace(n=n, pullback=pullback, profile=profile)
 
 
 def certificate_to_json(cert: Certificate) -> dict:

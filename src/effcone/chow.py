@@ -25,9 +25,8 @@ top form and every relation among degree-2 classes follows from it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Tuple
+from typing import List, NamedTuple, Tuple
 
 from .scalars import A, Poly, Rat, Scalar, canon
 
@@ -240,8 +239,7 @@ def pushforward_line(i: int) -> ChowDeg2:
 # Chern data
 
 
-@dataclass(frozen=True)
-class ChernData:
+class ChernData(NamedTuple):
     k_y: ChowDeg1    # canonical class of the bundle
     k_x: ChowDeg1    # canonical class of the blowup
     c2_ty: ChowDeg2  # second Chern class of the bundle tangent sheaf
@@ -304,8 +302,7 @@ def _exact_div(value: Scalar, k: int, what: str) -> Poly:
     return out
 
 
-@dataclass(frozen=True)
-class FamilyInvariants:
+class FamilyInvariants(NamedTuple):
     """Numerical invariants of the pencil cut by the family divisor, all
     polynomials in the parameter a."""
 
@@ -372,8 +369,7 @@ def family_invariants() -> FamilyInvariants:
 # the displayed intersection table, recomputed
 
 
-@dataclass(frozen=True)
-class TableCheck:
+class TableCheck(NamedTuple):
     name: str
     expected: Scalar
     actual: Scalar

@@ -422,7 +422,11 @@ def _dump_json(obj, output: str | None) -> None:
     when it is omitted, a chunk of entries at a time. Every refusal comes
     before this call, so a refused command leaves ``output`` untouched."""
     if output:
-        with open(output, "w", encoding="utf-8") as fh:
+        try:
+            fh = open(output, "w", encoding="utf-8")
+        except OSError as exc:
+            raise InputError(f"cannot write {output}: {exc}") from exc
+        with fh:
             picard.write_json(obj, fh.write)
     else:
         picard.write_json(obj, sys.stdout.write)

@@ -103,9 +103,13 @@ def _checked_boundary(boundary, n: int) -> Dict[int, Scalar]:
     """A canonical, zero-pruned copy of a boundary mapping whose keys are
     subsets of 1..n with at least two markings.  The keys are checked over
     the whole mapping at once; when a check fails, :func:`_checked_entries`
-    walks the entries to raise the error of the first offending one."""
-    if type(boundary) is not dict:
-        boundary = dict(boundary or {})
+    walks the entries to raise the error of the first offending one.  A view
+    past EXPORT_BUDGET entries is refused before it is copied."""
+    if boundary is None:
+        boundary = {}
+    elif type(boundary) is not dict:
+        _check_listing_budget(boundary, "copy")
+        boundary = dict(boundary)
     keys = boundary.keys()
     if not (
         keys

@@ -1,6 +1,5 @@
 """The command-line driver: suites, file commands, exit codes, reports."""
 
-import dataclasses
 import json
 import os
 import subprocess
@@ -321,7 +320,7 @@ class TestNoetherRow:
             inv = honest()
             kd_squared = inv.kd_squared + 12
             hodge_lambda = chow._exact_div(kd_squared + inv.c2_td, 12, "K_D^2 + c2(T_D)")
-            return dataclasses.replace(inv, kd_squared=kd_squared, hodge_lambda=hodge_lambda)
+            return inv._replace(kd_squared=kd_squared, hodge_lambda=hodge_lambda)
 
         monkeypatch.setattr(chow, "family_invariants", skewed)
         assert main(["verify", "chow", "--json"]) == 1
@@ -476,6 +475,10 @@ class TestStartupImports:
         report = self._run(steps, tmp_path)
         assert [step for step, _, _ in report] == ["import"] + [" ".join(s) for s in steps]
         assert [(step, code, heavy) for step, code, heavy in report if code or heavy] == []
+
+    def test_verify_all_loads_both_suites_modules_without_dataclasses(self, tmp_path):
+        (_, after) = self._run([["verify", "all"]], tmp_path)
+        assert after[1] == 0 and after[2] == ["effcone.chow", "effcone.certify"]
 
     @pytest.mark.parametrize("suite,module", [("chow", "effcone.chow"), ("certify", "effcone.certify")])
     def test_a_suite_loads_its_module(self, tmp_path, suite, module):

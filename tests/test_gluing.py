@@ -20,6 +20,7 @@ from effcone.gluing import (
     pushforward_profile,
 )
 from effcone.picard import (
+    CurveProfile,
     DivisorClassM1n,
     DivisorClassMg,
     SpaceMismatchError,
@@ -334,8 +335,6 @@ class TestForgetPullback:
         assert pair(p, forget_pullback(w, 6)) == pair(q, w)
 
     def test_pushforward_requires_enough_retained_mass(self):
-        from effcone.picard import CurveProfile
-
         bad = CurveProfile(6, 0, {subset_mask((1, 5, 6), 6): 1})
         with pytest.raises(ValueError):
             pushforward_profile(bad, 4)
@@ -551,6 +550,12 @@ class TestSixtyFourMarkingViews:
         with wall_clock_bound(2):
             with pytest.raises(ValueError, match=f"cannot combine {2**64 - 65} boundary entries"):
                 linear_combine([(1, glue_pullback(self.W, 32))])
+
+    @pytest.mark.parametrize("record", [DivisorClassM1n, CurveProfile])
+    def test_copying_into_a_class_or_profile_is_refused_with_the_count(self, record):
+        with wall_clock_bound(2):
+            with pytest.raises(ValueError, match=f"cannot copy {2**64 - 65} boundary entries"):
+                record(64, 0, glue_pullback(self.W, 32).boundary)
 
     def test_relabeling_is_refused_with_the_count(self):
         identity = tuple(range(1, 65))

@@ -392,6 +392,30 @@ class TestUnreadableFiles:
         self._fails(capsys, ["pullback", "--g", "5", "--m", "4", "--input", bad], bad)
 
 
+class TestUnwritableOutput:
+    """An ``--output`` that cannot be opened for writing is an input error
+    that names the path, not a traceback."""
+
+    @pytest.fixture(params=["directory", "missing parent"])
+    def target(self, request, tmp_path):
+        if request.param == "directory":
+            return str(tmp_path)
+        return str(tmp_path / "missing" / "out.json")
+
+    def _fails(self, capsys, argv, path):
+        assert main(argv + ["--output", path]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(f"error: cannot write {path}: ") and "Traceback" not in err
+
+    def test_export(self, capsys, target):
+        self._fails(capsys, ["export", "--name", "bn(3)"], target)
+
+    def test_pullback(self, tmp_path, capsys, target):
+        source = str(tmp_path / "bn3.json")
+        assert main(["export", "--name", "bn(3)", "--output", source]) == 0
+        self._fails(capsys, ["pullback", "--g", "5", "--m", "4", "--input", source], target)
+
+
 # pairs of faults in one file: the first in file order is the one reported
 ORDERED_FAULTS = {
     "bool then bad coeff": [{"S": [1, 2], "coeff": "1"}, {"S": [True, 3], "coeff": "1"}, {"S": [4, 5], "coeff": "x"}],
