@@ -8,6 +8,7 @@ from .picard import (  # noqa: F401
     DivisorClassM1n,
     DivisorClassMg,
     MarkingIndexError,
+    ResourceGuardError,
     SpaceMismatchError,
     pair,
 )

@@ -12,6 +12,9 @@ loading them at start-up.
 
 Exit codes: 0 when every check passes, 1 on any failing row (an internal
 error in a suite is one), 2 on usage or input errors and on a refused budget.
+A refused budget is a ``picard.ResourceGuardError``; the pre-checks here
+call the views' guard, so that a command is refused before it builds a
+profile or opens ``--output``.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from pathlib import Path
 from typing import Callable, Dict, List, NamedTuple, Sequence, Tuple
 
 from . import corpus, gluing, gonal, picard
-from .picard import EXPORT_BUDGET
+from .picard import EXPORT_BUDGET  # noqa: F401  (the budget the commands are held to)
 from .scalars import Poly, binom, poly_eval, scalar_to_json
 
 DEFAULT_MAX_D = 12
@@ -455,14 +458,6 @@ def _read(path: str, parse, what: str):
             gc.enable()
 
 
-def _check_export_budget(entries: int, what: str) -> None:
-    """Refuse a file of ``entries`` boundary entries, counted before any is built."""
-    if entries > EXPORT_BUDGET:
-        raise gonal.ResourceGuardError(
-            f"export budget is {EXPORT_BUDGET} boundary entries; {what} has {entries}"
-        )
-
-
 def _check_pencil_markings(d: int) -> None:
     """Refuse a degree d >= 3 whose gonal pencil and gluing pullback land
     on 4d - 4 > 64 markings, before anything of degree d is built."""
@@ -474,7 +469,7 @@ def _check_gonal_budget(d: int, via: str = "") -> None:
     """Refuse profile-gonal(d) past the export budget before it is built;
     ``via`` names the option that asked for it."""
     what = f"profile-gonal({d}) on {4 * d - 4} markings"
-    _check_export_budget(corpus.gonal_support(d), f"{via} ({what})" if via else what)
+    picard._check_budget(corpus.gonal_support(d), f"{via} ({what})" if via else what)
 
 
 def _cmd_pullback(args) -> int:
@@ -484,7 +479,7 @@ def _cmd_pullback(args) -> int:
     result = gluing.glue_pullback(cls, args.m)
     # the view counts its entries combinatorially; len() itself would refuse
     # a count past sys.maxsize (64 markings)
-    _check_export_budget(result.boundary.__len__(), f"the pullback to {result.n} markings")
+    picard._check_budget(result.boundary.__len__(), f"the pullback to {result.n} markings")
     _dump_json(picard.m1n_class_to_json(result), args.output)
     return 0
 
@@ -604,8 +599,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         code = args.run(args)
         sys.stdout.flush()
         return code
-    # InputError, MarkingIndexError, SpaceMismatchError; a refused budget
-    except (ValueError, gonal.ResourceGuardError) as exc:
+    # InputError, MarkingIndexError, SpaceMismatchError, ResourceGuardError
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except BrokenPipeError:

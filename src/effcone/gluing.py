@@ -35,7 +35,8 @@ Neither pullback is expanded.  Each returns a class whose boundary is a
 read-only, zero-pruned mapping view that applies its rule to the subsets
 asked for: a pairing reads the profile support and nothing else.  ``len``
 is counted combinatorially; iterating the view (equality, relabeling,
-linear combination) lists its nonzero coefficients in one pass.  A glued
+linear combination) lists its nonzero coefficients in one pass, refused
+past EXPORT_BUDGET entries before the first, as ``runs`` below is.  A glued
 view also lists itself in boundary order for export, one subset size at a
 time: the row value of the size, with the few unions of pairs that differ
 from it spliced in at their ranks (``runs``), so no entry is sorted.
@@ -52,7 +53,7 @@ from .picard import (
     DivisorClassM1n,
     DivisorClassMg,
     SpaceMismatchError,
-    _check_listing_budget,
+    _check_budget,
     _check_n,
     _lex_rank,
     full_mask,
@@ -91,10 +92,11 @@ _MISSING = object()
 class _CoefficientView(Mapping):
     """Read-only boundary mapping whose coefficients come from a rule.
     Subclasses give ``get`` (None for a zero coefficient), ``items`` (one
-    pass over the nonzero coefficients) and ``__len__``.  Equality with a
-    dict reads the view only at the dict's keys; with any other mapping it
-    lists both sides, and refuses a side past EXPORT_BUDGET entries before
-    either is listed."""
+    pass over the nonzero coefficients, through which every listing goes,
+    refused past EXPORT_BUDGET entries before the first) and ``__len__``.
+    Equality with a dict reads the view only at the dict's keys; with any
+    other mapping it lists both sides, and refuses a side past EXPORT_BUDGET
+    entries before either is listed."""
 
     __slots__ = ()
 
@@ -102,8 +104,8 @@ class _CoefficientView(Mapping):
         if type(other) is not dict:
             if not isinstance(other, Mapping):
                 return NotImplemented
-            _check_listing_budget(self, "compare")
-            _check_listing_budget(other, "compare")
+            for side in (self, other):
+                _check_budget(side.__len__(), f"a {type(side).__name__}")
             return Mapping.__eq__(self, other)
         if self.__len__() != len(other):  # len() refuses 2^63 and up
             return False
@@ -176,6 +178,7 @@ class GluedBoundary(_CoefficientView):
         value differs is spliced in at its rank; unions listed by their pair
         indices come in the order of their members.  The runs of one size
         share the walk, so each must be drawn to its end before the next."""
+        _check_budget(self.__len__(), "a GluedBoundary")
         m, n, by_size, on_pairs = self.m, self.n, self._by_size, self._on_pairs
         markings = labels[1:n + 1]
         for b in range(2, n + 1):
@@ -198,6 +201,7 @@ class GluedBoundary(_CoefficientView):
                 yield default, walk
 
     def items(self) -> Iterator[Tuple[int, Scalar]]:
+        _check_budget(self.__len__(), "a GluedBoundary")
         odd, by_size, on_pairs = self._odd, self._by_size, self._on_pairs
         for mask in range(3, 1 << self.n):
             b = mask.bit_count()
@@ -238,6 +242,7 @@ class ForgetfulBoundary(_CoefficientView):
         return len(self.base) << (self.n - self.m)
 
     def items(self) -> Iterator[Tuple[int, Scalar]]:
+        _check_budget(self.__len__(), "a ForgetfulBoundary")
         extensions = [t << self.m for t in range(1 << (self.n - self.m))]
         for s, value in self.base.items():
             for t in extensions:

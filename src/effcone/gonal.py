@@ -7,7 +7,8 @@ The three routes are:
   against the pullback coefficient at that subset.  The pullback is a view
   that computes each coefficient on demand, so the cost is the profile
   support, d * 4^(d-1) - 2d + 1 entries (6,133 reads at d = 6), which still
-  grows exponentially in d; the route is guarded by a cap (default d <= 6).
+  grows exponentially in d; the route is guarded by a cap (default d <= 6),
+  refused with the ``ResourceGuardError`` of :mod:`.picard`, re-exported here.
   ``verify --direct-max-d`` also holds the cap to the export budget, which
   admits d <= 9 (589,807 entries) and is checked before any profile is built.
 * ``pairing_binomial``: the binomial-sum expression obtained by grouping the
@@ -26,15 +27,10 @@ from typing import List, NamedTuple
 
 from .corpus import bn_class, bn_scale, gonal_support, profile
 from .gluing import glue_pullback
-from .picard import pair
+from .picard import ResourceGuardError, pair
 from .scalars import Rat, binom, canon
 
 DIRECT_ROUTE_DEFAULT_CAP = 6
-
-
-class ResourceGuardError(RuntimeError):
-    """An enumeration was asked to exceed its budget: the direct route's cap
-    here, or the export budget of the ``pullback`` and ``export`` commands."""
 
 
 def pairing_direct(d: int, max_d: int = DIRECT_ROUTE_DEFAULT_CAP) -> Rat:

@@ -11,7 +11,9 @@ boundary mappings are sparse and zero-pruned, so equality of classes is
 plain structural equality.  A class's ``boundary`` is either a dict or a
 read-only, zero-pruned mapping view that computes each coefficient from a
 rule (the pullbacks of :mod:`.gluing`); readers use ``get``, ``items`` and
-``len`` and never mutate it.
+``len`` and never mutate it.  Every listing of a view is refused past
+EXPORT_BUDGET entries before its first entry, by :func:`_check_budget`, the
+one budget guard; a point read never is.
 
 Files and reprs list boundary entries by subset size, then by sorted
 members, all through :func:`_entries`: a view that lists itself in that
@@ -36,7 +38,7 @@ from typing import Callable, Dict, Iterable, Iterator, Mapping, Sequence, Tuple
 from .scalars import Scalar, canon, parse_rat, scalar_from_json, scalar_to_json
 
 MAX_MARKINGS = 64
-# most boundary entries a class or profile file may list: a pullback to 2m
+# most boundary entries a view may list or a file may hold: a pullback to 2m
 # markings has at most 2^20 - 21 of them at m = 10, and 2^22 - 23 at m = 11
 # when its delta_irr coefficient is nonzero
 EXPORT_BUDGET = 1 << 21
@@ -48,6 +50,19 @@ class SpaceMismatchError(ValueError):
 
 class MarkingIndexError(ValueError):
     """A marking index lies outside {1, ..., n}."""
+
+
+class ResourceGuardError(ValueError):
+    """A listing or enumeration was asked to exceed its budget."""
+
+
+def _check_budget(entries: int, what: str) -> None:
+    """Refuse ``entries`` boundary entries past EXPORT_BUDGET, counted before
+    any is listed or built; ``what`` names what holds them."""
+    if entries > EXPORT_BUDGET:
+        raise ResourceGuardError(
+            f"export budget is {EXPORT_BUDGET} boundary entries; {what} has {entries}"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -103,12 +118,10 @@ def _checked_boundary(boundary, n: int) -> Dict[int, Scalar]:
     """A canonical, zero-pruned copy of a boundary mapping whose keys are
     subsets of 1..n with at least two markings.  The keys are checked over
     the whole mapping at once; when a check fails, :func:`_checked_entries`
-    walks the entries to raise the error of the first offending one.  A view
-    past EXPORT_BUDGET entries is refused before it is copied."""
+    walks the entries to raise the error of the first offending one."""
     if boundary is None:
         boundary = {}
     elif type(boundary) is not dict:
-        _check_listing_budget(boundary, "copy")
         boundary = dict(boundary)
     keys = boundary.keys()
     if not (
@@ -295,23 +308,11 @@ class DivisorClassMg:
 # operations
 
 
-def _check_listing_budget(mapping: Mapping[int, Scalar], verb: str) -> None:
-    """Refuse to list a view past EXPORT_BUDGET entries, counted before any
-    entry is listed; ``verb`` names what the listing was for."""
-    if type(mapping) is not dict:
-        count = mapping.__len__()  # len() refuses 2^63 and up
-        if count > EXPORT_BUDGET:
-            raise ValueError(
-                f"cannot {verb} {count} boundary entries; the budget is {EXPORT_BUDGET}"
-            )
-
-
 def linear_combine(terms: Sequence[Tuple[Scalar, DivisorClassM1n]]) -> DivisorClassM1n:
     """Exact linear combination of classes on one marked space.  Within a
     term, each distinct coefficient is scaled once (a glued view on 2m
     markings holds at most about 3m distinct values), and the first term
-    at a mask is stored without adding it to zero.  A view past
-    EXPORT_BUDGET entries is refused before it is listed."""
+    at a mask is stored without adding it to zero."""
     terms = list(terms)
     if not terms:
         raise ValueError("empty combination has no ambient space")
@@ -324,7 +325,6 @@ def linear_combine(terms: Sequence[Tuple[Scalar, DivisorClassM1n]]) -> DivisorCl
         coeff = canon(coeff)
         if coeff == 0:
             continue
-        _check_listing_budget(cls.boundary, "combine")
         lam = lam + coeff * cls.lam
         scaled: Dict[Scalar, Scalar] = {}
         for mask, value in cls.boundary.items():
@@ -375,9 +375,7 @@ def _permuted(mapping: Mapping[int, Scalar], sigma: Sequence[int]) -> Dict[int, 
     table per byte of the mask: the table of byte j sends v to the image of
     the subset whose bits in byte j read v.  The keys run through C-level
     ``map`` pipelines (shift, mask the byte, look it up, or the images
-    together), so no Python code runs per entry.  A view is listed once,
-    and is refused past EXPORT_BUDGET entries."""
-    _check_listing_budget(mapping, "relabel")
+    together), so no Python code runs per entry.  A view is listed once."""
     if type(mapping) is not dict:
         mapping = dict(mapping.items())
     keys = mapping.keys()
@@ -697,12 +695,13 @@ def write_json(obj: dict, write: Callable[[str], object]) -> None:
     # top-level key: strings never hold a raw line break
     marker = f'\n  "{key}": '
     head, _, tail = json.dumps({**obj, key: []}, indent=2, sort_keys=True).partition(marker + "[]")
+    pieces = _entry_pieces(obj[key])
+    first = next(pieces)  # drawn first: a refused listing writes nothing
     write(head + marker + "[\n")
-    separator = ""
-    for piece in _entry_pieces(obj[key]):
-        write(separator)
+    write(first)
+    for piece in pieces:
+        write(",\n")
         write(piece)
-        separator = ",\n"
     write("\n  ]" + tail + "\n")
 
 
