@@ -362,15 +362,16 @@ def property_suite(reps: int = PROPERTY_REPS) -> List[CheckRow]:
             if tuple(found) != family:
                 failures["lambda_family_sizes"] += 1
 
+    # both identities in x = p/q times q^cap, so checked exactly in integers
     for _ in range(reps):
-        x = _random_rat(rng)
+        p, q = _random_rat(rng).as_integer_ratio()
         cap = rng.randint(1, 24)
-        lhs = sum((s - 1) * binom(cap, s) * x ** (cap - s) for s in range(1, cap + 1))
-        rhs = cap * (x + 1) ** (cap - 1) - (x + 1) ** cap + x ** cap
+        lhs = sum((s - 1) * binom(cap, s) * p ** (cap - s) * q ** s for s in range(1, cap + 1))
+        rhs = cap * (p + q) ** (cap - 1) * q - (p + q) ** cap + p ** cap
         if lhs != rhs:
             failures["binomial_identities"] += 1
-        lhs2 = sum(s * binom(cap, s) * x ** (cap - s) for s in range(1, cap + 1))
-        if lhs2 != cap * (x + 1) ** (cap - 1):
+        lhs2 = sum(s * binom(cap, s) * p ** (cap - s) * q ** s for s in range(1, cap + 1))
+        if lhs2 != cap * (p + q) ** (cap - 1) * q:
             failures["binomial_identities"] += 1
 
     from . import chow

@@ -42,7 +42,8 @@ def pairing_direct(d: int, max_d: int = DIRECT_ROUTE_DEFAULT_CAP) -> Rat:
         raise ResourceGuardError(
             f"direct route capped at d = {max_d} ({gonal_support(d)} "
             f"profile entries to build and read at d = {d}); "
-            "raise the cap explicitly to override"
+            "raise the cap explicitly to override",
+            max_d, d,
         )
     return canon(pair(profile("gonal", d), glue_pullback(bn_class(d), 2 * d - 2)))
 

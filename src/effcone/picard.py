@@ -53,7 +53,12 @@ class MarkingIndexError(ValueError):
 
 
 class ResourceGuardError(ValueError):
-    """A listing or enumeration was asked to exceed its budget."""
+    """A listing or enumeration was asked to exceed its budget: ``asked``
+    (entries, or a degree) against ``limit``, both ints."""
+
+    def __init__(self, message: str, limit: int, asked: int):
+        super().__init__(message)
+        self.limit, self.asked = limit, asked
 
 
 def _check_budget(entries: int, what: str) -> None:
@@ -61,7 +66,8 @@ def _check_budget(entries: int, what: str) -> None:
     any is listed or built; ``what`` names what holds them."""
     if entries > EXPORT_BUDGET:
         raise ResourceGuardError(
-            f"export budget is {EXPORT_BUDGET} boundary entries; {what} has {entries}"
+            f"export budget is {EXPORT_BUDGET} boundary entries; {what} has {entries}",
+            EXPORT_BUDGET, entries,
         )
 
 
@@ -309,16 +315,18 @@ class DivisorClassMg:
 
 
 def linear_combine(terms: Sequence[Tuple[Scalar, DivisorClassM1n]]) -> DivisorClassM1n:
-    """Exact linear combination of classes on one marked space.  Within a
-    term, each distinct coefficient is scaled once (a glued view on 2m
-    markings holds at most about 3m distinct values), and the first term
-    at a mask is stored without adding it to zero."""
+    """Exact linear combination of classes on one marked space.  Each sum
+    is memoized by the identity of its operands (coefficient, value, and
+    the sum before it or None), so each distinct triple is scaled, added
+    and made canonical once and no value is hashed; a memo entry holds its
+    operands, so that no id in a key is reused while the memo lives."""
     terms = list(terms)
     if not terms:
         raise ValueError("empty combination has no ambient space")
     n = terms[0][1].n
     lam: Scalar = 0
     boundary: Dict[int, Scalar] = {}
+    memo: Dict[Tuple[int, int, int], tuple] = {}
     for coeff, cls in terms:
         if cls.n != n:
             raise SpaceMismatchError(f"cannot combine classes on n={n} and n={cls.n}")
@@ -326,15 +334,17 @@ def linear_combine(terms: Sequence[Tuple[Scalar, DivisorClassM1n]]) -> DivisorCl
         if coeff == 0:
             continue
         lam = lam + coeff * cls.lam
-        scaled: Dict[Scalar, Scalar] = {}
+        coeff_id = id(coeff)
         for mask, value in cls.boundary.items():
-            term = scaled.get(value)
-            if term is None:
-                term = scaled[value] = coeff * value
             old = boundary.get(mask)
-            boundary[mask] = term if old is None else old + term
-    boundary = {m: canon(v) for m, v in boundary.items()}
-    boundary = {m: v for m, v in boundary.items() if v != 0}
+            key = (coeff_id, id(value), id(old))
+            hit = memo.get(key)
+            if hit is None:
+                total = coeff * value if old is None else old + coeff * value
+                hit = memo[key] = (canon(total), coeff, value, old)
+            boundary[mask] = hit[0]
+    if any(hit[0] == 0 for hit in memo.values()):
+        boundary = {m: v for m, v in boundary.items() if v != 0}
     return DivisorClassM1n._trusted(n, canon(lam), boundary)
 
 
@@ -372,23 +382,25 @@ def permute_mask(mask: int, sigma: Sequence[int]) -> int:
 
 def _permuted(mapping: Mapping[int, Scalar], sigma: Sequence[int]) -> Dict[int, Scalar]:
     """``mapping`` with each key S moved to sigma(S), through one lookup
-    table per byte of the mask: the table of byte j sends v to the image of
-    the subset whose bits in byte j read v.  The keys run through C-level
-    ``map`` pipelines (shift, mask the byte, look it up, or the images
-    together), so no Python code runs per entry.  A view is listed once."""
+    table per w-bit field of the mask: the table of the field at bit j sends
+    v to the image of the subset whose bits there read v.  A table costs 2^w
+    entries and a field one C-level ``map`` stage over the keys (shift, mask,
+    look up, or the images together), so w is the key count's bit length,
+    kept within 8..12.  No Python code runs per entry; a view is listed once."""
     if type(mapping) is not dict:
         mapping = dict(mapping.items())
     keys = mapping.keys()
+    width = min(max(len(keys).bit_length(), 8), 12)
     moved = None
-    for start in range(0, len(sigma), 8):
+    for start in range(0, len(sigma), width):
         table = [0]
-        for image in sigma[start:start + 8]:
+        for image in sigma[start:start + width]:
             bit = 1 << (image - 1)
             table += [t | bit for t in table]
-        byte = map(rshift, keys, repeat(start)) if start else keys
-        if start + 8 < len(sigma):  # the top byte needs no mask: keys lie below 2^n
-            byte = map(and_, byte, repeat(0xFF))
-        part = map(table.__getitem__, byte)
+        field = map(rshift, keys, repeat(start)) if start else keys
+        if start + width < len(sigma):  # the top field needs no mask: keys lie below 2^n
+            field = map(and_, field, repeat(len(table) - 1))
+        part = map(table.__getitem__, field)
         moved = part if moved is None else map(or_, moved, part)
     return dict(zip(moved, mapping.values()))
 

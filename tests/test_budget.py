@@ -147,6 +147,17 @@ class TestOneGuard:
         assert effcone.ResourceGuardError is gonal.ResourceGuardError is picard.ResourceGuardError
         assert issubclass(ResourceGuardError, ValueError)
 
+    @pytest.mark.parametrize("call, limit, asked", [
+        (lambda: dict(CLASSES["forgetful"].boundary), picard.EXPORT_BUDGET, 1 << 60),
+        (lambda: next(CLASSES["glued"].boundary.runs(range(65))), picard.EXPORT_BUDGET, (1 << 64) - 65),
+        (lambda: gonal.pairing_direct(7), gonal.DIRECT_ROUTE_DEFAULT_CAP, 7),
+    ])
+    def test_the_error_carries_its_limit_and_what_was_asked(self, call, limit, asked):
+        with pytest.raises(ResourceGuardError) as refused:
+            call()
+        assert (refused.value.limit, refused.value.asked) == (limit, asked)
+        assert type(refused.value.limit) is int and type(refused.value.asked) is int
+
     def test_the_error_type_is_defined_once_in_picard(self):
         defined = [
             module

@@ -2,6 +2,7 @@
 
 import json
 import os
+import random
 import subprocess
 import sys
 from collections import Counter
@@ -363,6 +364,31 @@ class TestPropertySuiteCanFail:
         assert actual["pair_bilinearity"] != "0 failures"
         assert actual["pullback_linearity"] == f"{self.REPS} failures"
         assert actual["pullback_pair_symmetry"] == "0 failures"
+
+    def test_binomial_identities_fail_when_binom_is_off(self, monkeypatch):
+        """Both identities read ``binom``; one wrong at s = 2 fails them."""
+        honest = cli.binom
+        monkeypatch.setattr(cli, "binom", lambda n, k: honest(n, k) + (k == 2))
+        actual = self._actual()
+        assert actual["binomial_identities"] != "0 failures"
+        assert actual["pair_bilinearity"] == actual["pullback_linearity"] == "0 failures"
+
+
+class TestPropertyStream:
+    def test_the_draws_are_pinned(self, monkeypatch):
+        """After the suite, its generator yields the value it yielded when
+        this test was written, so that a row made faster can never change,
+        skip or add a draw unnoticed."""
+        made = []
+
+        class Captured(random.Random):
+            def __init__(self, *args):
+                super().__init__(*args)
+                made.append(self)
+
+        monkeypatch.setattr(random, "Random", Captured)
+        assert all(row.ok for row in cli.property_suite())
+        assert len(made) == 1 and made[0].getrandbits(64) == 2079534273019648275
 
 
 class TestPropertySuiteListing:

@@ -3,6 +3,7 @@
 import heapq
 import json
 import random
+from collections.abc import Mapping
 from fractions import Fraction
 
 import pytest
@@ -442,12 +443,16 @@ class TestOneListing:
 
 
 class TestPermutationPipeline:
-    """The byte-table pipelines of ``permute_markings`` and
-    ``permute_profile`` against bit-by-bit relabeling: one to three
-    tables, a partial last byte, dicts and both views, and eight tables on
-    64 markings with polynomial values."""
+    """The lookup-table pipelines of ``permute_markings`` and
+    ``permute_profile`` against bit-by-bit relabeling.  A table is w bits
+    wide, w the bit length of the key count within 8..12, so the cases sit
+    on both sides of each width change (255/256 and 2,047/2,048 keys, and
+    past 4,095) and of each field boundary (n = 11, 12, 13, 24, 25): one to
+    three tables, a partial last field, dicts and both views (the glued view
+    on 12 markings lists all 4,083 masks), and eight tables on 64 markings
+    with polynomial values."""
 
-    @pytest.mark.parametrize("n", [3, 8, 9, 16, 20])
+    @pytest.mark.parametrize("n", [3, 8, 9, 12, 16, 20])
     def test_classes_and_profiles(self, n):
         rng = random.Random(n)
         for kind, cls in _sources(n, rng):
@@ -471,6 +476,27 @@ class TestPermutationPipeline:
         assert permute_markings(DivisorClassM1n(n, 0, boundary), sigma).boundary == expected
         assert permute_profile(CurveProfile(n, 0, boundary), sigma).on_boundary == expected
         assert all(type(value) is Poly for value in expected.values())
+
+    @pytest.mark.parametrize("n, count", [
+        (8, 247),  # every mask on 8 markings: one 8-bit table
+        (11, 255), (11, 256), (11, 2036),  # 8 + 3, 9 + 2, and one 11-bit table
+        (12, 2047), (12, 2048), (12, 4083),  # 11 + 1, one 12-bit table, every mask
+        (13, 2048), (24, 2048), (25, 2048),  # 12 + 1, 12 + 12, 12 + 12 + 1
+        (24, 255), (24, 256), (25, 5000),  # 8 + 8 + 8, 9 + 9 + 6, 12 + 12 + 1
+    ])
+    def test_both_sides_of_each_table_width(self, n, count):
+        rng = random.Random(100 * n + count)
+        masks = set()
+        while len(masks) < count:
+            mask = rng.getrandbits(n)
+            if mask.bit_count() >= 2:
+                masks.add(mask)
+        boundary = {mask: Fraction(rng.randint(-9, 9) or 1, rng.randint(1, 4)) for mask in masks}
+        assert len(boundary) == count
+        sigma = tuple(rng.sample(range(1, n + 1), n))
+        expected = _relabeled(boundary, sigma)
+        assert permute_markings(DivisorClassM1n(n, 0, boundary), sigma).boundary == expected
+        assert permute_profile(CurveProfile(n, 0, boundary), sigma).on_boundary == expected
 
 
 def _combined_by_entry(terms):
@@ -533,3 +559,82 @@ class TestMemoizedLinearCombine:
         assert type(result.boundary) is dict
         assert _is_canonical(result.lam)
         assert all(_is_canonical(value) and value != 0 for value in result.boundary.values())
+
+
+class _FreshValues(Mapping):
+    """A boundary whose listing builds a new value object for every entry,
+    so that each one is freed once the next has been read and its id can
+    be taken by a later entry's value."""
+
+    def __init__(self, boundary):
+        self._boundary = boundary
+
+    def __getitem__(self, mask):
+        return self._boundary[mask]
+
+    def __iter__(self):
+        return iter(self._boundary)
+
+    def __len__(self):
+        return len(self._boundary)
+
+    def items(self):
+        for mask, value in self._boundary.items():
+            yield mask, Fraction(value.numerator, value.denominator) if type(value) is Fraction else int(str(value))
+
+
+# ints past the small-int cache, and fractions: every listing makes new objects
+_fresh_values = st.one_of(st.integers(min_value=300, max_value=10**9), st.fractions(max_denominator=50).filter(lambda x: x.denominator > 1))
+
+
+class TestIdentityMemo:
+    """``linear_combine`` memoizes each sum by the identity of its operands;
+    the memo holds them, so an id is never reused while it lives."""
+
+    @given(terms=st.lists(st.tuples(
+        st.one_of(rationals, st.integers(min_value=300, max_value=10**6)).filter(bool),
+        st.dictionaries(st.integers(min_value=3, max_value=63).filter(lambda m: m.bit_count() >= 2), _fresh_values, min_size=1),
+    ), min_size=1, max_size=3))
+    @settings(max_examples=200, deadline=None)
+    def test_values_made_afresh_by_each_listing(self, terms):
+        terms = [(coeff, DivisorClassM1n._trusted(6, 0, _FreshValues(boundary))) for coeff, boundary in terms]
+        lam, boundary = _combined_by_entry(terms)
+        result = linear_combine(terms)
+        assert result.lam == lam and result.boundary == boundary
+
+    def test_coefficients_made_canonical_afresh(self):
+        """Integral fraction coefficients are made canonical into new ints,
+        one term at a time; one value object at a new mask in each term
+        then meets a new coefficient object, which could take the id of the
+        one before it if the memo did not hold that."""
+        value = 10**12 + 1
+        terms = [(Fraction(1000 + k), DivisorClassM1n(6, 0, {3 << k: value})) for k in range(5)]
+        lam, boundary = _combined_by_entry(terms)
+        assert linear_combine(terms).boundary == boundary == {3 << k: (1000 + k) * value for k in range(5)}
+
+    def test_one_product_per_distinct_operand_triple(self, monkeypatch):
+        """Two 12-marking glued views, 4,083 entries each, take one
+        ``Fraction`` product per distinct (coefficient, value, sum before)
+        triple and one per lambda coefficient."""
+        rng = random.Random(7)
+
+        def rat():
+            return Fraction(rng.randint(-30, 30), rng.randint(2, 12))
+
+        a, b = (glue_pullback(DivisorClassMg(7, rat(), rat(), [rat(), rat(), rat()]), 6) for _ in range(2))
+        terms = [(Fraction(1, 3), a), (Fraction(-5, 7), b)]
+        lam, boundary = _combined_by_entry(terms)
+        triples = {id(value) for _, value in a.boundary.items()}
+        triples |= {(id(a.boundary.get(mask)), id(value)) for mask, value in b.boundary.items()}
+        products = []
+        honest = Fraction.__mul__
+
+        def counted(self, other):
+            products.append(other)
+            return honest(self, other)
+
+        monkeypatch.setattr(Fraction, "__mul__", counted)
+        result = linear_combine(terms)
+        monkeypatch.undo()
+        assert len(products) <= len(triples) + len(terms) < 100
+        assert result.lam == lam and result.boundary == boundary
