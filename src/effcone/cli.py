@@ -421,19 +421,20 @@ def _load_json(path: str):
         raise InputError(f"{path}: JSON nested too deeply to read: {exc}") from exc
 
 
-def _dump_json(obj, output: str | None) -> None:
-    """Stream the canonical text of ``obj`` into ``output``, or to stdout
-    when it is omitted, a chunk of entries at a time. Every refusal comes
-    before this call, so a refused command leaves ``output`` untouched."""
+def _dump_json(item, output: str | None) -> None:
+    """Stream the canonical text of a class or profile into ``output``, or
+    to stdout when it is omitted, a chunk of entries at a time. Every
+    refusal comes before this call, so a refused command leaves ``output``
+    untouched."""
     if output:
         try:
             fh = open(output, "w", encoding="utf-8")
         except OSError as exc:
             raise InputError(f"cannot write {output}: {exc}") from exc
         with fh:
-            picard.write_json(obj, fh.write)
+            picard.write_json(item, fh.write)
     else:
-        picard.write_json(obj, sys.stdout.write)
+        picard.write_json(item, sys.stdout.write)
 
 
 def _read(path: str, parse, what: str):
@@ -481,7 +482,7 @@ def _cmd_pullback(args) -> int:
     # the view counts its entries combinatorially; len() itself would refuse
     # a count past sys.maxsize (64 markings)
     picard._check_budget(result.boundary.__len__(), f"the pullback to {result.n} markings")
-    _dump_json(picard.m1n_class_to_json(result), args.output)
+    _dump_json(result, args.output)
     return 0
 
 
@@ -493,32 +494,34 @@ def _cmd_intersect(args) -> int:
     return 0
 
 
+# each builder looks its corpus function up when called, so that a wrapped
+# one (bench/layers.py times them) is the one that runs
 _EXPORTERS = {
-    "gp": lambda: picard.mg_class_to_json(corpus.gp_class()),
-    "pullback-trigonal": lambda: picard.m1n_class_to_json(corpus.golden_pullback("trigonal")),
-    "pullback-gp": lambda: picard.m1n_class_to_json(corpus.golden_pullback("gp")),
-    "profile-trig": lambda: picard.profile_to_json(corpus.profile("trig")),
-    "profile-bnd": lambda: picard.profile_to_json(corpus.profile("bnd")),
-    "profile-gp": lambda: picard.profile_to_json(corpus.profile("gp")),
+    "gp": lambda: corpus.gp_class(),
+    "pullback-trigonal": lambda: corpus.golden_pullback("trigonal"),
+    "pullback-gp": lambda: corpus.golden_pullback("gp"),
+    "profile-trig": lambda: corpus.profile("trig"),
+    "profile-bnd": lambda: corpus.profile("bnd"),
+    "profile-gp": lambda: corpus.profile("gp"),
 }
 
 
 def _cmd_export(args) -> int:
     name = args.name
     if name in _EXPORTERS:
-        obj = _EXPORTERS[name]()
+        item = _EXPORTERS[name]()
     elif match := re.fullmatch(r"bn\(([0-9]+)\)", name):
         d = int(match.group(1))
         _check_pencil_markings(d)  # its gluing pullback lands on 4d - 4 markings
-        obj = picard.mg_class_to_json(corpus.bn_class(d))
+        item = corpus.bn_class(d)
     elif match := re.fullmatch(r"profile-gonal\(([0-9]+)\)", name):
         d = int(match.group(1))
         _check_gonal_budget(d)
-        obj = picard.profile_to_json(corpus.profile("gonal", d))
+        item = corpus.profile("gonal", d)
     else:
         known = ", ".join(sorted(_EXPORTERS) + ["bn(d)", "profile-gonal(d)"])
         raise InputError(f"unknown corpus item {name!r}; known: {known}")
-    _dump_json(obj, args.output)
+    _dump_json(item, args.output)
     return 0
 
 

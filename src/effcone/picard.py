@@ -16,12 +16,13 @@ EXPORT_BUDGET entries before its first entry, by :func:`_check_budget`, the
 one budget guard; a point read never is.
 
 Files and reprs list boundary entries by subset size, then by sorted
-members, all through :func:`_entries`: a view that lists itself in that
-order (``runs``, the gluing pullback) is walked, never sorted, and
-serialized lazily; a dict, or any other view, is sorted once into a list.
-One writer, :func:`write_json`, streams the canonical indented, sorted-key
-JSON text a bounded piece at a time, so its memory does not grow with the
-entry count; :func:`json_text` is the same text as one string.  The
+members, all as runs of one coefficient from :func:`_runs`: a view that
+lists itself in that order (``runs``, the gluing pullback) is walked, never
+sorted; any other mapping is sorted once and its equal neighbours grouped.
+One writer, :func:`write_json`, takes a class or profile and streams the
+canonical indented, sorted-key JSON text from those runs a bounded piece at
+a time, building no entry dict; :func:`json_text` is the same text as one
+string.  The
 reader, :func:`_boundary_from_json`, checks a file's entries over the whole
 list at once; only when a check fails does :func:`_boundary_entries` walk
 them one by one, and it is the one place that words an entry's error.
@@ -30,7 +31,7 @@ them one by one, and it is the one place that words an entry's error.
 from __future__ import annotations
 
 import json
-from itertools import chain, islice, repeat
+from itertools import chain, groupby, islice, repeat
 from math import comb
 from operator import and_, itemgetter, or_, rshift
 from typing import Callable, Dict, Iterable, Iterator, Mapping, Sequence, Tuple
@@ -116,8 +117,11 @@ def full_mask(n: int) -> int:
 
 
 def _check_n(n: int) -> None:
-    if not 2 <= n <= MAX_MARKINGS:
-        raise ValueError(f"marking count must be in 2..{MAX_MARKINGS}, got {n}")
+    message = f"marking count must be in 2..{MAX_MARKINGS}, got {n}"
+    if n > MAX_MARKINGS:  # a guard's refusal; below 2 the count is malformed
+        raise ResourceGuardError(message, MAX_MARKINGS, n)
+    if n < 2:
+        raise ValueError(message)
 
 
 def _checked_boundary(boundary, n: int) -> Dict[int, Scalar]:
@@ -433,52 +437,38 @@ def _lex_rank(members: Tuple[int, ...], n: int) -> int:
     return rank
 
 
-def _entries(mapping: Mapping[int, Scalar]) -> Iterator[tuple]:
-    """``(members, value)`` of each nonzero entry of a mapping, in boundary
-    order.  A view that has ``runs`` is walked run by run; any other mapping
-    is sorted once, by members within each size, which keeps the sort keys
-    flat tuples of ints."""
+def _runs(mapping: Mapping[int, Scalar], labels: Sequence) -> Iterator[Tuple[Scalar, Iterator[tuple]]]:
+    """The nonzero entries of a mapping in boundary order, as runs ``(value,
+    members)`` of one coefficient: ``members`` iterates the subsets of the
+    run once, as tuples of labels, ``labels[i]`` standing for marking i.  A
+    view that has ``runs`` lists itself; any other mapping is sorted once,
+    by members within each size, which keeps the sort keys flat tuples of
+    ints, and neighbouring entries with equal values are grouped.  The runs
+    share one walk, so each must be drawn to its end before the next."""
     if hasattr(mapping, "runs"):
-        for value, members in mapping.runs(range(mapping.n + 1)):
-            for subset in members:
-                yield subset, value
-        return
+        return mapping.runs(labels)
     by_size: Dict[int, list] = {}
     for mask, value in mapping.items():
         size, members = boundary_order(mask)
         by_size.setdefault(size, []).append((members, value))
-    for size in sorted(by_size):
-        yield from sorted(by_size[size], key=itemgetter(0))
+    ordered = chain.from_iterable(sorted(by_size[size], key=itemgetter(0)) for size in sorted(by_size))
+    label = repeat(labels.__getitem__)
+    return (
+        (value, map(tuple, map(map, label, map(itemgetter(0), run))))
+        for value, run in groupby(ordered, itemgetter(1))
+    )
 
 
-class _Listing:
-    """The serialized boundary entries of a mapping: iterating yields the
-    ``{"S", "coeff"}`` dict of each entry of :func:`_entries`, the only place
-    such dicts are built.  :func:`write_json` renders a listing of a view
-    that has ``runs`` straight from those runs instead."""
-
-    __slots__ = ("view",)
-
-    def __init__(self, view: Mapping[int, Scalar]):
-        self.view = view
-
-    def __iter__(self) -> Iterator[dict]:
-        encoded: dict = {}
-        for members, value in _entries(self.view):
-            coeff = encoded.get(value)
-            if coeff is None:
-                coeff = encoded[value] = scalar_to_json(value)
-            yield {"S": list(members), "coeff": coeff if type(coeff) is str else list(coeff)}
-
-    def __bool__(self) -> bool:  # len() refuses counts past sys.maxsize (64 markings)
-        return self.view.__len__() > 0
+def _entries(mapping: Mapping[int, Scalar]) -> Iterator[tuple]:
+    """``(members, value)`` of each nonzero entry of a mapping, in boundary
+    order, from :func:`_runs`, each marking standing for itself."""
+    for value, members in _runs(mapping, range(MAX_MARKINGS + 1)):
+        yield from zip(members, repeat(value))
 
 
-def _boundary_to_json(mapping: Mapping[int, Scalar]):
-    """The :class:`_Listing` of a mapping: lazy for a view that has
-    ``runs``, and a plain list for anything else."""
-    listing = _Listing(mapping)
-    return listing if hasattr(mapping, "runs") else list(listing)
+def _boundary_to_json(mapping: Mapping[int, Scalar]) -> list:
+    """The serialized entries of a mapping, in boundary order."""
+    return [{"S": list(members), "coeff": scalar_to_json(value)} for members, value in _entries(mapping)]
 
 
 # the bit of each marking; any other key, 0 and 65 included, is a KeyError
@@ -489,14 +479,11 @@ def _boundary_from_json(entries, n: int) -> Dict[int, Scalar]:
     """Boundary coefficients of serialized entries: integer markings in
     1..n, none repeated, at least two per subset and no subset twice.  Each
     distinct coefficient string is parsed once, and zero coefficients are
-    dropped.  The entries are walked once (a :class:`_Listing` builds its
-    dicts as it goes) and checked over the whole list at once, through
+    dropped.  The entries are checked over the whole list at once, through
     C-level ``map`` pipelines: a mask is the sum of its markings' bits, so
     it has as many bits as markings only when none repeats.  When a check
     fails, or the pass raises, :func:`_boundary_entries` walks the entries
     to raise the error of the first offending one."""
-    if type(entries) is not list:
-        entries = list(entries)
     try:
         lists = list(map(itemgetter("S"), entries))
         values, distinct = _coeff_values(list(map(itemgetter("coeff"), entries)))
@@ -591,10 +578,9 @@ def _space(obj: dict, kind: str, key: str, what: str) -> int:
 
 
 def _array(obj: dict, key: str):
-    """``obj[key]``, which must be a JSON array; the lazy :class:`_Listing`
-    of a serialized view stands for the array it lists."""
+    """``obj[key]``, which must be a JSON array."""
     value = obj[key]
-    if type(value) is not list and type(value) is not _Listing:
+    if type(value) is not list:
         raise ValueError(f"{key} must be a JSON array, got {type(value).__name__}")
     return value
 
@@ -652,63 +638,53 @@ _ENTRY = '    {\n      "S": [\n%s\n      ],\n      "coeff": %s\n    }'
 _CHUNK_ENTRIES = 4096
 
 
-def _coeff_text(coeff) -> str:
-    """The text of a serialized coefficient inside a boundary entry."""
-    return json.dumps(coeff, indent=2).replace("\n", "\n      ")
-
-
-def _entry_pieces(entries) -> Iterator[str]:
-    """The rendered boundary entries in pieces of at most ``_CHUNK_ENTRIES``
-    entries, to be joined by ``",\\n"``; each distinct coefficient is encoded
-    once.  A listing of a view that has ``runs`` is rendered a run at a time:
-    the entries of a run share their coefficient, so the text between two
-    member lists is one constant and a piece is one ``join``, with no Python
-    code per entry.  Any other listing is rendered one entry dict at a time."""
+def _entry_pieces(mapping: Mapping[int, Scalar]) -> Iterator[str]:
+    """The rendered boundary entries of a mapping in pieces of at most
+    ``_CHUNK_ENTRIES`` entries, to be joined by ``",\\n"``, rendered a run of
+    :func:`_runs` at a time: the entries of a run share their coefficient,
+    so the text between two member lists is one constant and a piece is one
+    ``join``.  Each distinct coefficient is encoded once."""
+    head, middle, end = _ENTRY.split("%s")
     texts: dict = {}
-    if type(entries) is _Listing and hasattr(entries.view, "runs"):
-        head, middle, end = _ENTRY.split("%s")
-        for value, members in entries.view.runs(_MARKING_LINES):
-            text = texts.get(value)
-            if text is None:
-                text = texts[value] = _coeff_text(scalar_to_json(value))
-            tail = middle + text + end
-            between = tail + ",\n" + head
-            while piece := between.join(map(",\n".join, islice(members, _CHUNK_ENTRIES))):
-                yield head + piece + tail
-        return
-    rendered = _listed_entry_texts(entries, texts)
-    while piece := ",\n".join(islice(rendered, _CHUNK_ENTRIES)):
-        yield piece
-
-
-def _listed_entry_texts(entries, texts: dict) -> Iterator[str]:
-    for entry in entries:
-        coeff = entry["coeff"]
-        ckey = coeff if type(coeff) is str else tuple(coeff)
-        text = texts.get(ckey)
+    for value, members in _runs(mapping, _MARKING_LINES):
+        text = texts.get(value)
         if text is None:
-            text = texts[ckey] = _coeff_text(coeff)
-        yield _ENTRY % (",\n".join([_MARKING_LINES[i] for i in entry["S"]]), text)
+            # the coefficient's text, indented to its place inside an entry
+            text = texts[value] = json.dumps(scalar_to_json(value), indent=2).replace("\n", "\n      ")
+        tail = middle + text + end
+        between = tail + ",\n" + head
+        while piece := between.join(map(",\n".join, islice(members, _CHUNK_ENTRIES))):
+            yield head + piece + tail
 
 
-def write_json(obj: dict, write: Callable[[str], object]) -> None:
-    """Write ``json.dumps(obj, indent=2, sort_keys=True) + "\\n"`` for a
-    serialized class or profile through ``write``, byte for byte, a piece of
-    at most ``_CHUNK_ENTRIES`` boundary entries at a time, so that memory does
-    not grow with the entry count.  ``indent`` makes ``json.dumps`` use its
-    pure-Python encoder, so the boundary entries are rendered here instead,
-    each through one template.  The rest of the object, and any object
-    without boundary entries, still goes through ``json.dumps``."""
-    key = next((k for k in ("boundary", "on_boundary") if k in obj), None)
-    if key is None or not obj[key]:
-        write(json.dumps({**obj, key: []} if key else obj, indent=2, sort_keys=True) + "\n")
+def write_json(item, write: Callable[[str], object]) -> None:
+    """Write ``json.dumps(X_to_json(item), indent=2, sort_keys=True) + "\\n"``
+    for a class or profile ``item``, X its kind, through ``write``, byte for
+    byte, a piece of at most ``_CHUNK_ENTRIES`` boundary entries at a time,
+    so that memory does not grow with the entry count.  ``indent`` makes
+    ``json.dumps`` use its pure-Python encoder, so the boundary entries are
+    rendered here from their runs instead.  The rest of the text is that of
+    ``X_to_json`` on the item with an empty boundary, through ``json.dumps``;
+    a genus-g class, which has no boundary entries, goes through it whole."""
+    if type(item) is DivisorClassMg:
+        write(json.dumps(mg_class_to_json(item), indent=2, sort_keys=True) + "\n")
+        return
+    if type(item) is CurveProfile:
+        key, mapping = "on_boundary", item.on_boundary
+        obj = profile_to_json(CurveProfile._trusted(item.n, item.on_lambda, {}))
+    else:
+        key, mapping = "boundary", item.boundary
+        obj = m1n_class_to_json(DivisorClassM1n._trusted(item.n, item.lam, {}))
+    text = json.dumps(obj, indent=2, sort_keys=True)
+    pieces = _entry_pieces(mapping)
+    first = next(pieces, None)  # drawn first: a refused listing writes nothing
+    if first is None:
+        write(text + "\n")
         return
     # a line break followed by two spaces and a quoted key only starts a
     # top-level key: strings never hold a raw line break
     marker = f'\n  "{key}": '
-    head, _, tail = json.dumps({**obj, key: []}, indent=2, sort_keys=True).partition(marker + "[]")
-    pieces = _entry_pieces(obj[key])
-    first = next(pieces)  # drawn first: a refused listing writes nothing
+    head, _, tail = text.partition(marker + "[]")
     write(head + marker + "[\n")
     write(first)
     for piece in pieces:
@@ -717,8 +693,8 @@ def write_json(obj: dict, write: Callable[[str], object]) -> None:
     write("\n  ]" + tail + "\n")
 
 
-def json_text(obj: dict) -> str:
+def json_text(item) -> str:
     """The text :func:`write_json` writes, as one string."""
     parts: list = []
-    write_json(obj, parts.append)
+    write_json(item, parts.append)
     return "".join(parts)

@@ -71,11 +71,14 @@ ROUTES = {
     "linear_combine": lambda cls, other: linear_combine([(1, cls)]),
     "permute_markings": lambda cls, other: permute_markings(cls, range(1, 65)),
     "m1n_class_to_json": lambda cls, other: m1n_class_to_json(cls),
-    "json_text": lambda cls, other: json_text(m1n_class_to_json(cls)),
+    "json_text": lambda cls, other: json_text(cls),
     "pair": lambda cls, other: pair(CurveProfile(64, 0, {3: 1}), cls),
 }
 # the routes that must list the whole view; the others may answer
-REFUSED = {"dict", "==", "!=", "DivisorClassM1n", "CurveProfile", "linear_combine", "permute_markings", "json_text"}
+REFUSED = {
+    "dict", "==", "!=", "DivisorClassM1n", "CurveProfile", "linear_combine", "permute_markings",
+    "m1n_class_to_json", "json_text",
+}
 
 
 class TestListingRoutes:
@@ -102,7 +105,7 @@ class TestListingRoutes:
 
     def test_a_refused_write_writes_nothing(self):
         written = []
-        assert outcome(lambda: write_json(m1n_class_to_json(CLASSES["glued"]), written.append)) is ResourceGuardError
+        assert outcome(lambda: write_json(CLASSES["glued"], written.append)) is ResourceGuardError
         assert written == []
 
     @pytest.mark.parametrize("which", CLASSES)
@@ -151,6 +154,7 @@ class TestOneGuard:
         (lambda: dict(CLASSES["forgetful"].boundary), picard.EXPORT_BUDGET, 1 << 60),
         (lambda: next(CLASSES["glued"].boundary.runs(range(65))), picard.EXPORT_BUDGET, (1 << 64) - 65),
         (lambda: gonal.pairing_direct(7), gonal.DIRECT_ROUTE_DEFAULT_CAP, 7),
+        (lambda: glue_pullback(DivisorClassMg(34, 1, 1, [1] * 17), 33), picard.MAX_MARKINGS, 66),
     ])
     def test_the_error_carries_its_limit_and_what_was_asked(self, call, limit, asked):
         with pytest.raises(ResourceGuardError) as refused:

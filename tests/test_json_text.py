@@ -1,8 +1,9 @@
-"""The class file writer: ``picard.json_text`` gives the same bytes as
-``json.dumps(obj, indent=2, sort_keys=True) + "\\n"``, which stays here as
-the oracle, and the members table behind the boundary order.  The writer
-streams a glued view from its runs with flat memory, and a command
-writes the same bytes to stdout as to its output file."""
+"""The class file writer: ``picard.json_text(item)`` gives the same bytes as
+``json.dumps(X_to_json(item), indent=2, sort_keys=True) + "\\n"``, which
+stays here as the oracle, and the members table behind the boundary order.
+The writer renders every mapping from its runs, streams a glued view with
+flat memory, and a command writes the same bytes to stdout as to its
+output file."""
 
 import ast
 import inspect
@@ -20,13 +21,13 @@ from hypothesis import strategies as st
 from conftest import rationals
 from effcone import gluing, picard
 from effcone.cli import _EXPORTERS, main
-from effcone.gluing import GluedBoundary, glue_pullback
+from effcone.gluing import ForgetfulBoundary, GluedBoundary, forget_pullback, glue_pullback
 from effcone.picard import (
     CurveProfile,
     DivisorClassM1n,
     DivisorClassMg,
-    _Listing,
     _lex_rank,
+    _runs,
     boundary_order,
     json_text,
     m1n_class_to_json,
@@ -63,34 +64,33 @@ class TestWriterMatchesOracle:
     @settings(max_examples=75)
     def test_random_classes(self, nb, lam):
         n, boundary = nb
-        obj = m1n_class_to_json(DivisorClassM1n(n, lam, boundary))
-        assert json_text(obj) == oracle(obj)
+        cls = DivisorClassM1n(n, lam, boundary)
+        assert json_text(cls) == oracle(m1n_class_to_json(cls))
 
     @given(boundaries(), scalars)
     @settings(max_examples=75)
     def test_random_profiles(self, nb, on_lambda):
         n, boundary = nb
-        obj = profile_to_json(CurveProfile(n, on_lambda, boundary))
-        assert json_text(obj) == oracle(obj)
+        prof = CurveProfile(n, on_lambda, boundary)
+        assert json_text(prof) == oracle(profile_to_json(prof))
 
     def test_empty_boundary(self):
-        for obj in (
-            m1n_class_to_json(DivisorClassM1n(5, 3)),
-            profile_to_json(CurveProfile(5, Poly((1, 2)))),
-            m1n_class_to_json(DivisorClassM1n(2, 0)),
-        ):
-            assert json_text(obj) == oracle(obj)
+        for cls in (DivisorClassM1n(5, 3), DivisorClassM1n(2, 0)):
+            assert json_text(cls) == oracle(m1n_class_to_json(cls))
+        prof = CurveProfile(5, Poly((1, 2)))
+        assert json_text(prof) == oracle(profile_to_json(prof))
 
     def test_every_marking_up_to_64(self):
         full = (1 << 64) - 1
         boundary = {full: Poly((-1, 0, 3)), full ^ 1: 7, 3 << 62: -2, 1 | 1 << 63: Fraction(5, 3)}
-        obj = m1n_class_to_json(DivisorClassM1n(64, -1, boundary))
+        cls = DivisorClassM1n(64, -1, boundary)
+        obj = m1n_class_to_json(cls)
         assert obj["boundary"][-1]["S"] == list(range(1, 65))
-        assert json_text(obj) == oracle(obj)
+        assert json_text(cls) == oracle(obj)
 
     def test_genus_g_classes_go_through_json_dumps(self):
-        obj = mg_class_to_json(DivisorClassMg(9, 12, -1, [-4, -6, -8, -10]))
-        assert json_text(obj) == oracle(obj)
+        cls = DivisorClassMg(9, 12, -1, [-4, -6, -8, -10])
+        assert json_text(cls) == oracle(mg_class_to_json(cls))
 
 
 class TestCommandsMatchOracle:
@@ -169,10 +169,10 @@ class TestGluedViewWriter:
             cls = glue_pullback(_random_genus_class(rng, m + 1), m)
             kinds |= {_row_kind(cls.boundary, b) for b in range(2, 2 * m + 1)}
             listed = m1n_class_to_json(_listed(cls))
-            lazy = m1n_class_to_json(cls)
-            assert json_text(lazy) == oracle(listed)
-            assert list(lazy["boundary"]) == listed["boundary"]
-            assert m1n_class_from_json(lazy) == cls
+            obj = m1n_class_to_json(cls)
+            assert json_text(cls) == oracle(listed)
+            assert obj == listed
+            assert m1n_class_from_json(obj) == cls
             if draw >= 7 and kinds >= wanted:
                 break
         assert kinds >= wanted
@@ -182,10 +182,10 @@ class TestGluedViewWriter:
         """Pieces of three entries split runs and exceptions everywhere."""
         monkeypatch.setattr(picard, "_CHUNK_ENTRIES", 3)
         cls = glue_pullback(DivisorClassMg(6, 2, delta_irr, [3, delta_irr, 5]), 5)
-        listed = m1n_class_to_json(_listed(cls))
+        listed = _listed(cls)
         pieces = []
-        write_json(m1n_class_to_json(cls), pieces.append)
-        assert "".join(pieces) == oracle(listed) == json_text(listed)
+        write_json(cls, pieces.append)
+        assert "".join(pieces) == oracle(m1n_class_to_json(listed)) == json_text(listed)
         assert max(piece.count('"S"') for piece in pieces) <= 3
 
     def test_lex_rank_counts_the_subsets_before(self):
@@ -238,11 +238,88 @@ class TestRuns:
         assert {"_by_size", "_on_pairs"} <= names
 
 
+# a few values, so that runs of one, two and many equal neighbours occur
+POOL = (1, -2, Fraction(1, 2), Poly((1, 2)), Poly((0, -1, 3)))
+
+
+@st.composite
+def pooled_boundaries(draw):
+    n = draw(st.integers(min_value=2, max_value=7))
+    masks = st.integers(min_value=0, max_value=(1 << n) - 1).filter(lambda m: m.bit_count() >= 2)
+    pool = draw(st.lists(st.sampled_from(POOL), min_size=1, max_size=3, unique_by=repr))
+    return n, draw(st.dictionaries(masks, st.sampled_from(pool), max_size=40))
+
+
+def _run_lengths(mapping):
+    """The value and length of each run of ``_runs``, after checking that the
+    runs list the entries in boundary order."""
+    runs = [(value, list(members)) for value, members in _runs(mapping, range(65))]
+    listed = [(subset_mask(s, 64), v) for v, ms in runs for s in ms]
+    assert listed == sorted(mapping.items(), key=lambda kv: boundary_order(kv[0]))
+    return [(value, len(members)) for value, members in runs]
+
+
 class TestListingOfADict:
-    def test_a_listing_of_a_dict_is_written_entry_by_entry(self):
-        boundary = {0b111: Poly((1, 2)), 0b011: Fraction(-1, 2), 0b101: 3, 0b110: 3}
-        obj = {"space": {"type": "M1n", "n": 3}, "lambda": "0", "boundary": _Listing(boundary)}
-        assert json_text(obj) == oracle({**obj, "boundary": list(_Listing(boundary))})
+    """A dict, or a view without ``runs``, is sorted once and its equal
+    neighbours grouped into runs: the same text as the oracle's route."""
+
+    def test_a_dict_is_written_from_its_runs(self):
+        boundary = {0b0111: Poly((1, 2)), 0b0011: Fraction(-1, 2), 0b0101: 3, 0b1001: 3, 0b0110: 1, 0b1010: 1, 0b1100: 1}
+        cls = DivisorClassM1n(4, 0, boundary)
+        assert json_text(cls) == oracle(m1n_class_to_json(cls))
+        assert _run_lengths(boundary) == [(Fraction(-1, 2), 1), (3, 2), (1, 3), (Poly((1, 2)), 1)]
+
+    @given(pooled_boundaries(), st.sampled_from(POOL))
+    @settings(max_examples=150)
+    def test_pooled_values(self, nb, lam):
+        n, boundary = nb
+        lengths = _run_lengths(boundary)
+        # maximal runs: neighbouring runs differ in value
+        assert all(a[0] != b[0] for a, b in zip(lengths, lengths[1:]))
+        cls, prof = DivisorClassM1n(n, lam, boundary), CurveProfile(n, lam, boundary)
+        assert json_text(cls) == oracle(m1n_class_to_json(cls))
+        assert json_text(prof) == oracle(profile_to_json(prof))
+
+    @pytest.mark.parametrize("kind", ["dict", "forgetful"])
+    def test_every_piece_boundary(self, monkeypatch, kind):
+        """Pieces of three entries split the runs of a sorted mapping."""
+        monkeypatch.setattr(picard, "_CHUNK_ENTRIES", 3)
+        base = DivisorClassM1n(4, 1, {0b0011: 2, 0b0110: 2, 0b1111: Poly((1, 2)), 0b0101: Fraction(1, 3)})
+        cls = forget_pullback(base, 6)
+        assert type(cls.boundary) is ForgetfulBoundary
+        if kind == "dict":
+            cls = _listed(cls)
+        pieces = []
+        write_json(cls, pieces.append)
+        assert "".join(pieces) == oracle(m1n_class_to_json(cls))
+        assert max(piece.count('"S"') for piece in pieces) <= 3
+        assert sum(piece.count('"S"') for piece in pieces) == len(cls.boundary)
+
+
+class TestSerializersAreCalled:
+    """``bench/layers.py`` times ``picard.m1n_class_to_json`` and
+    ``picard.profile_to_json`` by replacing them on the module, and its
+    traced run fails when either gets no span: the writer must call them by
+    their module names on the commands the bench runs."""
+
+    def test_export_and_pullback(self, tmp_path, monkeypatch):
+        calls = []
+
+        def watched(name):
+            serialize = getattr(picard, name)
+            return lambda item: calls.append(name) or serialize(item)
+
+        for name in ("m1n_class_to_json", "profile_to_json"):
+            monkeypatch.setattr(picard, name, watched(name))
+        out = tmp_path / "out.json"
+        assert main(["export", "--name", "profile-gonal(3)", "--output", str(out)]) == 0
+        assert calls == ["profile_to_json"]
+        assert out.read_text() == oracle(json.loads(out.read_text()))
+        calls.clear()
+        pullback = ["pullback", "--g", "4", "--m", "3", "--input", _brill_noether_file(tmp_path, 3)]
+        assert main([*pullback, "--output", str(out)]) == 0
+        assert calls == ["m1n_class_to_json"]
+        assert out.read_text() == oracle(json.loads(out.read_text()))
 
 
 def _brill_noether_file(tmp_path, m):
