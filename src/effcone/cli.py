@@ -12,9 +12,11 @@ loading them at start-up.
 
 Exit codes: 0 when every check passes, 1 on any failing row (an internal
 error in a suite is one), 2 on usage or input errors and on a refused budget.
-A refused budget is a ``picard.ResourceGuardError``; the pre-checks here
-call the views' guard, so that a command is refused before it builds a
-profile or opens ``--output``.
+A refused budget is a ``picard.ResourceGuardError``. A builder raises it
+before it builds anything, so ``export`` is refused before ``--output`` is
+opened, and a view before it lists anything; ``pullback`` checks its view's
+count before it opens ``--output``, and ``verify --direct-max-d`` before any
+suite runs.
 """
 
 from __future__ import annotations
@@ -144,7 +146,7 @@ def gonal_suite(max_d: int = DEFAULT_MAX_D, direct_max_d: int = gonal.DIRECT_ROU
     for d in range(3, direct_max_d + 1):
         closed = gonal.pairing_closed(d)
         entries += [
-            (f"route_direct.d={d:02d}", closed, gonal.pairing_direct(d, max_d=direct_max_d),
+            (f"route_direct.d={d:02d}", closed, gonal.pairing_direct(d),
              "full sparse enumeration of the pullback"),
             (f"route_binomial.d={d:02d}", closed, gonal.pairing_binomial(d),
              "size-grouped binomial sums"),
@@ -425,16 +427,15 @@ def _dump_json(item, output: str | None) -> None:
     """Stream the canonical text of a class or profile into ``output``, or
     to stdout when it is omitted, a chunk of entries at a time. Every
     refusal comes before this call, so a refused command leaves ``output``
-    untouched."""
-    if output:
-        try:
-            fh = open(output, "w", encoding="utf-8")
-        except OSError as exc:
-            raise InputError(f"cannot write {output}: {exc}") from exc
-        with fh:
-            picard.write_json(item, fh.write)
-    else:
+    untouched. An empty ``output`` is a path like any other."""
+    if output is None:
         picard.write_json(item, sys.stdout.write)
+        return
+    try:
+        with open(output, "w", encoding="utf-8") as fh:
+            picard.write_json(item, fh.write)
+    except OSError as exc:  # opening, a write, or the flush at close
+        raise InputError(f"cannot write {output}: {exc}") from exc
 
 
 def _read(path: str, parse, what: str):
@@ -465,13 +466,6 @@ def _check_pencil_markings(d: int) -> None:
     on 4d - 4 > 64 markings, before anything of degree d is built."""
     if d >= 3:
         picard._check_n(4 * d - 4)
-
-
-def _check_gonal_budget(d: int, via: str = "") -> None:
-    """Refuse profile-gonal(d) past the export budget before it is built;
-    ``via`` names the option that asked for it."""
-    what = f"profile-gonal({d}) on {4 * d - 4} markings"
-    picard._check_budget(corpus.gonal_support(d), f"{via} ({what})" if via else what)
 
 
 def _cmd_pullback(args) -> int:
@@ -515,9 +509,7 @@ def _cmd_export(args) -> int:
         _check_pencil_markings(d)  # its gluing pullback lands on 4d - 4 markings
         item = corpus.bn_class(d)
     elif match := re.fullmatch(r"profile-gonal\(([0-9]+)\)", name):
-        d = int(match.group(1))
-        _check_gonal_budget(d)
-        item = corpus.profile("gonal", d)
+        item = corpus.profile("gonal", int(match.group(1)))  # refused past the budget before it is built
     else:
         known = ", ".join(sorted(_EXPORTERS) + ["bn(d)", "profile-gonal(d)"])
         raise InputError(f"unknown corpus item {name!r}; known: {known}")
@@ -529,7 +521,8 @@ def _cmd_verify(args) -> int:
     d = args.direct_max_d
     if d >= 3:
         # the direct route builds profile-gonal(d) whole; refused before any suite runs
-        _check_gonal_budget(d, f"--direct-max-d {d}")
+        what = f"--direct-max-d {d} (profile-gonal({d}) on {4 * d - 4} markings)"
+        picard._check_budget(corpus.gonal_support(d), what)
     # the sign sweep reads the d-gonal pencil up to --max-d; refused, like
     # bn(d), past 64 markings before any suite runs
     _check_pencil_markings(args.max_d)
@@ -612,6 +605,12 @@ def main(argv: Sequence[str] | None = None) -> int:
         # goes to devnull, so that the flush at exit raises nothing
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
+    except OSError as exc:
+        # stdout cannot take the output (a full disk); the rest goes to
+        # devnull as above
+        print(f"error: cannot write standard output: {exc}", file=sys.stderr)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 2
 
 
 if __name__ == "__main__":

@@ -20,7 +20,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import factorial
 
-from .picard import CurveProfile, DivisorClassM1n, DivisorClassMg, _check_n, subset_mask
+from .picard import CurveProfile, DivisorClassM1n, DivisorClassMg, _check_budget, _check_n, subset_mask
 from .scalars import A
 
 
@@ -121,7 +121,8 @@ def profile(name: str, d: int | None = None) -> CurveProfile:
       curve at a base point (8 markings); moves inside a boundary divisor.
     * ``gonal``: pencil of degree-d covers cut on a product of a genus-one
       curve and a line, after a base change of degree (d-1)^(2d-2)
-      (4d-4 markings; requires ``d``).
+      (4d-4 markings; requires ``d``).  Its d * 4^(d-1) - 2d + 1 entries are
+      refused past EXPORT_BUDGET before the first is built, so d <= 9.
     * ``gp``: pencil of genus-one fibrations marked on three 2-sections,
       after a base change of degree 8 (6 markings; values polynomial in a).
     """
@@ -136,7 +137,8 @@ def profile(name: str, d: int | None = None) -> CurveProfile:
         return CurveProfile(n, 1, {subset_mask(range(1, 8), n): -1})
 
     if name == "gonal":
-        gonal_support(d)  # refuses d before any subset is enumerated
+        # d, and a support past the export budget, refused before any subset
+        _check_budget(gonal_support(d), f"profile-gonal({d}) on {4 * d - 4} markings")
         # every entry is listed: pair k is bits 2k-2 (odd marking 2k-1) and
         # 2k-1 (even marking 2k); values are indexed by the number of even
         # markings in the subset

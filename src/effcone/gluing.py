@@ -71,11 +71,14 @@ class LambdaFamily(NamedTuple):
 
 
 def lambda_family(i: int, m: int) -> LambdaFamily:
-    """Enumerate the C(m, i) unions of i glued pairs among m."""
+    """Enumerate the C(m, i) unions of i glued pairs among m, refused on more
+    than 64 markings or past EXPORT_BUDGET sets before the first."""
     if m < 1:
         raise ValueError(f"pair count must be positive, got {m}")
     if not 0 <= i <= m:
         raise ValueError(f"pair index {i} not in 0..{m}")
+    _check_n(2 * m)
+    _check_budget(binom(m, i), f"the family of unions of {i} of {m} glued pairs")
     pair_masks = [0b11 << (2 * (k - 1)) for k in range(1, m + 1)]
     sets = []
     for chosen in combinations(pair_masks, i):

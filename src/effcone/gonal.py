@@ -7,10 +7,10 @@ The three routes are:
   against the pullback coefficient at that subset.  The pullback is a view
   that computes each coefficient on demand, so the cost is the profile
   support, d * 4^(d-1) - 2d + 1 entries (6,133 reads at d = 6), which still
-  grows exponentially in d; the route is guarded by a cap (default d <= 6),
-  refused with the ``ResourceGuardError`` of :mod:`.picard`, re-exported here.
-  ``verify --direct-max-d`` also holds the cap to the export budget, which
-  admits d <= 9 (589,807 entries) and is checked before any profile is built.
+  grows exponentially in d.  The export budget, checked by the profile's
+  builder, is its only bound: d <= 9 (589,807 entries) runs, and past it the
+  ``ResourceGuardError`` of :mod:`.picard`, re-exported here, is raised
+  before any entry is built.
 * ``pairing_binomial``: the binomial-sum expression obtained by grouping the
   profile support by subset size.
 * ``pairing_closed``: the closed form
@@ -25,26 +25,20 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import List, NamedTuple
 
-from .corpus import bn_class, bn_scale, gonal_support, profile
+from .corpus import bn_class, bn_scale, profile
 from .gluing import glue_pullback
-from .picard import ResourceGuardError, pair
+from .picard import ResourceGuardError, pair  # noqa: F401  (re-exported)
 from .scalars import Rat, binom, canon
 
-DIRECT_ROUTE_DEFAULT_CAP = 6
+DIRECT_ROUTE_DEFAULT_CAP = 6  # the default of verify --direct-max-d, not a guard
 
 
-def pairing_direct(d: int, max_d: int = DIRECT_ROUTE_DEFAULT_CAP) -> Rat:
+def pairing_direct(d: int) -> Rat:
     """Pairing by full enumeration of the profile support on 4d-4 markings,
-    each entry read against the pullback coefficient at its subset."""
+    each entry read against the pullback coefficient at its subset; refused
+    past the export budget (d >= 10) by the profile's builder."""
     if d < 3:
         raise ValueError(f"gonal pairings need d >= 3, got {d}")
-    if d > max_d:
-        raise ResourceGuardError(
-            f"direct route capped at d = {max_d} ({gonal_support(d)} "
-            f"profile entries to build and read at d = {d}); "
-            "raise the cap explicitly to override",
-            max_d, d,
-        )
     return canon(pair(profile("gonal", d), glue_pullback(bn_class(d), 2 * d - 2)))
 
 

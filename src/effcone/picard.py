@@ -132,7 +132,7 @@ def _checked_boundary(boundary, n: int) -> Dict[int, Scalar]:
     if boundary is None:
         boundary = {}
     elif type(boundary) is not dict:
-        boundary = dict(boundary)
+        boundary = dict(boundary.items())  # dict(view) would read every key again
     keys = boundary.keys()
     if not (
         keys

@@ -85,7 +85,7 @@ def test_criterion_3_trigonal_pairings():
 def test_criterion_4_gonal_routes():
     start = time.perf_counter()
     for d in range(3, 7):
-        direct = gonal.pairing_direct(d, max_d=6)
+        direct = gonal.pairing_direct(d)
         assert direct == gonal.pairing_binomial(d) == gonal.pairing_closed(d), d
     assert gonal.pairing_closed(3) == 2
     rows = gonal.negativity_report(12)

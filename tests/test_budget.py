@@ -4,6 +4,8 @@ at the view, through one guard and one error type.
 The route tests call every method of ``Mapping`` and every package function
 that takes a boundary on a 64-marking glued view and on a forgetful view of
 2^60 entries; each call answers or raises ``ResourceGuardError`` at once.
+The builders of a 2^n count (the gonal profile, the lambda families) refuse
+the same way, before they enumerate.
 The source tests read the package's syntax trees, so that a check at a call
 site cannot come back unnoticed.
 """
@@ -16,8 +18,9 @@ from collections.abc import Iterator, Mapping, MappingView
 import pytest
 
 import effcone
-from effcone import gonal, picard
-from effcone.gluing import forget_pullback, glue_pullback
+from effcone import corpus, gonal, picard
+from effcone.corpus import gonal_support
+from effcone.gluing import forget_pullback, glue_pullback, lambda_family
 from effcone.picard import (
     CurveProfile,
     DivisorClassM1n,
@@ -153,11 +156,18 @@ class TestOneGuard:
     @pytest.mark.parametrize("call, limit, asked", [
         (lambda: dict(CLASSES["forgetful"].boundary), picard.EXPORT_BUDGET, 1 << 60),
         (lambda: next(CLASSES["glued"].boundary.runs(range(65))), picard.EXPORT_BUDGET, (1 << 64) - 65),
-        (lambda: gonal.pairing_direct(7), gonal.DIRECT_ROUTE_DEFAULT_CAP, 7),
+        pytest.param(lambda: corpus.profile("gonal", 10), picard.EXPORT_BUDGET, 2621421, id="profile-gonal-10"),
         (lambda: glue_pullback(DivisorClassMg(34, 1, 1, [1] * 17), 33), picard.MAX_MARKINGS, 66),
+        # the builders of a 2^n count refuse before they enumerate
+        *(pytest.param(lambda d=d: corpus.profile("gonal", d), picard.EXPORT_BUDGET, gonal_support(d),
+                       id=f"profile-gonal-{d}") for d in (12, 17)),
+        pytest.param(lambda: gonal.pairing_direct(10), picard.EXPORT_BUDGET, gonal_support(10),
+                     id="pairing_direct-10"),
+        pytest.param(lambda: lambda_family(16, 32), picard.EXPORT_BUDGET, 601080390, id="lambda_family-16-32"),
+        pytest.param(lambda: lambda_family(1, 40), picard.MAX_MARKINGS, 80, id="lambda_family-1-40"),
     ])
     def test_the_error_carries_its_limit_and_what_was_asked(self, call, limit, asked):
-        with pytest.raises(ResourceGuardError) as refused:
+        with wall_clock_bound(2), pytest.raises(ResourceGuardError) as refused:
             call()
         assert (refused.value.limit, refused.value.asked) == (limit, asked)
         assert type(refused.value.limit) is int and type(refused.value.asked) is int
@@ -184,5 +194,17 @@ class TestOneGuard:
             "gluing.GluedBoundary.runs",
             "gluing.ForgetfulBoundary.items",
             "cli._cmd_pullback",
-            "cli._check_gonal_budget",
+            "cli._cmd_verify",
+            "corpus.profile",
+            "gluing.lambda_family",
         }
+
+    def test_the_error_is_built_by_the_two_guards_alone(self):
+        def builds(node):
+            return isinstance(node, ast.Call) and _named(node.func, "ResourceGuardError")
+
+        guards = ("picard._check_budget", "picard._check_n")
+        assert _with(builds) == set(guards)
+        # nor at module level: every build in a module lies in the two guards
+        everywhere = sum(builds(n) for module in MODULES for n in ast.walk(_parse(module)))
+        assert everywhere == sum(builds(n) for name in guards for n in FUNCTIONS[name]) == 2

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from effcone.corpus import gonal_support
 from effcone.gonal import (
     DIRECT_ROUTE_DEFAULT_CAP,
     ResourceGuardError,
@@ -18,6 +19,7 @@ from effcone.gonal import (
     pairing_closed,
     pairing_direct,
 )
+from effcone.picard import EXPORT_BUDGET
 from effcone.scalars import binom
 
 FROZEN_VALUES = {
@@ -64,13 +66,13 @@ class TestDirectRoute:
             assert pairing_direct(d) == FROZEN_VALUES[d]
 
     def test_cap_guard(self):
-        with pytest.raises(ResourceGuardError):
-            pairing_direct(DIRECT_ROUTE_DEFAULT_CAP + 1)
+        # the profile's builder refuses past the export budget, d = 10 the first
+        with pytest.raises(ResourceGuardError) as refused:
+            pairing_direct(10)
+        assert (refused.value.limit, refused.value.asked) == (EXPORT_BUDGET, gonal_support(10))
 
-    def test_cap_is_overridable(self):
-        assert pairing_direct(3, max_d=3) == 2
-        with pytest.raises(ResourceGuardError):
-            pairing_direct(4, max_d=3)
+    def test_runs_past_the_old_cap(self):
+        assert pairing_direct(7) == pairing_closed(7)
 
     def test_requires_d_at_least_three(self):
         with pytest.raises(ValueError):

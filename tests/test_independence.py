@@ -120,9 +120,14 @@ class TestHodgeRoutes:
 
 
 class TestLambdaFamily:
+    # both refuse an over-budget enumeration through the one guard, counted
+    # with binom (math.comb); neither reads a coefficient rule
+    BUDGET = {"picard._check_budget", "scalars.binom"} | reach("picard._check_budget")
+
     def test_reaches_nothing_of_the_glued_view(self):
         glued = {"gluing.GluedBoundary"} | reach("gluing.GluedBoundary")
-        assert reach("gluing.lambda_family") & glued == set()
+        assert reach("gluing.lambda_family") & glued <= self.BUDGET
+        assert self.BUDGET == {"picard._check_budget", "picard.ResourceGuardError", "scalars.binom"}
 
     def test_the_row_is_seen_to_use_both(self):
         # the walk is not vacuous: the property suite compares the two

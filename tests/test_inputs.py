@@ -1,9 +1,13 @@
 """Strict input files: every malformed scalar, marking or space size is an
 input error (exit 2), and no pullback leaves the 64-marking range."""
 
+import errno
 import gc
 import json
+import os
 import signal
+import sys
+import tracemalloc
 from fractions import Fraction
 from types import SimpleNamespace
 from unittest import mock
@@ -18,6 +22,7 @@ from effcone.cli import main
 from effcone.gluing import forget_pullback, glue_pullback
 from effcone.picard import DivisorClassM1n, DivisorClassMg
 from effcone.scalars import format_rat, parse_rat, scalar_from_json
+from test_gluing import wall_clock_bound
 
 BAD_RATIONALS = [
     "1e3",
@@ -264,14 +269,22 @@ class TestExportBudget:
         assert main(["pullback", "--g", "11", "--m", "10", "--input", _genus_file(tmp_path, 11), "--output", str(out)]) == 0
         assert written == [2**20 - 21] and 2**20 - 21 <= cli.EXPORT_BUDGET < 2**22 - 23
 
-    @pytest.mark.parametrize("d", [10, 20])
-    def test_gonal_profile_refused_before_enumerating(self, capsys, monkeypatch, d):
-        def enumerate_profile(name, d=None):
-            raise AssertionError("the profile was enumerated")
-
-        monkeypatch.setattr(corpus, "profile", enumerate_profile)
-        assert main(["export", "--name", f"profile-gonal({d})"]) == 2
-        assert capsys.readouterr().err.startswith("error: ")
+    @pytest.mark.parametrize("d, refusal", [
+        (10, f"export budget is {picard.EXPORT_BUDGET} boundary entries; profile-gonal(10) on 36 markings has 2621421"),
+        (20, "marking count must be in 2..64, got 76"),
+    ], ids=["10", "20"])
+    def test_gonal_profile_refused_before_enumerating(self, capsys, d, refusal):
+        # the builder refuses itself: the d = 10 profile would trace about
+        # 256 MiB before it could be refused, and d = 20 would not end
+        tracemalloc.start()
+        try:
+            with wall_clock_bound(2):
+                assert main(["export", "--name", f"profile-gonal({d})"]) == 2
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20, f"traced peak {peak / 2**20:.1f} MiB"
+        assert capsys.readouterr().err == f"error: {refusal}\n"
 
     @pytest.mark.parametrize("d", [10, 12, 20])
     def test_direct_route_refused_before_building(self, capsys, monkeypatch, d):
@@ -392,13 +405,20 @@ class TestUnreadableFiles:
 
 
 class TestUnwritableOutput:
-    """An ``--output`` that cannot be opened for writing is an input error
-    that names the path, not a traceback."""
+    """An ``--output`` that cannot be opened or written is an input error
+    that names the path, not a traceback; so is a standard output that
+    cannot be written, while a closed one still exits 1 in silence."""
 
-    @pytest.fixture(params=["directory", "missing parent"])
+    @pytest.fixture(params=["directory", "missing parent", "full device", "empty path"])
     def target(self, request, tmp_path):
         if request.param == "directory":
             return str(tmp_path)
+        if request.param == "full device":  # opens, and every write fails
+            if not os.path.exists("/dev/full"):
+                pytest.skip("no /dev/full here")
+            return "/dev/full"
+        if request.param == "empty path":  # a path, not standard output
+            return ""
         return str(tmp_path / "missing" / "out.json")
 
     def _fails(self, capsys, argv, path):
@@ -413,6 +433,40 @@ class TestUnwritableOutput:
         source = str(tmp_path / "bn3.json")
         assert main(["export", "--name", "bn(3)", "--output", source]) == 0
         self._fails(capsys, ["pullback", "--g", "5", "--m", "4", "--input", source], target)
+
+    @pytest.mark.parametrize("error, code, err", [
+        pytest.param(
+            OSError(errno.ENOSPC, os.strerror(errno.ENOSPC)), 2,
+            f"error: cannot write standard output: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n",
+            id="full",
+        ),
+        pytest.param(BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE)), 1, "", id="closed"),
+    ])
+    @pytest.mark.parametrize("argv", [["verify", "gonal"], ["export", "--name", "bn(3)"]], ids=["verify", "export"])
+    def test_standard_output(self, tmp_path, capsys, monkeypatch, argv, error, code, err):
+        # a stdout whose writes fail; its descriptor is a file of its own, so
+        # that what main points at devnull can be seen
+        spare = tmp_path / "stdout"
+        fd = os.open(spare, os.O_WRONLY | os.O_CREAT)
+
+        class FailingStdout:
+            def write(self, text):
+                raise error
+
+            def flush(self):
+                pass
+
+            def fileno(self):
+                return fd
+
+        monkeypatch.setattr(sys, "stdout", FailingStdout())
+        try:
+            assert main(argv) == code
+            os.write(fd, b"dropped")  # the flush at exit would land here
+        finally:
+            os.close(fd)
+        assert capsys.readouterr() == ("", err)
+        assert spare.read_bytes() == b""
 
 
 # pairs of faults in one file: the first in file order is the one reported

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from conftest import curve_profiles, m1n_classes, rationals
 from effcone.corpus import bn_class, golden_pullback, profile
-from effcone.gluing import forget_pullback, glue_pullback
+from effcone.gluing import GluedBoundary, forget_pullback, glue_pullback
 from effcone.picard import (
     CurveProfile,
     _checked_boundary,
@@ -375,6 +375,20 @@ class TestCheckedBoundary:
     def test_mapping_view_input(self):
         view = glue_pullback(bn_class(3), 4).boundary
         assert _checked_boundary(view, 8) == _checked_by_entry(view, 8) == dict(view.items())
+
+    def test_a_view_is_listed_once_and_never_read_by_point(self, monkeypatch):
+        view = glue_pullback(bn_class(4), 6).boundary
+        listed = dict(view.items())
+        reads = []
+        honest = GluedBoundary.get
+
+        def counted(self, mask, default=None):
+            reads.append(mask)
+            return honest(self, mask, default)
+
+        monkeypatch.setattr(GluedBoundary, "get", counted)
+        assert DivisorClassM1n(12, 0, view).boundary == listed
+        assert reads == [] and len(listed) == 4083
 
     @given(st.integers(min_value=2, max_value=6).flatmap(
         lambda n: st.tuples(st.just(n), st.dictionaries(
