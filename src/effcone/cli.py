@@ -419,6 +419,8 @@ def _load_json(path: str):
         raise InputError(
             f"{path}: malformed JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from exc
+    except ValueError as exc:  # an integer past Python's digit limit
+        raise InputError(f"{path}: JSON value cannot be read: {exc}") from exc
     except RecursionError as exc:
         raise InputError(f"{path}: JSON nested too deeply to read: {exc}") from exc
 
@@ -426,14 +428,27 @@ def _load_json(path: str):
 def _dump_json(item, output: str | None) -> None:
     """Stream the canonical text of a class or profile into ``output``, or
     to stdout when it is omitted, a chunk of entries at a time. Every
-    refusal comes before this call, so a refused command leaves ``output``
-    untouched. An empty ``output`` is a path like any other."""
+    refusal comes before this call, and ``output`` is opened on the first
+    write, after the head and the first chunk are rendered, so a failure to
+    render them (an integer too long to print) leaves ``output`` untouched
+    too. An empty ``output`` is a path like any other."""
     if output is None:
         picard.write_json(item, sys.stdout.write)
         return
+    fh = None
+
+    def write(text: str) -> None:
+        nonlocal fh
+        if fh is None:
+            fh = open(output, "w", encoding="utf-8")
+        fh.write(text)
+
     try:
-        with open(output, "w", encoding="utf-8") as fh:
-            picard.write_json(item, fh.write)
+        try:
+            picard.write_json(item, write)
+        finally:
+            if fh is not None:
+                fh.close()
     except OSError as exc:  # opening, a write, or the flush at close
         raise InputError(f"cannot write {output}: {exc}") from exc
 

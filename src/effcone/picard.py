@@ -23,9 +23,9 @@ One writer, :func:`write_json`, takes a class or profile and streams the
 canonical indented, sorted-key JSON text from those runs a bounded piece at
 a time, building no entry dict; :func:`json_text` is the same text as one
 string.  The
-reader, :func:`_boundary_from_json`, checks a file's entries over the whole
-list at once; only when a check fails does :func:`_boundary_entries` walk
-them one by one, and it is the one place that words an entry's error.
+reader, :func:`_boundary_from_json`, checks the entries the writer writes
+over the whole list at once; any other list goes entry by entry through
+:func:`_boundary_entries`, the one place that words an entry's error.
 """
 
 from __future__ import annotations
@@ -143,11 +143,8 @@ def _checked_boundary(boundary, n: int) -> Dict[int, Scalar]:
     ):
         return _checked_entries(boundary, n)
     values = boundary.values()
-    if set(map(type, values)) == {int}:
-        # plain ints are canonical already; only zeros are dropped
-        if 0 not in values:
-            return dict(boundary)
-        return {mask: value for mask, value in boundary.items() if value}
+    if set(map(type, values)) == {int} and 0 not in values:
+        return dict(boundary)  # nonzero plain ints are canonical already
     return {mask: value for mask, value in zip(keys, map(canon, values)) if value != 0}
 
 
@@ -477,52 +474,36 @@ _BITS = {i: 1 << (i - 1) for i in range(1, MAX_MARKINGS + 1)}
 
 def _boundary_from_json(entries, n: int) -> Dict[int, Scalar]:
     """Boundary coefficients of serialized entries: integer markings in
-    1..n, none repeated, at least two per subset and no subset twice.  Each
-    distinct coefficient string is parsed once, and zero coefficients are
-    dropped.  The entries are checked over the whole list at once, through
-    C-level ``map`` pipelines: a mask is the sum of its markings' bits, so
-    it has as many bits as markings only when none repeats.  When a check
-    fails, or the pass raises, :func:`_boundary_entries` walks the entries
+    1..n, none repeated, at least two per subset and no subset twice, and
+    zero coefficients dropped.  Entries whose coefficients are all nonzero
+    rational strings, as the writer writes them, are checked over the whole
+    list at once, through C-level ``map`` pipelines, and each distinct
+    string is parsed once: a mask is the sum of its markings' bits, so it
+    has as many bits as markings only when none repeats.  Anything else (a
+    polynomial coefficient, which ``set`` cannot hash, a non-string, which
+    ``parse_rat`` refuses, a zero, or a failed check) goes to
+    :func:`_boundary_entries`, which walks the entries to drop the zeros or
     to raise the error of the first offending one."""
     try:
         lists = list(map(itemgetter("S"), entries))
-        values, distinct = _coeff_values(list(map(itemgetter("coeff"), entries)))
+        coeffs = list(map(itemgetter("coeff"), entries))
+        parsed = {text: parse_rat(text) for text in set(coeffs)}
         masks = list(map(sum, map(map, repeat(_BITS.__getitem__), lists)))
         sizes = list(map(len, lists))
-        out = dict(zip(masks, values))
+        out = dict(zip(masks, map(parsed.__getitem__, coeffs)))
         if not out or (
-            len(out) == len(masks)
+            all(parsed.values())
+            and len(out) == len(masks)
             and not max(masks) >> n
             and min(sizes) >= 2
             and list(map(int.bit_count, masks)) == sizes
             # a bool or a float equal to 1..64 is a key of _BITS too
             and set(map(type, chain.from_iterable(lists))) == {int}
         ):
-            if all(distinct):
-                return out
-            return {mask: value for mask, value in out.items() if value}
+            return out
     except (KeyError, TypeError, ValueError):
         pass
     return _boundary_entries(entries, n)
-
-
-def _coeff_values(coeffs: list) -> Tuple[list, Iterable[Scalar]]:
-    """The scalar of each serialized coefficient, and the distinct ones
-    among them; each distinct string is parsed once."""
-    if set(map(type, coeffs)) == {str}:
-        parsed = {text: parse_rat(text) for text in set(coeffs)}
-        return list(map(parsed.__getitem__, coeffs)), parsed.values()
-    parsed = {}
-    values = []
-    for coeff in coeffs:
-        if type(coeff) is str:
-            value = parsed.get(coeff)
-            if value is None:
-                value = parsed[coeff] = parse_rat(coeff)
-        else:
-            value = scalar_from_json(coeff)
-        values.append(value)
-    return values, values
 
 
 def _boundary_entries(entries, n: int) -> Dict[int, Scalar]:

@@ -1,0 +1,160 @@
+"""A catalogue of mutants of the package, each with the tests that catch it.
+
+Each entry of ``MUTANTS`` names a file under ``src/effcone``, an exact
+snippet of it, the replacement that breaks one check, and the tier-1 tests
+that must fail once the snippet is replaced.  ``tests/test_mutants.py``
+keeps each snippet occurring exactly once in its file, so the catalogue
+cannot drift from the code.
+
+Run it as:
+
+    python tests/mutants.py
+
+Each mutant is applied to a copy of ``src/``, ``tests/`` and
+``pyproject.toml`` in a temporary directory, and its tests run there in a
+child pytest under a timeout.  A mutant is caught
+when one of its tests fails; the runner exits 1 when some mutant is caught
+by none of them, or its tests cannot be run.
+
+Left out, as equivalent mutants:
+
+- A string gate on the reader's coefficients.  ``_boundary_from_json`` has
+  none to remove: a polynomial (a list) fails ``set()`` and any other
+  non-string fails ``parse_rat``, so both already fall back to the entry
+  loop, and a gate added or dropped changes no result.
+"""
+
+from __future__ import annotations
+
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+TIMEOUT_S = 300
+
+
+class Mutant(NamedTuple):
+    name: str
+    path: str  # relative to src/effcone
+    snippet: str
+    replacement: str
+    tests: tuple
+
+
+MUTANTS = (
+    Mutant(
+        "reader: no duplicate check",
+        "picard.py",
+        "            and len(out) == len(masks)\n",
+        "",
+        (
+            "tests/test_inputs.py::TestBulkReader::test_same_error[subset twice]",
+            "tests/test_inputs.py::TestBoundaryEntries::test_malformed_class[subset twice]",
+        ),
+    ),
+    Mutant(
+        "reader: no range check",
+        "picard.py",
+        "            and not max(masks) >> n\n",
+        "",
+        (
+            "tests/test_inputs.py::TestBulkReader::test_same_error[marking past n]",
+            "tests/test_inputs.py::TestBoundaryEntries::test_malformed_class[marking past n]",
+        ),
+    ),
+    Mutant(
+        "reader: one-marking subsets pass the size check",
+        "picard.py",
+        "            and min(sizes) >= 2\n",
+        "            and min(sizes) >= 1\n",
+        (
+            "tests/test_inputs.py::TestBulkReader::test_same_error[one marking]",
+            "tests/test_inputs.py::TestBoundaryEntries::test_malformed_profile[one marking]",
+        ),
+    ),
+    Mutant(
+        "reader: no repeated-marking check",
+        "picard.py",
+        "            and list(map(int.bit_count, masks)) == sizes\n",
+        "",
+        (
+            "tests/test_inputs.py::TestBulkReader::test_same_error[repeated marking]",
+            "tests/test_inputs.py::TestBoundaryEntries::test_repeated_marking_is_named",
+        ),
+    ),
+    Mutant(
+        "reader: no marking-type check",
+        "picard.py",
+        "            and set(map(type, chain.from_iterable(lists))) == {int}\n",
+        "",
+        (
+            "tests/test_inputs.py::TestBulkReader::test_same_error[bool marking]",
+            "tests/test_inputs.py::TestIntegerFields::test_markings[members0]",
+        ),
+    ),
+    Mutant(
+        "reader: zero coefficients kept on the bulk path",
+        "picard.py",
+        "            all(parsed.values())\n            and ",
+        "            ",
+        (
+            "tests/test_inputs.py::TestBulkReader::test_a_zero_string_goes_through_the_entry_loop",
+            "tests/test_inputs.py::TestBulkReader::test_same_dict_in_the_same_order",
+        ),
+    ),
+    Mutant(
+        "constructor: int zeros kept in the copy",
+        "picard.py",
+        "    if set(map(type, values)) == {int} and 0 not in values:\n",
+        "    if set(map(type, values)) == {int}:\n",
+        (
+            "tests/test_picard.py::TestConstruction::test_zero_coefficients_are_pruned",
+            "tests/test_picard.py::TestCheckedBoundary::test_same_canonical_entries[int with zeros]",
+        ),
+    ),
+)
+
+
+def _run(mutant: Mutant) -> str:
+    """``caught``, ``survived`` or ``error: ...`` for one mutant, run in a
+    fresh copy of the sources."""
+    with tempfile.TemporaryDirectory(prefix="effcone-mutant-") as tmp:
+        work = Path(tmp)
+        shutil.copytree(ROOT / "src", work / "src", ignore=shutil.ignore_patterns("__pycache__"))
+        shutil.copytree(ROOT / "tests", work / "tests", ignore=shutil.ignore_patterns("__pycache__"))
+        shutil.copy2(ROOT / "pyproject.toml", work / "pyproject.toml")
+        target = work / "src" / "effcone" / mutant.path
+        source = target.read_text(encoding="utf-8")
+        if source.count(mutant.snippet) != 1:
+            return f"error: snippet occurs {source.count(mutant.snippet)} times in {mutant.path}"
+        target.write_text(source.replace(mutant.snippet, mutant.replacement), encoding="utf-8")
+        argv = [sys.executable, "-m", "pytest", "-q", "-rf", "-p", "no:cacheprovider", *mutant.tests]
+        try:
+            done = subprocess.run(argv, cwd=work, capture_output=True, text=True, timeout=TIMEOUT_S)
+        except subprocess.TimeoutExpired:
+            return "caught (timeout)"
+    if done.returncode == 1:  # pytest: some test failed
+        failed = sum(line.startswith("FAILED ") for line in done.stdout.splitlines())
+        return f"caught ({failed} of {len(mutant.tests)} tests failed)"
+    if done.returncode == 0:
+        return "survived"
+    tail = (done.stdout + done.stderr).strip().splitlines()[-1:]
+    return f"error: pytest exit {done.returncode}: {' '.join(tail)}"
+
+
+def main() -> int:
+    escaped = 0
+    for mutant in MUTANTS:
+        outcome = _run(mutant)
+        escaped += not outcome.startswith("caught")
+        print(f"{mutant.name}: {outcome}", flush=True)
+    print(f"{len(MUTANTS) - escaped} of {len(MUTANTS)} mutants caught")
+    return 1 if escaped else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

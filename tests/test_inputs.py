@@ -258,6 +258,16 @@ class TestExportBudget:
         assert "export budget" in capsys.readouterr().err
         assert out.read_bytes() == b"kept\n"
 
+    def test_pullback_failing_before_its_first_write_leaves_the_output_file_untouched(self, tmp_path, capsys):
+        # lambda of the pullback has 4,301 digits, which str() refuses while
+        # the head of the file is rendered
+        source, out = tmp_path / "g5.json", tmp_path / "out.json"
+        source.write_text(json.dumps(picard.mg_class_to_json(DivisorClassMg(5, 0, 10**4300 - 1, [0, 0]))))
+        out.write_bytes(b"kept\n")
+        assert main(["pullback", "--g", "5", "--m", "4", "--input", str(source), "--output", str(out)]) == 2
+        assert "integer string conversion" in capsys.readouterr().err
+        assert out.read_bytes() == b"kept\n"
+
     def test_admits_every_pullback_to_ten_pairs(self, tmp_path, monkeypatch):
         written = []
 
@@ -388,13 +398,15 @@ class TestUnreadableFiles:
         assert out == "" and err.startswith("error: ") and "Traceback" not in err
         assert path in err
 
-    @pytest.fixture(params=["nested", "not utf-8"])
+    @pytest.fixture(params=["nested", "not utf-8", "integer past the digit limit"])
     def bad(self, request, tmp_path):
         path = tmp_path / "bad.json"
         if request.param == "nested":
             path.write_text("[" * 200_000 + "]" * 200_000)
-        else:
+        elif request.param == "not utf-8":
             path.write_bytes(b'{"space": \xff}')
+        else:  # json.loads raises a plain ValueError past 4,300 digits
+            path.write_text('{"space": {"type": "M1n", "n": 1%s}}' % ("0" * 4999))
         return str(path)
 
     def test_profile(self, files, capsys, bad):
@@ -543,11 +555,21 @@ class TestBulkReader:
     @settings(max_examples=200)
     @given(_valid_entries())
     def test_same_dict_in_the_same_order(self, drawn):
+        # only entries the writer writes, every coefficient a nonzero rational
+        # string, stay on the bulk path; any other draw goes to the loop once
         n, entries = drawn
         looped = picard._boundary_entries(entries, n)
-        with mock.patch.object(picard, "_boundary_entries", side_effect=AssertionError("fell back")):
+        written = all(type(e["coeff"]) is str and parse_rat(e["coeff"]) != 0 for e in entries)
+        with mock.patch.object(picard, "_boundary_entries", wraps=picard._boundary_entries) as loop:
             bulk = picard._boundary_from_json(entries, n)
         assert list(bulk.items()) == list(looped.items())
+        assert loop.call_count == (not written)
+
+    def test_a_zero_string_goes_through_the_entry_loop(self):
+        entries = [{"S": [1, 2], "coeff": "-0"}, {"S": [2, 3], "coeff": "-2/4"}, {"S": [3, 4], "coeff": "0/5"}]
+        with mock.patch.object(picard, "_boundary_entries", wraps=picard._boundary_entries) as loop:
+            assert picard._boundary_from_json(entries, 4) == {0b0110: Fraction(-1, 2)}
+        loop.assert_called_once_with(entries, 4)
 
 
 class TestReaderGuards:
@@ -562,7 +584,7 @@ class TestReaderGuards:
         monkeypatch.setattr(picard, "_boundary_entries", mock.Mock(side_effect=AssertionError("fell back")))
         assert picard.m1n_class_from_json(obj) == cls
 
-    @pytest.mark.parametrize("name", ["pullback-gp", "profile-gp", "profile-gonal(4)"])
+    @pytest.mark.parametrize("name", ["pullback-gp", "profile-gonal(4)"])
     def test_exported_files_take_the_bulk_check(self, tmp_path, monkeypatch, name):
         path = tmp_path / "item.json"
         assert main(["export", "--name", name, "--output", str(path)]) == 0
@@ -570,6 +592,16 @@ class TestReaderGuards:
         expected = parse(json.loads(path.read_text()))
         monkeypatch.setattr(picard, "_boundary_entries", mock.Mock(side_effect=AssertionError("fell back")))
         assert parse(json.loads(path.read_text())) == expected
+
+    def test_a_polynomial_file_goes_through_the_entry_loop(self, tmp_path, monkeypatch):
+        # profile-gp, 11 entries with polynomial coefficients, is the one
+        # polynomial boundary file the commands write
+        path = tmp_path / "gp.json"
+        assert main(["export", "--name", "profile-gp", "--output", str(path)]) == 0
+        loop = mock.Mock(wraps=picard._boundary_entries)
+        monkeypatch.setattr(picard, "_boundary_entries", loop)
+        assert picard.profile_from_json(json.loads(path.read_text())) == corpus.profile("gp")
+        assert loop.call_count == 1
 
     def test_collector_paused_for_the_read(self, files, capsys, monkeypatch):
         seen = []
