@@ -27,6 +27,7 @@ import json
 import os
 import random
 import re
+import stat
 import sys
 from fractions import Fraction
 from itertools import permutations
@@ -70,6 +71,7 @@ def emit_report(rows: Sequence[CheckRow], fmt: str = "text") -> str:
         payload = {
             "checks": [
                 {
+                    "module": r.module,
                     "check": r.check,
                     "status": "pass" if r.ok else "fail",
                     "expected": r.expected,
@@ -408,11 +410,23 @@ SUITES: Dict[str, Callable[[argparse.Namespace], List[CheckRow]]] = {
 # file commands
 
 
-def _load_json(path: str):
+def _text(path: str) -> str:
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
+
+
+def _decode(path: str, text: str):
+    """The document in ``text``: a ``picard.Tagged`` document, each JSON
+    integer k decoded to the tag ``1 << k`` by ``picard.TAGS``, or, when
+    the text holds an integer outside 1..64 or does not decode, the plain
+    document, decoded again from the same text (a pipe cannot be read
+    twice) with its errors worded for ``path``."""
+    try:
+        return picard.Tagged(json.loads(text, parse_int=picard.TAGS.__getitem__))
+    except (KeyError, ValueError, RecursionError):
+        pass  # no marking, or no JSON: the plain decode words the error
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
@@ -425,31 +439,72 @@ def _load_json(path: str):
         raise InputError(f"{path}: JSON nested too deeply to read: {exc}") from exc
 
 
+def _replaced(output: str) -> bool:
+    """Whether ``output`` is written through a new file beside it, which
+    then replaces it: when it names a regular file or nothing yet.
+    Anything else (a device such as /dev/full, a FIFO, a symbolic link
+    such as /dev/stdout, a directory, a path with no file name or one
+    that cannot be looked up) is opened and written in place, and ``open``
+    words its error."""
+    if not os.path.basename(output):
+        return False
+    try:
+        return stat.S_ISREG(os.lstat(output).st_mode)
+    except FileNotFoundError:
+        return True
+    except OSError:
+        return False
+
+
+def _write_replacing(item, output: str) -> None:
+    """Write ``item`` to a new file in ``output``'s directory and rename it
+    onto ``output`` after the last write, so that a failure at any point
+    removes the new file and leaves ``output`` as it was.  The new file is
+    created as ``open(output, "w")`` would create it, under the umask, and
+    takes the mode of the file it replaces."""
+    head, name = os.path.split(output)
+    try:
+        mode = stat.S_IMODE(os.stat(output).st_mode)
+    except FileNotFoundError:
+        mode = None
+    attempt = 0
+    while True:
+        temp = os.path.join(head, f".{name}.{os.getpid()}-{attempt}.tmp")
+        try:
+            fd = os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+            break
+        except FileExistsError:
+            attempt += 1
+        except OSError as exc:  # worded for output, as open(output) would word it
+            raise OSError(exc.errno, exc.strerror, output) from None
+    try:
+        with open(fd, "w", encoding="utf-8") as fh:
+            if mode is not None:
+                os.fchmod(fd, mode)
+            picard.write_json(item, fh.write)
+        os.replace(temp, output)
+    except BaseException:
+        os.unlink(temp)
+        raise
+
+
 def _dump_json(item, output: str | None) -> None:
     """Stream the canonical text of a class or profile into ``output``, or
-    to stdout when it is omitted, a chunk of entries at a time. Every
-    refusal comes before this call, and ``output`` is opened on the first
-    write, after the head and the first chunk are rendered, so a failure to
-    render them (an integer too long to print) leaves ``output`` untouched
-    too. An empty ``output`` is a path like any other."""
+    to stdout when it is omitted, a chunk of entries at a time.  Every
+    refusal comes before this call.  A regular file, or a path with
+    nothing there yet, is only replaced once the whole text is written
+    (:func:`_write_replacing`); any other ``output`` is written in place.
+    An empty ``output`` is a path like any other."""
     if output is None:
         picard.write_json(item, sys.stdout.write)
         return
-    fh = None
-
-    def write(text: str) -> None:
-        nonlocal fh
-        if fh is None:
-            fh = open(output, "w", encoding="utf-8")
-        fh.write(text)
-
     try:
-        try:
-            picard.write_json(item, write)
-        finally:
-            if fh is not None:
-                fh.close()
-    except OSError as exc:  # opening, a write, or the flush at close
+        if _replaced(output):
+            _write_replacing(item, output)
+        else:
+            with open(output, "w", encoding="utf-8") as fh:
+                picard.write_json(item, fh.write)
+    except OSError as exc:  # opening, a write, the flush at close, or the rename
         raise InputError(f"cannot write {output}: {exc}") from exc
 
 
@@ -457,8 +512,10 @@ def _read(path: str, parse, what: str):
     """Parse the JSON file at ``path`` with ``parse``; a file that does not
     hold a ``what`` is an input error.
 
-    The cycle collector is paused for the decode and the parse, and then
-    put back as it was. A decoded JSON value is a tree with no cycles, so a
+    The text is freed as soon as it is decoded, before ``parse`` runs: on
+    a large file it is as large as the parse's own working set.  The cycle
+    collector is paused for the decode and the parse, and then put back
+    as it was.  A decoded JSON value is a tree with no cycles, so a
     collection can find nothing in it, yet the allocations of a large file
     start collections that walk the whole young tree. A pause around the
     decode alone would only defer that walk to the first collection after
@@ -466,7 +523,7 @@ def _read(path: str, parse, what: str):
     enabled = gc.isenabled()
     gc.disable()
     try:
-        obj = _load_json(path)
+        obj = _decode(path, _text(path))
         try:
             return parse(obj)
         except (KeyError, TypeError, ValueError) as exc:

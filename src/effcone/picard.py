@@ -22,19 +22,26 @@ sorted; any other mapping is sorted once and its equal neighbours grouped.
 One writer, :func:`write_json`, takes a class or profile and streams the
 canonical indented, sorted-key JSON text from those runs a bounded piece at
 a time, building no entry dict; :func:`json_text` is the same text as one
-string.  The
-reader, :func:`_boundary_from_json`, checks the entries the writer writes
-over the whole list at once; any other list goes entry by entry through
-:func:`_boundary_entries`, the one place that words an entry's error.
+string.
+
+Files are read as :class:`Tagged` documents: the command line decodes each
+JSON integer k to the tag ``1 << k`` (``TAGS``), so a subset's mask is the
+C-level ``sum`` of its tags shifted right once, and bit 0 stays free for a
+``true`` to show.  :func:`_tagged_boundary` checks the entries the writer
+writes over the whole list at once.  Any other document, and any plain
+object passed in-process, goes entry by entry through
+:func:`_boundary_entries`, the one place that words an entry's error; a
+tagged one is first put back to plain by :func:`_untagged`.
 """
 
 from __future__ import annotations
 
 import json
+from functools import reduce
 from itertools import chain, groupby, islice, repeat
 from math import comb
 from operator import and_, itemgetter, or_, rshift
-from typing import Callable, Dict, Iterable, Iterator, Mapping, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Iterator, Mapping, NamedTuple, Sequence, Tuple
 
 from .scalars import Scalar, canon, parse_rat, scalar_from_json, scalar_to_json
 
@@ -468,48 +475,76 @@ def _boundary_to_json(mapping: Mapping[int, Scalar]) -> list:
     return [{"S": list(members), "coeff": scalar_to_json(value)} for members, value in _entries(mapping)]
 
 
-# the bit of each marking; any other key, 0 and 65 included, is a KeyError
-_BITS = {i: 1 << (i - 1) for i in range(1, MAX_MARKINGS + 1)}
+# the tag each JSON integer of a class or profile file is decoded to:
+# marking k is 1 << k, so that bit 0 stays free; any other integer, 0 and 65
+# included, is a KeyError inside the decode
+TAGS = {str(k): 1 << k for k in range(1, MAX_MARKINGS + 1)}
 
 
-def _boundary_from_json(entries, n: int) -> Dict[int, Scalar]:
-    """Boundary coefficients of serialized entries: integer markings in
-    1..n, none repeated, at least two per subset and no subset twice, and
-    zero coefficients dropped.  Entries whose coefficients are all nonzero
-    rational strings, as the writer writes them, are checked over the whole
-    list at once, through C-level ``map`` pipelines, and each distinct
-    string is parsed once: a mask is the sum of its markings' bits, so it
-    has as many bits as markings only when none repeats.  Anything else (a
-    polynomial coefficient, which ``set`` cannot hash, a non-string, which
-    ``parse_rat`` refuses, a zero, or a failed check) goes to
-    :func:`_boundary_entries`, which walks the entries to drop the zeros or
-    to raise the error of the first offending one."""
-    try:
-        lists = list(map(itemgetter("S"), entries))
-        coeffs = list(map(itemgetter("coeff"), entries))
-        parsed = {text: parse_rat(text) for text in set(coeffs)}
-        masks = list(map(sum, map(map, repeat(_BITS.__getitem__), lists)))
-        sizes = list(map(len, lists))
-        out = dict(zip(masks, map(parsed.__getitem__, coeffs)))
-        if not out or (
-            all(parsed.values())
-            and len(out) == len(masks)
-            and not max(masks) >> n
-            and min(sizes) >= 2
-            and list(map(int.bit_count, masks)) == sizes
-            # a bool or a float equal to 1..64 is a key of _BITS too
-            and set(map(type, chain.from_iterable(lists))) == {int}
-        ):
-            return out
-    except (KeyError, TypeError, ValueError):
-        pass
-    return _boundary_entries(entries, n)
+class Tagged(NamedTuple):
+    """A JSON document decoded with ``parse_int=TAGS.__getitem__``: every
+    integer k of the text is the tag ``1 << k`` in ``doc``.  A reader may
+    put ``doc`` back to plain in place, so it is read once."""
+
+    doc: object
+
+
+def _untagged(doc):
+    """The plain document a tagged one was decoded from: each tag ``t``
+    back to ``t.bit_length() - 1`` in place, the only ints the decode
+    made.  The tree is walked with a stack, since it may nest deeper
+    than the recursion limit."""
+    root = [doc]
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        for key in node.keys() if type(node) is dict else range(len(node)):
+            value = node[key]
+            if type(value) is int:
+                node[key] = value.bit_length() - 1
+            elif type(value) is dict or type(value) is list:
+                stack.append(value)
+    return root[0]
+
+
+def _tagged_boundary(entries: list, n: int) -> Dict[int, Scalar] | None:
+    """Boundary coefficients of tagged entries whose coefficients are all
+    nonzero rational strings, as the writer writes them, checked over the
+    whole list at once through C-level ``map`` pipelines; None for any
+    other list, or an exception.  A subset's tags sum to twice its mask
+    when it holds distinct markings in 1..n and nothing else: a ``true``
+    sets bit 0, a ``false`` or a repeated marking leaves fewer bits than
+    members, and a float, a string, a list or a null makes ``sum`` or the
+    bit operations on it raise.  Each distinct coefficient string is parsed
+    once."""
+    lists = list(map(itemgetter("S"), entries))
+    coeffs = list(map(itemgetter("coeff"), entries))
+    parsed = {text: parse_rat(text) for text in set(coeffs)}
+    sums = list(map(sum, lists))
+    if not sums:
+        return {}
+    sizes = list(map(len, lists))
+    bits = reduce(or_, sums)
+    if not (
+        all(parsed.values())
+        and not bits >> (n + 1)
+        and not bits & 1
+        and min(sizes) >= 2
+        and list(map(int.bit_count, sums)) == sizes
+    ):
+        return None
+    masks = list(map(rshift, sums, repeat(1)))
+    del sums  # freed before the dict is built, the peak of a large read
+    out = dict(zip(masks, map(parsed.__getitem__, coeffs)))
+    return out if len(out) == len(masks) else None
 
 
 def _boundary_entries(entries, n: int) -> Dict[int, Scalar]:
-    """:func:`_boundary_from_json` one entry at a time, raising the error of
-    the first entry that breaks a rule; the one place those errors are
-    worded."""
+    """Boundary coefficients of serialized entries: integer markings in
+    1..n, none repeated, at least two per subset and no subset twice, and
+    zero coefficients dropped.  The entries are read one at a time, and the
+    error raised is that of the first entry that breaks a rule; this is the
+    one place those errors are worded."""
     out: Dict[int, Scalar] = {}
     values: Dict[str, Scalar] = {}
     zeros = []
@@ -574,10 +609,38 @@ def m1n_class_to_json(cls: DivisorClassM1n) -> dict:
     }
 
 
-def m1n_class_from_json(obj: dict) -> DivisorClassM1n:
-    n = _space(obj, "M1n", "n", "class")
+def _m1n_fields(obj, lam_key: str, key: str, what: str) -> tuple:
+    """``(n, lambda value, boundary)`` of a serialized class or profile
+    ``what``, its lambda value under ``lam_key`` and its entries under
+    ``key``.  A tagged document the writer could have written is read by
+    :func:`_tagged_boundary`; any other document, and any exception on the
+    way, is put back to plain and read entry by entry, so that every error
+    is worded by the plain readers, as for a plain ``obj``."""
+    if type(obj) is Tagged:
+        doc = obj.doc
+        try:
+            # only a JSON object takes a string key
+            space, lam, entries = doc["space"], doc[lam_key], doc[key]
+            tag = space["n"]
+            if (
+                space["type"] == "M1n"
+                and type(tag) is int and tag > 2  # n = 1 is refused by _check_n
+                and type(lam) is str and type(entries) is list
+            ):
+                n = tag.bit_length() - 1
+                boundary = _tagged_boundary(entries, n)
+                if boundary is not None:
+                    return n, parse_rat(lam), boundary
+        except (KeyError, TypeError, ValueError):
+            pass  # the plain read below words the error
+        obj = _untagged(doc)
+    n = _space(obj, "M1n", "n", what)
     _check_n(n)
-    return DivisorClassM1n._trusted(n, scalar_from_json(obj["lambda"]), _boundary_from_json(_array(obj, "boundary"), n))
+    return n, scalar_from_json(obj[lam_key]), _boundary_entries(_array(obj, key), n)
+
+
+def m1n_class_from_json(obj) -> DivisorClassM1n:
+    return DivisorClassM1n._trusted(*_m1n_fields(obj, "lambda", "boundary", "class"))
 
 
 def profile_to_json(profile: CurveProfile) -> dict:
@@ -588,10 +651,8 @@ def profile_to_json(profile: CurveProfile) -> dict:
     }
 
 
-def profile_from_json(obj: dict) -> CurveProfile:
-    n = _space(obj, "M1n", "n", "profile")
-    _check_n(n)
-    return CurveProfile._trusted(n, scalar_from_json(obj["on_lambda"]), _boundary_from_json(_array(obj, "on_boundary"), n))
+def profile_from_json(obj) -> CurveProfile:
+    return CurveProfile._trusted(*_m1n_fields(obj, "on_lambda", "on_boundary", "profile"))
 
 
 def mg_class_to_json(cls: DivisorClassMg) -> dict:
@@ -603,7 +664,9 @@ def mg_class_to_json(cls: DivisorClassMg) -> dict:
     }
 
 
-def mg_class_from_json(obj: dict) -> DivisorClassMg:
+def mg_class_from_json(obj) -> DivisorClassMg:
+    if type(obj) is Tagged:
+        obj = _untagged(obj.doc)
     return DivisorClassMg(
         _space(obj, "Mg", "g", "class"),
         scalar_from_json(obj["lambda"]),

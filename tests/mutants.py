@@ -18,10 +18,11 @@ by none of them, or its tests cannot be run.
 
 Left out, as equivalent mutants:
 
-- A string gate on the reader's coefficients.  ``_boundary_from_json`` has
+- A string gate on the reader's coefficients.  ``_tagged_boundary`` has
   none to remove: a polynomial (a list) fails ``set()`` and any other
-  non-string fails ``parse_rat``, so both already fall back to the entry
-  loop, and a gate added or dropped changes no result.
+  non-string, a tag included, fails ``parse_rat``, so both already put the
+  document back to plain for the entry loop, and a gate added or dropped
+  changes no result.
 """
 
 from __future__ import annotations
@@ -49,8 +50,8 @@ MUTANTS = (
     Mutant(
         "reader: no duplicate check",
         "picard.py",
-        "            and len(out) == len(masks)\n",
-        "",
+        "    return out if len(out) == len(masks) else None\n",
+        "    return out\n",
         (
             "tests/test_inputs.py::TestBulkReader::test_same_error[subset twice]",
             "tests/test_inputs.py::TestBoundaryEntries::test_malformed_class[subset twice]",
@@ -59,7 +60,7 @@ MUTANTS = (
     Mutant(
         "reader: no range check",
         "picard.py",
-        "            and not max(masks) >> n\n",
+        "        and not bits >> (n + 1)\n",
         "",
         (
             "tests/test_inputs.py::TestBulkReader::test_same_error[marking past n]",
@@ -67,29 +68,42 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        "reader: range shift n in place of n + 1",
+        "picard.py",
+        "        and not bits >> (n + 1)\n",
+        "        and not bits >> n\n",
+        (
+            "tests/test_inputs.py::TestReaderGuards::test_pullback_files_take_the_bulk_check[8]",
+            "tests/test_inputs.py::TestReaderGuards::test_exported_files_take_the_bulk_check[pullback-gp]",
+        ),
+    ),
+    Mutant(
         "reader: one-marking subsets pass the size check",
         "picard.py",
-        "            and min(sizes) >= 2\n",
-        "            and min(sizes) >= 1\n",
+        "        and min(sizes) >= 2\n",
+        "        and min(sizes) >= 1\n",
         (
             "tests/test_inputs.py::TestBulkReader::test_same_error[one marking]",
             "tests/test_inputs.py::TestBoundaryEntries::test_malformed_profile[one marking]",
         ),
     ),
     Mutant(
+        # the bit-count check: a false or a repeated marking leaves fewer
+        # bits than members
         "reader: no repeated-marking check",
         "picard.py",
-        "            and list(map(int.bit_count, masks)) == sizes\n",
+        "        and list(map(int.bit_count, sums)) == sizes\n",
         "",
         (
             "tests/test_inputs.py::TestBulkReader::test_same_error[repeated marking]",
-            "tests/test_inputs.py::TestBoundaryEntries::test_repeated_marking_is_named",
+            "tests/test_inputs.py::TestBoundaryEntries::test_malformed_class[repeated marking]",
         ),
     ),
     Mutant(
+        # the bit-0 check: a true marking sets bit 0
         "reader: no marking-type check",
         "picard.py",
-        "            and set(map(type, chain.from_iterable(lists))) == {int}\n",
+        "        and not bits & 1\n",
         "",
         (
             "tests/test_inputs.py::TestBulkReader::test_same_error[bool marking]",
@@ -99,12 +113,29 @@ MUTANTS = (
     Mutant(
         "reader: zero coefficients kept on the bulk path",
         "picard.py",
-        "            all(parsed.values())\n            and ",
-        "            ",
+        "        all(parsed.values())\n        and ",
+        "        ",
         (
             "tests/test_inputs.py::TestBulkReader::test_a_zero_string_goes_through_the_entry_loop",
             "tests/test_inputs.py::TestBulkReader::test_same_dict_in_the_same_order",
         ),
+    ),
+    Mutant(
+        "reader: inverse tag map off by one",
+        "picard.py",
+        "                node[key] = value.bit_length() - 1\n",
+        "                node[key] = value.bit_length()\n",
+        (
+            "tests/test_inputs.py::TestBulkReader::test_a_zero_string_goes_through_the_entry_loop",
+            "tests/test_inputs.py::TestTagExactness::test_class_files",
+        ),
+    ),
+    Mutant(
+        "reader: the text kept alive past the decode",
+        "cli.py",
+        "        obj = _decode(path, _text(path))\n",
+        "        text = _text(path)\n        obj = _decode(path, text)\n",
+        ("tests/test_inputs.py::TestReaderGuards::test_the_text_is_freed_before_the_checks",),
     ),
     Mutant(
         "constructor: int zeros kept in the copy",

@@ -42,6 +42,15 @@ class TestVerify:
         assert rows["B.pullback_BN13"]["status"] == "pass"
         assert payload["summary"]["failed"] == 0
 
+    def test_json_rows_name_their_suite(self, capsys):
+        # trigonal and gp both have a pullback_golden_match row
+        assert main(["verify", "all", "--json", "--direct-max-d", "3", "--max-d", "4"]) == 0
+        checks = json.loads(capsys.readouterr().out)["checks"]
+        assert all(set(row) == {"module", "check", "status", "expected", "actual", "citation"} for row in checks)
+        golden = sorted(row["module"] for row in checks if row["check"] == "pullback_golden_match")
+        assert golden == ["gp", "trigonal"]
+        assert {row["module"] for row in checks} == set(cli.SUITES)
+
     def test_all_passes_quickly_with_small_caps(self, capsys):
         assert main(["verify", "all", "--direct-max-d", "4", "--max-d", "5"]) == 0
         assert "0 failed" in capsys.readouterr().out

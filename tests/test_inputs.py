@@ -6,9 +6,13 @@ import gc
 import json
 import os
 import signal
+import stat
+import subprocess
 import sys
+import threading
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 from types import SimpleNamespace
 from unittest import mock
 
@@ -481,6 +485,110 @@ class TestUnwritableOutput:
         assert spare.read_bytes() == b""
 
 
+class TestWholeOutput:
+    """A regular ``--output``, or one that does not exist yet, is replaced
+    only by a whole file: the text goes to a new file beside it, renamed
+    onto it after the last write.  Any other target is written in place."""
+
+    @pytest.mark.parametrize("old", [b"kept\n", None], ids=["existing", "new"])
+    def test_a_failure_mid_write_leaves_the_output_as_it_was(self, tmp_path, capsys, old):
+        # the size-11 coefficient of this pullback has 4,301 digits, which
+        # str() refuses after about 17 MB of the file are written
+        source, out = tmp_path / "g7.json", tmp_path / "out.json"
+        source.write_text(json.dumps(picard.mg_class_to_json(DivisorClassMg(7, 0, 10**4299, [0, 0, 0]))))
+        if old is not None:
+            out.write_bytes(old)
+        assert main(["pullback", "--g", "7", "--m", "6", "--input", str(source), "--output", str(out)]) == 2
+        assert "integer string conversion" in capsys.readouterr().err
+        if old is None:
+            assert os.listdir(tmp_path) == ["g7.json"]
+        else:
+            assert sorted(os.listdir(tmp_path)) == ["g7.json", "out.json"] and out.read_bytes() == old
+
+    @pytest.mark.parametrize("mask, mode", [(0o022, 0o644), (0o077, 0o600), (0o002, 0o664)])
+    def test_a_new_file_gets_the_umask_mode(self, tmp_path, mask, mode):
+        out = tmp_path / "out.json"
+        old = os.umask(mask)
+        try:
+            assert main(["export", "--name", "bn(3)", "--output", str(out)]) == 0
+        finally:
+            os.umask(old)
+        assert out.stat().st_mode & 0o7777 == mode
+        assert os.listdir(tmp_path) == ["out.json"]
+
+    @pytest.mark.parametrize("mode", [0o600, 0o640, 0o755])
+    def test_an_existing_file_keeps_its_mode(self, tmp_path, mode):
+        out = tmp_path / "out.json"
+        out.write_bytes(b"old\n")
+        out.chmod(mode)
+        assert main(["export", "--name", "bn(3)", "--output", str(out)]) == 0
+        assert out.stat().st_mode & 0o7777 == mode
+        assert out.read_text() == picard.json_text(corpus.bn_class(3))
+        assert os.listdir(tmp_path) == ["out.json"]
+
+    def test_a_symbolic_link_is_written_through(self, tmp_path):
+        target, link = tmp_path / "target.json", tmp_path / "link.json"
+        target.write_bytes(b"old\n")
+        link.symlink_to(target)
+        assert main(["export", "--name", "bn(3)", "--output", str(link)]) == 0
+        assert link.is_symlink() and target.read_text() == picard.json_text(corpus.bn_class(3))
+
+    def test_a_fifo_is_streamed_to(self, tmp_path):
+        fifo = tmp_path / "pipe"
+        os.mkfifo(fifo)
+        got = []
+        reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()))
+        reader.start()
+        try:
+            assert main(["export", "--name", "bn(3)", "--output", str(fifo)]) == 0
+        finally:
+            reader.join(10)
+        assert got == [picard.json_text(corpus.bn_class(3)).encode()]
+        assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+
+    def test_a_missing_directory_is_named_as_before(self, tmp_path, capsys):
+        out = str(tmp_path / "missing" / "out.json")
+        assert main(["export", "--name", "bn(3)", "--output", out]) == 2
+        assert capsys.readouterr().err == f"error: cannot write {out}: [Errno 2] No such file or directory: {out!r}\n"
+
+
+class TestPipeInput:
+    """``intersect`` reads ``--class`` and ``--profile`` once, so a pipe
+    gives what the same file gives, on the tagged path and on the paths
+    that put a document back to plain."""
+
+    @staticmethod
+    def _run(argv, stdin=None):
+        child = subprocess.run(
+            [sys.executable, "-m", "effcone.cli", *argv], input=stdin, capture_output=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+        )
+        return child.returncode, child.stdout, child.stderr
+
+    @pytest.mark.parametrize("case", ["canonical class", "class with a zero coefficient", "polynomial profile"])
+    def test_a_pipe_reads_as_the_file(self, files, tmp_path, case):
+        prof, cls = Path(files.prof_path), Path(files.cls_path)
+        piped, parse = cls, picard.m1n_class_from_json
+        if case == "class with a zero coefficient":
+            boundary = [dict(entry) for entry in files.cls["boundary"]]
+            boundary[3]["coeff"] = "0"
+            cls = piped = Path(files.write("zero.json", {**files.cls, "boundary": boundary}))
+        elif case == "polynomial profile":
+            prof, cls = tmp_path / "gp-prof.json", tmp_path / "gp-cls.json"
+            assert main(["export", "--name", "profile-gp", "--output", str(prof)]) == 0
+            assert main(["export", "--name", "pullback-gp", "--output", str(cls)]) == 0
+            piped, parse = prof, picard.profile_from_json
+        # only the canonical class stays tagged; the others are put back to plain
+        with mock.patch.object(picard, "_untagged", wraps=picard._untagged) as plain:
+            parse(cli._decode(str(piped), piped.read_text()))
+        assert plain.call_count == (case != "canonical class")
+        argv = ["intersect", "--profile", str(prof), "--class", str(cls)]
+        from_file = self._run(argv)
+        assert from_file[0] == 0 and from_file[1].strip()
+        through_pipe = ["/dev/stdin" if arg == str(piped) else arg for arg in argv]
+        assert self._run(through_pipe, piped.read_bytes()) == from_file
+
+
 # pairs of faults in one file: the first in file order is the one reported
 ORDERED_FAULTS = {
     "bool then bad coeff": [{"S": [1, 2], "coeff": "1"}, {"S": [True, 3], "coeff": "1"}, {"S": [4, 5], "coeff": "x"}],
@@ -527,10 +635,17 @@ def _valid_entries(draw):
     return n, entries
 
 
+def _tagged(entries, n=8):
+    """A class file holding ``entries`` on n markings, decoded as the
+    commands decode it."""
+    obj = {"space": {"type": "M1n", "n": n}, "lambda": "0", "boundary": entries}
+    return cli._decode("cls.json", json.dumps(obj))
+
+
 class TestBulkReader:
-    """The bulk check of :func:`picard._boundary_from_json` reads what the
-    entry loop :func:`picard._boundary_entries` reads, and leaves every
-    error to it."""
+    """The bulk check of :func:`picard._tagged_boundary`, fed tagged
+    documents, reads what the entry loop :func:`picard._boundary_entries`
+    reads, and leaves every error to it."""
 
     @pytest.mark.parametrize("case", READER_FAULTS)
     def test_same_error(self, case):
@@ -538,7 +653,7 @@ class TestBulkReader:
         with pytest.raises((KeyError, TypeError, ValueError)) as looped:
             picard._boundary_entries(entries, 8)
         with pytest.raises(type(looped.value)) as bulk:
-            picard._boundary_from_json(entries, 8)
+            picard.m1n_class_from_json(_tagged(entries))
         assert type(bulk.value) is type(looped.value) and str(bulk.value) == str(looped.value)
 
     @pytest.mark.parametrize("case, message", [
@@ -549,7 +664,7 @@ class TestBulkReader:
     ])
     def test_first_fault_is_reported(self, case, message):
         with pytest.raises(ValueError) as caught:
-            picard._boundary_from_json(ORDERED_FAULTS[case], 8)
+            picard.m1n_class_from_json(_tagged(ORDERED_FAULTS[case]))
         assert str(caught.value) == message
 
     @settings(max_examples=200)
@@ -560,29 +675,159 @@ class TestBulkReader:
         n, entries = drawn
         looped = picard._boundary_entries(entries, n)
         written = all(type(e["coeff"]) is str and parse_rat(e["coeff"]) != 0 for e in entries)
+        doc = _tagged(entries, n)
+        assert type(doc) is picard.Tagged
         with mock.patch.object(picard, "_boundary_entries", wraps=picard._boundary_entries) as loop:
-            bulk = picard._boundary_from_json(entries, n)
+            bulk = picard.m1n_class_from_json(doc).boundary
         assert list(bulk.items()) == list(looped.items())
         assert loop.call_count == (not written)
 
     def test_a_zero_string_goes_through_the_entry_loop(self):
         entries = [{"S": [1, 2], "coeff": "-0"}, {"S": [2, 3], "coeff": "-2/4"}, {"S": [3, 4], "coeff": "0/5"}]
         with mock.patch.object(picard, "_boundary_entries", wraps=picard._boundary_entries) as loop:
-            assert picard._boundary_from_json(entries, 4) == {0b0110: Fraction(-1, 2)}
+            assert picard.m1n_class_from_json(_tagged(entries, 4)).boundary == {0b0110: Fraction(-1, 2)}
+        loop.assert_called_once_with(entries, 4)
+
+    def test_a_plain_object_goes_through_the_entry_loop(self):
+        # plain objects come only from in-process callers; files are tagged
+        entries = [{"S": [1, 2], "coeff": "3"}]
+        obj = {"space": {"type": "M1n", "n": 4}, "lambda": "0", "boundary": entries}
+        with mock.patch.object(picard, "_boundary_entries", wraps=picard._boundary_entries) as loop:
+            assert picard.m1n_class_from_json(obj).boundary == {0b11: 3}
         loop.assert_called_once_with(entries, 4)
 
 
+# JSON numbers json.dumps cannot write, spliced in for their placeholders
+RAW_NUMBERS = {'"@big@"': "1" + "0" * 4999, '"@1e0@"': "1e0", '"@nan@"': "NaN"}
+# wrong values for a marking, an extra key or a coefficient: the first list
+# decodes to tags, the second adds integers that do not
+TAGGED_ODD = [True, False, 2.0, 1.5, None, "3", [1, 2], [[3]], {"k": 1}, "@1e0@", "@nan@"]
+PLAIN_ODD = TAGGED_ODD + [0, -1, 65, "@big@"]
+
+
+@st.composite
+def _drawn_file(draw, kind):
+    """The text of a class (``kind`` ``"class"``) or profile file: mostly
+    entries the writer could write, and every kind of value a marking, a
+    coefficient, a space size or an extra key can wrongly hold.  Half the
+    files hold no integer outside 1..64, so that they are decoded to tags
+    and reach the bulk check."""
+    lam_key, key = ("lambda", "boundary") if kind == "class" else ("on_lambda", "on_boundary")
+    odd = st.sampled_from(draw(st.sampled_from([TAGGED_ODD, PLAIN_ODD])))
+    marking = st.one_of(st.integers(1, 9), st.integers(1, 9), st.integers(1, 9), odd)
+    rational = rationals.map(format_rat)
+    coeff = st.one_of(
+        rational, rational,
+        st.sampled_from(["0", "-0", "0/5", "4/2", "x", ["0"], ["1", "0"], ["1", 2]]),
+        st.lists(rational, min_size=1, max_size=3),
+        odd,
+    )
+    entry = st.one_of(
+        st.fixed_dictionaries(
+            {"S": st.lists(marking, max_size=4), "coeff": coeff},
+            optional={"x": st.one_of(st.integers(1, 64), odd)},
+        ),
+        st.sampled_from([None, [[1, 2], "1"], {"S": [1, 2]}, {"coeff": "1"}]),
+    )
+    size = st.sampled_from([2, 3, 5, 8, 9, 9, 9, 9, 9, 9])
+    space = st.one_of(
+        st.builds(lambda n: {"type": "M1n", "n": n}, size),
+        st.builds(lambda n: {"type": "M1n", "n": n}, size),
+        st.fixed_dictionaries({"type": st.sampled_from(["M1n", "Mg", 3]), "n": st.one_of(size, odd)}),
+    )
+    doc = draw(st.fixed_dictionaries(
+        {"space": space, lam_key: st.one_of(rational, rational, coeff), key: st.lists(entry, max_size=6)},
+        optional={"extra": st.one_of(st.integers(1, 64), odd)},
+    ))
+    text = json.dumps(doc)
+    for placeholder, raw in RAW_NUMBERS.items():
+        text = text.replace(placeholder, raw)
+    return text
+
+
+def _outcome(read):
+    """What ``read`` gives: the exception type and message, or the space
+    size, lambda value and boundary entries in order, each with its type."""
+    try:
+        item = read()
+    except (KeyError, TypeError, ValueError, RecursionError) as exc:
+        return type(exc), str(exc)
+    if isinstance(item, picard.CurveProfile):
+        lam, boundary = item.on_lambda, item.on_boundary
+    else:
+        lam, boundary = item.lam, item.boundary
+    return item.n, type(lam), lam, [(mask, type(value), value) for mask, value in boundary.items()]
+
+
+class TestTagExactness:
+    """Reading a file through the tags gives exactly what a plain
+    ``json.loads`` and the plain reader (:func:`picard._boundary_entries`)
+    give: the same entries in the same order, or the same exception type
+    and message."""
+
+    @staticmethod
+    def _same(text, parse):
+        def tagged():
+            try:
+                doc = cli._decode("file.json", text)
+            except cli.InputError as exc:  # the plain decode's own error
+                raise exc.__cause__
+            return parse(doc)
+
+        assert _outcome(tagged) == _outcome(lambda: parse(json.loads(text)))
+
+    @settings(max_examples=200, deadline=None)
+    @given(_drawn_file("class"))
+    def test_class_files(self, text):
+        self._same(text, picard.m1n_class_from_json)
+
+    @settings(max_examples=200, deadline=None)
+    @given(_drawn_file("profile"))
+    def test_profile_files(self, text):
+        self._same(text, picard.profile_from_json)
+
+    @pytest.mark.parametrize("case", READER_FAULTS)
+    def test_every_reader_fault(self, case):
+        obj = {"space": {"type": "M1n", "n": 8}, "lambda": "0", "boundary": READER_FAULTS[case]}
+        self._same(json.dumps(obj), picard.m1n_class_from_json)
+
+
+# a child that runs the command given as JSON in argv[1] and prints its
+# output, its VmHWM (KiB) when the last file read was decoded, and at exit
+PEAK_CHILD = """
+import json, sys
+from effcone import cli
+
+def peak_kib():
+    with open("/proc/self/status") as fh:
+        return next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:"))
+
+decode, marks = cli._decode, []
+
+def marked(path, text):
+    doc = decode(path, text)
+    marks.append(peak_kib())
+    return doc
+
+cli._decode = marked
+assert cli.main(json.loads(sys.argv[1])) == 0
+print(marks[-1], peak_kib())
+"""
+
+
 class TestReaderGuards:
-    """The fast paths of the reader stay taken: canonical files pass the
-    bulk check, and the cycle collector is paused for a read and then put
-    back as it was."""
+    """The fast paths of the reader stay taken: canonical files are decoded
+    to tags and pass the bulk check, and the cycle collector is paused for
+    a read and then put back as it was."""
 
     @pytest.mark.parametrize("m", [4, 5, 6, 7, 8])
     def test_pullback_files_take_the_bulk_check(self, monkeypatch, m):
         cls = glue_pullback(DivisorClassMg(m + 1, Fraction(7, 2), -1, [Fraction(-3, 4)] * ((m + 1) // 2)), m)
-        obj = json.loads(picard.json_text(cls))
+        doc = cli._decode("pb.json", picard.json_text(cls))
+        assert type(doc) is picard.Tagged
         monkeypatch.setattr(picard, "_boundary_entries", mock.Mock(side_effect=AssertionError("fell back")))
-        assert picard.m1n_class_from_json(obj) == cls
+        monkeypatch.setattr(picard, "_untagged", mock.Mock(side_effect=AssertionError("put back to plain")))
+        assert picard.m1n_class_from_json(doc) == cls
 
     @pytest.mark.parametrize("name", ["pullback-gp", "profile-gonal(4)"])
     def test_exported_files_take_the_bulk_check(self, tmp_path, monkeypatch, name):
@@ -590,8 +835,10 @@ class TestReaderGuards:
         assert main(["export", "--name", name, "--output", str(path)]) == 0
         parse = picard.profile_from_json if name.startswith("profile") else picard.m1n_class_from_json
         expected = parse(json.loads(path.read_text()))
+        doc = cli._decode(str(path), path.read_text())
         monkeypatch.setattr(picard, "_boundary_entries", mock.Mock(side_effect=AssertionError("fell back")))
-        assert parse(json.loads(path.read_text())) == expected
+        monkeypatch.setattr(picard, "_untagged", mock.Mock(side_effect=AssertionError("put back to plain")))
+        assert parse(doc) == expected
 
     def test_a_polynomial_file_goes_through_the_entry_loop(self, tmp_path, monkeypatch):
         # profile-gp, 11 entries with polynomial coefficients, is the one
@@ -600,8 +847,29 @@ class TestReaderGuards:
         assert main(["export", "--name", "profile-gp", "--output", str(path)]) == 0
         loop = mock.Mock(wraps=picard._boundary_entries)
         monkeypatch.setattr(picard, "_boundary_entries", loop)
-        assert picard.profile_from_json(json.loads(path.read_text())) == corpus.profile("gp")
+        assert picard.profile_from_json(cli._decode(str(path), path.read_text())) == corpus.profile("gp")
         assert loop.call_count == 1
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM from /proc")
+    def test_the_text_is_freed_before_the_checks(self, tmp_path):
+        # in a child, the peak RSS once the class file is decoded (its text
+        # and its tree) is the peak of the whole command: the checks run on
+        # the tree alone, and would raise the peak by tens of MiB if the
+        # 41 MB text of these 262,125 entries were still held
+        cls, prof = tmp_path / "cls.json", tmp_path / "prof.json"
+        with open(cls, "w", encoding="utf-8") as fh:
+            picard.write_json(glue_pullback(DivisorClassMg(10, 1, 1, [1] * 5), 9), fh.write)
+        prof.write_text(picard.json_text(picard.CurveProfile(18, 0, {0b11: 1})))
+        argv = ["intersect", "--profile", str(prof), "--class", str(cls)]
+        child = subprocess.run(
+            [sys.executable, "-c", PEAK_CHILD, json.dumps(argv)],
+            capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+        )
+        assert child.returncode == 0, child.stderr
+        out, decoded, peak = child.stdout.split()
+        assert out == "-1"
+        assert int(peak) - int(decoded) < 8 * 1024, f"peak {peak} KiB, {decoded} KiB once decoded"
 
     def test_collector_paused_for_the_read(self, files, capsys, monkeypatch):
         seen = []
