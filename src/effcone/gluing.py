@@ -89,31 +89,15 @@ def lambda_family(i: int, m: int) -> LambdaFamily:
     return LambdaFamily(m, i, tuple(sorted(sets)))
 
 
-_MISSING = object()
-
-
 class _CoefficientView(Mapping):
     """Read-only boundary mapping whose coefficients come from a rule.
     Subclasses give ``get`` (None for a zero coefficient), ``items`` (one
     pass over the nonzero coefficients, through which every listing goes,
     refused past EXPORT_BUDGET entries before the first) and ``__len__``.
-    Equality with a dict reads the view only at the dict's keys; with any
-    other mapping it lists both sides, and refuses a side past EXPORT_BUDGET
-    entries before either is listed."""
+    Equality is ``Mapping``'s: it lists both sides through ``items``, so a
+    side past EXPORT_BUDGET entries is refused there."""
 
     __slots__ = ()
-
-    def __eq__(self, other):
-        if type(other) is not dict:
-            if not isinstance(other, Mapping):
-                return NotImplemented
-            for side in (self, other):
-                _check_budget(side.__len__(), f"a {type(side).__name__}")
-            return Mapping.__eq__(self, other)
-        if self.__len__() != len(other):  # len() refuses 2^63 and up
-            return False
-        get = self.get
-        return all(get(mask, _MISSING) == value for mask, value in other.items())
 
     def __getitem__(self, mask: int) -> Scalar:
         value = self.get(mask)
@@ -143,17 +127,6 @@ class GluedBoundary(_CoefficientView):
         self._odd = full_mask(2 * m) // 3  # 0b0101...01: markings 1, 3, ..., 2m-1
         self._by_size = _pruned(row)
         self._on_pairs = _pruned([canon(row[2 * k] + by_pairs[k]) for k in range(m + 1)])
-
-    def __eq__(self, other):
-        """Two glued views agree iff they agree on every row ``get`` reads:
-        ``_by_size`` for sizes 2..2m-1 and ``_on_pairs``; the only subset of
-        size 2m is a union of pairs, so ``_by_size[2m]`` is never read."""
-        if type(other) is not GluedBoundary:
-            return super().__eq__(other)
-        if self.m != other.m:
-            return not self and not other
-        top = 2 * self.m
-        return self._on_pairs == other._on_pairs and self._by_size[2:top] == other._by_size[2:top]
 
     def get(self, mask: int, default=None):
         if mask >> self.n:
@@ -222,19 +195,6 @@ class ForgetfulBoundary(_CoefficientView):
     def __init__(self, base: Mapping, m: int, n: int):
         self.base, self.m, self.n = base, m, n
         self._low = full_mask(m)
-
-    def __eq__(self, other):
-        """Two forgetful views on n markings read their bases at T & {1..M},
-        M the larger base's marking count, so they agree iff the smaller
-        base forgotten to M markings agrees with the larger base."""
-        if type(other) is not ForgetfulBoundary:
-            return super().__eq__(other)
-        if self.n != other.n:
-            return not self and not other
-        small, large = (self, other) if self.m <= other.m else (other, self)
-        if small.m == large.m:
-            return small.base == large.base
-        return ForgetfulBoundary(small.base, small.m, large.m) == large.base
 
     def get(self, mask: int, default=None):
         if mask >> self.n:

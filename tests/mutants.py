@@ -3,8 +3,8 @@
 Each entry of ``MUTANTS`` names a file under ``src/effcone``, an exact
 snippet of it, the replacement that breaks one check, and the tier-1 tests
 that must fail once the snippet is replaced.  ``tests/test_mutants.py``
-keeps each snippet occurring exactly once in its file, so the catalogue
-cannot drift from the code.
+keeps each snippet occurring exactly once in its file and each named test
+defined, so the catalogue cannot drift from the code or the tests.
 
 Run it as:
 
@@ -146,6 +146,20 @@ MUTANTS = (
             "tests/test_picard.py::TestConstruction::test_zero_coefficients_are_pruned",
             "tests/test_picard.py::TestCheckedBoundary::test_same_canonical_entries[int with zeros]",
         ),
+    ),
+    Mutant(
+        "forgetful view: the base read at T, not T & {1..m}",
+        "gluing.py",
+        "        return self.base.get(mask & self._low, default)\n",
+        "        return self.base.get(mask, default)\n",
+        ("tests/test_gluing.py::TestForgetfulView::test_dict_source[5]",),
+    ),
+    Mutant(
+        "lift: no projection-formula check",
+        "certify.py",
+        "    if pushforward_profile(profile, cert.n) != cert.profile:\n",
+        "    if False:\n",
+        ("tests/test_certify.py::TestLift::test_lift_checks_the_projection_formula",),
     ),
 )
 

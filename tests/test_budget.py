@@ -36,10 +36,13 @@ from effcone.picard import (
 from test_gluing import wall_clock_bound
 from test_independence import MODULES, _parse
 
-CLASSES = {
-    "glued": glue_pullback(DivisorClassMg(33, 1, 1, [1] * 16), 32),
-    "forgetful": forget_pullback(DivisorClassM1n(4, 0, {3: 1}), 64),
+BUILD = {
+    "glued": lambda: glue_pullback(DivisorClassMg(33, 1, 1, [1] * 16), 32),
+    "forgetful": lambda: forget_pullback(DivisorClassM1n(4, 0, {3: 1}), 64),
 }
+CLASSES = {which: build() for which, build in BUILD.items()}
+# an equal class of the same kind, built separately, by its view's type
+TWINS = {type(CLASSES[which].boundary): build() for which, build in BUILD.items()}
 OTHER = {"glued": "forgetful", "forgetful": "glued"}
 
 # every method a Mapping has, from the class itself and its bases, so that
@@ -63,11 +66,14 @@ def outcome(call):
 
 
 # package functions and builtins that take a boundary, as calls on a class
-# and a class of the other kind on the same 64 markings
+# and a class of the other kind on the same 64 markings; the same-kind
+# routes compare the class with its twin instead
 ROUTES = {
     "dict": lambda cls, other: dict(cls.boundary),
     "==": lambda cls, other: cls.boundary == other.boundary,
     "!=": lambda cls, other: cls.boundary != other.boundary,
+    "== same kind": lambda cls, other: cls.boundary == TWINS[type(cls.boundary)].boundary,
+    "!= same kind": lambda cls, other: cls.boundary != TWINS[type(cls.boundary)].boundary,
     "repr": lambda cls, other: repr(cls),
     "DivisorClassM1n": lambda cls, other: DivisorClassM1n(64, 0, cls.boundary),
     "CurveProfile": lambda cls, other: CurveProfile(64, 0, cls.boundary),
@@ -79,8 +85,8 @@ ROUTES = {
 }
 # the routes that must list the whole view; the others may answer
 REFUSED = {
-    "dict", "==", "!=", "DivisorClassM1n", "CurveProfile", "linear_combine", "permute_markings",
-    "m1n_class_to_json", "json_text",
+    "dict", "==", "!=", "== same kind", "!= same kind", "DivisorClassM1n", "CurveProfile", "linear_combine",
+    "permute_markings", "m1n_class_to_json", "json_text",
 }
 
 
@@ -189,7 +195,6 @@ class TestOneGuard:
 
     def test_the_guard_is_called_by_the_views_and_the_cli_prechecks_alone(self):
         assert _with(lambda n: isinstance(n, ast.Call) and _named(n.func, "_check_budget")) == {
-            "gluing._CoefficientView.__eq__",
             "gluing.GluedBoundary.items",
             "gluing.GluedBoundary.runs",
             "gluing.ForgetfulBoundary.items",

@@ -20,9 +20,11 @@ from effcone.gluing import (
     pushforward_profile,
 )
 from effcone.picard import (
+    EXPORT_BUDGET,
     CurveProfile,
     DivisorClassM1n,
     DivisorClassMg,
+    ResourceGuardError,
     SpaceMismatchError,
     full_mask,
     linear_combine,
@@ -355,9 +357,9 @@ def test_full_pair_symmetry_orbit_randomized():
 
 
 class TestViewEquality:
-    """``==`` on glued views compares the rows ``get`` reads, and a view
-    against a dict reads the view at the dict's keys; both must agree with
-    equality of the fully listed mappings."""
+    """Views compare by ``Mapping``'s equality, which lists both sides
+    through ``items``: with a view of either kind or a dict, each answer
+    must agree with equality of the fully listed mappings."""
 
     @staticmethod
     def listed(boundary):
@@ -509,22 +511,38 @@ def wall_clock_bound(seconds):
 class TestSixtyFourMarkingViews:
     W = DivisorClassMg(33, 1, 1, [1] * 16)
 
+    @staticmethod
+    def assert_refused(compare, asked):
+        """``compare`` raises ResourceGuardError for ``asked`` entries, the
+        count of the side it lists first."""
+        with pytest.raises(ResourceGuardError) as refused:
+            compare()
+        assert (refused.value.limit, refused.value.asked) == (EXPORT_BUDGET, asked)
+
     def test_equality_without_enumeration(self):
+        # equality lists both sides, so it is refused before the first entry
+        other = glue_pullback(DivisorClassMg(33, 1, 1, [1] * 15 + [2]), 32)
         with wall_clock_bound(2):
-            assert glue_pullback(self.W, 32) == glue_pullback(self.W, 32)
-            other = glue_pullback(DivisorClassMg(33, 1, 1, [1] * 15 + [2]), 32)
-            assert glue_pullback(self.W, 32) != other
-            assert glue_pullback(self.W, 32).boundary != {}
+            for compare in (
+                lambda: glue_pullback(self.W, 32) == glue_pullback(self.W, 32),
+                lambda: glue_pullback(self.W, 32) != other,
+                lambda: glue_pullback(self.W, 32).boundary != {},
+                lambda: {} != glue_pullback(self.W, 32).boundary,
+            ):
+                self.assert_refused(compare, 2**64 - 65)
 
     def test_forgetful_views_compare_without_enumeration(self):
         x = DivisorClassM1n(4, 0, {3: 1})
         on_ten = DivisorClassM1n(10, 0, dict(forget_pullback(x, 10).boundary.items()))
         with wall_clock_bound(2):
-            assert forget_pullback(x, 64) == forget_pullback(x, 64)
-            assert forget_pullback(x, 64) == forget_pullback(on_ten, 64)
-            assert forget_pullback(on_ten, 64) == forget_pullback(forget_pullback(x, 10), 64)
-            assert forget_pullback(x, 64) != forget_pullback(DivisorClassM1n(4, 0, {3: 2}), 64)
-            assert forget_pullback(x, 64).boundary != forget_pullback(x, 63).boundary
+            for compare in (
+                lambda: forget_pullback(x, 64) == forget_pullback(x, 64),
+                lambda: forget_pullback(x, 64) == forget_pullback(on_ten, 64),
+                lambda: forget_pullback(on_ten, 64) == forget_pullback(forget_pullback(x, 10), 64),
+                lambda: forget_pullback(x, 64) != forget_pullback(DivisorClassM1n(4, 0, {3: 2}), 64),
+                lambda: forget_pullback(x, 64).boundary != forget_pullback(x, 63).boundary,
+            ):
+                self.assert_refused(compare, 2**60)
 
     def test_glued_against_forgetful_is_refused_with_the_count(self):
         glued = glue_pullback(self.W, 32).boundary
@@ -536,14 +554,14 @@ class TestSixtyFourMarkingViews:
                 forgetful == glued
 
     def test_forgetful_view_of_a_glued_base_is_refused_with_the_count(self):
-        # the larger base is a glued view on 32 markings, so the smaller base
-        # forgotten to 32 markings is compared with it as a mapping
+        # the side listed first is counted whole: the glued base's 2^32 - 33
+        # entries on 32 markings, each extended over the other 32
         on_glued = forget_pullback(glue_pullback(DivisorClassMg(17, 1, 1, [1] * 8), 16), 64).boundary
         on_four = forget_pullback(DivisorClassM1n(4, 0, {3: 1}), 64).boundary
         with wall_clock_bound(2):
-            with pytest.raises(ValueError, match=f"export budget is {2**21} boundary entries; a ForgetfulBoundary has {2**28}"):
+            with pytest.raises(ValueError, match=f"export budget is {2**21} boundary entries; a ForgetfulBoundary has {(2**32 - 33) << 32}"):
                 on_glued == on_four
-            with pytest.raises(ValueError, match=f"export budget is {2**21} boundary entries; a ForgetfulBoundary has {2**28}"):
+            with pytest.raises(ValueError, match=f"export budget is {2**21} boundary entries; a ForgetfulBoundary has {2**60}"):
                 on_four == on_glued
 
     def test_linear_combination_is_refused_with_the_count(self):
