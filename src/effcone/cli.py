@@ -5,10 +5,11 @@ Each suite is a check table: it lists ``(check, expected, actual, citation)``
 entries and hands them to ``_suite``, which names the module once and
 serializes every scalar. ``SUITES`` registers the suites by that module name;
 it supplies the ``verify`` choices, and ``verify all`` runs them all.
-``chow`` is imported by the chow and property suites and ``certify`` by the
-certify suite, where they are called, so that the commands which run neither
-(``verify gonal``, ``pullback``, ``export``, ``intersect``) do not pay for
-loading them at start-up.
+
+Every effcone module but ``picard`` and ``scalars`` is imported where it
+is called, so that each command loads only the modules it runs: ``intersect`` none of them,
+``pullback`` ``gluing``, ``export`` ``corpus``, and ``verify`` those of its
+suites (``chow`` and ``certify`` only with the suites that call them).
 
 Exit codes: 0 when every check passes, 1 on any failing row (an internal
 error in a suite is one), 2 on usage or input errors and on a refused budget.
@@ -34,11 +35,12 @@ from itertools import permutations
 from pathlib import Path
 from typing import Callable, Dict, List, NamedTuple, Sequence, Tuple
 
-from . import corpus, gluing, gonal, picard
+from . import picard
 from .picard import EXPORT_BUDGET  # noqa: F401  (the budget the commands are held to)
 from .scalars import Poly, binom, poly_eval, scalar_to_json
 
 DEFAULT_MAX_D = 12
+DIRECT_ROUTE_DEFAULT_CAP = 6  # the default of verify --direct-max-d, not a guard
 PROPERTY_SEED = 1729
 PROPERTY_REPS = 100
 
@@ -116,6 +118,8 @@ def _golden_match(
     """The gluing pullback of ``source`` to 2m markings, and the entry that
     counts its basis coordinates matching the hand-entered expansion
     ``golden``. ``expected`` is entered by hand, never counted here."""
+    from . import corpus, gluing
+
     computed = gluing.glue_pullback(source, m)
     reference = corpus.golden_pullback(golden)
     n = computed.n
@@ -130,6 +134,8 @@ def _golden_match(
 
 
 def trigonal_suite() -> List[CheckRow]:
+    from . import corpus
+
     computed, match = _golden_match(corpus.bn_class(3), 4, "trigonal", "248/248")
     three_pairs = picard.subset_mask((3, 4, 5, 6, 7, 8), 8)
     return _suite("trigonal", [
@@ -143,7 +149,9 @@ def trigonal_suite() -> List[CheckRow]:
     ])
 
 
-def gonal_suite(max_d: int = DEFAULT_MAX_D, direct_max_d: int = gonal.DIRECT_ROUTE_DEFAULT_CAP) -> List[CheckRow]:
+def gonal_suite(max_d: int = DEFAULT_MAX_D, direct_max_d: int = DIRECT_ROUTE_DEFAULT_CAP) -> List[CheckRow]:
+    from . import gonal
+
     entries = []
     for d in range(3, direct_max_d + 1):
         closed = gonal.pairing_closed(d)
@@ -165,6 +173,8 @@ def gonal_suite(max_d: int = DEFAULT_MAX_D, direct_max_d: int = gonal.DIRECT_ROU
 
 
 def gp_suite() -> List[CheckRow]:
+    from . import corpus
+
     computed, match = _golden_match(corpus.gp_class(), 3, "gp", "58/58")
     pairing = picard.pair(corpus.profile("gp"), computed)
     degree = pairing.degree() if isinstance(pairing, Poly) else 0
@@ -210,8 +220,8 @@ def chow_suite() -> List[CheckRow]:
     return _suite("chow", entries)
 
 
-def certificate_suite(direct_max_d: int = gonal.DIRECT_ROUTE_DEFAULT_CAP) -> List[CheckRow]:
-    from . import certify
+def certificate_suite(direct_max_d: int = DIRECT_ROUTE_DEFAULT_CAP) -> List[CheckRow]:
+    from . import certify, corpus, gonal
 
     assertions = certify.REQUIRED_ASSERTIONS
     targets = [
@@ -293,6 +303,8 @@ def pair_symmetry_permutation(rng: random.Random, m: int) -> tuple:
 
 
 def property_suite(reps: int = PROPERTY_REPS) -> List[CheckRow]:
+    from . import corpus, gluing
+
     rng = random.Random(PROPERTY_SEED)
     failures = {
         "pair_bilinearity": 0,
@@ -508,9 +520,13 @@ def _dump_json(item, output: str | None) -> None:
         raise InputError(f"cannot write {output}: {exc}") from exc
 
 
-def _read(path: str, parse, what: str):
+def _read(path: str, parse, what: str, profile: picard.CurveProfile | None = None):
     """Parse the JSON file at ``path`` with ``parse``; a file that does not
     hold a ``what`` is an input error.
+
+    Given the ``profile`` it is paired with, a class file in the writer's
+    layout is parsed as a ``picard.Batched`` document; any other file, or
+    one that proves not to be, is read whole, which words every error.
 
     The text is freed as soon as it is decoded, before ``parse`` runs: on
     a large file it is as large as the parse's own working set.  The cycle
@@ -523,6 +539,12 @@ def _read(path: str, parse, what: str):
     enabled = gc.isenabled()
     gc.disable()
     try:
+        batched = picard.batched_class(path, profile) if profile else None
+        if batched is not None:
+            try:
+                return parse(batched)
+            except picard.NotCanonical:
+                pass
         obj = _decode(path, _text(path))
         try:
             return parse(obj)
@@ -541,6 +563,8 @@ def _check_pencil_markings(d: int) -> None:
 
 
 def _cmd_pullback(args) -> int:
+    from . import gluing
+
     cls = _read(args.input, picard.mg_class_from_json, "genus-g class")
     if cls.g != args.g:
         raise InputError(f"class lives on genus {cls.g}, but --g {args.g} was given")
@@ -554,28 +578,30 @@ def _cmd_pullback(args) -> int:
 
 def _cmd_intersect(args) -> int:
     prof = _read(args.profile, picard.profile_from_json, "profile")
-    cls = _read(args.class_file, picard.m1n_class_from_json, "marked-space class")
+    cls = _read(args.class_file, picard.m1n_class_from_json, "marked-space class", prof)
     out = scalar_to_json(picard.pair(prof, cls))
     print(out if isinstance(out, str) else json.dumps(out))
     return 0
 
 
-# each builder looks its corpus function up when called, so that a wrapped
-# one (bench/layers.py times them) is the one that runs
+# each builder is given the corpus module and looks its function up when
+# called, so that a wrapped one (bench/layers.py times them) is the one that runs
 _EXPORTERS = {
-    "gp": lambda: corpus.gp_class(),
-    "pullback-trigonal": lambda: corpus.golden_pullback("trigonal"),
-    "pullback-gp": lambda: corpus.golden_pullback("gp"),
-    "profile-trig": lambda: corpus.profile("trig"),
-    "profile-bnd": lambda: corpus.profile("bnd"),
-    "profile-gp": lambda: corpus.profile("gp"),
+    "gp": lambda corpus: corpus.gp_class(),
+    "pullback-trigonal": lambda corpus: corpus.golden_pullback("trigonal"),
+    "pullback-gp": lambda corpus: corpus.golden_pullback("gp"),
+    "profile-trig": lambda corpus: corpus.profile("trig"),
+    "profile-bnd": lambda corpus: corpus.profile("bnd"),
+    "profile-gp": lambda corpus: corpus.profile("gp"),
 }
 
 
 def _cmd_export(args) -> int:
+    from . import corpus
+
     name = args.name
     if name in _EXPORTERS:
-        item = _EXPORTERS[name]()
+        item = _EXPORTERS[name](corpus)
     elif match := re.fullmatch(r"bn\(([0-9]+)\)", name):
         d = int(match.group(1))
         _check_pencil_markings(d)  # its gluing pullback lands on 4d - 4 markings
@@ -590,6 +616,8 @@ def _cmd_export(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from . import corpus
+
     d = args.direct_max_d
     if d >= 3:
         # the direct route builds profile-gonal(d) whole; refused before any suite runs
@@ -633,7 +661,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument(
         "--direct-max-d",
         type=int,
-        default=gonal.DIRECT_ROUTE_DEFAULT_CAP,
+        default=DIRECT_ROUTE_DEFAULT_CAP,
         help="cap for the full-enumeration route",
     )
     verify.add_argument("--json", action="store_true", help="emit the JSON report")

@@ -30,8 +30,6 @@ from .gluing import glue_pullback
 from .picard import ResourceGuardError, pair  # noqa: F401  (re-exported)
 from .scalars import Rat, binom, canon
 
-DIRECT_ROUTE_DEFAULT_CAP = 6  # the default of verify --direct-max-d, not a guard
-
 
 def pairing_direct(d: int) -> Rat:
     """Pairing by full enumeration of the profile support on 4d-4 markings,

@@ -28,19 +28,30 @@ Files are read as :class:`Tagged` documents: the command line decodes each
 JSON integer k to the tag ``1 << k`` (``TAGS``), so a subset's mask is the
 C-level ``sum`` of its tags shifted right once, and bit 0 stays free for a
 ``true`` to show.  :func:`_tagged_boundary` checks the entries the writer
-writes over the whole list at once.  Any other document, and any plain
-object passed in-process, goes entry by entry through
-:func:`_boundary_entries`, the one place that words an entry's error; a
-tagged one is first put back to plain by :func:`_untagged`.
+writes over the whole list at once, through :func:`_checked_list` and
+:func:`_in_range`.  Any other document, and any plain object passed
+in-process, goes entry by entry through :func:`_boundary_entries`, the one
+place that words an entry's error; a tagged one is first put back to plain
+by :func:`_untagged`.
+
+A class file to be paired with a profile may instead be read in batches:
+:func:`batched_class` reads the tail of a regular file in the writer's
+layout first, and :func:`m1n_class_from_json` then decodes its entries
+about ``_BATCH_BYTES`` at a time, checks each batch with the same
+:func:`_checked_list`, and keeps only the profile's support, so memory does
+not grow with the file.  A file that turns out to be in another layout, or
+that fails a check, raises :class:`NotCanonical`, and is read whole.
 """
 
 from __future__ import annotations
 
 import json
+import os
+import stat
 from functools import reduce
-from itertools import chain, groupby, islice, repeat
+from itertools import chain, compress, groupby, islice, repeat
 from math import comb
-from operator import and_, itemgetter, or_, rshift
+from operator import and_, itemgetter, le, lt, neg, or_, rshift, xor
 from typing import Callable, Dict, Iterable, Iterator, Mapping, NamedTuple, Sequence, Tuple
 
 from .scalars import Scalar, canon, parse_rat, scalar_from_json, scalar_to_json
@@ -356,11 +367,16 @@ def linear_combine(terms: Sequence[Tuple[Scalar, DivisorClassM1n]]) -> DivisorCl
     return DivisorClassM1n._trusted(n, canon(lam), boundary)
 
 
+def _same_space(profile: CurveProfile, n: int) -> None:
+    """Refuse to pair ``profile`` with a class on n markings of another space."""
+    if profile.n != n:
+        raise SpaceMismatchError(f"profile on n={profile.n}, class on n={n}")
+
+
 def pair(profile: CurveProfile, cls: DivisorClassM1n) -> Scalar:
     """Intersection number of the family against the class:
     on_lambda * lambda-coefficient plus the sum over the profile support."""
-    if profile.n != cls.n:
-        raise SpaceMismatchError(f"profile on n={profile.n}, class on n={cls.n}")
+    _same_space(profile, cls.n)
     total = profile.on_lambda * cls.lam
     boundary = cls.boundary
     for mask, value in profile.on_boundary.items():
@@ -507,31 +523,52 @@ def _untagged(doc):
     return root[0]
 
 
-def _tagged_boundary(entries: list, n: int) -> Dict[int, Scalar] | None:
-    """Boundary coefficients of tagged entries whose coefficients are all
-    nonzero rational strings, as the writer writes them, checked over the
-    whole list at once through C-level ``map`` pipelines; None for any
-    other list, or an exception.  A subset's tags sum to twice its mask
-    when it holds distinct markings in 1..n and nothing else: a ``true``
-    sets bit 0, a ``false`` or a repeated marking leaves fewer bits than
-    members, and a float, a string, a list or a null makes ``sum`` or the
-    bit operations on it raise.  Each distinct coefficient string is parsed
-    once."""
+def _checked_list(entries: list, parsed: dict) -> tuple | None:
+    """``(sizes, sums, coeffs)`` of tagged entries whose coefficients
+    are all nonzero rational strings, as the writer writes them, checked over
+    the whole list at once through C-level ``map`` pipelines; None for any
+    other list, or an exception.  A subset's tags sum to twice its mask when
+    it holds distinct markings and nothing else: a ``false`` or a repeated
+    marking leaves fewer bits than members, and a float, a string, a list or
+    a null makes ``sum`` or the bit count raise.  What a list cannot show
+    alone is left to its caller: the range and bit-0 checks of
+    :func:`_in_range` on the OR of the sums, and the duplicates.  Each
+    distinct coefficient string is parsed once into ``parsed``, which may
+    be shared by the lists of one file."""
     lists = list(map(itemgetter("S"), entries))
     coeffs = list(map(itemgetter("coeff"), entries))
-    parsed = {text: parse_rat(text) for text in set(coeffs)}
+    new = set(coeffs).difference(parsed)
+    parsed.update(zip(new, map(parse_rat, new)))
     sums = list(map(sum, lists))
-    if not sums:
-        return {}
     sizes = list(map(len, lists))
-    bits = reduce(or_, sums)
     if not (
-        all(parsed.values())
-        and not bits >> (n + 1)
-        and not bits & 1
+        all(map(parsed.__getitem__, new))
         and min(sizes) >= 2
         and list(map(int.bit_count, sums)) == sizes
     ):
+        return None
+    return sizes, sums, coeffs
+
+
+def _in_range(bits: int, n: int) -> bool:
+    """Whether ``bits``, the OR of tagged subsets' sums, holds markings in
+    1..n alone: no tag past ``1 << n``, and no ``true`` in bit 0."""
+    return not bits >> (n + 1) and not bits & 1
+
+
+def _tagged_boundary(entries: list, n: int) -> Dict[int, Scalar] | None:
+    """Boundary coefficients of a whole list of tagged entries that
+    :func:`_checked_list` and :func:`_in_range` pass and that holds no
+    subset twice; None for any other list, or an exception."""
+    if not entries:
+        return {}
+    parsed: dict = {}
+    checked = _checked_list(entries, parsed)
+    if checked is None:
+        return None
+    sums, coeffs = checked[1:]
+    del checked
+    if not _in_range(reduce(or_, sums), n):
         return None
     masks = list(map(rshift, sums, repeat(1)))
     del sums  # freed before the dict is built, the peak of a large read
@@ -609,6 +646,18 @@ def m1n_class_to_json(cls: DivisorClassM1n) -> dict:
     }
 
 
+def _tagged_head(doc, lam_key: str) -> Tuple[int, Scalar]:
+    """``(n, lambda value)`` of a tagged class or profile document whose
+    space and lambda value are as the writer writes them, its lambda value
+    under ``lam_key``; an exception for any other."""
+    space, lam = doc["space"], doc[lam_key]
+    tag = space["n"]
+    # n = 1 (tag 2) is refused by _check_n
+    if not (space["type"] == "M1n" and type(tag) is int and tag > 2 and type(lam) is str):
+        raise ValueError("not as written")
+    return tag.bit_length() - 1, parse_rat(lam)
+
+
 def _m1n_fields(obj, lam_key: str, key: str, what: str) -> tuple:
     """``(n, lambda value, boundary)`` of a serialized class or profile
     ``what``, its lambda value under ``lam_key`` and its entries under
@@ -620,17 +669,12 @@ def _m1n_fields(obj, lam_key: str, key: str, what: str) -> tuple:
         doc = obj.doc
         try:
             # only a JSON object takes a string key
-            space, lam, entries = doc["space"], doc[lam_key], doc[key]
-            tag = space["n"]
-            if (
-                space["type"] == "M1n"
-                and type(tag) is int and tag > 2  # n = 1 is refused by _check_n
-                and type(lam) is str and type(entries) is list
-            ):
-                n = tag.bit_length() - 1
+            n, lam = _tagged_head(doc, lam_key)
+            entries = doc[key]
+            if type(entries) is list:
                 boundary = _tagged_boundary(entries, n)
                 if boundary is not None:
-                    return n, parse_rat(lam), boundary
+                    return n, lam, boundary
         except (KeyError, TypeError, ValueError):
             pass  # the plain read below words the error
         obj = _untagged(doc)
@@ -640,7 +684,130 @@ def _m1n_fields(obj, lam_key: str, key: str, what: str) -> tuple:
 
 
 def m1n_class_from_json(obj) -> DivisorClassM1n:
+    """The class of a serialized document: a plain object, a
+    :class:`Tagged` one, or a :class:`Batched` class file, of which only
+    the entries at its support are kept."""
+    if type(obj) is Batched:
+        return DivisorClassM1n._trusted(obj.n, obj.lam, _batched_boundary(obj))
     return DivisorClassM1n._trusted(*_m1n_fields(obj, "lambda", "boundary", "class"))
+
+
+# ---------------------------------------------------------------------------
+# class files read in batches
+
+# the writer's layout of a class file: the text before its first boundary
+# entry, between two entries, and between the last entry and the lambda value
+_CLASS_HEAD = b'{\n  "boundary": [\n    {'
+_BETWEEN = b"\n    },\n    {"
+_CLASS_MID = b'\n    }\n  ],\n  "lambda": '
+_BATCH_BYTES = 1 << 16
+_TAIL_BYTES = 1 << 16  # the tail read first; a longer one is read whole
+
+
+class NotCanonical(Exception):
+    """A :class:`Batched` file is not in the writer's layout after all, or
+    an entry fails a check: it is to be read whole, which words any error."""
+
+
+class Batched(NamedTuple):
+    """A class file in the writer's layout, made by :func:`batched_class`
+    from its head and tail alone: space ``n`` and lambda value ``lam``, and
+    its boundary entries up to byte offset ``end`` of ``path``, to be read
+    in batches keeping the masks in ``support``."""
+
+    path: str
+    n: int
+    lam: Scalar
+    end: int
+    support: Mapping[int, Scalar]
+
+
+def batched_class(path: str, profile: CurveProfile) -> Batched | None:
+    """The class file at ``path`` as a :class:`Batched` document keeping
+    ``profile``'s support, when it is a regular file that starts with the
+    writer's head and ends with the writer's tail, read first from its last
+    ``_TAIL_BYTES``; None for any other file, or one that cannot be read.
+    A class on another space than ``profile``'s is refused here, before
+    any entry is decoded."""
+    try:
+        if not stat.S_ISREG(os.stat(path).st_mode):
+            return None  # a pipe cannot be read twice
+        with open(path, "rb") as fh:
+            head = fh.read(len(_CLASS_HEAD))
+            size = fh.seek(0, os.SEEK_END)
+            fh.seek(max(size - _TAIL_BYTES, len(head)))
+            tail = fh.read()
+    except OSError:
+        return None
+    mid = tail.rfind(_CLASS_MID)
+    if head != _CLASS_HEAD or mid < 0:
+        return None
+    end = size - len(tail) + mid
+    try:
+        doc = json.loads('{"lambda": ' + tail[mid + len(_CLASS_MID):].decode(), parse_int=TAGS.__getitem__)
+        if doc.keys() != {"lambda", "space"}:  # JSON keeps the last of a key's values
+            return None
+        n, lam = _tagged_head(doc, "lambda")
+    except (KeyError, TypeError, ValueError, RecursionError):
+        return None
+    _same_space(profile, n)
+    return Batched(path, n, lam, end, profile.on_boundary)
+
+
+def _batched_boundary(doc: Batched) -> Dict[int, Scalar]:
+    """The coefficients of ``doc`` at its support.  Its entries are read a
+    batch of about ``_BATCH_BYTES`` at a time, cut before an entry: a raw
+    line break cannot occur inside a JSON string, so ``_BETWEEN`` only ever
+    lies between two entries.  Every batch is checked by
+    :func:`_checked_list`, and :func:`_in_range` checks the OR of all of
+    them once the array ends.  The writer lists each subset once, in
+    boundary order, so subsets that rise strictly in that order, from one
+    batch to the next too, refuse a subset twice without holding every
+    mask.  A file that fails any of this raises :class:`NotCanonical`."""
+    keep = doc.support.__contains__
+    out: Dict[int, Scalar] = {}
+    parsed: dict = {}
+    bits = size = top = 0  # size and sum of the last entry read
+    try:
+        with open(doc.path, "rb") as fh:
+            fh.seek(len(_CLASS_HEAD))
+            left = doc.end - len(_CLASS_HEAD)
+            rest = b""
+            while left > 0:
+                read = fh.read(min(_BATCH_BYTES, left))
+                if not read:
+                    raise NotCanonical  # the file shrank since its tail was read
+                left -= len(read)
+                block = rest + read
+                cut = block.rfind(_BETWEEN) if left else len(block)
+                if cut < 0:
+                    rest = block
+                    continue
+                rest = block[cut + len(_BETWEEN):]
+                entries = json.loads("[{" + block[:cut].decode() + "}]", parse_int=TAGS.__getitem__)
+                checked = _checked_list(entries, parsed)
+                if checked is None:
+                    raise NotCanonical
+                sizes, sums, coeffs = checked
+                # each entry against the one before: no size falls, and of
+                # two subsets of one size the earlier holds the lowest
+                # marking that lies in one of them alone
+                z, s = [size, *sizes], [top, *sums]
+                x = list(map(xor, s, sums))
+                if not (
+                    all(map(le, z, sizes))
+                    and all(map(or_, map(lt, z, sizes), map(and_, map(and_, x, map(neg, x)), s)))
+                ):
+                    raise NotCanonical
+                size, top = sizes[-1], sums[-1]
+                bits |= reduce(or_, sums)
+                masks = list(map(rshift, sums, repeat(1)))
+                out.update(compress(zip(masks, map(parsed.__getitem__, coeffs)), map(keep, masks)))
+    except (OSError, KeyError, TypeError, ValueError, RecursionError) as exc:
+        raise NotCanonical from exc
+    if not (size and _in_range(bits, doc.n)):  # no entry at all, or one out of range
+        raise NotCanonical
+    return out
 
 
 def profile_to_json(profile: CurveProfile) -> dict:
@@ -679,7 +846,7 @@ def mg_class_from_json(obj) -> DivisorClassMg:
 # boundary entry; entries are written this many at a time
 _MARKING_LINES = tuple(f"        {i}" for i in range(MAX_MARKINGS + 1))
 _ENTRY = '    {\n      "S": [\n%s\n      ],\n      "coeff": %s\n    }'
-_CHUNK_ENTRIES = 4096
+_CHUNK_ENTRIES = 512
 
 
 def _entry_pieces(mapping: Mapping[int, Scalar]) -> Iterator[str]:

@@ -60,7 +60,7 @@ MUTANTS = (
     Mutant(
         "reader: no range check",
         "picard.py",
-        "        and not bits >> (n + 1)\n",
+        "not bits >> (n + 1) and ",
         "",
         (
             "tests/test_inputs.py::TestBulkReader::test_same_error[marking past n]",
@@ -70,8 +70,8 @@ MUTANTS = (
     Mutant(
         "reader: range shift n in place of n + 1",
         "picard.py",
-        "        and not bits >> (n + 1)\n",
-        "        and not bits >> n\n",
+        "not bits >> (n + 1)",
+        "not bits >> n",
         (
             "tests/test_inputs.py::TestReaderGuards::test_pullback_files_take_the_bulk_check[8]",
             "tests/test_inputs.py::TestReaderGuards::test_exported_files_take_the_bulk_check[pullback-gp]",
@@ -103,7 +103,7 @@ MUTANTS = (
         # the bit-0 check: a true marking sets bit 0
         "reader: no marking-type check",
         "picard.py",
-        "        and not bits & 1\n",
+        " and not bits & 1",
         "",
         (
             "tests/test_inputs.py::TestBulkReader::test_same_error[bool marking]",
@@ -113,12 +113,38 @@ MUTANTS = (
     Mutant(
         "reader: zero coefficients kept on the bulk path",
         "picard.py",
-        "        all(parsed.values())\n        and ",
+        "        all(map(parsed.__getitem__, new))\n        and ",
         "        ",
         (
             "tests/test_inputs.py::TestBulkReader::test_a_zero_string_goes_through_the_entry_loop",
             "tests/test_inputs.py::TestBulkReader::test_same_dict_in_the_same_order",
         ),
+    ),
+    Mutant(
+        # each batch's first entry is no longer checked against the last
+        # entry of the batch before
+        "batched reader: no duplicate check across batches",
+        "picard.py",
+        "                z, s = [size, *sizes], [top, *sums]\n",
+        "                z, s = [0, *sizes], [0, *sums]\n",
+        (
+            "tests/test_inputs.py::TestBatchedReader::test_a_subset_twice_across_batches[0-1]",
+            "tests/test_inputs.py::TestBatchedReader::test_a_subset_twice_across_batches[245-1]",
+        ),
+    ),
+    Mutant(
+        "batched reader: no range check at the end of the array",
+        "picard.py",
+        "    if not (size and _in_range(bits, doc.n)):",
+        "    if not size:",
+        ("tests/test_inputs.py::TestBatchedReader::test_a_marking_past_n_in_the_last_entry",),
+    ),
+    Mutant(
+        "batched reader: any head batched",
+        "picard.py",
+        "    if head != _CLASS_HEAD or mid < 0:\n",
+        "    if mid < 0:\n",
+        ("tests/test_inputs.py::TestBatchedReader::test_another_layout_is_read_whole[renamed array key]",),
     ),
     Mutant(
         "reader: inverse tag map off by one",

@@ -472,7 +472,7 @@ class TestClosedStdout:
 # HEAVY are loaded after each.
 STARTUP_CHILD = """
 import contextlib, io, json, sys
-HEAVY = ("effcone.chow", "effcone.certify", "dataclasses")
+HEAVY = ("effcone.corpus", "effcone.gluing", "effcone.gonal", "effcone.chow", "effcone.certify", "dataclasses")
 def loaded():
     return [name for name in HEAVY if name in sys.modules]
 from effcone import cli
@@ -485,8 +485,9 @@ print(json.dumps(report))
 
 
 class TestStartupImports:
-    """Commands load only the modules they run: ``chow`` and ``certify``
-    come with their suites, and no module on the shared path needs
+    """Commands load only the modules they run: ``corpus``, ``gluing`` and
+    ``gonal`` with the commands that call them, ``chow`` and ``certify``
+    with their suites, and no module on the shared path needs
     ``dataclasses``.  The child runs without ``site`` (``-S``), so only
     effcone's own imports are seen."""
 
@@ -509,11 +510,31 @@ class TestStartupImports:
         ]
         report = self._run(steps, tmp_path)
         assert [step for step, _, _ in report] == ["import"] + [" ".join(s) for s in steps]
-        assert [(step, code, heavy) for step, code, heavy in report if code or heavy] == []
+        unshared = {"effcone.chow", "effcone.certify", "dataclasses"}
+        assert [(step, code, heavy) for step, code, heavy in report if code or unshared & set(heavy)] == []
 
     def test_verify_all_loads_both_suites_modules_without_dataclasses(self, tmp_path):
         (_, after) = self._run([["verify", "all"]], tmp_path)
-        assert after[1] == 0 and after[2] == ["effcone.chow", "effcone.certify"]
+        assert after[1] == 0
+        assert after[2] == ["effcone.corpus", "effcone.gluing", "effcone.gonal", "effcone.chow", "effcone.certify"]
+
+    @pytest.mark.parametrize("step, loaded", [
+        (["intersect", "--profile", "trig.json", "--class", "pulled.json"], []),
+        (["pullback", "--g", "5", "--m", "4", "--input", "bn3.json", "--output", "out.json"], ["effcone.gluing"]),
+        (["export", "--name", "profile-gonal(4)", "--output", "out.json"], ["effcone.corpus"]),
+        (["export", "--name", "bn(3)", "--output", "out.json"], ["effcone.corpus"]),
+        (["verify", "gonal", "--max-d", "5"], ["effcone.corpus", "effcone.gluing", "effcone.gonal"]),
+        (["verify", "trigonal"], ["effcone.corpus", "effcone.gluing"]),
+    ])
+    def test_each_command_loads_only_the_modules_it_runs(self, tmp_path, step, loaded):
+        for argv in (
+            ["export", "--name", "bn(3)", "--output", "bn3.json"],
+            ["export", "--name", "profile-trig", "--output", "trig.json"],
+            ["pullback", "--g", "5", "--m", "4", "--input", "bn3.json", "--output", "pulled.json"],
+        ):
+            assert main([argv[0], *(str(tmp_path / a) if a.endswith(".json") else a for a in argv[1:])]) == 0
+        (before, after) = self._run([step], tmp_path)
+        assert before[2] == [] and after[1:] == [0, loaded]
 
     @pytest.mark.parametrize("suite,module", [("chow", "effcone.chow"), ("certify", "effcone.certify")])
     def test_a_suite_loads_its_module(self, tmp_path, suite, module):

@@ -9,9 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from effcone.cli import DIRECT_ROUTE_DEFAULT_CAP  # a verify default, so kept by the command line
 from effcone.corpus import gonal_support
 from effcone.gonal import (
-    DIRECT_ROUTE_DEFAULT_CAP,
     ResourceGuardError,
     even_subset_sum,
     negativity_report,

@@ -23,29 +23,39 @@ def _parse(module):
     return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
 
 
+def _imported(nodes):
+    """Local name to package name of every ``from . import`` and
+    ``from .module import`` among ``nodes``."""
+    names = {}
+    for node in nodes:
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            for alias in node.names:
+                target = f"{node.module}.{alias.name}" if node.module else alias.name
+                names[alias.asname or alias.name] = target
+    return names
+
+
 def _reference_graph():
     """Map ``module.name`` of every top-level function and class to the
     package names its body refers to: ``module.name`` for a definition,
-    the bare module name for a module used as a value."""
+    the bare module name for a module used as a value.  A name imported
+    inside a definition (``from . import chow`` where a suite runs) is
+    followed within that definition, as a module-level one is throughout."""
     graph = {}
     for module in MODULES:
         tree = _parse(module)
-        local = {}
-        for node in tree.body:
-            if isinstance(node, ast.ImportFrom) and node.level == 1:
-                for alias in node.names:
-                    target = f"{node.module}.{alias.name}" if node.module else alias.name
-                    local[alias.asname or alias.name] = target
+        local = _imported(tree.body)
         defs = [n for n in tree.body if isinstance(n, (ast.FunctionDef, ast.ClassDef))]
         local.update({d.name: f"{module}.{d.name}" for d in defs})
         for d in defs:
+            scope = {**local, **_imported(ast.walk(d))}
             refs = set()
             for node in ast.walk(d):
                 if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
-                    if local.get(node.value.id) in MODULES:
-                        refs.add(f"{local[node.value.id]}.{node.attr}")
-                if isinstance(node, ast.Name) and node.id in local:
-                    refs.add(local[node.id])
+                    if scope.get(node.value.id) in MODULES:
+                        refs.add(f"{scope[node.value.id]}.{node.attr}")
+                if isinstance(node, ast.Name) and node.id in scope:
+                    refs.add(scope[node.id])
             graph[f"{module}.{d.name}"] = refs
     return graph
 

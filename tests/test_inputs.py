@@ -25,7 +25,7 @@ from effcone import cli, corpus, gonal, picard
 from effcone.cli import main
 from effcone.gluing import forget_pullback, glue_pullback
 from effcone.picard import DivisorClassM1n, DivisorClassMg
-from effcone.scalars import format_rat, parse_rat, scalar_from_json
+from effcone.scalars import format_rat, parse_rat, scalar_from_json, scalar_to_json
 from test_gluing import wall_clock_bound
 
 BAD_RATIONALS = [
@@ -855,9 +855,12 @@ class TestReaderGuards:
         # in a child, the peak RSS once the class file is decoded (its text
         # and its tree) is the peak of the whole command: the checks run on
         # the tree alone, and would raise the peak by tens of MiB if the
-        # 41 MB text of these 262,125 entries were still held
+        # 41 MB text of these 262,125 entries were still held.  The file
+        # starts with a space, so it is read whole: in the writer's layout
+        # it would be read in batches, never decoded whole
         cls, prof = tmp_path / "cls.json", tmp_path / "prof.json"
         with open(cls, "w", encoding="utf-8") as fh:
+            fh.write(" ")
             picard.write_json(glue_pullback(DivisorClassMg(10, 1, 1, [1] * 5), 9), fh.write)
         prof.write_text(picard.json_text(picard.CurveProfile(18, 0, {0b11: 1})))
         argv = ["intersect", "--profile", str(prof), "--class", str(cls)]
@@ -899,3 +902,155 @@ class TestReaderGuards:
             assert not gc.isenabled()
         finally:
             gc.enable()
+
+
+def _written(boundary, n=8, lam="7/2"):
+    """The text of a class file holding the serialized ``boundary``, in the
+    writer's layout: ``json.dumps`` with ``indent=2`` and sorted keys."""
+    return json.dumps({"space": {"type": "M1n", "n": n}, "lambda": lam, "boundary": boundary}, indent=2, sort_keys=True)
+
+
+# every subset of 1..8 with two markings or more, in boundary order, with
+# nonzero coefficients, some repeated
+ALL_SUBSETS = [
+    {"S": list(members), "coeff": format_rat(Fraction(2 * len(members) - 7, 1 + sum(members) % 3))}
+    for members, _ in picard._entries(dict.fromkeys(range(1 << 8), 1)) if len(members) >= 2
+]
+
+
+class TestBatchedReader:
+    """``intersect`` reads a regular class file in the writer's layout in
+    batches of about ``picard._BATCH_BYTES``, keeping only the profile's
+    support; every entry is still checked, and anything else is read whole,
+    with the same result and the same error.  Here the batches are made
+    small, so that every file spans many of them."""
+
+    @pytest.fixture()
+    def run(self, tmp_path, monkeypatch, capsys):
+        """Run ``intersect`` of ``profile`` against a class file holding
+        ``text``, in batches of ``size`` bytes or, with ``whole``, read
+        whole; give the exit code, the output, the error and how the class
+        file was read: in ``batches``, ``whole``, or both in turn."""
+        prof, cls = tmp_path / "prof.json", tmp_path / "cls.json"
+        default = picard.CurveProfile(8, 3, {mask: 1 for mask in range(3, 256, 5) if mask.bit_count() >= 2})
+
+        def run(text, size=97, profile=default, whole=False):
+            prof.write_text(picard.json_text(profile))
+            cls.write_text(text)
+            batches = mock.Mock(wraps=picard._batched_boundary)
+            texts = mock.Mock(wraps=cli._text)
+            with monkeypatch.context() as patch:
+                patch.setattr(picard, "_BATCH_BYTES", size)
+                patch.setattr(picard, "_batched_boundary", batches)
+                patch.setattr(cli, "_text", texts)
+                if whole:
+                    patch.setattr(picard, "batched_class", mock.Mock(return_value=None))
+                code = main(["intersect", "--profile", str(prof), "--class", str(cls)])
+            out, err = capsys.readouterr()
+            read = ["batches"] * batches.call_count + ["whole"] * texts.call_args_list.count(mock.call(str(cls)))
+            return code, out, err.replace(str(cls), "CLS"), " then ".join(read)
+
+        return run
+
+    @pytest.mark.parametrize("size", [1, 97, 4096, 1 << 16])
+    @pytest.mark.parametrize("m", [4, 6, 8])
+    def test_pullback_files_give_the_whole_read(self, run, size, m):
+        # a batch of 1 or 97 bytes ends inside an entry, which is carried on
+        # to the next cut
+        cls = glue_pullback(DivisorClassMg(m + 1, Fraction(7, 2), -1, [Fraction(-3, 4)] * ((m + 1) // 2)), m)
+        support = {mask: mask % 7 - 3 for mask in range(3, 1 << (2 * m), 11) if mask.bit_count() >= 2}
+        profile = picard.CurveProfile(2 * m, 5, support)
+        expected = f"{scalar_to_json(picard.pair(profile, cls))}\n"
+        assert run(picard.json_text(cls), size, profile) == (0, expected, "", "batches")
+
+    def test_only_the_support_is_kept(self, tmp_path):
+        text = _written(ALL_SUBSETS)
+        (tmp_path / "cls.json").write_text(text)
+        profile = picard.CurveProfile(8, 1, {0b11: 2, 0b1010_0000: 1, 0xFF: -1})
+        cls = picard.m1n_class_from_json(picard.batched_class(str(tmp_path / "cls.json"), profile))
+        whole = picard.m1n_class_from_json(json.loads(text))
+        assert (cls.n, cls.lam) == (whole.n, whole.lam) == (8, Fraction(7, 2))
+        assert cls.boundary == {mask: whole.boundary[mask] for mask in profile.on_boundary}
+
+    def test_one_entry_a_batch(self, run):
+        code, out, err, read = run(_written(ALL_SUBSETS), 1)
+        assert (code, err, read) == (0, "", "batches")
+        assert run(_written(ALL_SUBSETS), whole=True) == (code, out, err, "whole")
+
+    @pytest.mark.parametrize("case", BAD_ENTRIES)
+    def test_a_bad_entry_in_the_last_batch(self, run, case):
+        text = _written(ALL_SUBSETS + BAD_ENTRIES[case])
+        code, out, err, read = run(text, whole=True)
+        assert code == 2 and err.startswith("error: CLS: not a marked-space class file: ")
+        # a last entry that is not an object leaves the writer's tail
+        by_batches = "whole" if case == "entry not an object" else "batches then whole"
+        assert run(text, 97) == (code, out, err, by_batches)
+
+    @pytest.mark.parametrize("size", [1, 97])
+    @pytest.mark.parametrize("at", [0, 100, 245])
+    def test_a_subset_twice_across_batches(self, run, size, at):
+        # the entry is written again right after itself, or at the end, with
+        # another coefficient: with one entry a batch, each check of the
+        # order is one between batches
+        entry = ALL_SUBSETS[at]
+        for boundary in (
+            ALL_SUBSETS[:at + 1] + [{**entry, "coeff": "5"}] + ALL_SUBSETS[at + 1:],
+            ALL_SUBSETS + [{**entry, "coeff": "5"}],
+        ):
+            error = f"error: CLS: not a marked-space class file: duplicate boundary index {entry['S']}\n"
+            assert run(_written(boundary), size) == (2, "", error, "batches then whole")
+
+    def test_a_marking_past_n_in_the_last_entry(self, run):
+        # in boundary order after 1..8, so only the range check at the end
+        # of the array can refuse it
+        text = _written(ALL_SUBSETS + [{"S": [1, 2, 3, 4, 5, 6, 7, 9], "coeff": "1"}])
+        error = "error: CLS: not a marked-space class file: marking 9 not in 1..8\n"
+        assert run(text, 97) == (2, "", error, "batches then whole")
+
+    @pytest.mark.parametrize("layout", ["compact", "reordered keys", "renamed array key", "array twice"])
+    def test_another_layout_is_read_whole(self, run, layout):
+        obj = json.loads(_written(ALL_SUBSETS))
+        if layout == "compact":
+            text = json.dumps(obj, sort_keys=True, separators=(",", ":"))
+        elif layout == "reordered keys":
+            text = json.dumps({"space": obj["space"], "lambda": obj["lambda"], "boundary": obj["boundary"]}, indent=2)
+        elif layout == "renamed array key":
+            # of the same length, so the entries lie where the writer puts them
+            text = _written(ALL_SUBSETS).replace('"boundary"', '"Boundary"')
+        else:
+            # a second boundary array after the tail is the one JSON keeps
+            text = _written(ALL_SUBSETS)[:-2] + ',\n  "boundary": []\n}'
+        whole = run(text, whole=True)
+        assert whole[0] == (2 if layout == "renamed array key" else 0)
+        assert run(text, 97) == whole
+
+    def test_another_space_is_refused_before_any_batch(self, run):
+        assert run(_written(ALL_SUBSETS, n=9), 97) == (2, "", "error: profile on n=8, class on n=9\n", "")
+
+    def test_a_fifo_is_not_opened(self, tmp_path):
+        fifo = tmp_path / "cls.fifo"
+        os.mkfifo(fifo)
+        with wall_clock_bound(2):  # opening a FIFO that has no writer would block
+            assert picard.batched_class(str(fifo), picard.CurveProfile(8, 1)) is None
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM from /proc")
+    def test_the_peak_of_a_large_file_is_that_of_the_imports(self, tmp_path):
+        # this 41 MB file of 262,125 entries peaked at 163 MiB when it was
+        # read whole; in batches the command's peak stays within a few MiB
+        # of that of the interpreter and its imports
+        cls, prof = tmp_path / "cls.json", tmp_path / "prof.json"
+        with open(cls, "w", encoding="utf-8") as fh:
+            picard.write_json(glue_pullback(DivisorClassMg(10, 1, 1, [1] * 5), 9), fh.write)
+        prof.write_text(picard.json_text(picard.CurveProfile(18, 0, {0b11: 1})))
+        argv = ["intersect", "--profile", str(prof), "--class", str(cls)]
+        # the child's mark is taken once it has imported the command line
+        child = subprocess.run(
+            [sys.executable, "-c", PEAK_CHILD.replace("cli._decode = marked", "marks.append(peak_kib())"),
+             json.dumps(argv)],
+            capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+        )
+        assert child.returncode == 0, child.stderr
+        out, imported, peak = child.stdout.split()
+        assert out == "-1"
+        assert int(peak) - int(imported) < 8 * 1024, f"peak {peak} KiB, {imported} KiB once imported"
