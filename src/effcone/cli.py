@@ -430,15 +430,7 @@ def _text(path: str) -> str:
 
 
 def _decode(path: str, text: str):
-    """The document in ``text``: a ``picard.Tagged`` document, each JSON
-    integer k decoded to the tag ``1 << k`` by ``picard.TAGS``, or, when
-    the text holds an integer outside 1..64 or does not decode, the plain
-    document, decoded again from the same text (a pipe cannot be read
-    twice) with its errors worded for ``path``."""
-    try:
-        return picard.Tagged(json.loads(text, parse_int=picard.TAGS.__getitem__))
-    except (KeyError, ValueError, RecursionError):
-        pass  # no marking, or no JSON: the plain decode words the error
+    """The JSON document in ``text``, with its errors worded for ``path``."""
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
@@ -524,9 +516,11 @@ def _read(path: str, parse, what: str, profile: picard.CurveProfile | None = Non
     """Parse the JSON file at ``path`` with ``parse``; a file that does not
     hold a ``what`` is an input error.
 
-    Given the ``profile`` it is paired with, a class file in the writer's
-    layout is parsed as a ``picard.Batched`` document; any other file, or
-    one that proves not to be, is read whole, which words every error.
+    A regular file in the writer's layout is parsed as a ``picard.Batched``
+    document, read in batches and, given the ``profile`` a class is paired
+    with, kept only at its support; any other file, or one that proves not
+    to be, is decoded whole and read entry by entry, which words every
+    error.
 
     The text is freed as soon as it is decoded, before ``parse`` runs: on
     a large file it is as large as the parse's own working set.  The cycle
@@ -539,7 +533,7 @@ def _read(path: str, parse, what: str, profile: picard.CurveProfile | None = Non
     enabled = gc.isenabled()
     gc.disable()
     try:
-        batched = picard.batched_class(path, profile) if profile else None
+        batched = picard.batched_class(path, profile)
         if batched is not None:
             try:
                 return parse(batched)

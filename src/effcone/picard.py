@@ -24,23 +24,19 @@ canonical indented, sorted-key JSON text from those runs a bounded piece at
 a time, building no entry dict; :func:`json_text` is the same text as one
 string.
 
-Files are read as :class:`Tagged` documents: the command line decodes each
-JSON integer k to the tag ``1 << k`` (``TAGS``), so a subset's mask is the
-C-level ``sum`` of its tags shifted right once, and bit 0 stays free for a
-``true`` to show.  :func:`_tagged_boundary` checks the entries the writer
-writes over the whole list at once, through :func:`_checked_list` and
-:func:`_in_range`.  Any other document, and any plain object passed
-in-process, goes entry by entry through :func:`_boundary_entries`, the one
-place that words an entry's error; a tagged one is first put back to plain
-by :func:`_untagged`.
-
-A class file to be paired with a profile may instead be read in batches:
-:func:`batched_class` reads the tail of a regular file in the writer's
-layout first, and :func:`m1n_class_from_json` then decodes its entries
-about ``_BATCH_BYTES`` at a time, checks each batch with the same
-:func:`_checked_list`, and keeps only the profile's support, so memory does
-not grow with the file.  A file that turns out to be in another layout, or
-that fails a check, raises :class:`NotCanonical`, and is read whole.
+Files have one bulk path.  :func:`batched_class` reads the tail of a
+regular class or profile file in the writer's layout first, and
+:func:`m1n_class_from_json` or :func:`profile_from_json` then decodes its
+entries about ``_BATCH_BYTES`` at a time, each JSON integer k to the tag
+``1 << k`` (``TAGS``): a subset's mask is the C-level ``sum`` of its tags
+shifted right once, and bit 0 stays free for a ``true`` to show.
+:func:`_checked_list` checks each batch at once, and a class paired with a
+profile keeps only the profile's support, so memory does not grow with the
+file.  A file that turns out to be in another layout or of the other kind,
+or that fails a check, raises :class:`NotCanonical`.  It, and any other
+document (a pipe, a genus-g class, a plain object passed in-process), is
+decoded by plain ``json.loads`` and read entry by entry through
+:func:`_boundary_entries`, the one place that words an entry's error.
 """
 
 from __future__ import annotations
@@ -491,91 +487,6 @@ def _boundary_to_json(mapping: Mapping[int, Scalar]) -> list:
     return [{"S": list(members), "coeff": scalar_to_json(value)} for members, value in _entries(mapping)]
 
 
-# the tag each JSON integer of a class or profile file is decoded to:
-# marking k is 1 << k, so that bit 0 stays free; any other integer, 0 and 65
-# included, is a KeyError inside the decode
-TAGS = {str(k): 1 << k for k in range(1, MAX_MARKINGS + 1)}
-
-
-class Tagged(NamedTuple):
-    """A JSON document decoded with ``parse_int=TAGS.__getitem__``: every
-    integer k of the text is the tag ``1 << k`` in ``doc``.  A reader may
-    put ``doc`` back to plain in place, so it is read once."""
-
-    doc: object
-
-
-def _untagged(doc):
-    """The plain document a tagged one was decoded from: each tag ``t``
-    back to ``t.bit_length() - 1`` in place, the only ints the decode
-    made.  The tree is walked with a stack, since it may nest deeper
-    than the recursion limit."""
-    root = [doc]
-    stack = [root]
-    while stack:
-        node = stack.pop()
-        for key in node.keys() if type(node) is dict else range(len(node)):
-            value = node[key]
-            if type(value) is int:
-                node[key] = value.bit_length() - 1
-            elif type(value) is dict or type(value) is list:
-                stack.append(value)
-    return root[0]
-
-
-def _checked_list(entries: list, parsed: dict) -> tuple | None:
-    """``(sizes, sums, coeffs)`` of tagged entries whose coefficients
-    are all nonzero rational strings, as the writer writes them, checked over
-    the whole list at once through C-level ``map`` pipelines; None for any
-    other list, or an exception.  A subset's tags sum to twice its mask when
-    it holds distinct markings and nothing else: a ``false`` or a repeated
-    marking leaves fewer bits than members, and a float, a string, a list or
-    a null makes ``sum`` or the bit count raise.  What a list cannot show
-    alone is left to its caller: the range and bit-0 checks of
-    :func:`_in_range` on the OR of the sums, and the duplicates.  Each
-    distinct coefficient string is parsed once into ``parsed``, which may
-    be shared by the lists of one file."""
-    lists = list(map(itemgetter("S"), entries))
-    coeffs = list(map(itemgetter("coeff"), entries))
-    new = set(coeffs).difference(parsed)
-    parsed.update(zip(new, map(parse_rat, new)))
-    sums = list(map(sum, lists))
-    sizes = list(map(len, lists))
-    if not (
-        all(map(parsed.__getitem__, new))
-        and min(sizes) >= 2
-        and list(map(int.bit_count, sums)) == sizes
-    ):
-        return None
-    return sizes, sums, coeffs
-
-
-def _in_range(bits: int, n: int) -> bool:
-    """Whether ``bits``, the OR of tagged subsets' sums, holds markings in
-    1..n alone: no tag past ``1 << n``, and no ``true`` in bit 0."""
-    return not bits >> (n + 1) and not bits & 1
-
-
-def _tagged_boundary(entries: list, n: int) -> Dict[int, Scalar] | None:
-    """Boundary coefficients of a whole list of tagged entries that
-    :func:`_checked_list` and :func:`_in_range` pass and that holds no
-    subset twice; None for any other list, or an exception."""
-    if not entries:
-        return {}
-    parsed: dict = {}
-    checked = _checked_list(entries, parsed)
-    if checked is None:
-        return None
-    sums, coeffs = checked[1:]
-    del checked
-    if not _in_range(reduce(or_, sums), n):
-        return None
-    masks = list(map(rshift, sums, repeat(1)))
-    del sums  # freed before the dict is built, the peak of a large read
-    out = dict(zip(masks, map(parsed.__getitem__, coeffs)))
-    return out if len(out) == len(masks) else None
-
-
 def _boundary_entries(entries, n: int) -> Dict[int, Scalar]:
     """Boundary coefficients of serialized entries: integer markings in
     1..n, none repeated, at least two per subset and no subset twice, and
@@ -646,6 +557,73 @@ def m1n_class_to_json(cls: DivisorClassM1n) -> dict:
     }
 
 
+def _m1n_fields(obj, lam_key: str, key: str, what: str) -> tuple:
+    """``(n, lambda value, boundary)`` of a serialized class or profile
+    ``what``, its lambda value under ``lam_key`` and its entries under
+    ``key``: a :class:`Batched` file of that kind is read in batches, and
+    any other document entry by entry, which words every error.  A file of
+    the other kind raises :class:`NotCanonical`, to be read whole."""
+    if type(obj) is Batched:
+        if obj.layout.key != key:
+            raise NotCanonical
+        if obj.profile is not None:
+            _same_space(obj.profile, obj.n)  # before any entry is decoded
+        return obj.n, obj.lam, _batched_boundary(obj)
+    n = _space(obj, "M1n", "n", what)
+    _check_n(n)
+    return n, scalar_from_json(obj[lam_key]), _boundary_entries(_array(obj, key), n)
+
+
+def m1n_class_from_json(obj) -> DivisorClassM1n:
+    """The class of a serialized document: a plain object, or a
+    :class:`Batched` class file, of which only the entries at its profile's
+    support are kept when it has one."""
+    return DivisorClassM1n._trusted(*_m1n_fields(obj, "lambda", "boundary", "class"))
+
+
+# ---------------------------------------------------------------------------
+# files read in batches
+
+
+# the tag each JSON integer of a class or profile file is decoded to:
+# marking k is 1 << k, so that bit 0 stays free; any other integer, 0 and 65
+# included, is a KeyError inside the decode
+TAGS = {str(k): 1 << k for k in range(1, MAX_MARKINGS + 1)}
+
+
+def _checked_list(entries: list, parsed: dict) -> tuple | None:
+    """``(sizes, sums, coeffs)`` of a batch of tagged entries whose
+    coefficients are all nonzero rational strings, as the writer writes
+    them, checked over the whole batch at once through C-level ``map``
+    pipelines; None for any other batch, or an exception.  A subset's tags
+    sum to twice its mask when it holds distinct markings and nothing else:
+    a ``false`` or a repeated marking leaves fewer bits than members, and a
+    float, a string, a list or a null makes ``sum`` or the bit count raise.
+    What a batch cannot show alone is left to :func:`_batched_boundary`: the
+    range and bit-0 checks of :func:`_in_range` on the OR of every batch's
+    sums, and the duplicates.  Each distinct coefficient string is parsed
+    once into ``parsed``, which the batches of one file share."""
+    lists = list(map(itemgetter("S"), entries))
+    coeffs = list(map(itemgetter("coeff"), entries))
+    new = set(coeffs).difference(parsed)
+    parsed.update(zip(new, map(parse_rat, new)))
+    sums = list(map(sum, lists))
+    sizes = list(map(len, lists))
+    if not (
+        all(map(parsed.__getitem__, new))
+        and min(sizes) >= 2
+        and list(map(int.bit_count, sums)) == sizes
+    ):
+        return None
+    return sizes, sums, coeffs
+
+
+def _in_range(bits: int, n: int) -> bool:
+    """Whether ``bits``, the OR of tagged subsets' sums, holds markings in
+    1..n alone: no tag past ``1 << n``, and no ``true`` in bit 0."""
+    return not bits >> (n + 1) and not bits & 1
+
+
 def _tagged_head(doc, lam_key: str) -> Tuple[int, Scalar]:
     """``(n, lambda value)`` of a tagged class or profile document whose
     space and lambda value are as the writer writes them, its lambda value
@@ -658,120 +636,100 @@ def _tagged_head(doc, lam_key: str) -> Tuple[int, Scalar]:
     return tag.bit_length() - 1, parse_rat(lam)
 
 
-def _m1n_fields(obj, lam_key: str, key: str, what: str) -> tuple:
-    """``(n, lambda value, boundary)`` of a serialized class or profile
-    ``what``, its lambda value under ``lam_key`` and its entries under
-    ``key``.  A tagged document the writer could have written is read by
-    :func:`_tagged_boundary`; any other document, and any exception on the
-    way, is put back to plain and read entry by entry, so that every error
-    is worded by the plain readers, as for a plain ``obj``."""
-    if type(obj) is Tagged:
-        doc = obj.doc
-        try:
-            # only a JSON object takes a string key
-            n, lam = _tagged_head(doc, lam_key)
-            entries = doc[key]
-            if type(entries) is list:
-                boundary = _tagged_boundary(entries, n)
-                if boundary is not None:
-                    return n, lam, boundary
-        except (KeyError, TypeError, ValueError):
-            pass  # the plain read below words the error
-        obj = _untagged(doc)
-    n = _space(obj, "M1n", "n", what)
-    _check_n(n)
-    return n, scalar_from_json(obj[lam_key]), _boundary_entries(_array(obj, key), n)
+class _Layout(NamedTuple):
+    """The writer's layout of a class or profile file: the key of its
+    boundary entries and of its lambda value, the text before its first
+    entry, and the text between its last entry and its lambda value."""
+
+    key: str
+    lam_key: str
+    head: bytes
+    mid: bytes
 
 
-def m1n_class_from_json(obj) -> DivisorClassM1n:
-    """The class of a serialized document: a plain object, a
-    :class:`Tagged` one, or a :class:`Batched` class file, of which only
-    the entries at its support are kept."""
-    if type(obj) is Batched:
-        return DivisorClassM1n._trusted(obj.n, obj.lam, _batched_boundary(obj))
-    return DivisorClassM1n._trusted(*_m1n_fields(obj, "lambda", "boundary", "class"))
-
-
-# ---------------------------------------------------------------------------
-# class files read in batches
-
-# the writer's layout of a class file: the text before its first boundary
-# entry, between two entries, and between the last entry and the lambda value
-_CLASS_HEAD = b'{\n  "boundary": [\n    {'
+_LAYOUTS = tuple(
+    _Layout(key, lam_key, b'{\n  "%s": [\n    {' % key.encode(), b'\n    }\n  ],\n  "%s": ' % lam_key.encode())
+    for key, lam_key in (("boundary", "lambda"), ("on_boundary", "on_lambda"))
+)
 _BETWEEN = b"\n    },\n    {"
-_CLASS_MID = b'\n    }\n  ],\n  "lambda": '
 _BATCH_BYTES = 1 << 16
 _TAIL_BYTES = 1 << 16  # the tail read first; a longer one is read whole
 
 
 class NotCanonical(Exception):
-    """A :class:`Batched` file is not in the writer's layout after all, or
-    an entry fails a check: it is to be read whole, which words any error."""
+    """A :class:`Batched` file is not in the writer's layout after all, is
+    not of the kind asked for, or an entry fails a check: it is to be read
+    whole, which words any error."""
 
 
 class Batched(NamedTuple):
-    """A class file in the writer's layout, made by :func:`batched_class`
-    from its head and tail alone: space ``n`` and lambda value ``lam``, and
-    its boundary entries up to byte offset ``end`` of ``path``, to be read
-    in batches keeping the masks in ``support``."""
+    """A class or profile file in the writer's ``layout``, made by
+    :func:`batched_class` from its head and tail alone: space ``n`` and
+    lambda value ``lam``, and its boundary entries up to byte offset ``end``
+    of ``path``, to be read in batches keeping the masks in ``profile``'s
+    support, or every mask when ``profile`` is None."""
 
     path: str
+    layout: _Layout
     n: int
     lam: Scalar
     end: int
-    support: Mapping[int, Scalar]
+    profile: CurveProfile | None
 
 
-def batched_class(path: str, profile: CurveProfile) -> Batched | None:
-    """The class file at ``path`` as a :class:`Batched` document keeping
-    ``profile``'s support, when it is a regular file that starts with the
-    writer's head and ends with the writer's tail, read first from its last
-    ``_TAIL_BYTES``; None for any other file, or one that cannot be read.
-    A class on another space than ``profile``'s is refused here, before
-    any entry is decoded."""
+def batched_class(path: str, profile: CurveProfile | None) -> Batched | None:
+    """The class or profile file at ``path`` as a :class:`Batched` document
+    keeping ``profile``'s support, when it is a regular file that starts
+    with the head of a layout of :data:`_LAYOUTS` and ends with its tail,
+    read first from its last ``_TAIL_BYTES``; None for any other file, or
+    one that cannot be read."""
     try:
         if not stat.S_ISREG(os.stat(path).st_mode):
             return None  # a pipe cannot be read twice
         with open(path, "rb") as fh:
-            head = fh.read(len(_CLASS_HEAD))
+            head = fh.read(max(len(layout.head) for layout in _LAYOUTS))
+            layout = next((layout for layout in _LAYOUTS if head.startswith(layout.head)), None)
+            if layout is None:
+                return None
             size = fh.seek(0, os.SEEK_END)
-            fh.seek(max(size - _TAIL_BYTES, len(head)))
+            fh.seek(max(size - _TAIL_BYTES, len(layout.head)))
             tail = fh.read()
     except OSError:
         return None
-    mid = tail.rfind(_CLASS_MID)
-    if head != _CLASS_HEAD or mid < 0:
+    mid = tail.rfind(layout.mid)
+    if mid < 0:
         return None
     end = size - len(tail) + mid
+    lam_key = layout.lam_key
     try:
-        doc = json.loads('{"lambda": ' + tail[mid + len(_CLASS_MID):].decode(), parse_int=TAGS.__getitem__)
-        if doc.keys() != {"lambda", "space"}:  # JSON keeps the last of a key's values
+        doc = json.loads(f'{{"{lam_key}": ' + tail[mid + len(layout.mid):].decode(), parse_int=TAGS.__getitem__)
+        if doc.keys() != {lam_key, "space"}:  # JSON keeps the last of a key's values
             return None
-        n, lam = _tagged_head(doc, "lambda")
+        n, lam = _tagged_head(doc, lam_key)
     except (KeyError, TypeError, ValueError, RecursionError):
         return None
-    _same_space(profile, n)
-    return Batched(path, n, lam, end, profile.on_boundary)
+    return Batched(path, layout, n, lam, end, profile)
 
 
 def _batched_boundary(doc: Batched) -> Dict[int, Scalar]:
-    """The coefficients of ``doc`` at its support.  Its entries are read a
-    batch of about ``_BATCH_BYTES`` at a time, cut before an entry: a raw
-    line break cannot occur inside a JSON string, so ``_BETWEEN`` only ever
-    lies between two entries.  Every batch is checked by
-    :func:`_checked_list`, and :func:`_in_range` checks the OR of all of
+    """The coefficients of ``doc`` at its profile's support, or all of them.
+    Its entries are read a batch of about ``_BATCH_BYTES`` at a time, cut
+    before an entry: a raw line break cannot occur inside a JSON string, so
+    ``_BETWEEN`` only ever lies between two entries.  Every batch is checked
+    by :func:`_checked_list`, and :func:`_in_range` checks the OR of all of
     them once the array ends.  The writer lists each subset once, in
     boundary order, so subsets that rise strictly in that order, from one
     batch to the next too, refuse a subset twice without holding every
     mask.  A file that fails any of this raises :class:`NotCanonical`."""
-    keep = doc.support.__contains__
+    keep = None if doc.profile is None else doc.profile.on_boundary.__contains__
     out: Dict[int, Scalar] = {}
     parsed: dict = {}
     bits = size = top = 0  # size and sum of the last entry read
+    start = len(doc.layout.head)
     try:
         with open(doc.path, "rb") as fh:
-            fh.seek(len(_CLASS_HEAD))
-            left = doc.end - len(_CLASS_HEAD)
+            fh.seek(start)
+            left = doc.end - start
             rest = b""
             while left > 0:
                 read = fh.read(min(_BATCH_BYTES, left))
@@ -802,7 +760,8 @@ def _batched_boundary(doc: Batched) -> Dict[int, Scalar]:
                 size, top = sizes[-1], sums[-1]
                 bits |= reduce(or_, sums)
                 masks = list(map(rshift, sums, repeat(1)))
-                out.update(compress(zip(masks, map(parsed.__getitem__, coeffs)), map(keep, masks)))
+                pairs = zip(masks, map(parsed.__getitem__, coeffs))
+                out.update(pairs if keep is None else compress(pairs, map(keep, masks)))
     except (OSError, KeyError, TypeError, ValueError, RecursionError) as exc:
         raise NotCanonical from exc
     if not (size and _in_range(bits, doc.n)):  # no entry at all, or one out of range
@@ -832,8 +791,8 @@ def mg_class_to_json(cls: DivisorClassMg) -> dict:
 
 
 def mg_class_from_json(obj) -> DivisorClassMg:
-    if type(obj) is Tagged:
-        obj = _untagged(obj.doc)
+    if type(obj) is Batched:
+        raise NotCanonical  # a marked-space file, read whole to word the error
     return DivisorClassMg(
         _space(obj, "Mg", "g", "class"),
         scalar_from_json(obj["lambda"]),

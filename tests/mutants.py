@@ -18,10 +18,10 @@ by none of them, or its tests cannot be run.
 
 Left out, as equivalent mutants:
 
-- A string gate on the reader's coefficients.  ``_tagged_boundary`` has
-  none to remove: a polynomial (a list) fails ``set()`` and any other
-  non-string, a tag included, fails ``parse_rat``, so both already put the
-  document back to plain for the entry loop, and a gate added or dropped
+- A string gate on the batch reader's coefficients.  ``_checked_list``
+  has none to remove: a polynomial (a list) fails ``set()`` and any other
+  non-string, a tag included, fails ``parse_rat``, so both already send the
+  file to the whole read and its entry loop, and a gate added or dropped
   changes no result.
 """
 
@@ -48,23 +48,13 @@ class Mutant(NamedTuple):
 
 MUTANTS = (
     Mutant(
-        "reader: no duplicate check",
-        "picard.py",
-        "    return out if len(out) == len(masks) else None\n",
-        "    return out\n",
-        (
-            "tests/test_inputs.py::TestBulkReader::test_same_error[subset twice]",
-            "tests/test_inputs.py::TestBoundaryEntries::test_malformed_class[subset twice]",
-        ),
-    ),
-    Mutant(
         "reader: no range check",
         "picard.py",
         "not bits >> (n + 1) and ",
         "",
         (
             "tests/test_inputs.py::TestBulkReader::test_same_error[marking past n]",
-            "tests/test_inputs.py::TestBoundaryEntries::test_malformed_class[marking past n]",
+            "tests/test_inputs.py::TestTagExactness::test_every_reader_fault[marking past n]",
         ),
     ),
     Mutant(
@@ -84,7 +74,7 @@ MUTANTS = (
         "        and min(sizes) >= 1\n",
         (
             "tests/test_inputs.py::TestBulkReader::test_same_error[one marking]",
-            "tests/test_inputs.py::TestBoundaryEntries::test_malformed_profile[one marking]",
+            "tests/test_inputs.py::TestTagExactness::test_every_reader_fault[one marking]",
         ),
     ),
     Mutant(
@@ -96,7 +86,7 @@ MUTANTS = (
         "",
         (
             "tests/test_inputs.py::TestBulkReader::test_same_error[repeated marking]",
-            "tests/test_inputs.py::TestBoundaryEntries::test_malformed_class[repeated marking]",
+            "tests/test_inputs.py::TestTagExactness::test_every_reader_fault[repeated marking]",
         ),
     ),
     Mutant(
@@ -106,8 +96,8 @@ MUTANTS = (
         " and not bits & 1",
         "",
         (
-            "tests/test_inputs.py::TestBulkReader::test_same_error[bool marking]",
-            "tests/test_inputs.py::TestIntegerFields::test_markings[members0]",
+            "tests/test_inputs.py::TestBulkReader::test_same_error[bool marking first]",
+            "tests/test_inputs.py::TestTagExactness::test_every_reader_fault[bool marking first]",
         ),
     ),
     Mutant(
@@ -140,21 +130,30 @@ MUTANTS = (
         ("tests/test_inputs.py::TestBatchedReader::test_a_marking_past_n_in_the_last_entry",),
     ),
     Mutant(
+        # every file is taken for a class file: a renamed array key is read
+        # as the boundary
         "batched reader: any head batched",
         "picard.py",
-        "    if head != _CLASS_HEAD or mid < 0:\n",
-        "    if mid < 0:\n",
+        " for layout in _LAYOUTS if head.startswith(layout.head)), None)",
+        " for layout in _LAYOUTS), None)",
         ("tests/test_inputs.py::TestBatchedReader::test_another_layout_is_read_whole[renamed array key]",),
     ),
     Mutant(
-        "reader: inverse tag map off by one",
+        "batched reader: profile files read whole",
         "picard.py",
-        "                node[key] = value.bit_length() - 1\n",
-        "                node[key] = value.bit_length()\n",
+        '(("boundary", "lambda"), ("on_boundary", "on_lambda"))',
+        '(("boundary", "lambda"),)',
         (
-            "tests/test_inputs.py::TestBulkReader::test_a_zero_string_goes_through_the_entry_loop",
-            "tests/test_inputs.py::TestTagExactness::test_class_files",
+            "tests/test_inputs.py::TestReaderGuards::test_exported_files_take_the_bulk_check[profile-gonal(4)]",
+            "tests/test_inputs.py::TestReaderGuards::test_a_profile_file_takes_the_bulk_check",
         ),
+    ),
+    Mutant(
+        "batched reader: a file of the other kind read as this kind",
+        "picard.py",
+        "        if obj.layout.key != key:\n            raise NotCanonical\n",
+        "",
+        ("tests/test_inputs.py::TestBatchedReader::test_a_file_of_the_other_kind_is_read_whole",),
     ),
     Mutant(
         "reader: the text kept alive past the decode",

@@ -9,6 +9,7 @@ import signal
 import stat
 import subprocess
 import sys
+import tempfile
 import threading
 import tracemalloc
 from fractions import Fraction
@@ -553,9 +554,9 @@ class TestWholeOutput:
 
 
 class TestPipeInput:
-    """``intersect`` reads ``--class`` and ``--profile`` once, so a pipe
-    gives what the same file gives, on the tagged path and on the paths
-    that put a document back to plain."""
+    """``intersect`` reads ``--class`` and ``--profile`` once, so a pipe,
+    which is always read whole, gives what the same file gives, read in
+    batches or whole."""
 
     @staticmethod
     def _run(argv, stdin=None):
@@ -565,10 +566,12 @@ class TestPipeInput:
         )
         return child.returncode, child.stdout, child.stderr
 
-    @pytest.mark.parametrize("case", ["canonical class", "class with a zero coefficient", "polynomial profile"])
+    @pytest.mark.parametrize(
+        "case", ["canonical class", "canonical profile", "class with a zero coefficient", "polynomial profile"]
+    )
     def test_a_pipe_reads_as_the_file(self, files, tmp_path, case):
         prof, cls = Path(files.prof_path), Path(files.cls_path)
-        piped, parse = cls, picard.m1n_class_from_json
+        piped = prof if case == "canonical profile" else cls
         if case == "class with a zero coefficient":
             boundary = [dict(entry) for entry in files.cls["boundary"]]
             boundary[3]["coeff"] = "0"
@@ -577,11 +580,7 @@ class TestPipeInput:
             prof, cls = tmp_path / "gp-prof.json", tmp_path / "gp-cls.json"
             assert main(["export", "--name", "profile-gp", "--output", str(prof)]) == 0
             assert main(["export", "--name", "pullback-gp", "--output", str(cls)]) == 0
-            piped, parse = prof, picard.profile_from_json
-        # only the canonical class stays tagged; the others are put back to plain
-        with mock.patch.object(picard, "_untagged", wraps=picard._untagged) as plain:
-            parse(cli._decode(str(piped), piped.read_text()))
-        assert plain.call_count == (case != "canonical class")
+            piped = prof
         argv = ["intersect", "--profile", str(prof), "--class", str(cls)]
         from_file = self._run(argv)
         assert from_file[0] == 0 and from_file[1].strip()
@@ -600,6 +599,8 @@ READER_FAULTS = {
     **BAD_ENTRIES,
     **ORDERED_FAULTS,
     "bool marking": [{"S": [1, 2], "coeff": "1"}, {"S": [True, 3], "coeff": "1"}],
+    # in boundary order, so that only the bit-0 check refuses it
+    "bool marking first": [{"S": [True, 3], "coeff": "1"}],
     "float marking": [{"S": [2.0, 3], "coeff": "1"}],
     "marking 65": [{"S": [1, 65], "coeff": "1"}],
     "nested markings": [{"S": [[1, 2]], "coeff": "1"}],
@@ -635,17 +636,36 @@ def _valid_entries(draw):
     return n, entries
 
 
-def _tagged(entries, n=8):
-    """A class file holding ``entries`` on n markings, decoded as the
-    commands decode it."""
-    obj = {"space": {"type": "M1n", "n": n}, "lambda": "0", "boundary": entries}
-    return cli._decode("cls.json", json.dumps(obj))
+def _written(boundary, n=8, lam="7/2"):
+    """The text of a class file holding the serialized ``boundary``, in the
+    writer's layout: ``json.dumps`` with ``indent=2`` and sorted keys."""
+    return json.dumps({"space": {"type": "M1n", "n": n}, "lambda": lam, "boundary": boundary}, indent=2, sort_keys=True)
+
+
+def _read_file(text, parse=picard.m1n_class_from_json):
+    """What ``parse`` makes of a regular file holding ``text``, read as the
+    commands read it (:func:`cli._read`); an input error gives way to the
+    error it words."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "file.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        try:
+            return cli._read(path, parse, "file")
+        except cli.InputError as exc:
+            raise exc.__cause__
+
+
+def _read_class(entries, n=8):
+    """The class in a file holding ``entries`` on n markings in the writer's
+    layout, read by :func:`_read_file`."""
+    return _read_file(_written(entries, n, "0"))
 
 
 class TestBulkReader:
-    """The bulk check of :func:`picard._tagged_boundary`, fed tagged
-    documents, reads what the entry loop :func:`picard._boundary_entries`
-    reads, and leaves every error to it."""
+    """The batch reader, fed class files in the writer's layout through
+    :func:`cli._read`, reads what the entry loop
+    :func:`picard._boundary_entries` reads, and leaves every error to it."""
 
     @pytest.mark.parametrize("case", READER_FAULTS)
     def test_same_error(self, case):
@@ -653,7 +673,7 @@ class TestBulkReader:
         with pytest.raises((KeyError, TypeError, ValueError)) as looped:
             picard._boundary_entries(entries, 8)
         with pytest.raises(type(looped.value)) as bulk:
-            picard.m1n_class_from_json(_tagged(entries))
+            _read_class(entries)
         assert type(bulk.value) is type(looped.value) and str(bulk.value) == str(looped.value)
 
     @pytest.mark.parametrize("case, message", [
@@ -664,32 +684,35 @@ class TestBulkReader:
     ])
     def test_first_fault_is_reported(self, case, message):
         with pytest.raises(ValueError) as caught:
-            picard.m1n_class_from_json(_tagged(ORDERED_FAULTS[case]))
+            _read_class(ORDERED_FAULTS[case])
         assert str(caught.value) == message
 
-    @settings(max_examples=200)
-    @given(_valid_entries())
-    def test_same_dict_in_the_same_order(self, drawn):
-        # only entries the writer writes, every coefficient a nonzero rational
-        # string, stay on the bulk path; any other draw goes to the loop once
+    @settings(max_examples=200, deadline=None)
+    @given(_valid_entries(), st.booleans())
+    def test_same_dict_in_the_same_order(self, drawn, ordered):
+        # only entries the writer writes, in boundary order with every
+        # coefficient a nonzero rational string, stay on the batch path;
+        # any other draw goes to the loop once
         n, entries = drawn
+        if ordered:
+            entries.sort(key=lambda e: picard.boundary_order(picard.subset_mask(e["S"], n)))
         looped = picard._boundary_entries(entries, n)
         written = all(type(e["coeff"]) is str and parse_rat(e["coeff"]) != 0 for e in entries)
-        doc = _tagged(entries, n)
-        assert type(doc) is picard.Tagged
+        in_order = list(looped) == sorted(looped, key=picard.boundary_order)
         with mock.patch.object(picard, "_boundary_entries", wraps=picard._boundary_entries) as loop:
-            bulk = picard.m1n_class_from_json(doc).boundary
+            bulk = _read_class(entries, n).boundary
         assert list(bulk.items()) == list(looped.items())
-        assert loop.call_count == (not written)
+        assert loop.call_count == (not (entries and written and in_order))
 
     def test_a_zero_string_goes_through_the_entry_loop(self):
         entries = [{"S": [1, 2], "coeff": "-0"}, {"S": [2, 3], "coeff": "-2/4"}, {"S": [3, 4], "coeff": "0/5"}]
         with mock.patch.object(picard, "_boundary_entries", wraps=picard._boundary_entries) as loop:
-            assert picard.m1n_class_from_json(_tagged(entries, 4)).boundary == {0b0110: Fraction(-1, 2)}
+            assert _read_class(entries, 4).boundary == {0b0110: Fraction(-1, 2)}
         loop.assert_called_once_with(entries, 4)
 
     def test_a_plain_object_goes_through_the_entry_loop(self):
-        # plain objects come only from in-process callers; files are tagged
+        # a plain object, from an in-process caller or a file read whole, is
+        # never checked in bulk
         entries = [{"S": [1, 2], "coeff": "3"}]
         obj = {"space": {"type": "M1n", "n": 4}, "lambda": "0", "boundary": entries}
         with mock.patch.object(picard, "_boundary_entries", wraps=picard._boundary_entries) as loop:
@@ -705,13 +728,24 @@ TAGGED_ODD = [True, False, 2.0, 1.5, None, "3", [1, 2], [[3]], {"k": 1}, "@1e0@"
 PLAIN_ODD = TAGGED_ODD + [0, -1, 65, "@big@"]
 
 
+def _order_key(entry):
+    """The boundary-order key of an entry whose markings are integers in
+    1..64; every other entry sorts after those."""
+    members = entry.get("S") if type(entry) is dict else None
+    if type(members) is list and all(type(i) is int and 1 <= i <= 64 for i in members):
+        return 0, len(members), sorted(members)
+    return (1,)
+
+
 @st.composite
-def _drawn_file(draw, kind):
-    """The text of a class (``kind`` ``"class"``) or profile file: mostly
-    entries the writer could write, and every kind of value a marking, a
-    coefficient, a space size or an extra key can wrongly hold.  Half the
-    files hold no integer outside 1..64, so that they are decoded to tags
-    and reach the bulk check."""
+def _drawn_doc(draw, kind):
+    """A class (``kind`` ``"class"``) or profile document, its raw numbers
+    as placeholders: entries the writer could write, and every kind of value
+    a marking, a coefficient, a space size or an extra key can wrongly hold.
+    Half the documents are as the writer writes them but for their space
+    size and, in half of them, one entry, so that written in the writer's
+    layout they reach the batch reader; of the others, half hold no integer
+    outside 1..64 and half list their entries in boundary order."""
     lam_key, key = ("lambda", "boundary") if kind == "class" else ("on_lambda", "on_boundary")
     odd = st.sampled_from(draw(st.sampled_from([TAGGED_ODD, PLAIN_ODD])))
     marking = st.one_of(st.integers(1, 9), st.integers(1, 9), st.integers(1, 9), odd)
@@ -729,17 +763,36 @@ def _drawn_file(draw, kind):
         ),
         st.sampled_from([None, [[1, 2], "1"], {"S": [1, 2]}, {"coeff": "1"}]),
     )
+    written = st.fixed_dictionaries(
+        {"S": st.lists(st.integers(1, 9), min_size=2, max_size=4, unique=True), "coeff": rational}
+    )
     size = st.sampled_from([2, 3, 5, 8, 9, 9, 9, 9, 9, 9])
     space = st.one_of(
         st.builds(lambda n: {"type": "M1n", "n": n}, size),
         st.builds(lambda n: {"type": "M1n", "n": n}, size),
         st.fixed_dictionaries({"type": st.sampled_from(["M1n", "Mg", 3]), "n": st.one_of(size, odd)}),
     )
-    doc = draw(st.fixed_dictionaries(
-        {"space": space, lam_key: st.one_of(rational, rational, coeff), key: st.lists(entry, max_size=6)},
-        optional={"extra": st.one_of(st.integers(1, 64), odd)},
-    ))
-    text = json.dumps(doc)
+    if draw(st.booleans()):
+        entries = draw(st.lists(written, min_size=1, max_size=6))
+        if draw(st.booleans()):
+            entries.insert(draw(st.integers(0, len(entries))), draw(entry))
+        doc = {"space": {"type": "M1n", "n": draw(size)}, lam_key: draw(rational), key: entries}
+        ordered = True
+    else:
+        doc = draw(st.fixed_dictionaries(
+            {"space": space, lam_key: st.one_of(rational, rational, coeff), key: st.lists(entry, max_size=6)},
+            optional={"extra": st.one_of(st.integers(1, 64), odd)},
+        ))
+        ordered = draw(st.booleans())
+    if ordered:
+        doc[key].sort(key=_order_key)
+    return doc
+
+
+def _file_text(doc, **layout):
+    """``json.dumps(doc, **layout)`` with the raw numbers spliced in for
+    their placeholders."""
+    text = json.dumps(doc, **layout)
     for placeholder, raw in RAW_NUMBERS.items():
         text = text.replace(placeholder, raw)
     return text
@@ -760,36 +813,33 @@ def _outcome(read):
 
 
 class TestTagExactness:
-    """Reading a file through the tags gives exactly what a plain
-    ``json.loads`` and the plain reader (:func:`picard._boundary_entries`)
-    give: the same entries in the same order, or the same exception type
-    and message."""
+    """Reading a file as the commands read it (:func:`cli._read`), through
+    the tags of the batch reader when it is in the writer's layout, gives
+    exactly what a plain ``json.loads`` and the plain reader
+    (:func:`picard._boundary_entries`) give: the same entries in the same
+    order, or the same exception type and message.  Each document is
+    written compact and in the writer's layout."""
 
     @staticmethod
-    def _same(text, parse):
-        def tagged():
-            try:
-                doc = cli._decode("file.json", text)
-            except cli.InputError as exc:  # the plain decode's own error
-                raise exc.__cause__
-            return parse(doc)
-
-        assert _outcome(tagged) == _outcome(lambda: parse(json.loads(text)))
+    def _same(doc, parse):
+        for layout in ({}, {"indent": 2, "sort_keys": True}):
+            text = _file_text(doc, **layout)
+            assert _outcome(lambda: _read_file(text, parse)) == _outcome(lambda: parse(json.loads(text)))
 
     @settings(max_examples=200, deadline=None)
-    @given(_drawn_file("class"))
-    def test_class_files(self, text):
-        self._same(text, picard.m1n_class_from_json)
+    @given(_drawn_doc("class"))
+    def test_class_files(self, doc):
+        self._same(doc, picard.m1n_class_from_json)
 
     @settings(max_examples=200, deadline=None)
-    @given(_drawn_file("profile"))
-    def test_profile_files(self, text):
-        self._same(text, picard.profile_from_json)
+    @given(_drawn_doc("profile"))
+    def test_profile_files(self, doc):
+        self._same(doc, picard.profile_from_json)
 
     @pytest.mark.parametrize("case", READER_FAULTS)
     def test_every_reader_fault(self, case):
         obj = {"space": {"type": "M1n", "n": 8}, "lambda": "0", "boundary": READER_FAULTS[case]}
-        self._same(json.dumps(obj), picard.m1n_class_from_json)
+        self._same(obj, picard.m1n_class_from_json)
 
 
 # a child that runs the command given as JSON in argv[1] and prints its
@@ -816,29 +866,31 @@ print(marks[-1], peak_kib())
 
 
 class TestReaderGuards:
-    """The fast paths of the reader stay taken: canonical files are decoded
-    to tags and pass the bulk check, and the cycle collector is paused for
-    a read and then put back as it was."""
+    """The fast paths of the reader stay taken: files the commands write are
+    read in batches, never by the entry loop, and the cycle collector is
+    paused for a read and then put back as it was."""
 
     @pytest.mark.parametrize("m", [4, 5, 6, 7, 8])
     def test_pullback_files_take_the_bulk_check(self, monkeypatch, m):
         cls = glue_pullback(DivisorClassMg(m + 1, Fraction(7, 2), -1, [Fraction(-3, 4)] * ((m + 1) // 2)), m)
-        doc = cli._decode("pb.json", picard.json_text(cls))
-        assert type(doc) is picard.Tagged
+        text = picard.json_text(cls)
         monkeypatch.setattr(picard, "_boundary_entries", mock.Mock(side_effect=AssertionError("fell back")))
-        monkeypatch.setattr(picard, "_untagged", mock.Mock(side_effect=AssertionError("put back to plain")))
-        assert picard.m1n_class_from_json(doc) == cls
+        assert _read_file(text) == cls
 
-    @pytest.mark.parametrize("name", ["pullback-gp", "profile-gonal(4)"])
+    @pytest.mark.parametrize("name", ["pullback-gp", "pullback-trigonal", "profile-gonal(4)", "profile-trig"])
     def test_exported_files_take_the_bulk_check(self, tmp_path, monkeypatch, name):
         path = tmp_path / "item.json"
         assert main(["export", "--name", name, "--output", str(path)]) == 0
         parse = picard.profile_from_json if name.startswith("profile") else picard.m1n_class_from_json
         expected = parse(json.loads(path.read_text()))
-        doc = cli._decode(str(path), path.read_text())
         monkeypatch.setattr(picard, "_boundary_entries", mock.Mock(side_effect=AssertionError("fell back")))
-        monkeypatch.setattr(picard, "_untagged", mock.Mock(side_effect=AssertionError("put back to plain")))
-        assert parse(doc) == expected
+        assert cli._read(str(path), parse, name) == expected
+
+    def test_a_profile_file_takes_the_bulk_check(self, monkeypatch):
+        profile = picard.CurveProfile(9, Fraction(-5, 3), {0b11: 2, 0b1_0000_0110: Fraction(1, 7), 0x1FF: -4})
+        text = picard.json_text(profile)
+        monkeypatch.setattr(picard, "_boundary_entries", mock.Mock(side_effect=AssertionError("fell back")))
+        assert _read_file(text, picard.profile_from_json) == profile
 
     def test_a_polynomial_file_goes_through_the_entry_loop(self, tmp_path, monkeypatch):
         # profile-gp, 11 entries with polynomial coefficients, is the one
@@ -847,7 +899,7 @@ class TestReaderGuards:
         assert main(["export", "--name", "profile-gp", "--output", str(path)]) == 0
         loop = mock.Mock(wraps=picard._boundary_entries)
         monkeypatch.setattr(picard, "_boundary_entries", loop)
-        assert picard.profile_from_json(cli._decode(str(path), path.read_text())) == corpus.profile("gp")
+        assert cli._read(str(path), picard.profile_from_json, "profile") == corpus.profile("gp")
         assert loop.call_count == 1
 
     @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM from /proc")
@@ -904,12 +956,6 @@ class TestReaderGuards:
             gc.enable()
 
 
-def _written(boundary, n=8, lam="7/2"):
-    """The text of a class file holding the serialized ``boundary``, in the
-    writer's layout: ``json.dumps`` with ``indent=2`` and sorted keys."""
-    return json.dumps({"space": {"type": "M1n", "n": n}, "lambda": lam, "boundary": boundary}, indent=2, sort_keys=True)
-
-
 # every subset of 1..8 with two markings or more, in boundary order, with
 # nonzero coefficients, some repeated
 ALL_SUBSETS = [
@@ -937,7 +983,7 @@ class TestBatchedReader:
         def run(text, size=97, profile=default, whole=False):
             prof.write_text(picard.json_text(profile))
             cls.write_text(text)
-            batches = mock.Mock(wraps=picard._batched_boundary)
+            batches = mock.Mock(wraps=picard._batched_boundary)  # the profile file's too
             texts = mock.Mock(wraps=cli._text)
             with monkeypatch.context() as patch:
                 patch.setattr(picard, "_BATCH_BYTES", size)
@@ -947,7 +993,8 @@ class TestBatchedReader:
                     patch.setattr(picard, "batched_class", mock.Mock(return_value=None))
                 code = main(["intersect", "--profile", str(prof), "--class", str(cls)])
             out, err = capsys.readouterr()
-            read = ["batches"] * batches.call_count + ["whole"] * texts.call_args_list.count(mock.call(str(cls)))
+            batched = [call for call in batches.call_args_list if call.args[0].path == str(cls)]
+            read = ["batches"] * len(batched) + ["whole"] * texts.call_args_list.count(mock.call(str(cls)))
             return code, out, err.replace(str(cls), "CLS"), " then ".join(read)
 
         return run
@@ -1023,6 +1070,24 @@ class TestBatchedReader:
         whole = run(text, whole=True)
         assert whole[0] == (2 if layout == "renamed array key" else 0)
         assert run(text, 97) == whole
+
+    def test_a_file_of_the_other_kind_is_read_whole(self, tmp_path, capsys):
+        # every file is in the writer's layout, so each is first taken for
+        # a batched file of its own kind; the space check waits for the kind
+        paths = {}
+        for name in ("profile-trig", "pullback-trigonal", "profile-gonal(4)"):
+            paths[name] = str(tmp_path / f"{name}.json")
+            assert main(["export", "--name", name, "--output", paths[name]]) == 0
+        trig, cls, gonal4 = paths.values()
+        for argv, error in [
+            (["intersect", "--profile", cls, "--class", cls], f"{cls}: not a profile file: 'on_lambda'"),
+            (["intersect", "--profile", trig, "--class", trig], f"{trig}: not a marked-space class file: 'lambda'"),
+            (["intersect", "--profile", trig, "--class", gonal4], f"{gonal4}: not a marked-space class file: 'lambda'"),
+            (["pullback", "--g", "5", "--m", "4", "--input", trig],
+             f"{trig}: not a genus-g class file: expected an Mg class, got space {{'n': 8, 'type': 'M1n'}}"),
+        ]:
+            assert main(argv) == 2
+            assert capsys.readouterr() == ("", f"error: {error}\n")
 
     def test_another_space_is_refused_before_any_batch(self, run):
         assert run(_written(ALL_SUBSETS, n=9), 97) == (2, "", "error: profile on n=8, class on n=9\n", "")
