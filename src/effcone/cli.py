@@ -514,13 +514,16 @@ def _dump_json(item, output: str | None) -> None:
 
 def _read(path: str, parse, what: str, profile: picard.CurveProfile | None = None):
     """Parse the JSON file at ``path`` with ``parse``; a file that does not
-    hold a ``what`` is an input error.
+    hold a ``what`` is an input error, worded here for either route.  A
+    space mismatch with ``profile`` is passed on as it is.
 
-    A regular file in the writer's layout is parsed as a ``picard.Batched``
-    document, read in batches and, given the ``profile`` a class is paired
-    with, kept only at its support; any other file, or one that proves not
-    to be, is decoded whole and read entry by entry, which words every
-    error.
+    A regular file in the writer's layout is first given to ``parse`` as
+    the document of ``picard.batched_class``: its tail decoded, and its
+    entries read in batches and, given the ``profile`` a class is paired
+    with, kept only at its support.  So a file of the other kind is refused
+    from its tail.  Any other file, or one whose entries fail a check
+    (``picard.NotCanonical``), is decoded whole and read entry by entry,
+    which words every error.
 
     The text is freed as soon as it is decoded, before ``parse`` runs: on
     a large file it is as large as the parse's own working set.  The cycle
@@ -533,15 +536,17 @@ def _read(path: str, parse, what: str, profile: picard.CurveProfile | None = Non
     enabled = gc.isenabled()
     gc.disable()
     try:
-        batched = picard.batched_class(path, profile)
-        if batched is not None:
-            try:
-                return parse(batched)
-            except picard.NotCanonical:
-                pass
-        obj = _decode(path, _text(path))
+        obj = picard.batched_class(path, profile)
         try:
+            if obj is not None:
+                try:
+                    return parse(obj)
+                except picard.NotCanonical:
+                    pass
+            obj = _decode(path, _text(path))
             return parse(obj)
+        except (InputError, picard.SpaceMismatchError):
+            raise
         except (KeyError, TypeError, ValueError) as exc:
             raise InputError(f"{path}: not a {what} file: {exc}") from exc
     finally:

@@ -25,18 +25,20 @@ a time, building no entry dict; :func:`json_text` is the same text as one
 string.
 
 Files have one bulk path.  :func:`batched_class` reads the tail of a
-regular class or profile file in the writer's layout first, and
-:func:`m1n_class_from_json` or :func:`profile_from_json` then decodes its
-entries about ``_BATCH_BYTES`` at a time, each JSON integer k to the tag
-``1 << k`` (``TAGS``): a subset's mask is the C-level ``sum`` of its tags
-shifted right once, and bit 0 stays free for a ``true`` to show.
+regular class or profile file in the writer's layout first and gives the
+document the whole read would give, but for a :class:`Batched` entry
+array: one code path reads every document's space and lambda value, and a
+file of the other kind is refused from its tail.  The readers decode a
+``Batched`` array about ``_BATCH_BYTES`` at a time, each JSON integer k to
+the tag ``1 << k`` (``TAGS``): a subset's mask is the C-level ``sum`` of
+its tags shifted right once, and bit 0 stays free for a ``true`` to show.
 :func:`_checked_list` checks each batch at once, and a class paired with a
 profile keeps only the profile's support, so memory does not grow with the
-file.  A file that turns out to be in another layout or of the other kind,
-or that fails a check, raises :class:`NotCanonical`.  It, and any other
-document (a pipe, a genus-g class, a plain object passed in-process), is
-decoded by plain ``json.loads`` and read entry by entry through
-:func:`_boundary_entries`, the one place that words an entry's error.
+file.  Entries that fail a check raise :class:`NotCanonical`.  Such a
+file, and any other document (a pipe, another layout, a genus-g class, a
+plain object passed in-process), is decoded by plain ``json.loads`` and
+read entry by entry through :func:`_boundary_entries`, the one place that
+words an entry's error.
 """
 
 from __future__ import annotations
@@ -557,27 +559,26 @@ def m1n_class_to_json(cls: DivisorClassM1n) -> dict:
     }
 
 
-def _m1n_fields(obj, lam_key: str, key: str, what: str) -> tuple:
+def _m1n_fields(obj: dict, lam_key: str, key: str, what: str) -> tuple:
     """``(n, lambda value, boundary)`` of a serialized class or profile
     ``what``, its lambda value under ``lam_key`` and its entries under
-    ``key``: a :class:`Batched` file of that kind is read in batches, and
-    any other document entry by entry, which words every error.  A file of
-    the other kind raises :class:`NotCanonical`, to be read whole."""
-    if type(obj) is Batched:
-        if obj.layout.key != key:
-            raise NotCanonical
-        if obj.profile is not None:
-            _same_space(obj.profile, obj.n)  # before any entry is decoded
-        return obj.n, obj.lam, _batched_boundary(obj)
+    ``key``: a :class:`Batched` array is read in batches, after the space
+    check of its profile, and any other entry by entry, which words every
+    error."""
     n = _space(obj, "M1n", "n", what)
     _check_n(n)
-    return n, scalar_from_json(obj[lam_key]), _boundary_entries(_array(obj, key), n)
+    lam = scalar_from_json(obj[lam_key])
+    entries = obj[key]
+    if type(entries) is not Batched:
+        return n, lam, _boundary_entries(_array(obj, key), n)
+    if entries.profile is not None:
+        _same_space(entries.profile, n)  # before any entry is decoded
+    return n, lam, _batched_boundary(entries, n)
 
 
 def m1n_class_from_json(obj) -> DivisorClassM1n:
-    """The class of a serialized document: a plain object, or a
-    :class:`Batched` class file, of which only the entries at its profile's
-    support are kept when it has one."""
+    """The class of a serialized document; of a :class:`Batched` array only
+    the entries at its profile's support are kept, when it has one."""
     return DivisorClassM1n._trusted(*_m1n_fields(obj, "lambda", "boundary", "class"))
 
 
@@ -624,18 +625,6 @@ def _in_range(bits: int, n: int) -> bool:
     return not bits >> (n + 1) and not bits & 1
 
 
-def _tagged_head(doc, lam_key: str) -> Tuple[int, Scalar]:
-    """``(n, lambda value)`` of a tagged class or profile document whose
-    space and lambda value are as the writer writes them, its lambda value
-    under ``lam_key``; an exception for any other."""
-    space, lam = doc["space"], doc[lam_key]
-    tag = space["n"]
-    # n = 1 (tag 2) is refused by _check_n
-    if not (space["type"] == "M1n" and type(tag) is int and tag > 2 and type(lam) is str):
-        raise ValueError("not as written")
-    return tag.bit_length() - 1, parse_rat(lam)
-
-
 class _Layout(NamedTuple):
     """The writer's layout of a class or profile file: the key of its
     boundary entries and of its lambda value, the text before its first
@@ -657,32 +646,31 @@ _TAIL_BYTES = 1 << 16  # the tail read first; a longer one is read whole
 
 
 class NotCanonical(Exception):
-    """A :class:`Batched` file is not in the writer's layout after all, is
-    not of the kind asked for, or an entry fails a check: it is to be read
-    whole, which words any error."""
+    """The entries of a :class:`Batched` array fail a check, or the file
+    shrank since its tail was read: the file is to be read whole, which
+    words any error."""
 
 
 class Batched(NamedTuple):
-    """A class or profile file in the writer's ``layout``, made by
-    :func:`batched_class` from its head and tail alone: space ``n`` and
-    lambda value ``lam``, and its boundary entries up to byte offset ``end``
-    of ``path``, to be read in batches keeping the masks in ``profile``'s
-    support, or every mask when ``profile`` is None."""
+    """The boundary entries of a class or profile file in the writer's
+    layout, bytes ``start`` to ``end`` of ``path``, to be read in batches
+    keeping the masks in ``profile``'s support, or every mask when
+    ``profile`` is None."""
 
     path: str
-    layout: _Layout
-    n: int
-    lam: Scalar
+    start: int
     end: int
     profile: CurveProfile | None
 
 
-def batched_class(path: str, profile: CurveProfile | None) -> Batched | None:
-    """The class or profile file at ``path`` as a :class:`Batched` document
-    keeping ``profile``'s support, when it is a regular file that starts
-    with the head of a layout of :data:`_LAYOUTS` and ends with its tail,
-    read first from its last ``_TAIL_BYTES``; None for any other file, or
-    one that cannot be read."""
+def batched_class(path: str, profile: CurveProfile | None) -> dict | None:
+    """The document of the class or profile file at ``path``, a regular
+    file that starts with the head of a layout of :data:`_LAYOUTS` and ends
+    with its tail, read first from its last ``_TAIL_BYTES``: the tail, by
+    plain ``json.loads``, with a :class:`Batched` array keeping
+    ``profile``'s support under the layout's key.  None for any other file,
+    one that cannot be read, or a tail that the whole read's head code
+    would refuse, so that the whole read words that error."""
     try:
         if not stat.S_ISREG(os.stat(path).st_mode):
             return None  # a pipe cannot be read twice
@@ -699,37 +687,37 @@ def batched_class(path: str, profile: CurveProfile | None) -> Batched | None:
     mid = tail.rfind(layout.mid)
     if mid < 0:
         return None
-    end = size - len(tail) + mid
     lam_key = layout.lam_key
     try:
-        doc = json.loads(f'{{"{lam_key}": ' + tail[mid + len(layout.mid):].decode(), parse_int=TAGS.__getitem__)
+        doc = json.loads(f'{{"{lam_key}": ' + tail[mid + len(layout.mid):].decode())
         if doc.keys() != {lam_key, "space"}:  # JSON keeps the last of a key's values
             return None
-        n, lam = _tagged_head(doc, lam_key)
+        _check_n(_space(doc, "M1n", "n", "file"))
+        scalar_from_json(doc[lam_key])
     except (KeyError, TypeError, ValueError, RecursionError):
         return None
-    return Batched(path, layout, n, lam, end, profile)
+    doc[layout.key] = Batched(path, len(layout.head), size - len(tail) + mid, profile)
+    return doc
 
 
-def _batched_boundary(doc: Batched) -> Dict[int, Scalar]:
-    """The coefficients of ``doc`` at its profile's support, or all of them.
-    Its entries are read a batch of about ``_BATCH_BYTES`` at a time, cut
-    before an entry: a raw line break cannot occur inside a JSON string, so
-    ``_BETWEEN`` only ever lies between two entries.  Every batch is checked
+def _batched_boundary(array: Batched, n: int) -> Dict[int, Scalar]:
+    """The coefficients of ``array`` on n markings at its profile's support,
+    or all of them.  Its entries are read a batch of about ``_BATCH_BYTES``
+    at a time, cut before an entry: a raw line break cannot occur inside a
+    JSON string, so ``_BETWEEN`` only ever lies between two entries.  Every batch is checked
     by :func:`_checked_list`, and :func:`_in_range` checks the OR of all of
     them once the array ends.  The writer lists each subset once, in
     boundary order, so subsets that rise strictly in that order, from one
     batch to the next too, refuse a subset twice without holding every
     mask.  A file that fails any of this raises :class:`NotCanonical`."""
-    keep = None if doc.profile is None else doc.profile.on_boundary.__contains__
+    keep = None if array.profile is None else array.profile.on_boundary.__contains__
     out: Dict[int, Scalar] = {}
     parsed: dict = {}
     bits = size = top = 0  # size and sum of the last entry read
-    start = len(doc.layout.head)
     try:
-        with open(doc.path, "rb") as fh:
-            fh.seek(start)
-            left = doc.end - start
+        with open(array.path, "rb") as fh:
+            fh.seek(array.start)
+            left = array.end - array.start
             rest = b""
             while left > 0:
                 read = fh.read(min(_BATCH_BYTES, left))
@@ -764,7 +752,7 @@ def _batched_boundary(doc: Batched) -> Dict[int, Scalar]:
                 out.update(pairs if keep is None else compress(pairs, map(keep, masks)))
     except (OSError, KeyError, TypeError, ValueError, RecursionError) as exc:
         raise NotCanonical from exc
-    if not (size and _in_range(bits, doc.n)):  # no entry at all, or one out of range
+    if not (size and _in_range(bits, n)):  # no entry at all, or one out of range
         raise NotCanonical
     return out
 
@@ -791,8 +779,6 @@ def mg_class_to_json(cls: DivisorClassMg) -> dict:
 
 
 def mg_class_from_json(obj) -> DivisorClassMg:
-    if type(obj) is Batched:
-        raise NotCanonical  # a marked-space file, read whole to word the error
     return DivisorClassMg(
         _space(obj, "Mg", "g", "class"),
         scalar_from_json(obj["lambda"]),

@@ -843,7 +843,8 @@ class TestTagExactness:
 
 
 # a child that runs the command given as JSON in argv[1] and prints its
-# output, its VmHWM (KiB) when the last file read was decoded, and at exit
+# output, then its exit code and its VmHWM (KiB) when the last file read was
+# decoded and at exit
 PEAK_CHILD = """
 import json, sys
 from effcone import cli
@@ -860,8 +861,8 @@ def marked(path, text):
     return doc
 
 cli._decode = marked
-assert cli.main(json.loads(sys.argv[1])) == 0
-print(marks[-1], peak_kib())
+code = cli.main(json.loads(sys.argv[1]))
+print(code, marks[-1], peak_kib())
 """
 
 
@@ -922,8 +923,8 @@ class TestReaderGuards:
             env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
         )
         assert child.returncode == 0, child.stderr
-        out, decoded, peak = child.stdout.split()
-        assert out == "-1"
+        out, code, decoded, peak = child.stdout.split()
+        assert (out, code) == ("-1", "0")
         assert int(peak) - int(decoded) < 8 * 1024, f"peak {peak} KiB, {decoded} KiB once decoded"
 
     def test_collector_paused_for_the_read(self, files, capsys, monkeypatch):
@@ -1071,20 +1072,28 @@ class TestBatchedReader:
         assert whole[0] == (2 if layout == "renamed array key" else 0)
         assert run(text, 97) == whole
 
-    def test_a_file_of_the_other_kind_is_read_whole(self, tmp_path, capsys):
-        # every file is in the writer's layout, so each is first taken for
-        # a batched file of its own kind; the space check waits for the kind
+    def test_a_file_of_the_other_kind_is_refused_from_its_tail(self, tmp_path, capsys):
+        # every file is in the writer's layout, so each is read as a batched
+        # file: its tail shows its kind, and the space check waits for the
+        # kind.  So a file of the other kind that is malformed after its head
+        # gets the kind error, not the JSON error its whole read would give
         paths = {}
         for name in ("profile-trig", "pullback-trigonal", "profile-gonal(4)"):
             paths[name] = str(tmp_path / f"{name}.json")
             assert main(["export", "--name", name, "--output", paths[name]]) == 0
         trig, cls, gonal4 = paths.values()
+        broken = tmp_path / "broken.json"
+        broken.write_text(Path(trig).read_text().replace('"S": [', '"S": [[', 1))
+        with pytest.raises(json.JSONDecodeError):
+            json.loads(broken.read_text())
+        broken = str(broken)
         for argv, error in [
             (["intersect", "--profile", cls, "--class", cls], f"{cls}: not a profile file: 'on_lambda'"),
             (["intersect", "--profile", trig, "--class", trig], f"{trig}: not a marked-space class file: 'lambda'"),
             (["intersect", "--profile", trig, "--class", gonal4], f"{gonal4}: not a marked-space class file: 'lambda'"),
             (["pullback", "--g", "5", "--m", "4", "--input", trig],
              f"{trig}: not a genus-g class file: expected an Mg class, got space {{'n': 8, 'type': 'M1n'}}"),
+            (["intersect", "--profile", trig, "--class", broken], f"{broken}: not a marked-space class file: 'lambda'"),
         ]:
             assert main(argv) == 2
             assert capsys.readouterr() == ("", f"error: {error}\n")
@@ -1098,16 +1107,36 @@ class TestBatchedReader:
         with wall_clock_bound(2):  # opening a FIFO that has no writer would block
             assert picard.batched_class(str(fifo), picard.CurveProfile(8, 1)) is None
 
-    @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM from /proc")
-    def test_the_peak_of_a_large_file_is_that_of_the_imports(self, tmp_path):
-        # this 41 MB file of 262,125 entries peaked at 163 MiB when it was
-        # read whole; in batches the command's peak stays within a few MiB
-        # of that of the interpreter and its imports
-        cls, prof = tmp_path / "cls.json", tmp_path / "prof.json"
+    @pytest.fixture(scope="class")
+    def large_files(self, tmp_path_factory):
+        """A 41 MB class file of 262,125 entries on 18 markings, and a
+        profile on the same space."""
+        tmp = tmp_path_factory.mktemp("large")
+        cls, prof = tmp / "cls.json", tmp / "prof.json"
         with open(cls, "w", encoding="utf-8") as fh:
             picard.write_json(glue_pullback(DivisorClassMg(10, 1, 1, [1] * 5), 9), fh.write)
         prof.write_text(picard.json_text(picard.CurveProfile(18, 0, {0b11: 1})))
-        argv = ["intersect", "--profile", str(prof), "--class", str(cls)]
+        return str(cls), str(prof)
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM from /proc")
+    @pytest.mark.parametrize("command", ["class", "class as profile", "class as genus-g class"])
+    def test_the_peak_of_a_large_file_is_that_of_the_imports(self, large_files, command):
+        # this file peaked at 163 MiB when it was read whole; in batches the
+        # command's peak stays within a few MiB of that of the interpreter
+        # and its imports, and so does either refusal of it as a file of
+        # another kind, which its tail alone shows
+        cls, prof = large_files
+        argv, code, out, err = {
+            "class": (["intersect", "--profile", prof, "--class", cls], "0", ["-1"], ""),
+            "class as profile": (
+                ["intersect", "--profile", cls, "--class", prof], "2", [],
+                f"error: {cls}: not a profile file: 'on_lambda'\n",
+            ),
+            "class as genus-g class": (
+                ["pullback", "--g", "10", "--m", "9", "--input", cls], "2", [],
+                f"error: {cls}: not a genus-g class file: expected an Mg class, got space {{'n': 18, 'type': 'M1n'}}\n",
+            ),
+        }[command]
         # the child's mark is taken once it has imported the command line
         child = subprocess.run(
             [sys.executable, "-c", PEAK_CHILD.replace("cli._decode = marked", "marks.append(peak_kib())"),
@@ -1115,7 +1144,7 @@ class TestBatchedReader:
             capture_output=True, text=True, timeout=120,
             env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
         )
-        assert child.returncode == 0, child.stderr
-        out, imported, peak = child.stdout.split()
-        assert out == "-1"
+        assert child.returncode == 0 and child.stderr == err, child.stderr
+        *printed, exited, imported, peak = child.stdout.split()
+        assert (printed, exited) == (out, code)
         assert int(peak) - int(imported) < 8 * 1024, f"peak {peak} KiB, {imported} KiB once imported"
