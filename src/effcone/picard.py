@@ -28,14 +28,17 @@ Files have one bulk path.  :func:`batched_class` reads the tail of a
 regular class or profile file in the writer's layout first and gives the
 document the whole read would give, but for a :class:`Batched` entry
 array: one code path reads every document's space and lambda value, and a
-file of the other kind is refused from its tail.  The readers decode a
-``Batched`` array about ``_BATCH_BYTES`` at a time, each JSON integer k to
-the tag ``1 << k`` (``TAGS``): a subset's mask is the C-level ``sum`` of
-its tags shifted right once, and bit 0 stays free for a ``true`` to show.
-:func:`_checked_list` checks each batch at once, and a class paired with a
-profile keeps only the profile's support, so memory does not grow with the
-file.  Entries that fail a check raise :class:`NotCanonical`.  Such a
-file, and any other document (a pipe, another layout, a genus-g class, a
+file of the other kind is refused from its tail.  The readers read a
+``Batched`` array about ``_BATCH_BYTES`` at a time.  While it lists every
+subset in boundary order, as a pullback file does, a batch is compared as
+text with the writer's text of the next subsets, and only its coefficients
+are decoded.  From the first batch that differs on, each JSON integer k is
+decoded to the tag ``1 << k`` (``TAGS``): a subset's mask is the C-level
+``sum`` of its tags shifted right once, and bit 0 stays free for a ``true``
+to show; :func:`_checked_list` checks each batch at once.  A class paired
+with a profile keeps only the profile's support, so memory does not grow
+with the file.  Entries that fail a check raise :class:`NotCanonical`.
+Such a file, and any other document (a pipe, another layout, a genus-g class, a
 plain object passed in-process), is decoded by plain ``json.loads`` and
 read entry by entry through :func:`_boundary_entries`, the one place that
 words an entry's error.
@@ -47,9 +50,9 @@ import json
 import os
 import stat
 from functools import reduce
-from itertools import chain, compress, groupby, islice, repeat
+from itertools import chain, combinations, compress, groupby, islice, repeat
 from math import comb
-from operator import and_, itemgetter, le, lt, neg, or_, rshift, xor
+from operator import and_, eq, itemgetter, le, lt, neg, or_, rshift, xor
 from typing import Callable, Dict, Iterable, Iterator, Mapping, NamedTuple, Sequence, Tuple
 
 from .scalars import Scalar, canon, parse_rat, scalar_from_json, scalar_to_json
@@ -391,17 +394,6 @@ def _check_permutation(sigma: Sequence[int], n: int) -> Tuple[int, ...]:
     return sigma
 
 
-def permute_mask(mask: int, sigma: Sequence[int]) -> int:
-    out = 0
-    i = 1
-    while mask:
-        if mask & 1:
-            out |= 1 << (sigma[i - 1] - 1)
-        mask >>= 1
-        i += 1
-    return out
-
-
 def _permuted(mapping: Mapping[int, Scalar], sigma: Sequence[int]) -> Dict[int, Scalar]:
     """``mapping`` with each key S moved to sigma(S), through one lookup
     table per w-bit field of the mask: the table of the field at bit j sends
@@ -636,11 +628,21 @@ class _Layout(NamedTuple):
     mid: bytes
 
 
+# marking lines and entry template of the text json.dumps(indent=2) gives a
+# boundary entry, for the writer and the batch reader: a batch is cut after
+# an entry's ``_OPEN``, so it starts with ``_FIRST``, and ``_NEXT`` lies
+# between an entry's coefficient and the next entry's members
+_MARKING_LINES = tuple(f"        {i}" for i in range(MAX_MARKINGS + 1))
+_ENTRY = '    {\n      "S": [\n%s\n      ],\n      "coeff": %s\n    }'
+_HEAD, _MIDDLE, _END = _ENTRY.split("%s")
+_OPEN = _HEAD[:_HEAD.index("\n")]
+_FIRST, _NEXT = _HEAD[len(_OPEN):], _END + ",\n" + _HEAD
+_BETWEEN = (_END + ",\n" + _OPEN).encode()
+
 _LAYOUTS = tuple(
-    _Layout(key, lam_key, b'{\n  "%s": [\n    {' % key.encode(), b'\n    }\n  ],\n  "%s": ' % lam_key.encode())
+    _Layout(key, lam_key, f'{{\n  "{key}": [\n{_OPEN}'.encode(), f'{_END}\n  ],\n  "{lam_key}": '.encode())
     for key, lam_key in (("boundary", "lambda"), ("on_boundary", "on_lambda"))
 )
-_BETWEEN = b"\n    },\n    {"
 _BATCH_BYTES = 1 << 16
 _TAIL_BYTES = 1 << 16  # the tail read first; a longer one is read whole
 
@@ -700,19 +702,60 @@ def batched_class(path: str, profile: CurveProfile | None) -> dict | None:
     return doc
 
 
+def _walk(n: int) -> tuple:
+    """Member texts and tag sums of the subsets of 1..n with two or more
+    markings, in boundary order, as two lazy iterators drawn in step."""
+    sizes = range(2, n + 1)
+    lines = chain.from_iterable(map(combinations, repeat(_MARKING_LINES[1:n + 1]), sizes))
+    tags = chain.from_iterable(map(combinations, repeat([1 << k for k in range(1, n + 1)]), sizes))
+    return map(",\n".join, lines), map(sum, tags)
+
+
+def _walked(text: str, lines: Iterator[str], sums: Iterator[int], values: dict) -> tuple | None:
+    """``(sums, coeffs)`` of a batch ``text`` that is the writer's text of
+    the next subsets of a walk (:func:`_walk`) with coefficient pieces
+    ``coeffs`` that decode to nonzero rational strings, each distinct piece
+    once into ``values``; None for any other batch.  Only as many subsets
+    are drawn as the batch holds."""
+    pieces = text.split(_MIDDLE)
+    count = len(pieces) - 1
+    first, last = pieces[0], pieces[-1]
+    parts = list(map(str.partition, pieces[1:-1], repeat(_NEXT)))
+    del pieces  # freed before the walk renders; the lazy compare frees each rendering
+    members = islice(lines, count)
+    same = first == _FIRST + next(members, "") and all(map(eq, map(itemgetter(2), parts), members))
+    if not (count and same):
+        return None
+    coeffs = [*map(itemgetter(0), parts), last]
+    new = set(coeffs).difference(values)
+    try:
+        values.update(zip(new, map(parse_rat, map(json.loads, new))))
+    except (ValueError, RecursionError):
+        return None
+    if not all(map(values.__getitem__, new)):
+        return None
+    sums = list(islice(sums, count))
+    return (sums, coeffs) if len(sums) == count else None  # None when the walk ran out
+
+
 def _batched_boundary(array: Batched, n: int) -> Dict[int, Scalar]:
     """The coefficients of ``array`` on n markings at its profile's support,
     or all of them.  Its entries are read a batch of about ``_BATCH_BYTES``
     at a time, cut before an entry: a raw line break cannot occur inside a
-    JSON string, so ``_BETWEEN`` only ever lies between two entries.  Every batch is checked
-    by :func:`_checked_list`, and :func:`_in_range` checks the OR of all of
-    them once the array ends.  The writer lists each subset once, in
-    boundary order, so subsets that rise strictly in that order, from one
-    batch to the next too, refuse a subset twice without holding every
-    mask.  A file that fails any of this raises :class:`NotCanonical`."""
+    JSON string, so ``_BETWEEN`` only ever lies between two entries.  While
+    the file has listed every subset of 1..n in boundary order, a batch is
+    read by :func:`_walked`.  The first batch it refuses drops the walk:
+    that batch and each later one are decoded to tags and checked by
+    :func:`_checked_list`, and :func:`_in_range` checks the OR of them once
+    the array ends.  The writer lists each subset once, in boundary order,
+    so subsets that rise strictly in that order, from one batch to the next
+    too, refuse a subset twice without holding every mask.  A file that
+    fails any of this raises :class:`NotCanonical`."""
     keep = None if array.profile is None else array.profile.on_boundary.__contains__
     out: Dict[int, Scalar] = {}
     parsed: dict = {}
+    values: dict = {}
+    walk = _walk(n)
     bits = size = top = 0  # size and sum of the last entry read
     try:
         with open(array.path, "rb") as fh:
@@ -730,25 +773,34 @@ def _batched_boundary(array: Batched, n: int) -> Dict[int, Scalar]:
                     rest = block
                     continue
                 rest = block[cut + len(_BETWEEN):]
-                entries = json.loads("[{" + block[:cut].decode() + "}]", parse_int=TAGS.__getitem__)
-                checked = _checked_list(entries, parsed)
-                if checked is None:
-                    raise NotCanonical
-                sizes, sums, coeffs = checked
-                # each entry against the one before: no size falls, and of
-                # two subsets of one size the earlier holds the lowest
-                # marking that lies in one of them alone
-                z, s = [size, *sizes], [top, *sums]
-                x = list(map(xor, s, sums))
-                if not (
-                    all(map(le, z, sizes))
-                    and all(map(or_, map(lt, z, sizes), map(and_, map(and_, x, map(neg, x)), s)))
-                ):
-                    raise NotCanonical
-                size, top = sizes[-1], sums[-1]
-                bits |= reduce(or_, sums)
+                text = block[:cut].decode()
+                walked = walk and _walked(text, *walk, values)
+                if walked:
+                    sums, coeffs = walked
+                    coeff_values = values
+                else:
+                    walk = None
+                    entries = json.loads("[{" + text + "}]", parse_int=TAGS.__getitem__)
+                    checked = _checked_list(entries, parsed)
+                    if checked is None:
+                        raise NotCanonical
+                    sizes, sums, coeffs = checked
+                    # each entry against the one before: no size falls, and
+                    # of two subsets of one size the earlier holds the lowest
+                    # marking that lies in one of them alone
+                    z, s = [size, *sizes], [top, *sums]
+                    x = list(map(xor, s, sums))
+                    if not (
+                        all(map(le, z, sizes))
+                        and all(map(or_, map(lt, z, sizes), map(and_, map(and_, x, map(neg, x)), s)))
+                    ):
+                        raise NotCanonical
+                    bits |= reduce(or_, sums)
+                    coeff_values = parsed
+                top = sums[-1]
+                size = top.bit_count()
                 masks = list(map(rshift, sums, repeat(1)))
-                pairs = zip(masks, map(parsed.__getitem__, coeffs))
+                pairs = zip(masks, map(coeff_values.__getitem__, coeffs))
                 out.update(pairs if keep is None else compress(pairs, map(keep, masks)))
     except (OSError, KeyError, TypeError, ValueError, RecursionError) as exc:
         raise NotCanonical from exc
@@ -787,10 +839,7 @@ def mg_class_from_json(obj) -> DivisorClassMg:
     )
 
 
-# marking lines and entry template of the text json.dumps(indent=2) gives a
-# boundary entry; entries are written this many at a time
-_MARKING_LINES = tuple(f"        {i}" for i in range(MAX_MARKINGS + 1))
-_ENTRY = '    {\n      "S": [\n%s\n      ],\n      "coeff": %s\n    }'
+# boundary entries are written this many at a time
 _CHUNK_ENTRIES = 512
 
 
@@ -800,17 +849,16 @@ def _entry_pieces(mapping: Mapping[int, Scalar]) -> Iterator[str]:
     :func:`_runs` at a time: the entries of a run share their coefficient,
     so the text between two member lists is one constant and a piece is one
     ``join``.  Each distinct coefficient is encoded once."""
-    head, middle, end = _ENTRY.split("%s")
     texts: dict = {}
     for value, members in _runs(mapping, _MARKING_LINES):
         text = texts.get(value)
         if text is None:
             # the coefficient's text, indented to its place inside an entry
             text = texts[value] = json.dumps(scalar_to_json(value), indent=2).replace("\n", "\n      ")
-        tail = middle + text + end
-        between = tail + ",\n" + head
+        tail = _MIDDLE + text + _END
+        between = tail + ",\n" + _HEAD
         while piece := between.join(map(",\n".join, islice(members, _CHUNK_ENTRIES))):
-            yield head + piece + tail
+            yield _HEAD + piece + tail
 
 
 def write_json(item, write: Callable[[str], object]) -> None:

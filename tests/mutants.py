@@ -23,6 +23,10 @@ Left out, as equivalent mutants:
   non-string, a tag included, fails ``parse_rat``, so both already send the
   file to the whole read and its entry loop, and a gate added or dropped
   changes no result.
+- A string gate on the walk's coefficient pieces.  A piece that decodes
+  to anything but a string fails ``parse_rat``, which drops the walk, so
+  only the nonzero gate (``walk: zero coefficient pieces accepted``) can
+  be removed.
 """
 
 from __future__ import annotations
@@ -63,8 +67,10 @@ MUTANTS = (
         "not bits >> (n + 1)",
         "not bits >> n",
         (
-            "tests/test_inputs.py::TestReaderGuards::test_pullback_files_take_the_bulk_check[8]",
-            "tests/test_inputs.py::TestReaderGuards::test_exported_files_take_the_bulk_check[pullback-gp]",
+            # files that leave out a subset, so that the walk does not
+            # read them and the range check runs
+            "tests/test_inputs.py::TestReaderGuards::test_exported_files_take_the_bulk_check[pullback-trigonal]",
+            "tests/test_inputs.py::TestReaderGuards::test_a_profile_file_takes_the_bulk_check",
         ),
     ),
     Mutant(
@@ -120,6 +126,27 @@ MUTANTS = (
         (
             "tests/test_inputs.py::TestBatchedReader::test_a_subset_twice_across_batches[0-1]",
             "tests/test_inputs.py::TestBatchedReader::test_a_subset_twice_across_batches[245-1]",
+        ),
+    ),
+    Mutant(
+        # a batch of any text is taken for the next subsets of the walk
+        "walk: no comparison with the writer's text",
+        "picard.py",
+        'first == _FIRST + next(members, "") and all(map(eq, map(itemgetter(2), parts), members))',
+        "True",
+        (
+            "tests/test_inputs.py::TestBatchedReader::test_a_dense_file_edited_gives_the_whole_read[marking past n-97]",
+            "tests/test_inputs.py::TestBatchedReader::test_the_walk_ends_at_the_first_batch_that_differs[pullback-trigonal-65536]",
+        ),
+    ),
+    Mutant(
+        "walk: zero coefficient pieces accepted",
+        "picard.py",
+        "    if not all(map(values.__getitem__, new)):\n        return None\n",
+        "",
+        (
+            "tests/test_inputs.py::TestBatchedReader::test_a_dense_file_edited_gives_the_whole_read[zero coefficient-1]",
+            "tests/test_inputs.py::TestBatchedReader::test_a_dense_file_edited_gives_the_whole_read[zero coefficient-65536]",
         ),
     ),
     Mutant(

@@ -13,6 +13,7 @@ import tempfile
 import threading
 import tracemalloc
 from fractions import Fraction
+from itertools import combinations
 from pathlib import Path
 from types import SimpleNamespace
 from unittest import mock
@@ -957,12 +958,76 @@ class TestReaderGuards:
             gc.enable()
 
 
-# every subset of 1..8 with two markings or more, in boundary order, with
-# nonzero coefficients, some repeated
-ALL_SUBSETS = [
-    {"S": list(members), "coeff": format_rat(Fraction(2 * len(members) - 7, 1 + sum(members) % 3))}
-    for members, _ in picard._entries(dict.fromkeys(range(1 << 8), 1)) if len(members) >= 2
-]
+def _every_subset(n):
+    """Every subset of 1..n with two markings or more, in boundary order,
+    with nonzero coefficients, some repeated."""
+    return [
+        {"S": list(members), "coeff": format_rat(Fraction(2 * len(members) - 7, 1 + sum(members) % 3))}
+        for members, _ in picard._entries(dict.fromkeys(range(1 << n), 1)) if len(members) >= 2
+    ]
+
+
+ALL_SUBSETS = _every_subset(8)
+# a dense file of 1,013 entries, about 110 KB: more than one 64 KiB batch
+DENSE = _every_subset(10)
+BETWEEN = picard._BETWEEN.decode()
+
+
+def _gap_at_the_first_cut(entries, n, size):
+    """The text of a class file holding ``entries`` but one, left out where
+    the reader's first cut falls in batches of ``size`` bytes, so that the
+    first batch ends with the subset before the gap: reads of ``size``
+    bytes until one holds a separator, cut at the last separator."""
+    text = _written(entries, n)
+    head, mid = len(picard._LAYOUTS[0].head), text.rindex(picard._LAYOUTS[0].mid.decode())
+    body = text[head:mid].split(BETWEEN)
+    for gap in range(1, len(body)):
+        kept = BETWEEN.join(body[:gap] + body[gap + 1:])
+        read = -(-(kept.index(BETWEEN) + len(BETWEEN)) // size) * size
+        if kept.count(BETWEEN, 0, read) == gap:
+            return text[:head] + kept + text[mid:]
+    raise AssertionError("no cut")
+
+
+def _dense_edit(case, size):
+    """The text of the dense class file on 10 markings with one edit, made
+    at the first entry from the 500th on that holds 5 and not 9 unless the
+    edit names its place."""
+    entries = [dict(entry) for entry in DENSE]
+    at = next(i for i in range(500, len(entries)) if 5 in entries[i]["S"] and 9 not in entries[i]["S"])
+    if case == "gap at a batch cut":
+        return _gap_at_the_first_cut(entries, 10, size)
+    if case == "gap at the first entry":
+        del entries[0]
+    elif case == "gap inside a batch":
+        del entries[at]
+    elif case == "subset repeated":
+        entries.insert(at, entries[at])
+    elif case.startswith("marking"):  # one marking line edited
+        past = case == "marking past n"
+        entries[at]["S"] = [(11 if past else 9) if i == 5 else i for i in entries[at]["S"]]
+    elif case == "polynomial coefficient":
+        entries[at]["coeff"] = ["1", "-2"]
+    else:  # a coefficient piece the writer never writes
+        entries[at]["coeff"] = "12345"
+        piece = '"0"' if case == "zero coefficient" else '"\\u0035"'
+        return _written(entries, 10).replace('"12345"', piece)
+    return _written(entries, 10)
+
+
+# how each edit of the dense file is read: in batches alone, or whole once
+# a batch is refused
+DENSE_EDITS = {
+    "gap at the first entry": "batches",
+    "gap inside a batch": "batches",
+    "gap at a batch cut": "batches",
+    "escaped coefficient": "batches",
+    "subset repeated": "batches then whole",
+    "marking past n": "batches then whole",
+    "marking moved": "batches then whole",
+    "zero coefficient": "batches then whole",
+    "polynomial coefficient": "batches then whole",
+}
 
 
 class TestBatchedReader:
@@ -977,18 +1042,25 @@ class TestBatchedReader:
         """Run ``intersect`` of ``profile`` against a class file holding
         ``text``, in batches of ``size`` bytes or, with ``whole``, read
         whole; give the exit code, the output, the error and how the class
-        file was read: in ``batches``, ``whole``, or both in turn."""
+        file was read: in ``batches``, ``whole``, or both in turn.  With
+        ``decoded``, add the entry counts of the batches that the profile
+        file and the class file each had decoded and checked by
+        ``picard._checked_list``, not read by the walk."""
         prof, cls = tmp_path / "prof.json", tmp_path / "cls.json"
         default = picard.CurveProfile(8, 3, {mask: 1 for mask in range(3, 256, 5) if mask.bit_count() >= 2})
 
-        def run(text, size=97, profile=default, whole=False):
+        def run(text, size=97, profile=default, whole=False, decoded=False):
             prof.write_text(picard.json_text(profile))
             cls.write_text(text)
+            calls = mock.Mock()  # its mock_calls keep the order of both kinds
             batches = mock.Mock(wraps=picard._batched_boundary)  # the profile file's too
+            calls.attach_mock(batches, "batches")
+            calls.attach_mock(mock.Mock(wraps=picard._checked_list), "checked")
             texts = mock.Mock(wraps=cli._text)
             with monkeypatch.context() as patch:
                 patch.setattr(picard, "_BATCH_BYTES", size)
                 patch.setattr(picard, "_batched_boundary", batches)
+                patch.setattr(picard, "_checked_list", calls.checked)
                 patch.setattr(cli, "_text", texts)
                 if whole:
                     patch.setattr(picard, "batched_class", mock.Mock(return_value=None))
@@ -996,7 +1068,16 @@ class TestBatchedReader:
             out, err = capsys.readouterr()
             batched = [call for call in batches.call_args_list if call.args[0].path == str(cls)]
             read = ["batches"] * len(batched) + ["whole"] * texts.call_args_list.count(mock.call(str(cls)))
-            return code, out, err.replace(str(cls), "CLS"), " then ".join(read)
+            result = code, out, err.replace(str(cls), "CLS"), " then ".join(read)
+            if not decoded:
+                return result
+            counts = {str(prof): [], str(cls): []}
+            for name, args, _ in calls.mock_calls:
+                if name == "batches":
+                    path = args[0].path
+                else:
+                    counts[path].append(len(args[0]))
+            return (*result, tuple(counts.values()))
 
         return run
 
@@ -1005,11 +1086,55 @@ class TestBatchedReader:
     def test_pullback_files_give_the_whole_read(self, run, size, m):
         # a batch of 1 or 97 bytes ends inside an entry, which is carried on
         # to the next cut
+        # a class that lists every subset is read by the walk alone: no
+        # batch of it is decoded
         cls = glue_pullback(DivisorClassMg(m + 1, Fraction(7, 2), -1, [Fraction(-3, 4)] * ((m + 1) // 2)), m)
         support = {mask: mask % 7 - 3 for mask in range(3, 1 << (2 * m), 11) if mask.bit_count() >= 2}
         profile = picard.CurveProfile(2 * m, 5, support)
         expected = f"{scalar_to_json(picard.pair(profile, cls))}\n"
-        assert run(picard.json_text(cls), size, profile) == (0, expected, "", "batches")
+        *result, (_, decoded) = run(picard.json_text(cls), size, profile, decoded=True)
+        assert result == [0, expected, "", "batches"]
+        assert decoded == []
+
+    @pytest.mark.parametrize("size", [1, 97, 1 << 16])
+    @pytest.mark.parametrize("name", ["profile-gonal(5)", "pullback-trigonal"])
+    def test_the_walk_ends_at_the_first_batch_that_differs(self, run, size, name):
+        # profile-gonal(5) leaves out {1, 3}, its second subset, and
+        # pullback-trigonal {1, ..., 6}, its 211th; the batch that holds the
+        # first gap and every later one are decoded
+        if name == "pullback-trigonal":
+            cls = corpus.golden_pullback("trigonal")
+            n, mapping, args = 8, cls.boundary, (picard.json_text(cls), size)
+        else:
+            profile = corpus.profile("gonal", 5)
+            n, mapping = 16, profile.on_boundary
+            args = (_written([{"S": [1, 2], "coeff": "1"}], n=16), size, profile)
+        listed = sorted(mapping, key=picard.boundary_order)
+        walk = (sum(1 << (i - 1) for i in members) for k in range(2, n + 1) for members in combinations(range(1, n + 1), k))
+        gap = next(i for i, (mask, walked) in enumerate(zip(listed, walk)) if mask != walked)
+        whole = run(*args, whole=True)
+        *result, decoded = run(*args, decoded=True)
+        assert result == [*whole[:3], "batches"]
+        batches = decoded[0 if name.startswith("profile") else 1]
+        start = len(listed) - sum(batches)  # the first entry decoded
+        assert start <= gap < start + batches[0]
+        if size == 1:  # a batch a subset
+            assert start == gap
+        if size == 1 << 16:
+            assert start == 0
+
+    @pytest.mark.parametrize("size", [1, 97, 1 << 16])
+    @pytest.mark.parametrize("case", DENSE_EDITS)
+    def test_a_dense_file_edited_gives_the_whole_read(self, run, size, case):
+        # the walk reads the batches before the edit, and the batch that
+        # holds it goes to the decode, with the last subset walked
+        text = _dense_edit(case, size)
+        profile = picard.CurveProfile(10, 3, {mask: mask % 5 - 2 for mask in range(3, 1 << 10, 7) if mask.bit_count() >= 2})
+        whole = run(text, profile=profile, whole=True)
+        *result, (_, decoded) = run(text, size, profile, decoded=True)
+        assert result == [*whole[:3], DENSE_EDITS[case]]
+        if case == "escaped coefficient":  # a piece the walk decodes to "5"
+            assert decoded == []
 
     def test_only_the_support_is_kept(self, tmp_path):
         text = _written(ALL_SUBSETS)

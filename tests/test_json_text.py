@@ -296,6 +296,28 @@ class TestListingOfADict:
         assert sum(piece.count('"S"') for piece in pieces) == len(cls.boundary)
 
 
+class TestOneTemplate:
+    """The writer and the batch reader's walk share one entry template: the
+    text the writer gives a pullback that lists every subset splits, at the
+    reader's separators, into the walk's member texts and the coefficients'
+    texts."""
+
+    @pytest.mark.parametrize("m", [3, 4, 5])
+    def test_a_pullback_splits_into_the_walk(self, m):
+        cls = glue_pullback(DivisorClassMg(m + 1, Fraction(7, 2), -1, [Fraction(-3, 4)] * ((m + 1) // 2)), m)
+        text = json_text(cls)
+        layout = picard._LAYOUTS[0]
+        body = text[len(layout.head):text.rindex(layout.mid.decode())]
+        assert body.count(picard._BETWEEN.decode()) == len(cls.boundary) - 1
+        lines, sums = picard._walk(cls.n)
+        values: dict = {}
+        sums_read, coeffs = picard._walked(body, lines, sums, values)
+        masks = [total >> 1 for total in sums_read]
+        assert masks == sorted(cls.boundary, key=boundary_order)
+        assert [values[piece] for piece in coeffs] == [cls.boundary[mask] for mask in masks]
+        assert next(lines, None) is None  # every subset was listed
+
+
 class TestSerializersAreCalled:
     """``bench/layers.py`` times ``picard.m1n_class_to_json`` and
     ``picard.profile_to_json`` by replacing them on the module, and its

@@ -28,7 +28,6 @@ from effcone.picard import (
     mg_class_to_json,
     pair,
     permute_markings,
-    permute_mask,
     permute_profile,
     profile_from_json,
     profile_to_json,
@@ -40,6 +39,19 @@ from effcone.scalars import Poly, canon, scalar_to_json
 
 def d0(n, *members):
     return DivisorClassM1n(n, 0, {subset_mask(members, n): 1})
+
+
+def permute_mask(mask, sigma):
+    """Reference: the image of a subset mask under sigma (a sequence of the
+    images of 1..n), one bit at a time."""
+    out = 0
+    i = 1
+    while mask:
+        if mask & 1:
+            out |= 1 << (sigma[i - 1] - 1)
+        mask >>= 1
+        i += 1
+    return out
 
 
 class TestConstruction:
