@@ -520,11 +520,13 @@ def _read(path: str, parse, what: str, profile: picard.CurveProfile | None = Non
     A regular file in the writer's layout is first given to ``parse`` as
     the document of ``picard.batched_class``: its tail decoded, and its
     entries read in batches and, given the ``profile`` a class is paired
-    with, kept only at its support.  While the file lists every subset in
-    boundary order, as a pullback file does, a batch is compared as text
-    with the writer's text of the next subsets; from the first batch that
-    differs on, each batch is decoded and checked.  So a file of the other
-    kind is refused from its tail.  Any other file, or one whose entries
+    with, kept only at its support.  Each batch is cut at the writer's
+    entry separators and only its coefficients are decoded as JSON.  While
+    the file lists every subset in boundary order, as a pullback file does,
+    the member texts are compared with the writer's text of the next
+    subsets; from the first batch that differs on, each member's marking
+    lines are read as bits and checked.  A file of the other kind is
+    refused from its tail.  Any other file, or one whose entries
     fail a check (``picard.NotCanonical``), is decoded whole and read entry
     by entry, which words every error.
 

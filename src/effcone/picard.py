@@ -29,13 +29,12 @@ regular class or profile file in the writer's layout first and gives the
 document the whole read would give, but for a :class:`Batched` entry
 array: one code path reads every document's space and lambda value, and a
 file of the other kind is refused from its tail.  The readers read a
-``Batched`` array about ``_BATCH_BYTES`` at a time.  While it lists every
-subset in boundary order, as a pullback file does, a batch is compared as
-text with the writer's text of the next subsets, and only its coefficients
-are decoded.  From the first batch that differs on, each JSON integer k is
-decoded to the tag ``1 << k`` (``TAGS``): a subset's mask is the C-level
-``sum`` of its tags shifted right once, and bit 0 stays free for a ``true``
-to show; :func:`_checked_list` checks each batch at once.  A class paired
+``Batched`` array about ``_BATCH_BYTES`` at a time, and :func:`_split` cuts
+each batch at the writer's entry separators into member texts and
+coefficient pieces.  While the array lists every subset in boundary order,
+as a pullback file does, the member texts are compared with the writer's
+text of the next subsets; from the first batch that differs on, each
+member's marking lines are read as bits (``_LINE_BITS``).  A class paired
 with a profile keeps only the profile's support, so memory does not grow
 with the file.  Entries that fail a check raise :class:`NotCanonical`.
 Such a file, and any other document (a pipe, another layout, a genus-g class, a
@@ -578,45 +577,6 @@ def m1n_class_from_json(obj) -> DivisorClassM1n:
 # files read in batches
 
 
-# the tag each JSON integer of a class or profile file is decoded to:
-# marking k is 1 << k, so that bit 0 stays free; any other integer, 0 and 65
-# included, is a KeyError inside the decode
-TAGS = {str(k): 1 << k for k in range(1, MAX_MARKINGS + 1)}
-
-
-def _checked_list(entries: list, parsed: dict) -> tuple | None:
-    """``(sizes, sums, coeffs)`` of a batch of tagged entries whose
-    coefficients are all nonzero rational strings, as the writer writes
-    them, checked over the whole batch at once through C-level ``map``
-    pipelines; None for any other batch, or an exception.  A subset's tags
-    sum to twice its mask when it holds distinct markings and nothing else:
-    a ``false`` or a repeated marking leaves fewer bits than members, and a
-    float, a string, a list or a null makes ``sum`` or the bit count raise.
-    What a batch cannot show alone is left to :func:`_batched_boundary`: the
-    range and bit-0 checks of :func:`_in_range` on the OR of every batch's
-    sums, and the duplicates.  Each distinct coefficient string is parsed
-    once into ``parsed``, which the batches of one file share."""
-    lists = list(map(itemgetter("S"), entries))
-    coeffs = list(map(itemgetter("coeff"), entries))
-    new = set(coeffs).difference(parsed)
-    parsed.update(zip(new, map(parse_rat, new)))
-    sums = list(map(sum, lists))
-    sizes = list(map(len, lists))
-    if not (
-        all(map(parsed.__getitem__, new))
-        and min(sizes) >= 2
-        and list(map(int.bit_count, sums)) == sizes
-    ):
-        return None
-    return sizes, sums, coeffs
-
-
-def _in_range(bits: int, n: int) -> bool:
-    """Whether ``bits``, the OR of tagged subsets' sums, holds markings in
-    1..n alone: no tag past ``1 << n``, and no ``true`` in bit 0."""
-    return not bits >> (n + 1) and not bits & 1
-
-
 class _Layout(NamedTuple):
     """The writer's layout of a class or profile file: the key of its
     boundary entries and of its lambda value, the text before its first
@@ -633,6 +593,8 @@ class _Layout(NamedTuple):
 # an entry's ``_OPEN``, so it starts with ``_FIRST``, and ``_NEXT`` lies
 # between an entry's coefficient and the next entry's members
 _MARKING_LINES = tuple(f"        {i}" for i in range(MAX_MARKINGS + 1))
+# the bit of marking k's line; any other line is a KeyError in the reader
+_LINE_BITS = {_MARKING_LINES[k]: 1 << (k - 1) for k in range(1, MAX_MARKINGS + 1)}
 _ENTRY = '    {\n      "S": [\n%s\n      ],\n      "coeff": %s\n    }'
 _HEAD, _MIDDLE, _END = _ENTRY.split("%s")
 _OPEN = _HEAD[:_HEAD.index("\n")]
@@ -656,8 +618,8 @@ class NotCanonical(Exception):
 class Batched(NamedTuple):
     """The boundary entries of a class or profile file in the writer's
     layout, bytes ``start`` to ``end`` of ``path``, to be read in batches
-    keeping the masks in ``profile``'s support, or every mask when
-    ``profile`` is None."""
+    by :func:`_batched_boundary`, keeping the masks in ``profile``'s
+    support, or every mask when ``profile`` is None."""
 
     path: str
     start: int
@@ -703,60 +665,65 @@ def batched_class(path: str, profile: CurveProfile | None) -> dict | None:
 
 
 def _walk(n: int) -> tuple:
-    """Member texts and tag sums of the subsets of 1..n with two or more
+    """Member texts and masks of the subsets of 1..n with two or more
     markings, in boundary order, as two lazy iterators drawn in step."""
     sizes = range(2, n + 1)
     lines = chain.from_iterable(map(combinations, repeat(_MARKING_LINES[1:n + 1]), sizes))
-    tags = chain.from_iterable(map(combinations, repeat([1 << k for k in range(1, n + 1)]), sizes))
-    return map(",\n".join, lines), map(sum, tags)
+    bits = chain.from_iterable(map(combinations, repeat([1 << k for k in range(n)]), sizes))
+    return map(",\n".join, lines), map(sum, bits)
 
 
-def _walked(text: str, lines: Iterator[str], sums: Iterator[int], values: dict) -> tuple | None:
-    """``(sums, coeffs)`` of a batch ``text`` that is the writer's text of
-    the next subsets of a walk (:func:`_walk`) with coefficient pieces
-    ``coeffs`` that decode to nonzero rational strings, each distinct piece
-    once into ``values``; None for any other batch.  Only as many subsets
-    are drawn as the batch holds."""
+def _split(text: str, values: dict) -> tuple | None:
+    """``(members, coeffs)`` of a batch ``text`` of the writer's entries,
+    cut at ``_MIDDLE`` and ``_NEXT``: each entry's member text, its marking
+    lines joined by ``",\\n"``, and its coefficient piece.  Each distinct
+    piece is decoded once, by ``json.loads`` and ``parse_rat``, into
+    ``values``, which the batches of one file share, and must be nonzero.
+    None for any other text.  A raw line break cannot occur inside a JSON
+    string, so these separators, like the batch cut ``_BETWEEN``, lie only
+    between the parts of entries."""
     pieces = text.split(_MIDDLE)
-    count = len(pieces) - 1
-    first, last = pieces[0], pieces[-1]
-    parts = list(map(str.partition, pieces[1:-1], repeat(_NEXT)))
-    del pieces  # freed before the walk renders; the lazy compare frees each rendering
-    members = islice(lines, count)
-    same = first == _FIRST + next(members, "") and all(map(eq, map(itemgetter(2), parts), members))
-    if not (count and same):
+    del text  # its one reference: freed before the pieces are copied
+    first = pieces[0]
+    if len(pieces) < 2 or not first.startswith(_FIRST):
         return None
-    coeffs = [*map(itemgetter(0), parts), last]
+    parts = list(map(str.partition, pieces[1:-1], repeat(_NEXT)))
+    coeffs = [*map(itemgetter(0), parts), pieces[-1]]
+    members = [first[len(_FIRST):], *map(itemgetter(2), parts)]
+    del pieces, parts  # freed before the members are compared or decoded
     new = set(coeffs).difference(values)
     try:
         values.update(zip(new, map(parse_rat, map(json.loads, new))))
     except (ValueError, RecursionError):
         return None
-    if not all(map(values.__getitem__, new)):
-        return None
-    sums = list(islice(sums, count))
-    return (sums, coeffs) if len(sums) == count else None  # None when the walk ran out
+    return (members, coeffs) if all(map(values.__getitem__, new)) else None
+
+
+def _line_masks(members: list) -> list:
+    """The mask of each member text, the sum of its marking lines' bits in
+    ``_LINE_BITS``; a line the writer never writes raises ``KeyError``."""
+    lines = map(str.split, members, repeat(",\n"))
+    return list(map(sum, map(map, repeat(_LINE_BITS.__getitem__), lines)))
 
 
 def _batched_boundary(array: Batched, n: int) -> Dict[int, Scalar]:
     """The coefficients of ``array`` on n markings at its profile's support,
     or all of them.  Its entries are read a batch of about ``_BATCH_BYTES``
-    at a time, cut before an entry: a raw line break cannot occur inside a
-    JSON string, so ``_BETWEEN`` only ever lies between two entries.  While
-    the file has listed every subset of 1..n in boundary order, a batch is
-    read by :func:`_walked`.  The first batch it refuses drops the walk:
-    that batch and each later one are decoded to tags and checked by
-    :func:`_checked_list`, and :func:`_in_range` checks the OR of them once
-    the array ends.  The writer lists each subset once, in boundary order,
-    so subsets that rise strictly in that order, from one batch to the next
-    too, refuse a subset twice without holding every mask.  A file that
-    fails any of this raises :class:`NotCanonical`."""
+    at a time, cut before an entry at ``_BETWEEN``, and split by
+    :func:`_split`.  While the file has listed every subset of 1..n in
+    boundary order, the member texts must be the next texts of
+    :func:`_walk`, which gives their masks.  From the first batch that
+    differs on, or once the walk runs out, :func:`_line_masks` reads them
+    and their marking counts and bits are checked; the range is checked
+    once the array ends.  The writer lists each subset once, in boundary
+    order, so subsets that rise strictly in that order, from one batch to
+    the next too, refuse a subset twice without holding every mask.  A
+    file that fails any of this raises :class:`NotCanonical`."""
     keep = None if array.profile is None else array.profile.on_boundary.__contains__
     out: Dict[int, Scalar] = {}
-    parsed: dict = {}
     values: dict = {}
     walk = _walk(n)
-    bits = size = top = 0  # size and sum of the last entry read
+    bits = size = top = 0  # size and mask of the last entry read
     try:
         with open(array.path, "rb") as fh:
             fh.seek(array.start)
@@ -773,38 +740,36 @@ def _batched_boundary(array: Batched, n: int) -> Dict[int, Scalar]:
                     rest = block
                     continue
                 rest = block[cut + len(_BETWEEN):]
-                text = block[:cut].decode()
-                walked = walk and _walked(text, *walk, values)
-                if walked:
-                    sums, coeffs = walked
-                    coeff_values = values
-                else:
+                split = _split(block[:cut].decode(), values)
+                if split is None:
+                    raise NotCanonical
+                members, coeffs = split
+                count = len(coeffs)
+                masks = walk and list(islice(walk[1], count))
+                if not (walk and len(masks) == count and all(map(eq, members, islice(walk[0], count)))):
                     walk = None
-                    entries = json.loads("[{" + text + "}]", parse_int=TAGS.__getitem__)
-                    checked = _checked_list(entries, parsed)
-                    if checked is None:
-                        raise NotCanonical
-                    sizes, sums, coeffs = checked
+                    masks = _line_masks(members)
+                    sizes = list(map((1).__add__, map(str.count, members, repeat(",\n"))))
                     # each entry against the one before: no size falls, and
                     # of two subsets of one size the earlier holds the lowest
                     # marking that lies in one of them alone
-                    z, s = [size, *sizes], [top, *sums]
-                    x = list(map(xor, s, sums))
+                    z, s = [size, *sizes], [top, *masks]
+                    x = list(map(xor, s, masks))
                     if not (
-                        all(map(le, z, sizes))
+                        min(sizes) >= 2
+                        and list(map(int.bit_count, masks)) == sizes
+                        and all(map(le, z, sizes))
                         and all(map(or_, map(lt, z, sizes), map(and_, map(and_, x, map(neg, x)), s)))
                     ):
                         raise NotCanonical
-                    bits |= reduce(or_, sums)
-                    coeff_values = parsed
-                top = sums[-1]
+                    bits |= reduce(or_, masks)
+                top = masks[-1]
                 size = top.bit_count()
-                masks = list(map(rshift, sums, repeat(1)))
-                pairs = zip(masks, map(coeff_values.__getitem__, coeffs))
+                pairs = zip(masks, map(values.__getitem__, coeffs))
                 out.update(pairs if keep is None else compress(pairs, map(keep, masks)))
-    except (OSError, KeyError, TypeError, ValueError, RecursionError) as exc:
+    except (OSError, KeyError, ValueError) as exc:
         raise NotCanonical from exc
-    if not (size and _in_range(bits, n)):  # no entry at all, or one out of range
+    if not size or bits >> n:  # no entry at all, or a marking past n
         raise NotCanonical
     return out
 

@@ -18,15 +18,25 @@ by none of them, or its tests cannot be run.
 
 Left out, as equivalent mutants:
 
-- A string gate on the batch reader's coefficients.  ``_checked_list``
-  has none to remove: a polynomial (a list) fails ``set()`` and any other
-  non-string, a tag included, fails ``parse_rat``, so both already send the
-  file to the whole read and its entry loop, and a gate added or dropped
-  changes no result.
-- A string gate on the walk's coefficient pieces.  A piece that decodes
-  to anything but a string fails ``parse_rat``, which drops the walk, so
-  only the nonzero gate (``walk: zero coefficient pieces accepted``) can
-  be removed.
+- A string gate on the batch reader's coefficients.  ``_split`` has none
+  to remove: each piece is decoded by ``json.loads`` and then
+  ``parse_rat``, which refuses anything but a rational string, so a
+  polynomial or any other value already sends the file to the whole read
+  and its entry loop, and only the nonzero gate (``reader: zero
+  coefficients kept on the bulk path``) can be removed.
+
+Retired:
+
+- ``reader: no marking-type check`` and ``reader: range shift n in place
+  of n + 1``.  The batch reader no longer decodes markings as JSON
+  integers: each marking line is looked up in ``_LINE_BITS``, which holds
+  the lines of 1..64 alone, so no line decodes to bit 0 and no tag shift
+  is left to get wrong; a ``true``, a float or a 0 is a line the writer
+  never writes, and a ``KeyError``.
+- ``walk: zero coefficient pieces accepted`` and ``batched reader: no
+  range check at the end of the array``.  The walk and the line-by-line
+  read now share one nonzero gate and one range check, so each is one
+  mutant above, naming the tests of both.
 """
 
 from __future__ import annotations
@@ -52,43 +62,40 @@ class Mutant(NamedTuple):
 
 MUTANTS = (
     Mutant(
+        # the one range check, once the array ends
         "reader: no range check",
         "picard.py",
-        "not bits >> (n + 1) and ",
-        "",
+        "    if not size or bits >> n:",
+        "    if not size:",
         (
             "tests/test_inputs.py::TestBulkReader::test_same_error[marking past n]",
             "tests/test_inputs.py::TestTagExactness::test_every_reader_fault[marking past n]",
+            "tests/test_inputs.py::TestBatchedReader::test_a_marking_past_n_in_the_last_entry",
         ),
     ),
     Mutant(
-        "reader: range shift n in place of n + 1",
+        "reader: range check one marking too wide",
         "picard.py",
-        "not bits >> (n + 1)",
-        "not bits >> n",
-        (
-            # files that leave out a subset, so that the walk does not
-            # read them and the range check runs
-            "tests/test_inputs.py::TestReaderGuards::test_exported_files_take_the_bulk_check[pullback-trigonal]",
-            "tests/test_inputs.py::TestReaderGuards::test_a_profile_file_takes_the_bulk_check",
-        ),
+        " or bits >> n:",
+        " or bits >> (n + 1):",
+        ("tests/test_inputs.py::TestBatchedReader::test_a_marking_past_n_in_the_last_entry",),
     ),
     Mutant(
         "reader: one-marking subsets pass the size check",
         "picard.py",
-        "        and min(sizes) >= 2\n",
-        "        and min(sizes) >= 1\n",
+        "                        min(sizes) >= 2\n",
+        "                        min(sizes) >= 1\n",
         (
             "tests/test_inputs.py::TestBulkReader::test_same_error[one marking]",
             "tests/test_inputs.py::TestTagExactness::test_every_reader_fault[one marking]",
         ),
     ),
     Mutant(
-        # the bit-count check: a false or a repeated marking leaves fewer
-        # bits than members
+        # the bit-count check: a repeated marking leaves fewer bits than
+        # marking lines
         "reader: no repeated-marking check",
         "picard.py",
-        "        and list(map(int.bit_count, sums)) == sizes\n",
+        "                        and list(map(int.bit_count, masks)) == sizes\n",
         "",
         (
             "tests/test_inputs.py::TestBulkReader::test_same_error[repeated marking]",
@@ -96,24 +103,16 @@ MUTANTS = (
         ),
     ),
     Mutant(
-        # the bit-0 check: a true marking sets bit 0
-        "reader: no marking-type check",
-        "picard.py",
-        " and not bits & 1",
-        "",
-        (
-            "tests/test_inputs.py::TestBulkReader::test_same_error[bool marking first]",
-            "tests/test_inputs.py::TestTagExactness::test_every_reader_fault[bool marking first]",
-        ),
-    ),
-    Mutant(
+        # the one nonzero gate, which the walk and the line-by-line read share
         "reader: zero coefficients kept on the bulk path",
         "picard.py",
-        "        all(map(parsed.__getitem__, new))\n        and ",
-        "        ",
+        "(members, coeffs) if all(map(values.__getitem__, new)) else None",
+        "(members, coeffs)",
         (
             "tests/test_inputs.py::TestBulkReader::test_a_zero_string_goes_through_the_entry_loop",
             "tests/test_inputs.py::TestBulkReader::test_same_dict_in_the_same_order",
+            "tests/test_inputs.py::TestBatchedReader::test_a_dense_file_edited_gives_the_whole_read[zero coefficient-1]",
+            "tests/test_inputs.py::TestBatchedReader::test_a_dense_file_edited_gives_the_whole_read[zero coefficient-65536]",
         ),
     ),
     Mutant(
@@ -121,8 +120,8 @@ MUTANTS = (
         # entry of the batch before
         "batched reader: no duplicate check across batches",
         "picard.py",
-        "                z, s = [size, *sizes], [top, *sums]\n",
-        "                z, s = [0, *sizes], [0, *sums]\n",
+        "                    z, s = [size, *sizes], [top, *masks]\n",
+        "                    z, s = [0, *sizes], [0, *masks]\n",
         (
             "tests/test_inputs.py::TestBatchedReader::test_a_subset_twice_across_batches[0-1]",
             "tests/test_inputs.py::TestBatchedReader::test_a_subset_twice_across_batches[245-1]",
@@ -132,29 +131,12 @@ MUTANTS = (
         # a batch of any text is taken for the next subsets of the walk
         "walk: no comparison with the writer's text",
         "picard.py",
-        'first == _FIRST + next(members, "") and all(map(eq, map(itemgetter(2), parts), members))',
+        "all(map(eq, members, islice(walk[0], count)))",
         "True",
         (
             "tests/test_inputs.py::TestBatchedReader::test_a_dense_file_edited_gives_the_whole_read[marking past n-97]",
             "tests/test_inputs.py::TestBatchedReader::test_the_walk_ends_at_the_first_batch_that_differs[pullback-trigonal-65536]",
         ),
-    ),
-    Mutant(
-        "walk: zero coefficient pieces accepted",
-        "picard.py",
-        "    if not all(map(values.__getitem__, new)):\n        return None\n",
-        "",
-        (
-            "tests/test_inputs.py::TestBatchedReader::test_a_dense_file_edited_gives_the_whole_read[zero coefficient-1]",
-            "tests/test_inputs.py::TestBatchedReader::test_a_dense_file_edited_gives_the_whole_read[zero coefficient-65536]",
-        ),
-    ),
-    Mutant(
-        "batched reader: no range check at the end of the array",
-        "picard.py",
-        "    if not (size and _in_range(bits, n)):",
-        "    if not size:",
-        ("tests/test_inputs.py::TestBatchedReader::test_a_marking_past_n_in_the_last_entry",),
     ),
     Mutant(
         # every file is taken for a class file: a renamed array key is read

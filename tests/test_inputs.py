@@ -1003,11 +1003,18 @@ def _dense_edit(case, size):
         del entries[at]
     elif case == "subset repeated":
         entries.insert(at, entries[at])
+    elif case == "marking re-indented":  # the entry's line of marking 5
+        entries[at]["coeff"] = "12345"
+        head, tail = _written(entries, 10).split('"12345"')
+        line = head.rindex("\n        5") + 1
+        return head[:line] + " " + head[line:] + '"12345"' + tail
     elif case.startswith("marking"):  # one marking line edited
         past = case == "marking past n"
         entries[at]["S"] = [(11 if past else 9) if i == 5 else i for i in entries[at]["S"]]
     elif case == "polynomial coefficient":
         entries[at]["coeff"] = ["1", "-2"]
+    elif case == "extra key in an entry":
+        entries[at]["x"] = 1
     else:  # a coefficient piece the writer never writes
         entries[at]["coeff"] = "12345"
         piece = '"0"' if case == "zero coefficient" else '"\\u0035"'
@@ -1027,6 +1034,8 @@ DENSE_EDITS = {
     "marking moved": "batches then whole",
     "zero coefficient": "batches then whole",
     "polynomial coefficient": "batches then whole",
+    "marking re-indented": "batches then whole",
+    "extra key in an entry": "batches then whole",
 }
 
 
@@ -1043,9 +1052,9 @@ class TestBatchedReader:
         ``text``, in batches of ``size`` bytes or, with ``whole``, read
         whole; give the exit code, the output, the error and how the class
         file was read: in ``batches``, ``whole``, or both in turn.  With
-        ``decoded``, add the entry counts of the batches that the profile
-        file and the class file each had decoded and checked by
-        ``picard._checked_list``, not read by the walk."""
+        ``decoded``, add the entry counts of the batches whose members the
+        profile file and the class file each had read line by line by
+        ``picard._line_masks``, not read by the walk."""
         prof, cls = tmp_path / "prof.json", tmp_path / "cls.json"
         default = picard.CurveProfile(8, 3, {mask: 1 for mask in range(3, 256, 5) if mask.bit_count() >= 2})
 
@@ -1055,12 +1064,12 @@ class TestBatchedReader:
             calls = mock.Mock()  # its mock_calls keep the order of both kinds
             batches = mock.Mock(wraps=picard._batched_boundary)  # the profile file's too
             calls.attach_mock(batches, "batches")
-            calls.attach_mock(mock.Mock(wraps=picard._checked_list), "checked")
+            calls.attach_mock(mock.Mock(wraps=picard._line_masks), "lines")
             texts = mock.Mock(wraps=cli._text)
             with monkeypatch.context() as patch:
                 patch.setattr(picard, "_BATCH_BYTES", size)
                 patch.setattr(picard, "_batched_boundary", batches)
-                patch.setattr(picard, "_checked_list", calls.checked)
+                patch.setattr(picard, "_line_masks", calls.lines)
                 patch.setattr(cli, "_text", texts)
                 if whole:
                     patch.setattr(picard, "batched_class", mock.Mock(return_value=None))
@@ -1127,7 +1136,7 @@ class TestBatchedReader:
     @pytest.mark.parametrize("case", DENSE_EDITS)
     def test_a_dense_file_edited_gives_the_whole_read(self, run, size, case):
         # the walk reads the batches before the edit, and the batch that
-        # holds it goes to the decode, with the last subset walked
+        # holds it is read line by line, after the last subset walked
         text = _dense_edit(case, size)
         profile = picard.CurveProfile(10, 3, {mask: mask % 5 - 2 for mask in range(3, 1 << 10, 7) if mask.bit_count() >= 2})
         whole = run(text, profile=profile, whole=True)

@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import rationals
-from effcone import gluing, picard
+from effcone import corpus, gluing, picard
 from effcone.cli import _EXPORTERS, main
 from effcone.gluing import ForgetfulBoundary, GluedBoundary, forget_pullback, glue_pullback
 from effcone.picard import (
@@ -297,25 +297,38 @@ class TestListingOfADict:
 
 
 class TestOneTemplate:
-    """The writer and the batch reader's walk share one entry template: the
-    text the writer gives a pullback that lists every subset splits, at the
-    reader's separators, into the walk's member texts and the coefficients'
-    texts."""
+    """The writer and the batch reader share one entry template: the text
+    the writer gives a class or profile splits, at the reader's separators,
+    into member texts and the coefficients' texts, and the member texts of
+    a pullback that lists every subset are the walk's."""
+
+    @staticmethod
+    def _split(item, layout):
+        """The member texts and the decoded coefficients of the entries the
+        writer writes for ``item`` in ``layout``, one of each an entry."""
+        text = json_text(item)
+        body = text[len(layout.head):text.rindex(layout.mid.decode())]
+        values: dict = {}
+        members, coeffs = picard._split(body, values)
+        assert len(members) == body.count(picard._BETWEEN.decode()) + 1
+        return members, [values[piece] for piece in coeffs]
 
     @pytest.mark.parametrize("m", [3, 4, 5])
     def test_a_pullback_splits_into_the_walk(self, m):
         cls = glue_pullback(DivisorClassMg(m + 1, Fraction(7, 2), -1, [Fraction(-3, 4)] * ((m + 1) // 2)), m)
-        text = json_text(cls)
-        layout = picard._LAYOUTS[0]
-        body = text[len(layout.head):text.rindex(layout.mid.decode())]
-        assert body.count(picard._BETWEEN.decode()) == len(cls.boundary) - 1
-        lines, sums = picard._walk(cls.n)
-        values: dict = {}
-        sums_read, coeffs = picard._walked(body, lines, sums, values)
-        masks = [total >> 1 for total in sums_read]
+        members, coeffs = self._split(cls, picard._LAYOUTS[0])
+        texts, masks = picard._walk(cls.n)
+        assert members == list(texts)  # every subset was listed
+        masks = list(masks)
         assert masks == sorted(cls.boundary, key=boundary_order)
-        assert [values[piece] for piece in coeffs] == [cls.boundary[mask] for mask in masks]
-        assert next(lines, None) is None  # every subset was listed
+        assert coeffs == [cls.boundary[mask] for mask in masks]
+
+    def test_a_sparse_profile_splits_into_its_marking_lines(self):
+        profile = corpus.profile("gonal", 4)
+        members, coeffs = self._split(profile, picard._LAYOUTS[1])
+        masks = picard._line_masks(members)
+        assert masks == sorted(profile.on_boundary, key=boundary_order)
+        assert coeffs == [profile.on_boundary[mask] for mask in masks]
 
 
 class TestSerializersAreCalled:
