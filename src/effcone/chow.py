@@ -26,6 +26,7 @@ top form and every relation among degree-2 classes follows from it.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from typing import List, NamedTuple, Tuple
 
 from .scalars import A, Poly, Rat, Scalar, canon
@@ -172,14 +173,9 @@ class TopForm:
         return self.table[i][j][k]
 
 
-_FORM: TopForm | None = None
-
-
+@cache
 def top_form() -> TopForm:
-    global _FORM
-    if _FORM is None:
-        _FORM = TopForm()
-    return _FORM
+    return TopForm()
 
 
 def triple(x: ChowDeg1, y: ChowDeg1, z: ChowDeg1) -> Scalar:

@@ -518,17 +518,12 @@ def _read(path: str, parse, what: str, profile: picard.CurveProfile | None = Non
     space mismatch with ``profile`` is passed on as it is.
 
     A regular file in the writer's layout is first given to ``parse`` as
-    the document of ``picard.batched_class``: its tail decoded, and its
-    entries read in batches and, given the ``profile`` a class is paired
-    with, kept only at its support.  Each batch is cut at the writer's
-    entry separators and only its coefficients are decoded as JSON.  While
-    the file lists every subset in boundary order, as a pullback file does,
-    the member texts are compared with the writer's text of the next
-    subsets; from the first batch that differs on, each member's marking
-    lines are read as bits and checked.  A file of the other kind is
-    refused from its tail.  Any other file, or one whose entries
-    fail a check (``picard.NotCanonical``), is decoded whole and read entry
-    by entry, which words every error.
+    the document of ``picard.batched_class``, whose entries are read in
+    batches and, given the ``profile`` a class is paired with, kept only at
+    its support (the batch reader is described in :mod:`effcone.picard`).
+    A file of the other kind is refused from its tail.  Any other file, or
+    one the batch reader refuses (``picard.NotCanonical``), is decoded
+    whole and read entry by entry, which words every error.
 
     The text is freed as soon as it is decoded, before ``parse`` runs: on
     a large file it is as large as the parse's own working set.  The cycle

@@ -21,8 +21,9 @@ lists itself in that order (``runs``, the gluing pullback) is walked, never
 sorted; any other mapping is sorted once and its equal neighbours grouped.
 One writer, :func:`write_json`, takes a class or profile and streams the
 canonical indented, sorted-key JSON text from those runs a bounded piece at
-a time, building no entry dict; :func:`json_text` is the same text as one
-string.
+a time, building no entry dict, in the frame given by :data:`_LAYOUTS`,
+the one table of the file layout, which the batch reader looks for too;
+:func:`json_text` is the same text as one string.
 
 Files have one bulk path.  :func:`batched_class` reads the tail of a
 regular class or profile file in the writer's layout first and gives the
@@ -36,11 +37,12 @@ as a pullback file does, the member texts are compared with the writer's
 text of the next subsets; from the first batch that differs on, each
 member's marking lines are read as bits (``_LINE_BITS``).  A class paired
 with a profile keeps only the profile's support, so memory does not grow
-with the file.  Entries that fail a check raise :class:`NotCanonical`.
-Such a file, and any other document (a pipe, another layout, a genus-g class, a
-plain object passed in-process), is decoded by plain ``json.loads`` and
-read entry by entry through :func:`_boundary_entries`, the one place that
-words an entry's error.
+with the file.  Entries that fail a check or do not decode raise
+:class:`NotCanonical`, the batch reader's one refusal.  Such a file, and
+any other document (a pipe, another layout, a genus-g class, a plain
+object passed in-process), is decoded by plain ``json.loads`` and read
+entry by entry through :func:`_boundary_entries`, the one place that words
+an entry's error.
 """
 
 from __future__ import annotations
@@ -57,9 +59,10 @@ from typing import Callable, Dict, Iterable, Iterator, Mapping, NamedTuple, Sequ
 from .scalars import Scalar, canon, parse_rat, scalar_from_json, scalar_to_json
 
 MAX_MARKINGS = 64
-# most boundary entries a view may list or a file may hold: a pullback to 2m
-# markings has at most 2^20 - 21 of them at m = 10, and 2^22 - 23 at m = 11
-# when its delta_irr coefficient is nonzero
+# most boundary entries a listing of a view, a written file or a built
+# profile may hold (a file read is not counted): a pullback to 2m markings
+# has at most 2^20 - 21 of them at m = 10, and 2^22 - 23 at m = 11 when its
+# delta_irr coefficient is nonzero
 EXPORT_BUDGET = 1 << 21
 
 
@@ -578,31 +581,32 @@ def m1n_class_from_json(obj) -> DivisorClassM1n:
 
 
 class _Layout(NamedTuple):
-    """The writer's layout of a class or profile file: the key of its
-    boundary entries and of its lambda value, the text before its first
-    entry, and the text between its last entry and its lambda value."""
+    """The layout of a class or profile file that the writer writes and the
+    batch reader looks for: the key of its boundary entries and of its
+    lambda value, the text before its first entry's ``_FIRST``, and the
+    text between its last entry's coefficient and its lambda value."""
 
     key: str
     lam_key: str
-    head: bytes
-    mid: bytes
+    head: str
+    mid: str
 
 
 # marking lines and entry template of the text json.dumps(indent=2) gives a
-# boundary entry, for the writer and the batch reader: a batch is cut after
-# an entry's ``_OPEN``, so it starts with ``_FIRST``, and ``_NEXT`` lies
-# between an entry's coefficient and the next entry's members
+# boundary entry, for the writer and the batch reader: an entry is written
+# from ``_FIRST`` to its coefficient, ``_BETWEEN`` lies between two pieces
+# and ``_NEXT`` between two entries of one; a batch is cut at a ``_BETWEEN``
 _MARKING_LINES = tuple(f"        {i}" for i in range(MAX_MARKINGS + 1))
 # the bit of marking k's line; any other line is a KeyError in the reader
 _LINE_BITS = {_MARKING_LINES[k]: 1 << (k - 1) for k in range(1, MAX_MARKINGS + 1)}
 _ENTRY = '    {\n      "S": [\n%s\n      ],\n      "coeff": %s\n    }'
 _HEAD, _MIDDLE, _END = _ENTRY.split("%s")
 _OPEN = _HEAD[:_HEAD.index("\n")]
-_FIRST, _NEXT = _HEAD[len(_OPEN):], _END + ",\n" + _HEAD
-_BETWEEN = (_END + ",\n" + _OPEN).encode()
+_FIRST, _BETWEEN = _HEAD[len(_OPEN):], _END + ",\n" + _OPEN
+_NEXT = _BETWEEN + _FIRST
 
 _LAYOUTS = tuple(
-    _Layout(key, lam_key, f'{{\n  "{key}": [\n{_OPEN}'.encode(), f'{_END}\n  ],\n  "{lam_key}": '.encode())
+    _Layout(key, lam_key, f'{{\n  "{key}": [\n{_OPEN}', f'{_END}\n  ],\n  "{lam_key}": ')
     for key, lam_key in (("boundary", "lambda"), ("on_boundary", "on_lambda"))
 )
 _BATCH_BYTES = 1 << 16
@@ -640,7 +644,7 @@ def batched_class(path: str, profile: CurveProfile | None) -> dict | None:
             return None  # a pipe cannot be read twice
         with open(path, "rb") as fh:
             head = fh.read(max(len(layout.head) for layout in _LAYOUTS))
-            layout = next((layout for layout in _LAYOUTS if head.startswith(layout.head)), None)
+            layout = next((layout for layout in _LAYOUTS if head.startswith(layout.head.encode())), None)
             if layout is None:
                 return None
             size = fh.seek(0, os.SEEK_END)
@@ -648,7 +652,7 @@ def batched_class(path: str, profile: CurveProfile | None) -> dict | None:
             tail = fh.read()
     except OSError:
         return None
-    mid = tail.rfind(layout.mid)
+    mid = tail.rfind(layout.mid.encode())
     if mid < 0:
         return None
     lam_key = layout.lam_key
@@ -673,30 +677,30 @@ def _walk(n: int) -> tuple:
     return map(",\n".join, lines), map(sum, bits)
 
 
-def _split(text: str, values: dict) -> tuple | None:
+def _split(text: str, values: dict) -> tuple:
     """``(members, coeffs)`` of a batch ``text`` of the writer's entries,
     cut at ``_MIDDLE`` and ``_NEXT``: each entry's member text, its marking
     lines joined by ``",\\n"``, and its coefficient piece.  Each distinct
     piece is decoded once, by ``json.loads`` and ``parse_rat``, into
-    ``values``, which the batches of one file share, and must be nonzero.
-    None for any other text.  A raw line break cannot occur inside a JSON
-    string, so these separators, like the batch cut ``_BETWEEN``, lie only
-    between the parts of entries."""
+    ``values``, which the batches of one file share; their errors are
+    passed on.  Text that does not start with ``_FIRST``, holds no
+    coefficient or holds a zero one raises :class:`NotCanonical`.  A raw
+    line break cannot occur inside a JSON string, so these separators, like
+    the batch cut ``_BETWEEN``, lie only between the parts of entries."""
     pieces = text.split(_MIDDLE)
     del text  # its one reference: freed before the pieces are copied
     first = pieces[0]
     if len(pieces) < 2 or not first.startswith(_FIRST):
-        return None
+        raise NotCanonical
     parts = list(map(str.partition, pieces[1:-1], repeat(_NEXT)))
     coeffs = [*map(itemgetter(0), parts), pieces[-1]]
     members = [first[len(_FIRST):], *map(itemgetter(2), parts)]
     del pieces, parts  # freed before the members are compared or decoded
     new = set(coeffs).difference(values)
-    try:
-        values.update(zip(new, map(parse_rat, map(json.loads, new))))
-    except (ValueError, RecursionError):
-        return None
-    return (members, coeffs) if all(map(values.__getitem__, new)) else None
+    values.update(zip(new, map(parse_rat, map(json.loads, new))))
+    if not all(map(values.__getitem__, new)):
+        raise NotCanonical
+    return members, coeffs
 
 
 def _line_masks(members: list) -> list:
@@ -718,12 +722,14 @@ def _batched_boundary(array: Batched, n: int) -> Dict[int, Scalar]:
     once the array ends.  The writer lists each subset once, in boundary
     order, so subsets that rise strictly in that order, from one batch to
     the next too, refuse a subset twice without holding every mask.  A
-    file that fails any of this raises :class:`NotCanonical`."""
+    file that fails any of this, or whose text or coefficients do not
+    decode, raises :class:`NotCanonical`."""
     keep = None if array.profile is None else array.profile.on_boundary.__contains__
     out: Dict[int, Scalar] = {}
     values: dict = {}
     walk = _walk(n)
     bits = size = top = 0  # size and mask of the last entry read
+    between = _BETWEEN.encode()
     try:
         with open(array.path, "rb") as fh:
             fh.seek(array.start)
@@ -735,15 +741,12 @@ def _batched_boundary(array: Batched, n: int) -> Dict[int, Scalar]:
                     raise NotCanonical  # the file shrank since its tail was read
                 left -= len(read)
                 block = rest + read
-                cut = block.rfind(_BETWEEN) if left else len(block)
+                cut = block.rfind(between) if left else len(block)
                 if cut < 0:
                     rest = block
                     continue
-                rest = block[cut + len(_BETWEEN):]
-                split = _split(block[:cut].decode(), values)
-                if split is None:
-                    raise NotCanonical
-                members, coeffs = split
+                rest = block[cut + len(between):]
+                members, coeffs = _split(block[:cut].decode(), values)
                 count = len(coeffs)
                 masks = walk and list(islice(walk[1], count))
                 if not (walk and len(masks) == count and all(map(eq, members, islice(walk[0], count)))):
@@ -767,7 +770,7 @@ def _batched_boundary(array: Batched, n: int) -> Dict[int, Scalar]:
                 size = top.bit_count()
                 pairs = zip(masks, map(values.__getitem__, coeffs))
                 out.update(pairs if keep is None else compress(pairs, map(keep, masks)))
-    except (OSError, KeyError, ValueError) as exc:
+    except (OSError, KeyError, ValueError, RecursionError) as exc:
         raise NotCanonical from exc
     if not size or bits >> n:  # no entry at all, or a marking past n
         raise NotCanonical
@@ -810,20 +813,21 @@ _CHUNK_ENTRIES = 512
 
 def _entry_pieces(mapping: Mapping[int, Scalar]) -> Iterator[str]:
     """The rendered boundary entries of a mapping in pieces of at most
-    ``_CHUNK_ENTRIES`` entries, to be joined by ``",\\n"``, rendered a run of
-    :func:`_runs` at a time: the entries of a run share their coefficient,
-    so the text between two member lists is one constant and a piece is one
-    ``join``.  Each distinct coefficient is encoded once."""
+    ``_CHUNK_ENTRIES`` entries, each from ``_FIRST`` to its last coefficient,
+    rendered a run of :func:`_runs` at a time: the entries of a run share
+    their coefficient, so they are joined by one constant, ``_MIDDLE``, the
+    coefficient's text and ``_NEXT``, and a piece is one ``join``.  Each
+    distinct coefficient is encoded once."""
     texts: dict = {}
     for value, members in _runs(mapping, _MARKING_LINES):
         text = texts.get(value)
         if text is None:
             # the coefficient's text, indented to its place inside an entry
             text = texts[value] = json.dumps(scalar_to_json(value), indent=2).replace("\n", "\n      ")
-        tail = _MIDDLE + text + _END
-        between = tail + ",\n" + _HEAD
+        coeff = _MIDDLE + text
+        between = coeff + _NEXT
         while piece := between.join(map(",\n".join, islice(members, _CHUNK_ENTRIES))):
-            yield _HEAD + piece + tail
+            yield _FIRST + piece + coeff
 
 
 def write_json(item, write: Callable[[str], object]) -> None:
@@ -831,18 +835,20 @@ def write_json(item, write: Callable[[str], object]) -> None:
     for a class or profile ``item``, X its kind, through ``write``, byte for
     byte, a piece of at most ``_CHUNK_ENTRIES`` boundary entries at a time,
     so that memory does not grow with the entry count.  ``indent`` makes
-    ``json.dumps`` use its pure-Python encoder, so the boundary entries are
-    rendered here from their runs instead.  The rest of the text is that of
-    ``X_to_json`` on the item with an empty boundary, through ``json.dumps``;
-    a genus-g class, which has no boundary entries, goes through it whole."""
+    ``json.dumps`` use its pure-Python encoder, so the entries are rendered
+    here from their runs instead, framed by the kind's layout in
+    :data:`_LAYOUTS`: its ``head``, the pieces joined by ``_BETWEEN``, its
+    ``mid``, and the text after the lambda key of ``X_to_json`` on the item
+    with an empty boundary, which is the whole text when there is no entry.
+    A genus-g class, which has no boundary entries, is dumped whole."""
     if type(item) is DivisorClassMg:
         write(json.dumps(mg_class_to_json(item), indent=2, sort_keys=True) + "\n")
         return
     if type(item) is CurveProfile:
-        key, mapping = "on_boundary", item.on_boundary
+        layout, mapping = _LAYOUTS[1], item.on_boundary
         obj = profile_to_json(CurveProfile._trusted(item.n, item.on_lambda, {}))
     else:
-        key, mapping = "boundary", item.boundary
+        layout, mapping = _LAYOUTS[0], item.boundary
         obj = m1n_class_to_json(DivisorClassM1n._trusted(item.n, item.lam, {}))
     text = json.dumps(obj, indent=2, sort_keys=True)
     pieces = _entry_pieces(mapping)
@@ -850,16 +856,14 @@ def write_json(item, write: Callable[[str], object]) -> None:
     if first is None:
         write(text + "\n")
         return
-    # a line break followed by two spaces and a quoted key only starts a
-    # top-level key: strings never hold a raw line break
-    marker = f'\n  "{key}": '
-    head, _, tail = text.partition(marker + "[]")
-    write(head + marker + "[\n")
+    write(layout.head)
     write(first)
     for piece in pieces:
-        write(",\n")
+        write(_BETWEEN)
         write(piece)
-    write("\n  ]" + tail + "\n")
+    # a line break followed by two spaces and a quoted key only starts a
+    # top-level key: strings never hold a raw line break
+    write(layout.mid + text.partition(f'\n  "{layout.lam_key}": ')[2] + "\n")
 
 
 def json_text(item) -> str:

@@ -106,8 +106,8 @@ MUTANTS = (
         # the one nonzero gate, which the walk and the line-by-line read share
         "reader: zero coefficients kept on the bulk path",
         "picard.py",
-        "(members, coeffs) if all(map(values.__getitem__, new)) else None",
-        "(members, coeffs)",
+        "    if not all(map(values.__getitem__, new)):\n        raise NotCanonical\n",
+        "",
         (
             "tests/test_inputs.py::TestBulkReader::test_a_zero_string_goes_through_the_entry_loop",
             "tests/test_inputs.py::TestBulkReader::test_same_dict_in_the_same_order",
@@ -143,9 +143,20 @@ MUTANTS = (
         # as the boundary
         "batched reader: any head batched",
         "picard.py",
-        " for layout in _LAYOUTS if head.startswith(layout.head)), None)",
+        " for layout in _LAYOUTS if head.startswith(layout.head.encode())), None)",
         " for layout in _LAYOUTS), None)",
         ("tests/test_inputs.py::TestBatchedReader::test_another_layout_is_read_whole[renamed array key]",),
+    ),
+    Mutant(
+        # the pieces no longer close and open their entries' braces
+        'writer: pieces joined by "," and a line break instead of _BETWEEN',
+        "picard.py",
+        "        write(_BETWEEN)\n",
+        '        write(",\\n")\n',
+        (
+            "tests/test_json_text.py::TestGluedViewWriter::test_every_piece_boundary[0]",
+            "tests/test_json_text.py::TestListingOfADict::test_every_piece_boundary[dict]",
+        ),
     ),
     Mutant(
         "batched reader: profile files read whole",

@@ -970,7 +970,7 @@ def _every_subset(n):
 ALL_SUBSETS = _every_subset(8)
 # a dense file of 1,013 entries, about 110 KB: more than one 64 KiB batch
 DENSE = _every_subset(10)
-BETWEEN = picard._BETWEEN.decode()
+BETWEEN = picard._BETWEEN
 
 
 def _gap_at_the_first_cut(entries, n, size):
@@ -979,7 +979,7 @@ def _gap_at_the_first_cut(entries, n, size):
     first batch ends with the subset before the gap: reads of ``size``
     bytes until one holds a separator, cut at the last separator."""
     text = _written(entries, n)
-    head, mid = len(picard._LAYOUTS[0].head), text.rindex(picard._LAYOUTS[0].mid.decode())
+    head, mid = len(picard._LAYOUTS[0].head), text.rindex(picard._LAYOUTS[0].mid)
     body = text[head:mid].split(BETWEEN)
     for gap in range(1, len(body)):
         kept = BETWEEN.join(body[:gap] + body[gap + 1:])

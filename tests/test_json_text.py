@@ -307,10 +307,10 @@ class TestOneTemplate:
         """The member texts and the decoded coefficients of the entries the
         writer writes for ``item`` in ``layout``, one of each an entry."""
         text = json_text(item)
-        body = text[len(layout.head):text.rindex(layout.mid.decode())]
+        body = text[len(layout.head):text.rindex(layout.mid)]
         values: dict = {}
         members, coeffs = picard._split(body, values)
-        assert len(members) == body.count(picard._BETWEEN.decode()) + 1
+        assert len(members) == body.count(picard._BETWEEN) + 1
         return members, [values[piece] for piece in coeffs]
 
     @pytest.mark.parametrize("m", [3, 4, 5])

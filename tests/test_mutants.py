@@ -1,5 +1,6 @@
 """The mutant catalogue (``tests/mutants.py``) stays applicable: each snippet
-occurs exactly once in its file, and each mutant names tests that exist."""
+occurs exactly once in its file, each mutant's source still parses, and
+each mutant names tests that exist."""
 
 import ast
 from pathlib import Path
@@ -36,6 +37,14 @@ def test_each_snippet_occurs_once(mutant):
     source = (PACKAGE / mutant.path).read_text(encoding="utf-8")
     assert source.count(mutant.snippet) == 1
     assert mutant.replacement != mutant.snippet and mutant.tests
+
+
+@pytest.mark.parametrize("mutant", MUTANTS, ids=[m.name for m in MUTANTS])
+def test_each_mutant_still_parses(mutant):
+    """A replacement that breaks the syntax is a catalogue typo, not a
+    mutant: it would fail every test it names at import."""
+    source = (PACKAGE / mutant.path).read_text(encoding="utf-8")
+    ast.parse(source.replace(mutant.snippet, mutant.replacement), filename=mutant.path)
 
 
 @pytest.mark.parametrize("mutant", MUTANTS, ids=[m.name for m in MUTANTS])
