@@ -158,29 +158,20 @@ def _generator_triple(i: int, j: int, k: int) -> int:
     return _hirzebruch_pair(_EXC_SELF, other)
 
 
-class TopForm:
-    """The symmetric trilinear top-intersection form on the six generators."""
-
-    __slots__ = ("table",)
-
-    def __init__(self):
-        self.table = tuple(
-            tuple(tuple(_generator_triple(i, j, k) for k in range(6)) for j in range(6))
-            for i in range(6)
-        )
-
-    def value(self, i: int, j: int, k: int) -> int:
-        return self.table[i][j][k]
-
-
 @cache
-def top_form() -> TopForm:
-    return TopForm()
+def top_form() -> Tuple[Tuple[Tuple[int, ...], ...], ...]:
+    """The symmetric trilinear top-intersection form on the six generators,
+    as the 6x6x6 tuple table whose ``[i][j][k]`` entry is the degree of the
+    product of generators i, j and k."""
+    return tuple(
+        tuple(tuple(_generator_triple(i, j, k) for k in range(6)) for j in range(6))
+        for i in range(6)
+    )
 
 
 def triple(x: ChowDeg1, y: ChowDeg1, z: ChowDeg1) -> Scalar:
     """Trilinear extension of the top form to arbitrary degree-1 classes."""
-    table = top_form().table
+    table = top_form()
     total: Scalar = 0
     for i, xi in enumerate(x.coeffs):
         if xi == 0:
@@ -365,43 +356,33 @@ def family_invariants() -> FamilyInvariants:
 # the displayed intersection table, recomputed
 
 
-class TableCheck(NamedTuple):
-    name: str
-    expected: Scalar
-    actual: Scalar
-
-    @property
-    def ok(self) -> bool:
-        return self.expected == self.actual
-
-
 def _vanishes_against_everything(x: ChowDeg1, y: ChowDeg1) -> Scalar:
     """0 when x.y.g vanishes for every generator g, else the first offender."""
     return next((v for v in product(x, y).coeffs if v != 0), 0)
 
 
-def intersection_table_check() -> List[TableCheck]:
+def intersection_table_check() -> List[Tuple[str, Scalar, Scalar]]:
     """Recompute every displayed intersection relation of the threefold from
-    the derived top form."""
+    the derived top form, as ``(name, expected, actual)`` triples."""
     checks = []
     exceptional = (E1, E2, E3)
     for idx, f in ((1, F1), (2, F2)):
-        checks.append(TableCheck(f"f{idx}^2", 0, _vanishes_against_everything(f, f)))
+        checks.append((f"f{idx}^2", 0, _vanishes_against_everything(f, f)))
     for i, e in enumerate(exceptional, start=1):
-        checks.append(TableCheck(f"f2.e{i}", 0, _vanishes_against_everything(F2, e)))
-    checks.append(TableCheck("Sigma.Pi", 0, _vanishes_against_everything(SIGMA, PI_SECTION)))
+        checks.append((f"f2.e{i}", 0, _vanishes_against_everything(F2, e)))
+    checks.append(("Sigma.Pi", 0, _vanishes_against_everything(SIGMA, PI_SECTION)))
     for i, e in enumerate(exceptional, start=1):
-        checks.append(TableCheck(f"Sigma.e{i}", 0, _vanishes_against_everything(SIGMA, e)))
-    checks.append(TableCheck("Pi^3", 4, triple(PI_SECTION, PI_SECTION, PI_SECTION)))
-    checks.append(TableCheck("Sigma^3", 4, triple(SIGMA, SIGMA, SIGMA)))
+        checks.append((f"Sigma.e{i}", 0, _vanishes_against_everything(SIGMA, e)))
+    checks.append(("Pi^3", 4, triple(PI_SECTION, PI_SECTION, PI_SECTION)))
+    checks.append(("Sigma^3", 4, triple(SIGMA, SIGMA, SIGMA)))
     for i, e in enumerate(exceptional, start=1):
-        checks.append(TableCheck(f"e{i}^3", -1, triple(e, e, e)))
-        checks.append(TableCheck(f"e{i}^2.f1", -1, triple(e, e, F1)))
-        checks.append(TableCheck(f"e{i}^2.Pi", -1, triple(e, e, PI_SECTION)))
-    checks.append(TableCheck("Sigma^2.f1", -2, triple(SIGMA, SIGMA, F1)))
-    checks.append(TableCheck("Pi^2.f1", 2, triple(PI_SECTION, PI_SECTION, F1)))
-    checks.append(TableCheck("Sigma^2.f2", -1, triple(SIGMA, SIGMA, F2)))
-    checks.append(TableCheck("Pi^2.f2", 1, triple(PI_SECTION, PI_SECTION, F2)))
-    checks.append(TableCheck("Sigma.f1.f2", 1, triple(SIGMA, F1, F2)))
-    checks.append(TableCheck("Pi.f1.f2", 1, triple(PI_SECTION, F1, F2)))
+        checks.append((f"e{i}^3", -1, triple(e, e, e)))
+        checks.append((f"e{i}^2.f1", -1, triple(e, e, F1)))
+        checks.append((f"e{i}^2.Pi", -1, triple(e, e, PI_SECTION)))
+    checks.append(("Sigma^2.f1", -2, triple(SIGMA, SIGMA, F1)))
+    checks.append(("Pi^2.f1", 2, triple(PI_SECTION, PI_SECTION, F1)))
+    checks.append(("Sigma^2.f2", -1, triple(SIGMA, SIGMA, F2)))
+    checks.append(("Pi^2.f2", 1, triple(PI_SECTION, PI_SECTION, F2)))
+    checks.append(("Sigma.f1.f2", 1, triple(SIGMA, F1, F2)))
+    checks.append(("Pi.f1.f2", 1, triple(PI_SECTION, F1, F2)))
     return checks

@@ -190,8 +190,8 @@ def chow_suite() -> List[CheckRow]:
     from . import chow
 
     entries = [
-        (f"table.{c.name}", c.expected, c.actual, "derived top-intersection form")
-        for c in chow.intersection_table_check()
+        (f"table.{name}", expected, actual, "derived top-intersection form")
+        for name, expected, actual in chow.intersection_table_check()
     ]
     data = chow.chern_data()
     normalization = "characteristic-class normalization chi(O) = 1"
@@ -374,7 +374,7 @@ def property_suite(reps: int = PROPERTY_REPS) -> List[CheckRow]:
             if view.get(mask) is not None:
                 unions[mask.bit_count()].append(mask)
         for size, found in enumerate(unions[1:], 1):
-            family = gluing.lambda_family(size >> 1, m).sets if size % 2 == 0 else ()
+            family = gluing.lambda_family(size >> 1, m) if size % 2 == 0 else ()
             if tuple(found) != family:
                 failures["lambda_family_sizes"] += 1
 
@@ -396,8 +396,8 @@ def property_suite(reps: int = PROPERTY_REPS) -> List[CheckRow]:
     for i in range(6):
         for j in range(6):
             for k in range(6):
-                base = form.value(i, j, k)
-                if any(form.value(*p) != base for p in permutations((i, j, k))):
+                base = form[i][j][k]
+                if any(form[a][b][c] != base for a, b, c in permutations((i, j, k))):
                     failures["top_form_symmetry"] += 1
 
     return _suite("properties", [
@@ -622,8 +622,10 @@ def _cmd_verify(args) -> int:
         # the direct route builds profile-gonal(d) whole; refused before any suite runs
         what = f"--direct-max-d {d} (profile-gonal({d}) on {4 * d - 4} markings)"
         picard._check_budget(corpus.gonal_support(d), what)
-    # the sign sweep reads the d-gonal pencil up to --max-d; refused, like
-    # bn(d), past 64 markings before any suite runs
+    # the sign sweep reads the d-gonal pencil for d = 3 .. --max-d; a range
+    # below 3, or past 64 markings as for bn(d), is refused before any suite runs
+    if args.max_d < 3:
+        raise InputError(f"report range must reach at least d = 3, got {args.max_d}")
     _check_pencil_markings(args.max_d)
     names = SUITES if args.suite == "all" else (args.suite,)
     internal = (ArithmeticError,)

@@ -46,7 +46,7 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from itertools import combinations, islice
-from typing import Dict, Iterator, List, NamedTuple, Sequence, Tuple
+from typing import Dict, Iterator, List, Sequence, Tuple
 
 from .picard import (
     CurveProfile,
@@ -61,18 +61,11 @@ from .picard import (
 from .scalars import Scalar, binom, canon
 
 
-class LambdaFamily(NamedTuple):
-    """All subsets of {1, ..., 2m} that are unions of exactly i glued pairs
-    {2k-1, 2k}; for i = 0 the family is {empty set}."""
-
-    m: int
-    i: int
-    sets: Tuple[int, ...]
-
-
-def lambda_family(i: int, m: int) -> LambdaFamily:
-    """Enumerate the C(m, i) unions of i glued pairs among m, refused on more
-    than 64 markings or past EXPORT_BUDGET sets before the first."""
+def lambda_family(i: int, m: int) -> Tuple[int, ...]:
+    """The C(m, i) subsets of {1, ..., 2m} that are unions of exactly i glued
+    pairs {2k-1, 2k}, as the ascending tuple of their masks (``(0,)``, the
+    empty set, for i = 0); refused on more than 64 markings or past
+    EXPORT_BUDGET sets before the first."""
     if m < 1:
         raise ValueError(f"pair count must be positive, got {m}")
     if not 0 <= i <= m:
@@ -86,7 +79,7 @@ def lambda_family(i: int, m: int) -> LambdaFamily:
         for p in chosen:
             mask |= p
         sets.append(mask)
-    return LambdaFamily(m, i, tuple(sorted(sets)))
+    return tuple(sorted(sets))
 
 
 class _CoefficientView(Mapping):

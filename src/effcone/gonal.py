@@ -92,7 +92,6 @@ def pairing_closed(d: int) -> Rat:
 class GonalRow(NamedTuple):
     d: int
     value: Rat
-    unscaled: Rat  # value divided by the class normalization constant
     sign: str
 
 
@@ -104,5 +103,5 @@ def negativity_report(d_max: int) -> List[GonalRow]:
     for d in range(3, d_max + 1):
         value = pairing_closed(d)
         sign = "+" if value > 0 else ("-" if value < 0 else "0")
-        rows.append(GonalRow(d, value, canon(value / bn_scale(d)), sign))
+        rows.append(GonalRow(d, value, sign))
     return rows

@@ -211,6 +211,47 @@ MUTANTS = (
         "    if False:\n",
         ("tests/test_certify.py::TestLift::test_lift_checks_the_projection_formula",),
     ),
+    Mutant(
+        # the Riemann-Roch route collapsed onto the Noether route: every row
+        # still agrees, so only the walk of what each route reaches sees it
+        "chow: hodge_lambda_rr read from hodge_lambda",
+        "chow.py",
+        "    hodge_lambda_rr = Poly.of(\n"
+        "        chi_structure_sheaf(data.k_x, data.c2_tx) - chi_line_bundle(-1 * D, data)\n"
+        "    )\n",
+        "    hodge_lambda_rr = hodge_lambda\n",
+        ("tests/test_independence.py::TestHodgeRoutes::test_riemann_roch_route_skips_the_noether_inputs",),
+    ),
+    Mutant(
+        # the binomial route collapsed onto the direct route, which agrees
+        # with it wherever both run
+        "gonal: pairing_binomial returns pairing_direct",
+        "gonal.py",
+        "    return canon(bn_scale(d) * (pairs_term + evens_term + odd_term))\n",
+        "    return pairing_direct(d)\n",
+        ("tests/test_independence.py::TestGonalRoutes::test_route_reaches_no_pairing_of_the_pullback[gonal.pairing_binomial]",),
+    ),
+    Mutant(
+        "gluing: lambda_family in combination order, not ascending",
+        "gluing.py",
+        "    return tuple(sorted(sets))\n",
+        "    return tuple(sets)\n",
+        (
+            "tests/test_cli.py::TestPropertySuite::test_all_properties_hold",
+            "tests/test_acceptance.py::test_criterion_8_property_suites",
+        ),
+    ),
+    Mutant(
+        # f2 no longer restricts to zero on the exceptional surfaces
+        "chow: f2 restricted to the ruling in the top form",
+        "chow.py",
+        "_F2: (0, 0)}",
+        "_F2: (0, 1)}",
+        (
+            "tests/test_chow.py::TestTopForm::test_matches_the_handwritten_table",
+            "tests/test_chow.py::TestDerivedSections::test_full_table_check_passes",
+        ),
+    ),
 )
 
 

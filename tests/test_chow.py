@@ -58,13 +58,13 @@ class TestTopForm:
     def test_matches_the_handwritten_table(self):
         form = top_form()
         for i, j, k in iproduct(range(6), repeat=3):
-            assert form.value(i, j, k) == expected_generator_triple(i, j, k), (i, j, k)
+            assert form[i][j][k] == expected_generator_triple(i, j, k), (i, j, k)
 
     def test_fully_symmetric(self):
         form = top_form()
         for i, j, k in iproduct(range(6), repeat=3):
-            base = form.value(i, j, k)
-            assert all(form.value(*p) == base for p in permutations((i, j, k)))
+            base = form[i][j][k]
+            assert all(form[a][b][c] == base for a, b, c in permutations((i, j, k)))
 
     def test_headline_values(self):
         assert triple(ZETA, ZETA, ZETA) == 4
@@ -98,7 +98,7 @@ class TestDerivedSections:
     def test_full_table_check_passes(self):
         checks = intersection_table_check()
         assert len(checks) >= 15
-        assert all(check.ok for check in checks)
+        assert all(expected == actual for _, expected, actual in checks)
 
 
 class TestFamilySlices:

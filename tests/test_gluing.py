@@ -53,9 +53,9 @@ def dense_glue_pullback(W, m):
         adjust = canon(W.delta[i - 1] - w_irr)
         if adjust == 0:
             continue
-        support = lambda_family(i, m).sets
+        support = lambda_family(i, m)
         if not (m % 2 == 1 and 2 * i == m + 1):
-            support += tuple(full_mask(n) ^ s for s in lambda_family(i - 1, m).sets)
+            support += tuple(full_mask(n) ^ s for s in lambda_family(i - 1, m))
         for s in support:
             value = canon(boundary.get(s, 0) + adjust)
             if value == 0:
@@ -89,19 +89,19 @@ def _random_mg(rng, g, w_irr=None):
 class TestLambdaFamily:
     def test_one_pair_among_two(self):
         fam = lambda_family(1, 2)
-        assert set(fam.sets) == {subset_mask((1, 2), 4), subset_mask((3, 4), 4)}
+        assert set(fam) == {subset_mask((1, 2), 4), subset_mask((3, 4), 4)}
 
     def test_all_pairs_is_the_full_set(self):
         fam = lambda_family(3, 3)
-        assert fam.sets == (full_mask(6),)
+        assert fam == (full_mask(6),)
 
     def test_two_of_four_pairs(self):
         fam = lambda_family(2, 4)
-        assert len(fam.sets) == 6
-        assert all(s.bit_count() == 4 for s in fam.sets)
+        assert len(fam) == 6
+        assert all(s.bit_count() == 4 for s in fam)
 
     def test_zero_pairs_is_the_empty_set(self):
-        assert lambda_family(0, 5).sets == (0,)
+        assert lambda_family(0, 5) == (0,)
 
     def test_index_out_of_range(self):
         with pytest.raises(ValueError):
@@ -113,9 +113,9 @@ class TestLambdaFamily:
         for m in range(1, 13):
             for i in range(m + 1):
                 fam = lambda_family(i, m)
-                assert len(fam.sets) == binom(m, i)
-                assert len(set(fam.sets)) == len(fam.sets)
-                assert all(s.bit_count() == 2 * i for s in fam.sets)
+                assert len(fam) == binom(m, i)
+                assert len(set(fam)) == len(fam)
+                assert all(s.bit_count() == 2 * i for s in fam)
 
     def test_stable_under_pair_block_permutation(self):
         # swapping blocks 1 and 3 of four maps the family onto itself
@@ -124,9 +124,9 @@ class TestLambdaFamily:
             fam = lambda_family(i, 4)
             moved = {
                 subset_mask([sigma[j - 1] for j in range(1, 9) if s >> (j - 1) & 1], 8)
-                for s in fam.sets
+                for s in fam
             }
-            assert moved == set(fam.sets)
+            assert moved == set(fam)
 
 
 class TestGluePullback:
@@ -157,7 +157,7 @@ class TestGluePullback:
     def test_three_pair_unions_get_zero(self):
         result = glue_pullback(bn_class(3), 4)
         assert result.coeff(subset_mask((3, 4, 5, 6, 7, 8), 8)) == 0
-        for s in lambda_family(3, 4).sets:
+        for s in lambda_family(3, 4):
             assert s not in result.boundary
 
     def test_gp_expansion_coefficients(self):
@@ -245,7 +245,7 @@ class TestGluedViewAgainstDenseExpansion:
         delta[middle - 1] = 5
         W = DivisorClassMg(m + 1, 0, 0, delta)
         _, expected = dense_glue_pullback(W, m)
-        assert set(expected) == set(lambda_family(middle, m).sets)
+        assert set(expected) == set(lambda_family(middle, m))
         assert set(expected.values()) == {5}
         assert_view_matches(glue_pullback(W, m).boundary, expected, 2 * m)
 

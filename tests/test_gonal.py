@@ -96,12 +96,6 @@ class TestNegativityReport:
         rows = negativity_report(12)
         assert [r.sign for r in rows] == ["+"] + ["-"] * 9
 
-    def test_unscaled_values_divide_out_the_constant(self):
-        for row in negativity_report(8):
-            from effcone.corpus import bn_scale
-
-            assert row.value == bn_scale(row.d) * row.unscaled
-
     def test_requires_reach_to_three(self):
         with pytest.raises(ValueError):
             negativity_report(2)

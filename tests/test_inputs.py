@@ -191,6 +191,14 @@ class TestMarkingBound:
         assert main(["verify", "all", "--max-d", "18"]) == 2
         assert capsys.readouterr() == ("", "error: marking count must be in 2..64, got 68\n")
 
+    @pytest.mark.parametrize("suite, target", [("chow", "chow_suite"), ("all", "trigonal_suite")])
+    def test_report_range_below_three_refused_before_any_suite(self, capsys, monkeypatch, suite, target):
+        calls = []
+        monkeypatch.setattr(cli, target, lambda *args: calls.append(args) or [])
+        assert main(["verify", suite, "--max-d", "2"]) == 2
+        assert capsys.readouterr() == ("", "error: report range must reach at least d = 3, got 2\n")
+        assert calls == []
+
     def test_sign_sweep_to_seventeen_still_runs(self, capsys):
         assert main(["verify", "gonal", "--max-d", "17"]) == 0
         assert "PASS  gonal/sign.d=17  expected=- actual=-" in capsys.readouterr().out
