@@ -30,14 +30,17 @@ regular class or profile file in the writer's layout first and gives the
 document the whole read would give, but for a :class:`Batched` entry
 array: one code path reads every document's space and lambda value, and a
 file of the other kind is refused from its tail.  The readers read a
-``Batched`` array about ``_BATCH_BYTES`` at a time, and :func:`_split` cuts
-each batch at the writer's entry separators into member texts and
-coefficient pieces.  While the array lists every subset in boundary order,
-as a pullback file does, the member texts are compared with the writer's
-text of the next subsets; from the first batch that differs on, each
-member's marking lines are read as bits (``_LINE_BITS``).  A class paired
-with a profile keeps only the profile's support, so memory does not grow
-with the file.  Entries that fail a check or do not decode raise
+``Batched`` array about ``_BATCH_BYTES`` at a time.  While the array lists
+every subset in boundary order, as a pullback file does, each batch is
+compared with the writer's text of the next subsets a run of one
+coefficient at a time (:func:`_walked`), and only the coefficients are
+decoded.  From the first batch that differs on, :func:`_split` cuts each
+batch at the writer's entry separators into member texts and coefficient
+pieces, and each member's marking lines are read as bits
+(``_LINE_BITS``).  A class paired with a profile keeps only the profile's
+support, so memory does not grow with the file; while the walk reads it,
+the support is taken by its positions in the walk, so no mask of the
+file is built.  Entries that fail a check or do not decode raise
 :class:`NotCanonical`, the batch reader's one refusal.  Such a file, and
 any other document (a pipe, another layout, a genus-g class, a plain
 object passed in-process), is decoded by plain ``json.loads`` and read
@@ -50,10 +53,12 @@ from __future__ import annotations
 import json
 import os
 import stat
+from array import array
+from bisect import bisect_left
 from functools import reduce
-from itertools import chain, combinations, compress, groupby, islice, repeat
+from itertools import accumulate, chain, combinations, compress, groupby, islice, repeat
 from math import comb
-from operator import and_, eq, itemgetter, le, lt, neg, or_, rshift, xor
+from operator import and_, itemgetter, le, lt, neg, or_, rshift, sub, xor
 from typing import Callable, Dict, Iterable, Iterator, Mapping, NamedTuple, Sequence, Tuple
 
 from .scalars import Scalar, canon, parse_rat, scalar_from_json, scalar_to_json
@@ -439,14 +444,11 @@ def permute_profile(profile: CurveProfile, sigma: Sequence[int]) -> CurveProfile
 
 def _lex_rank(members: Tuple[int, ...], n: int) -> int:
     """Position of a sorted subset among the subsets of its size of
-    {1, ..., n}, listed by sorted members."""
-    rank, previous, left = 0, 0, len(members)
-    for marking in members:
-        left -= 1
-        for skipped in range(previous + 1, marking):
-            rank += comb(n - skipped, left)
-        previous = marking
-    return rank
+    {1, ..., n}, listed by sorted members: the C(n, k) subsets of its size k
+    less itself and, for each i, the C(n - a_i, k - i + 1) that share its
+    first i - 1 members and pass its i-th member a_i."""
+    k = len(members)
+    return comb(n, k) - 1 - sum(map(comb, map(sub, repeat(n), members), range(k, 0, -1)))
 
 
 def _runs(mapping: Mapping[int, Scalar], labels: Sequence) -> Iterator[Tuple[Scalar, Iterator[tuple]]]:
@@ -670,25 +672,48 @@ def batched_class(path: str, profile: CurveProfile | None) -> dict | None:
 
 def _walk(n: int) -> tuple:
     """Member texts and masks of the subsets of 1..n with two or more
-    markings, in boundary order, as two lazy iterators drawn in step."""
+    markings, in boundary order, as two lazy iterators; a reader that
+    draws both draws them in step."""
     sizes = range(2, n + 1)
     lines = chain.from_iterable(map(combinations, repeat(_MARKING_LINES[1:n + 1]), sizes))
     bits = chain.from_iterable(map(combinations, repeat([1 << k for k in range(n)]), sizes))
     return map(",\n".join, lines), map(sum, bits)
 
 
+def _walk_ranks(masks: Iterable[int], n: int) -> tuple:
+    """``(ranks, masks)``: the position of each mask in :func:`_walk` of n
+    markings, as machine integers, and the masks, both in walk order.  A
+    mask's position counts the subsets of 1..n with two or more markings
+    and fewer than its own, then adds its :func:`_lex_rank` among those of
+    its size."""
+    # before[k]: the subsets of two to k markings
+    before = [count - n - 1 for count in accumulate(map(comb, repeat(n), range(n)))]
+    ranked = sorted(
+        (before[mask.bit_count() - 1] + _lex_rank(subset_members(mask), n), mask) for mask in masks
+    )
+    return array("Q", map(itemgetter(0), ranked)), list(map(itemgetter(1), ranked))
+
+
+def _decoded(pieces, values: dict) -> None:
+    """Decode each coefficient piece not yet in ``values`` once, by
+    ``json.loads`` and ``parse_rat``, into ``values``, which the batches of
+    one file share; their errors are passed on.  A zero raises
+    :class:`NotCanonical`: this is the batch reader's one nonzero gate."""
+    new = set(pieces).difference(values)
+    values.update(zip(new, map(parse_rat, map(json.loads, new))))
+    if not all(map(values.__getitem__, new)):
+        raise NotCanonical
+
+
 def _split(text: str, values: dict) -> tuple:
     """``(members, coeffs)`` of a batch ``text`` of the writer's entries,
     cut at ``_MIDDLE`` and ``_NEXT``: each entry's member text, its marking
-    lines joined by ``",\\n"``, and its coefficient piece.  Each distinct
-    piece is decoded once, by ``json.loads`` and ``parse_rat``, into
-    ``values``, which the batches of one file share; their errors are
-    passed on.  Text that does not start with ``_FIRST``, holds no
-    coefficient or holds a zero one raises :class:`NotCanonical`.  A raw
+    lines joined by ``",\\n"``, and its coefficient piece, each distinct
+    piece decoded by :func:`_decoded`.  Text that does not start with
+    ``_FIRST`` or holds no coefficient raises :class:`NotCanonical`.  A raw
     line break cannot occur inside a JSON string, so these separators, like
     the batch cut ``_BETWEEN``, lie only between the parts of entries."""
     pieces = text.split(_MIDDLE)
-    del text  # its one reference: freed before the pieces are copied
     first = pieces[0]
     if len(pieces) < 2 or not first.startswith(_FIRST):
         raise NotCanonical
@@ -696,11 +721,77 @@ def _split(text: str, values: dict) -> tuple:
     coeffs = [*map(itemgetter(0), parts), pieces[-1]]
     members = [first[len(_FIRST):], *map(itemgetter(2), parts)]
     del pieces, parts  # freed before the members are compared or decoded
-    new = set(coeffs).difference(values)
-    values.update(zip(new, map(parse_rat, map(json.loads, new))))
-    if not all(map(values.__getitem__, new)):
-        raise NotCanonical
+    _decoded(coeffs, values)
     return members, coeffs
+
+
+def _walked(text: str, texts: list, walk: Iterator[str], values: dict) -> list | None:
+    """The coefficient of each entry of a batch ``text`` of the writer's
+    entries, in order, if their member texts are the next texts of the
+    walk; None when the text differs from the one the writer gives those
+    subsets.  ``texts`` holds the walk's texts drawn and not yet read; more
+    are drawn from ``walk`` into it as the read needs them, and the caller
+    drops those read.
+
+    The text is read a run of one coefficient at a time, as
+    :func:`_entry_pieces` writes it.  The run's first entry must hold the
+    next member text and ``_MIDDLE``; its coefficient piece ``c`` runs from
+    there to ``_NEXT`` and is decoded by :func:`_decoded`.  With ``between``
+    the text ``_MIDDLE + c + _NEXT``, the run goes on over the most entries
+    k such that the text goes on with ``between.join`` of the next k member
+    texts, and ``between`` right after it.  k is found by doubling the span
+    joined while it matches and halving it back, each step joining only the
+    new span.  A run costs as much as several entries cut and compared at
+    once, so after two runs of fewer than four entries in a row the rest of
+    the batch is cut by :func:`_split` and its member texts compared with
+    the walk's in one step.  A gluing pullback never has two such runs in a
+    row: a lone union of pairs breaks its rows into runs of four and more."""
+
+    def drawn(count: int) -> bool:  # whether the walk holds ``count`` texts unread
+        if len(texts) < count:
+            texts.extend(islice(walk, count - len(texts)))
+        return len(texts) >= count
+
+    if not text.startswith(_FIRST):
+        return None
+    out: list = []
+    at, i, short = len(_FIRST), 0, 0
+    while drawn(i + 1):
+        head = texts[i] + _MIDDLE
+        if not text.startswith(head, at):
+            return None
+        start = at + len(head)
+        stop = text.find(_NEXT, start)
+        piece = text[start:] if stop < 0 else text[start:stop]
+        if piece not in values:
+            _decoded((piece,), values)
+        value = values[piece]
+        if stop < 0:  # the batch's last entry
+            out.append(value)
+            return out
+        between = _MIDDLE + piece + _NEXT
+        first, at, i = i, stop + len(_NEXT), i + 1
+        step, grow = 1, True
+        while step:
+            if drawn(i + step):
+                joined = between.join(texts[i:i + step])
+                if text.startswith(joined, at) and text.startswith(between, at + len(joined)):
+                    at += len(joined) + len(between)
+                    i += step
+                    step = step * 2 if grow else step // 2
+                    continue
+            grow = False
+            step //= 2
+        out += [value] * (i - first)
+        short = short + 1 if i - first < 4 else 0
+        if short == 2:
+            members, coeffs = _split(text[at - len(_FIRST):], values)
+            drawn(i + len(members))
+            if members != texts[i:i + len(members)]:
+                return None
+            out += map(values.__getitem__, coeffs)
+            return out
+    return None
 
 
 def _line_masks(members: list) -> list:
@@ -710,30 +801,41 @@ def _line_masks(members: list) -> list:
     return list(map(sum, map(map, repeat(_LINE_BITS.__getitem__), lines)))
 
 
-def _batched_boundary(array: Batched, n: int) -> Dict[int, Scalar]:
-    """The coefficients of ``array`` on n markings at its profile's support,
+def _batched_boundary(entries: Batched, n: int) -> Dict[int, Scalar]:
+    """The coefficients of ``entries`` on n markings at its profile's support,
     or all of them.  Its entries are read a batch of about ``_BATCH_BYTES``
-    at a time, cut before an entry at ``_BETWEEN``, and split by
-    :func:`_split`.  While the file has listed every subset of 1..n in
-    boundary order, the member texts must be the next texts of
-    :func:`_walk`, which gives their masks.  From the first batch that
-    differs on, or once the walk runs out, :func:`_line_masks` reads them
-    and their marking counts and bits are checked; the range is checked
-    once the array ends.  The writer lists each subset once, in boundary
-    order, so subsets that rise strictly in that order, from one batch to
-    the next too, refuse a subset twice without holding every mask.  A
-    file that fails any of this, or whose text or coefficients do not
-    decode, raises :class:`NotCanonical`."""
-    keep = None if array.profile is None else array.profile.on_boundary.__contains__
+    at a time, cut before an entry at ``_BETWEEN``.  While the file has
+    listed every subset of 1..n in boundary order, a batch must be the
+    writer's text of the next subsets of :func:`_walk`, which
+    :func:`_walked` compares a run of one coefficient at a time.  Its
+    entries' masks are then drawn from the walk, or, with a profile, the
+    support is ranked once by :func:`_walk_ranks` and each batch keeps the
+    support's ranks that it covers, so that no mask is built per entry.
+    From the first batch that differs on, which is read from its start, or
+    once the walk runs out, each batch is split by :func:`_split`,
+    :func:`_line_masks` reads the masks, and their marking counts and bits
+    are checked; the range is checked once the array ends.  The writer
+    lists each subset once, in boundary order, so subsets that rise
+    strictly in that order, from one batch to the next too, refuse a subset
+    twice without holding every mask.  A file that fails any of this, or
+    whose text or coefficients do not decode, raises
+    :class:`NotCanonical`."""
+    profile = entries.profile
+    if profile is None:
+        keep = ranks = None
+    else:
+        keep = profile.on_boundary.__contains__
+        ranks, support = _walk_ranks(profile.on_boundary, n)
     out: Dict[int, Scalar] = {}
     values: dict = {}
-    walk = _walk(n)
+    walk, texts = _walk(n), []  # the walk's texts drawn and not yet read
+    done = kept = 0  # entries walked, and the support's ranks below that count
     bits = size = top = 0  # size and mask of the last entry read
     between = _BETWEEN.encode()
     try:
-        with open(array.path, "rb") as fh:
-            fh.seek(array.start)
-            left = array.end - array.start
+        with open(entries.path, "rb") as fh:
+            fh.seek(entries.start)
+            left = entries.end - entries.start
             rest = b""
             while left > 0:
                 read = fh.read(min(_BATCH_BYTES, left))
@@ -746,26 +848,40 @@ def _batched_boundary(array: Batched, n: int) -> Dict[int, Scalar]:
                     rest = block
                     continue
                 rest = block[cut + len(between):]
-                members, coeffs = _split(block[:cut].decode(), values)
-                count = len(coeffs)
-                masks = walk and list(islice(walk[1], count))
-                if not (walk and len(masks) == count and all(map(eq, members, islice(walk[0], count)))):
+                text = block[:cut].decode()
+                if walk:
+                    walked = _walked(text, texts, walk[0], values)
+                    if walked:
+                        count = len(walked)
+                        if ranks is None:
+                            out.update(zip(islice(walk[1], count), walked))
+                        else:
+                            below = bisect_left(ranks, done + count, kept)
+                            places = map(sub, ranks[kept:below], repeat(done))
+                            out.update(zip(support[kept:below], map(walked.__getitem__, places)))
+                            kept = below
+                        done += count
+                        top = sum(map(_LINE_BITS.__getitem__, texts[count - 1].split(",\n")))
+                        size = top.bit_count()
+                        del texts[:count]
+                        continue
                     walk = None
-                    masks = _line_masks(members)
-                    sizes = list(map((1).__add__, map(str.count, members, repeat(",\n"))))
-                    # each entry against the one before: no size falls, and
-                    # of two subsets of one size the earlier holds the lowest
-                    # marking that lies in one of them alone
-                    z, s = [size, *sizes], [top, *masks]
-                    x = list(map(xor, s, masks))
-                    if not (
-                        min(sizes) >= 2
-                        and list(map(int.bit_count, masks)) == sizes
-                        and all(map(le, z, sizes))
-                        and all(map(or_, map(lt, z, sizes), map(and_, map(and_, x, map(neg, x)), s)))
-                    ):
-                        raise NotCanonical
-                    bits |= reduce(or_, masks)
+                members, coeffs = _split(text, values)
+                masks = _line_masks(members)
+                sizes = list(map((1).__add__, map(str.count, members, repeat(",\n"))))
+                # each entry against the one before: no size falls, and of
+                # two subsets of one size the earlier holds the lowest
+                # marking that lies in one of them alone
+                z, s = [size, *sizes], [top, *masks]
+                x = list(map(xor, s, masks))
+                if not (
+                    min(sizes) >= 2
+                    and list(map(int.bit_count, masks)) == sizes
+                    and all(map(le, z, sizes))
+                    and all(map(or_, map(lt, z, sizes), map(and_, map(and_, x, map(neg, x)), s)))
+                ):
+                    raise NotCanonical
+                bits |= reduce(or_, masks)
                 top = masks[-1]
                 size = top.bit_count()
                 pairs = zip(masks, map(values.__getitem__, coeffs))

@@ -83,8 +83,8 @@ MUTANTS = (
     Mutant(
         "reader: one-marking subsets pass the size check",
         "picard.py",
-        "                        min(sizes) >= 2\n",
-        "                        min(sizes) >= 1\n",
+        "                    min(sizes) >= 2\n",
+        "                    min(sizes) >= 1\n",
         (
             "tests/test_inputs.py::TestBulkReader::test_same_error[one marking]",
             "tests/test_inputs.py::TestTagExactness::test_every_reader_fault[one marking]",
@@ -95,7 +95,7 @@ MUTANTS = (
         # marking lines
         "reader: no repeated-marking check",
         "picard.py",
-        "                        and list(map(int.bit_count, masks)) == sizes\n",
+        "                    and list(map(int.bit_count, masks)) == sizes\n",
         "",
         (
             "tests/test_inputs.py::TestBulkReader::test_same_error[repeated marking]",
@@ -120,22 +120,45 @@ MUTANTS = (
         # entry of the batch before
         "batched reader: no duplicate check across batches",
         "picard.py",
-        "                    z, s = [size, *sizes], [top, *masks]\n",
-        "                    z, s = [0, *sizes], [0, *masks]\n",
+        "                z, s = [size, *sizes], [top, *masks]\n",
+        "                z, s = [0, *sizes], [0, *masks]\n",
         (
             "tests/test_inputs.py::TestBatchedReader::test_a_subset_twice_across_batches[0-1]",
             "tests/test_inputs.py::TestBatchedReader::test_a_subset_twice_across_batches[245-1]",
         ),
     ),
     Mutant(
-        # a batch of any text is taken for the next subsets of the walk
+        # the first entry of each run is taken for the next subset of the
+        # walk, whatever its member text
         "walk: no comparison with the writer's text",
         "picard.py",
-        "all(map(eq, members, islice(walk[0], count)))",
-        "True",
+        "        if not text.startswith(head, at):\n            return None\n",
+        "",
         (
             "tests/test_inputs.py::TestBatchedReader::test_a_dense_file_edited_gives_the_whole_read[marking past n-97]",
-            "tests/test_inputs.py::TestBatchedReader::test_the_walk_ends_at_the_first_batch_that_differs[pullback-trigonal-65536]",
+            "tests/test_inputs.py::TestBatchedReader::test_the_walk_ends_at_the_first_batch_that_differs[pullback-trigonal-1]",
+        ),
+    ),
+    Mutant(
+        # the last entry each step of a run joins is taken to share the
+        # run's coefficient, whatever its own
+        "walk: run coefficient not compared",
+        "picard.py",
+        " and text.startswith(between, at + len(joined)):",
+        ":",
+        (
+            "tests/test_inputs.py::TestBatchedReader::test_runs_of_one_coefficient_give_the_whole_read[changed inside a long run-4096]",
+            "tests/test_inputs.py::TestBatchedReader::test_runs_of_one_coefficient_give_the_whole_read[prefix coefficient-65536]",
+        ),
+    ),
+    Mutant(
+        "walk: run ends one entry late",
+        "picard.py",
+        "        out += [value] * (i - first)\n",
+        "        out += [value] * (i - first + 1)\n",
+        (
+            "tests/test_inputs.py::TestBatchedReader::test_runs_of_one_coefficient_give_the_whole_read[changed at a run's last entry-65536]",
+            "tests/test_inputs.py::TestBatchedReader::test_runs_from_a_small_pool_give_the_whole_read",
         ),
     ),
     Mutant(

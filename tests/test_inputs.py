@@ -1047,6 +1047,65 @@ DENSE_EDITS = {
 }
 
 
+# a dense class on 10 markings, about 110 KB written: its size-5 row is one
+# run of 252 entries, and its other rows runs broken by the unions of pairs
+RUNS = dict(glue_pullback(DivisorClassMg(6, Fraction(7, 2), -1, [Fraction(-3, 4)] * 3), 5).boundary.items())
+RUN_ORDER = sorted(RUNS, key=picard.boundary_order)
+LONG_RUN = range(RUN_ORDER.index(0b11111), RUN_ORDER.index(0b11111) + 252)
+
+
+def _batch_starts(text, size):
+    """The index of each entry but the first that starts a batch when the
+    class file ``text`` is read in batches of ``size`` bytes: reads of
+    ``size`` bytes until one holds a separator, cut at the last separator."""
+    body = text[len(picard._LAYOUTS[0].head):text.rindex(picard._LAYOUTS[0].mid)]
+    starts, start, read = [], 0, size
+    while read < len(body):
+        cut = body.rfind(BETWEEN, start, read)
+        if cut >= 0:
+            start = cut + len(BETWEEN)
+            starts.append(body.count(BETWEEN, 0, start))
+        read += size
+    return starts
+
+
+def _run_file(case, size):
+    """The text of a dense class file on 10 markings whose runs of one
+    coefficient the case shapes: one coefficient of :data:`RUNS` changed
+    at a place in its long run, or at the first entry of that run or after
+    it that starts a batch; coefficients 14 and 1 in runs of five and
+    seven entries; or every coefficient distinct."""
+    if case == "prefix coefficient":
+        boundary = {mask: 14 if rank % 12 < 5 else 1 for rank, mask in enumerate(RUN_ORDER)}
+    elif case == "all distinct":
+        boundary = {mask: Fraction(rank + 1, 3) for rank, mask in enumerate(RUN_ORDER)}
+    elif case == "changed at a batch cut":
+        starts = _batch_starts(picard.json_text(DivisorClassM1n(10, Fraction(7, 2), RUNS)), size)
+        for at in (at for at in starts if at >= LONG_RUN[0]):
+            text = picard.json_text(DivisorClassM1n(10, Fraction(7, 2), {**RUNS, RUN_ORDER[at]: 12345}))
+            if at in _batch_starts(text, size):
+                return text
+        raise AssertionError("no cut")
+    else:
+        at = {
+            "changed inside a long run": LONG_RUN[126],
+            "changed at a run's first entry": LONG_RUN[0],
+            "changed at a run's last entry": LONG_RUN[-1],
+        }[case]
+        boundary = {**RUNS, RUN_ORDER[at]: 12345}
+    return picard.json_text(DivisorClassM1n(10, Fraction(7, 2), boundary))
+
+
+RUN_CASES = [
+    "changed inside a long run",
+    "changed at a run's first entry",
+    "changed at a run's last entry",
+    "changed at a batch cut",
+    "prefix coefficient",
+    "all distinct",
+]
+
+
 class TestBatchedReader:
     """``intersect`` reads a regular class file in the writer's layout in
     batches of about ``picard._BATCH_BYTES``, keeping only the profile's
@@ -1290,3 +1349,43 @@ class TestBatchedReader:
         *printed, exited, imported, peak = child.stdout.split()
         assert (printed, exited) == (out, code)
         assert int(peak) - int(imported) < 8 * 1024, f"peak {peak} KiB, {imported} KiB once imported"
+
+    @pytest.mark.parametrize("size", [1, 97, 4096, 1 << 16])
+    @pytest.mark.parametrize("case", RUN_CASES)
+    def test_runs_of_one_coefficient_give_the_whole_read(self, run, size, case):
+        # every subset is listed, so the walk reads each batch a run at a
+        # time, and no batch of the class is read line by line
+        text = _run_file(case, size)
+        profile = picard.CurveProfile(10, 3, {mask: mask % 5 - 2 for mask in range(3, 1 << 10, 7) if mask.bit_count() >= 2})
+        whole = run(text, profile=profile, whole=True)
+        *result, (_, decoded) = run(text, size, profile, decoded=True)
+        assert whole[0] == 0
+        assert result == [*whole[:3], "batches"]
+        assert decoded == []
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_runs_from_a_small_pool_give_the_whole_read(self, data):
+        # dense classes whose coefficients come from a pool of one to three
+        # values, so that runs have random lengths, read in batches of a
+        # random size with or without a profile
+        n = data.draw(st.integers(2, 7), label="n")
+        masks = sorted((mask for mask in range(1 << n) if mask.bit_count() >= 2), key=picard.boundary_order)
+        pool = data.draw(st.lists(rationals.filter(bool), min_size=1, max_size=3, unique=True), label="pool")
+        values = data.draw(st.lists(st.sampled_from(pool), min_size=len(masks), max_size=len(masks)), label="values")
+        support = data.draw(st.none() | st.dictionaries(st.sampled_from(masks), rationals.filter(bool)), label="support")
+        size = data.draw(st.integers(1, 4096), label="size")
+        text = picard.json_text(DivisorClassM1n(n, Fraction(7, 2), dict(zip(masks, values))))
+        profile = None if support is None else picard.CurveProfile(n, 1, support)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "cls.json")
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+            with mock.patch.object(picard, "_BATCH_BYTES", size), \
+                    mock.patch.object(picard, "_line_masks", wraps=picard._line_masks) as lines:
+                read = picard.m1n_class_from_json(picard.batched_class(path, profile))
+        whole = picard.m1n_class_from_json(json.loads(text))
+        assert (read.n, read.lam) == (whole.n, whole.lam)
+        kept = [(mask, value) for mask, value in whole.boundary.items() if profile is None or mask in support]
+        assert list(read.boundary.items()) == kept
+        assert lines.call_count == 0

@@ -12,7 +12,7 @@ import random
 import sys
 import tracemalloc
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, islice
 
 import pytest
 from hypothesis import given, settings
@@ -38,7 +38,7 @@ from effcone.picard import (
     subset_members,
     write_json,
 )
-from effcone.scalars import Poly, canon
+from effcone.scalars import Poly, canon, parse_rat
 
 
 def oracle(obj) -> str:
@@ -322,6 +322,22 @@ class TestOneTemplate:
         masks = list(masks)
         assert masks == sorted(cls.boundary, key=boundary_order)
         assert coeffs == [cls.boundary[mask] for mask in masks]
+
+    @pytest.mark.parametrize("m", [3, 4, 5])
+    def test_each_piece_of_a_pullback_is_a_run_of_the_walk(self, m):
+        # the text the batch reader's run comparison expects: after
+        # ``_FIRST``, the walk's next member texts joined by ``_MIDDLE + c +
+        # _NEXT``, then ``_MIDDLE + c``, c the text of the coefficient that
+        # the piece's entries share
+        cls = glue_pullback(DivisorClassMg(m + 1, Fraction(7, 2), -1, [Fraction(-3, 4)] * ((m + 1) // 2)), m)
+        texts, masks = picard._walk(cls.n)
+        for piece in picard._entry_pieces(cls.boundary):
+            c = piece[piece.rindex(picard._MIDDLE) + len(picard._MIDDLE):]
+            k = piece.count(picard._MIDDLE)
+            between = picard._MIDDLE + c + picard._NEXT
+            assert piece == picard._FIRST + between.join(islice(texts, k)) + picard._MIDDLE + c
+            assert {cls.boundary[mask] for mask in islice(masks, k)} == {parse_rat(json.loads(c))}
+        assert next(texts, None) is None
 
     def test_a_sparse_profile_splits_into_its_marking_lines(self):
         profile = corpus.profile("gonal", 4)
