@@ -518,9 +518,9 @@ def _read(path: str, parse, what: str, profile: picard.CurveProfile | None = Non
     space mismatch with ``profile`` is passed on as it is.
 
     A regular file in the writer's layout is first given to ``parse`` as
-    the document of ``picard.batched_class``, whose entries are read in
-    batches and, given the ``profile`` a class is paired with, kept only at
-    its support (the batch reader is described in :mod:`effcone.picard`).
+    the document of ``picard.batched_class``, read in batches (see
+    :mod:`effcone.picard`); a class read against ``profile`` keeps only its
+    support, and only such a class is walked.
     A file of the other kind is refused from its tail.  Any other file, or
     one the batch reader refuses (``picard.NotCanonical``), is decoded
     whole and read entry by entry, which words every error.

@@ -30,22 +30,20 @@ regular class or profile file in the writer's layout first and gives the
 document the whole read would give, but for a :class:`Batched` entry
 array: one code path reads every document's space and lambda value, and a
 file of the other kind is refused from its tail.  The readers read a
-``Batched`` array about ``_BATCH_BYTES`` at a time.  While the array lists
-every subset in boundary order, as a pullback file does, each batch is
-compared with the writer's text of the next subsets a run of one
-coefficient at a time (:func:`_walked`), and only the coefficients are
-decoded.  From the first batch that differs on, :func:`_split` cuts each
-batch at the writer's entry separators into member texts and coefficient
-pieces, and each member's marking lines are read as bits
-(``_LINE_BITS``).  A class paired with a profile keeps only the profile's
-support, so memory does not grow with the file; while the walk reads it,
-the support is taken by its positions in the walk, so no mask of the
-file is built.  Entries that fail a check or do not decode raise
-:class:`NotCanonical`, the batch reader's one refusal.  Such a file, and
-any other document (a pipe, another layout, a genus-g class, a plain
-object passed in-process), is decoded by plain ``json.loads`` and read
-entry by entry through :func:`_boundary_entries`, the one place that words
-an entry's error.
+``Batched`` array about ``_BATCH_BYTES`` at a time.  A class paired with a
+profile keeps only the profile's support, so memory does not grow with the
+file.  While such a class lists every subset in boundary order, as a
+pullback file does, each batch is compared with the writer's text of the
+next subsets a run of one coefficient at a time (:func:`_walked`), only
+the coefficients are decoded, and the support is taken by its positions
+in the walk.  Any other batch is cut by :func:`_split` at the writer's
+entry separators into member texts and coefficient pieces, and each
+member's marking lines are read as bits (``_LINE_BITS``).  Entries that
+fail a check or do not decode raise :class:`NotCanonical`, the batch
+reader's one refusal.  Such a file, and any other document (a pipe,
+another layout, a genus-g class, a plain object passed in-process), is
+decoded by plain ``json.loads`` and read entry by entry through
+:func:`_boundary_entries`, the one place that words an entry's error.
 """
 
 from __future__ import annotations
@@ -670,14 +668,11 @@ def batched_class(path: str, profile: CurveProfile | None) -> dict | None:
     return doc
 
 
-def _walk(n: int) -> tuple:
-    """Member texts and masks of the subsets of 1..n with two or more
-    markings, in boundary order, as two lazy iterators; a reader that
-    draws both draws them in step."""
-    sizes = range(2, n + 1)
-    lines = chain.from_iterable(map(combinations, repeat(_MARKING_LINES[1:n + 1]), sizes))
-    bits = chain.from_iterable(map(combinations, repeat([1 << k for k in range(n)]), sizes))
-    return map(",\n".join, lines), map(sum, bits)
+def _walk(n: int) -> Iterator[str]:
+    """The member texts of the subsets of 1..n with two or more markings,
+    in boundary order, drawn lazily."""
+    lines = map(combinations, repeat(_MARKING_LINES[1:n + 1]), range(2, n + 1))
+    return map(",\n".join, chain.from_iterable(lines))
 
 
 def _walk_ranks(masks: Iterable[int], n: int) -> tuple:
@@ -734,18 +729,14 @@ def _walked(text: str, texts: list, walk: Iterator[str], values: dict) -> list |
     drops those read.
 
     The text is read a run of one coefficient at a time, as
-    :func:`_entry_pieces` writes it.  The run's first entry must hold the
-    next member text and ``_MIDDLE``; its coefficient piece ``c`` runs from
-    there to ``_NEXT`` and is decoded by :func:`_decoded`.  With ``between``
-    the text ``_MIDDLE + c + _NEXT``, the run goes on over the most entries
-    k such that the text goes on with ``between.join`` of the next k member
-    texts, and ``between`` right after it.  k is found by doubling the span
-    joined while it matches and halving it back, each step joining only the
-    new span.  A run costs as much as several entries cut and compared at
-    once, so after two runs of fewer than four entries in a row the rest of
-    the batch is cut by :func:`_split` and its member texts compared with
-    the walk's in one step.  A gluing pullback never has two such runs in a
-    row: a lone union of pairs breaks its rows into runs of four and more."""
+    :func:`_entry_pieces` writes it, to its end.  The run's first entry
+    must hold the next member text and ``_MIDDLE``; its coefficient piece
+    ``c`` runs from there to ``_NEXT`` and is decoded by :func:`_decoded`.
+    With ``between`` the text ``_MIDDLE + c + _NEXT``, the run goes on over
+    the most entries k such that the text goes on with ``between.join`` of
+    the next k member texts, and ``between`` right after it.  k is found by
+    doubling the span joined while it matches and halving it back, each
+    step joining only the new span."""
 
     def drawn(count: int) -> bool:  # whether the walk holds ``count`` texts unread
         if len(texts) < count:
@@ -755,7 +746,7 @@ def _walked(text: str, texts: list, walk: Iterator[str], values: dict) -> list |
     if not text.startswith(_FIRST):
         return None
     out: list = []
-    at, i, short = len(_FIRST), 0, 0
+    at, i = len(_FIRST), 0
     while drawn(i + 1):
         head = texts[i] + _MIDDLE
         if not text.startswith(head, at):
@@ -783,14 +774,6 @@ def _walked(text: str, texts: list, walk: Iterator[str], values: dict) -> list |
             grow = False
             step //= 2
         out += [value] * (i - first)
-        short = short + 1 if i - first < 4 else 0
-        if short == 2:
-            members, coeffs = _split(text[at - len(_FIRST):], values)
-            drawn(i + len(members))
-            if members != texts[i:i + len(members)]:
-                return None
-            out += map(values.__getitem__, coeffs)
-            return out
     return None
 
 
@@ -804,31 +787,30 @@ def _line_masks(members: list) -> list:
 def _batched_boundary(entries: Batched, n: int) -> Dict[int, Scalar]:
     """The coefficients of ``entries`` on n markings at its profile's support,
     or all of them.  Its entries are read a batch of about ``_BATCH_BYTES``
-    at a time, cut before an entry at ``_BETWEEN``.  While the file has
+    at a time, cut before an entry at ``_BETWEEN``.  With a profile, the
+    support is ranked once by :func:`_walk_ranks`, and while the file has
     listed every subset of 1..n in boundary order, a batch must be the
     writer's text of the next subsets of :func:`_walk`, which
-    :func:`_walked` compares a run of one coefficient at a time.  Its
-    entries' masks are then drawn from the walk, or, with a profile, the
-    support is ranked once by :func:`_walk_ranks` and each batch keeps the
-    support's ranks that it covers, so that no mask is built per entry.
-    From the first batch that differs on, which is read from its start, or
-    once the walk runs out, each batch is split by :func:`_split`,
-    :func:`_line_masks` reads the masks, and their marking counts and bits
-    are checked; the range is checked once the array ends.  The writer
-    lists each subset once, in boundary order, so subsets that rise
-    strictly in that order, from one batch to the next too, refuse a subset
-    twice without holding every mask.  A file that fails any of this, or
-    whose text or coefficients do not decode, raises
+    :func:`_walked` reads a run of one coefficient at a time; each batch
+    keeps the support's ranks that it covers, so that no mask is built per
+    entry.  Every other batch (with no profile, from the first batch that
+    differs, which is read from its start, or once the walk runs out) is
+    split by :func:`_split`, :func:`_line_masks` reads its masks, and their
+    marking counts and bits are checked; the range is checked once the
+    array ends.  The writer lists each subset once, in boundary order, so
+    subsets that rise strictly in that order, from one batch to the next
+    too, refuse a subset twice without holding every mask.  A file that
+    fails any of this, or whose text or coefficients do not decode, raises
     :class:`NotCanonical`."""
     profile = entries.profile
     if profile is None:
-        keep = ranks = None
+        keep = walk = None
     else:
         keep = profile.on_boundary.__contains__
         ranks, support = _walk_ranks(profile.on_boundary, n)
+        walk, texts = _walk(n), []  # the walk's texts drawn and not yet read
     out: Dict[int, Scalar] = {}
     values: dict = {}
-    walk, texts = _walk(n), []  # the walk's texts drawn and not yet read
     done = kept = 0  # entries walked, and the support's ranks below that count
     bits = size = top = 0  # size and mask of the last entry read
     between = _BETWEEN.encode()
@@ -849,17 +831,14 @@ def _batched_boundary(entries: Batched, n: int) -> Dict[int, Scalar]:
                     continue
                 rest = block[cut + len(between):]
                 text = block[:cut].decode()
-                if walk:
-                    walked = _walked(text, texts, walk[0], values)
+                if walk is not None:
+                    walked = _walked(text, texts, walk, values)
                     if walked:
                         count = len(walked)
-                        if ranks is None:
-                            out.update(zip(islice(walk[1], count), walked))
-                        else:
-                            below = bisect_left(ranks, done + count, kept)
-                            places = map(sub, ranks[kept:below], repeat(done))
-                            out.update(zip(support[kept:below], map(walked.__getitem__, places)))
-                            kept = below
+                        below = bisect_left(ranks, done + count, kept)
+                        places = map(sub, ranks[kept:below], repeat(done))
+                        out.update(zip(support[kept:below], map(walked.__getitem__, places)))
+                        kept = below
                         done += count
                         top = sum(map(_LINE_BITS.__getitem__, texts[count - 1].split(",\n")))
                         size = top.bit_count()

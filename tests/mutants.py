@@ -162,6 +162,29 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        # each walked batch takes the support's ranks from the first on, so
+        # ranks of earlier batches index its coefficients from the end
+        "walk: support rank slice not advanced",
+        "picard.py",
+        "                        kept = below\n",
+        "",
+        (
+            "tests/test_inputs.py::TestBatchedReader::test_pullback_files_give_the_whole_read[8-65536]",
+            "tests/test_inputs.py::TestBatchedReader::test_runs_of_one_coefficient_give_the_whole_read[all distinct-97]",
+        ),
+    ),
+    Mutant(
+        # every size's ranks start one subset late
+        "walk: support ranks one place late",
+        "picard.py",
+        "[count - n - 1 for count in",
+        "[count - n for count in",
+        (
+            "tests/test_inputs.py::TestBatchedReader::test_only_the_support_is_kept",
+            "tests/test_cli.py::TestIntersectCommand::test_gp_pairing_prints_minus_sixteen",
+        ),
+    ),
+    Mutant(
         # every file is taken for a class file: a renamed array key is read
         # as the boundary
         "batched reader: any head batched",

@@ -732,7 +732,8 @@ class TestBulkReader:
 # JSON numbers json.dumps cannot write, spliced in for their placeholders
 RAW_NUMBERS = {'"@big@"': "1" + "0" * 4999, '"@1e0@"': "1e0", '"@nan@"': "NaN"}
 # wrong values for a marking, an extra key or a coefficient: the first list
-# decodes to tags, the second adds integers that do not
+# holds no integer, the second adds integers outside 1..64; the split reader
+# finds none of their marking lines among the 64 lines the writer writes
 TAGGED_ODD = [True, False, 2.0, 1.5, None, "3", [1, 2], [[3]], {"k": 1}, "@1e0@", "@nan@"]
 PLAIN_ODD = TAGGED_ODD + [0, -1, 65, "@big@"]
 
@@ -822,12 +823,12 @@ def _outcome(read):
 
 
 class TestTagExactness:
-    """Reading a file as the commands read it (:func:`cli._read`), through
-    the tags of the batch reader when it is in the writer's layout, gives
-    exactly what a plain ``json.loads`` and the plain reader
-    (:func:`picard._boundary_entries`) give: the same entries in the same
-    order, or the same exception type and message.  Each document is
-    written compact and in the writer's layout."""
+    """Reading a file as the commands read it (:func:`cli._read`), cut by
+    the batch reader at the writer's entry separators when it is in the
+    writer's layout, gives exactly what a plain ``json.loads`` and the
+    plain reader (:func:`picard._boundary_entries`) give: the same entries
+    in the same order, or the same exception type and message.  Each
+    document is written compact and in the writer's layout."""
 
     @staticmethod
     def _same(doc, parse):
@@ -1121,22 +1122,25 @@ class TestBatchedReader:
         file was read: in ``batches``, ``whole``, or both in turn.  With
         ``decoded``, add the entry counts of the batches whose members the
         profile file and the class file each had read line by line by
-        ``picard._line_masks``, not read by the walk."""
+        ``picard._line_masks``, not read by the walk, and then the number
+        of calls of ``picard._walked`` and of ``picard._split`` that each
+        file's read made."""
         prof, cls = tmp_path / "prof.json", tmp_path / "cls.json"
         default = picard.CurveProfile(8, 3, {mask: 1 for mask in range(3, 256, 5) if mask.bit_count() >= 2})
 
         def run(text, size=97, profile=default, whole=False, decoded=False):
             prof.write_text(picard.json_text(profile))
             cls.write_text(text)
-            calls = mock.Mock()  # its mock_calls keep the order of both kinds
+            calls = mock.Mock()  # its mock_calls keep the order of every kind
             batches = mock.Mock(wraps=picard._batched_boundary)  # the profile file's too
             calls.attach_mock(batches, "batches")
-            calls.attach_mock(mock.Mock(wraps=picard._line_masks), "lines")
             texts = mock.Mock(wraps=cli._text)
             with monkeypatch.context() as patch:
                 patch.setattr(picard, "_BATCH_BYTES", size)
                 patch.setattr(picard, "_batched_boundary", batches)
-                patch.setattr(picard, "_line_masks", calls.lines)
+                for name in ("_line_masks", "_walked", "_split"):
+                    calls.attach_mock(mock.Mock(wraps=getattr(picard, name)), name)
+                    patch.setattr(picard, name, getattr(calls, name))
                 patch.setattr(cli, "_text", texts)
                 if whole:
                     patch.setattr(picard, "batched_class", mock.Mock(return_value=None))
@@ -1148,12 +1152,15 @@ class TestBatchedReader:
             if not decoded:
                 return result
             counts = {str(prof): [], str(cls): []}
+            routes = {path: {"_walked": 0, "_split": 0} for path in counts}
             for name, args, _ in calls.mock_calls:
                 if name == "batches":
                     path = args[0].path
-                else:
+                elif name == "_line_masks":
                     counts[path].append(len(args[0]))
-            return (*result, tuple(counts.values()))
+                else:
+                    routes[path][name] += 1
+            return (*result, tuple(counts.values()), tuple(routes.values()))
 
         return run
 
@@ -1168,16 +1175,21 @@ class TestBatchedReader:
         support = {mask: mask % 7 - 3 for mask in range(3, 1 << (2 * m), 11) if mask.bit_count() >= 2}
         profile = picard.CurveProfile(2 * m, 5, support)
         expected = f"{scalar_to_json(picard.pair(profile, cls))}\n"
-        *result, (_, decoded) = run(picard.json_text(cls), size, profile, decoded=True)
+        *result, (_, decoded), routes = run(picard.json_text(cls), size, profile, decoded=True)
         assert result == [0, expected, "", "batches"]
         assert decoded == []
+        # the profile file is never walked, and the class is read run by
+        # run to the end of each batch, never split
+        assert routes[0]["_walked"] == 0 and routes[1]["_walked"] > 0
+        assert routes[1]["_split"] == 0
 
     @pytest.mark.parametrize("size", [1, 97, 1 << 16])
     @pytest.mark.parametrize("name", ["profile-gonal(5)", "pullback-trigonal"])
     def test_the_walk_ends_at_the_first_batch_that_differs(self, run, size, name):
-        # profile-gonal(5) leaves out {1, 3}, its second subset, and
-        # pullback-trigonal {1, ..., 6}, its 211th; the batch that holds the
-        # first gap and every later one are decoded
+        # pullback-trigonal leaves out {1, ..., 6}, its 211th subset: the
+        # batch that holds that gap and every later one are decoded.  A
+        # profile file is read with no profile, so it is never walked: it
+        # is decoded from its first batch
         if name == "pullback-trigonal":
             cls = corpus.golden_pullback("trigonal")
             n, mapping, args = 8, cls.boundary, (picard.json_text(cls), size)
@@ -1186,12 +1198,15 @@ class TestBatchedReader:
             n, mapping = 16, profile.on_boundary
             args = (_written([{"S": [1, 2], "coeff": "1"}], n=16), size, profile)
         listed = sorted(mapping, key=picard.boundary_order)
+        whole = run(*args, whole=True)
+        *result, decoded, routes = run(*args, decoded=True)
+        assert result == [*whole[:3], "batches"]
+        if name.startswith("profile"):
+            assert (sum(decoded[0]), routes[0]["_walked"]) == (len(listed), 0)
+            return
         walk = (sum(1 << (i - 1) for i in members) for k in range(2, n + 1) for members in combinations(range(1, n + 1), k))
         gap = next(i for i, (mask, walked) in enumerate(zip(listed, walk)) if mask != walked)
-        whole = run(*args, whole=True)
-        *result, decoded = run(*args, decoded=True)
-        assert result == [*whole[:3], "batches"]
-        batches = decoded[0 if name.startswith("profile") else 1]
+        batches = decoded[1]
         start = len(listed) - sum(batches)  # the first entry decoded
         assert start <= gap < start + batches[0]
         if size == 1:  # a batch a subset
@@ -1207,7 +1222,7 @@ class TestBatchedReader:
         text = _dense_edit(case, size)
         profile = picard.CurveProfile(10, 3, {mask: mask % 5 - 2 for mask in range(3, 1 << 10, 7) if mask.bit_count() >= 2})
         whole = run(text, profile=profile, whole=True)
-        *result, (_, decoded) = run(text, size, profile, decoded=True)
+        *result, (_, decoded), _ = run(text, size, profile, decoded=True)
         assert result == [*whole[:3], DENSE_EDITS[case]]
         if case == "escaped coefficient":  # a piece the walk decodes to "5"
             assert decoded == []
@@ -1358,7 +1373,7 @@ class TestBatchedReader:
         text = _run_file(case, size)
         profile = picard.CurveProfile(10, 3, {mask: mask % 5 - 2 for mask in range(3, 1 << 10, 7) if mask.bit_count() >= 2})
         whole = run(text, profile=profile, whole=True)
-        *result, (_, decoded) = run(text, size, profile, decoded=True)
+        *result, (_, decoded), _ = run(text, size, profile, decoded=True)
         assert whole[0] == 0
         assert result == [*whole[:3], "batches"]
         assert decoded == []
@@ -1368,7 +1383,8 @@ class TestBatchedReader:
     def test_runs_from_a_small_pool_give_the_whole_read(self, data):
         # dense classes whose coefficients come from a pool of one to three
         # values, so that runs have random lengths, read in batches of a
-        # random size with or without a profile
+        # random size with or without a profile: with one, the walk reads
+        # every batch; with none, every batch is read line by line
         n = data.draw(st.integers(2, 7), label="n")
         masks = sorted((mask for mask in range(1 << n) if mask.bit_count() >= 2), key=picard.boundary_order)
         pool = data.draw(st.lists(rationals.filter(bool), min_size=1, max_size=3, unique=True), label="pool")
@@ -1382,10 +1398,14 @@ class TestBatchedReader:
             with open(path, "w", encoding="utf-8") as fh:
                 fh.write(text)
             with mock.patch.object(picard, "_BATCH_BYTES", size), \
-                    mock.patch.object(picard, "_line_masks", wraps=picard._line_masks) as lines:
+                    mock.patch.object(picard, "_line_masks", wraps=picard._line_masks) as lines, \
+                    mock.patch.object(picard, "_walked", wraps=picard._walked) as walked:
                 read = picard.m1n_class_from_json(picard.batched_class(path, profile))
         whole = picard.m1n_class_from_json(json.loads(text))
         assert (read.n, read.lam) == (whole.n, whole.lam)
         kept = [(mask, value) for mask, value in whole.boundary.items() if profile is None or mask in support]
         assert list(read.boundary.items()) == kept
-        assert lines.call_count == 0
+        if profile is None:
+            assert walked.call_count == 0
+        else:
+            assert lines.call_count == 0

@@ -313,13 +313,18 @@ class TestOneTemplate:
         assert len(members) == body.count(picard._BETWEEN) + 1
         return members, [values[piece] for piece in coeffs]
 
+    @staticmethod
+    def _walk_masks(n):
+        """The masks of the subsets of 1..n with two or more markings, in
+        the order of ``picard._walk``."""
+        return (sum(1 << (i - 1) for i in members) for k in range(2, n + 1) for members in combinations(range(1, n + 1), k))
+
     @pytest.mark.parametrize("m", [3, 4, 5])
     def test_a_pullback_splits_into_the_walk(self, m):
         cls = glue_pullback(DivisorClassMg(m + 1, Fraction(7, 2), -1, [Fraction(-3, 4)] * ((m + 1) // 2)), m)
         members, coeffs = self._split(cls, picard._LAYOUTS[0])
-        texts, masks = picard._walk(cls.n)
-        assert members == list(texts)  # every subset was listed
-        masks = list(masks)
+        assert members == list(picard._walk(cls.n))  # every subset was listed
+        masks = list(self._walk_masks(cls.n))
         assert masks == sorted(cls.boundary, key=boundary_order)
         assert coeffs == [cls.boundary[mask] for mask in masks]
 
@@ -330,7 +335,7 @@ class TestOneTemplate:
         # _NEXT``, then ``_MIDDLE + c``, c the text of the coefficient that
         # the piece's entries share
         cls = glue_pullback(DivisorClassMg(m + 1, Fraction(7, 2), -1, [Fraction(-3, 4)] * ((m + 1) // 2)), m)
-        texts, masks = picard._walk(cls.n)
+        texts, masks = picard._walk(cls.n), self._walk_masks(cls.n)
         for piece in picard._entry_pieces(cls.boundary):
             c = piece[piece.rindex(picard._MIDDLE) + len(picard._MIDDLE):]
             k = piece.count(picard._MIDDLE)
