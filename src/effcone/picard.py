@@ -19,30 +19,21 @@ Files and reprs list boundary entries by subset size, then by sorted
 members, all as runs of one coefficient from :func:`_runs`: a view that
 lists itself in that order (``runs``, the gluing pullback) is walked, never
 sorted; any other mapping is sorted once and its equal neighbours grouped.
-One writer, :func:`write_json`, takes a class or profile and streams the
-canonical indented, sorted-key JSON text from those runs a bounded piece at
-a time, building no entry dict, in the frame given by :data:`_LAYOUTS`,
-the one table of the file layout, which the batch reader looks for too;
-:func:`json_text` is the same text as one string.
+The writer (:mod:`effcone.writer`) streams the canonical indented,
+sorted-key JSON text from those runs, in the frame given by
+:data:`_LAYOUTS`, the one table of the file layout, which the batch reader
+looks for too.
 
 Files have one bulk path.  :func:`batched_class` reads the tail of a
 regular class or profile file in the writer's layout first and gives the
 document the whole read would give, but for a :class:`Batched` entry
 array: one code path reads every document's space and lambda value, and a
-file of the other kind is refused from its tail.  The readers read a
-``Batched`` array about ``_BATCH_BYTES`` at a time.  A class paired with a
-profile keeps only the profile's support, so memory does not grow with the
-file.  While such a class lists every subset in boundary order, as a
-pullback file does, each batch is compared with the writer's text of the
-next subsets a run of one coefficient at a time (:func:`_walked`), only
-the coefficients are decoded, and the support is taken by its positions
-in the walk.  Any other batch is cut by :func:`_split` at the writer's
-entry separators into member texts and coefficient pieces, and each
-member's marking lines are read as bits (``_LINE_BITS``).  Entries that
-fail a check or do not decode raise :class:`NotCanonical`, the batch
-reader's one refusal.  Such a file, and any other document (a pipe,
-another layout, a genus-g class, a plain object passed in-process), is
-decoded by plain ``json.loads`` and read entry by entry through
+file of the other kind is refused from its tail.  A ``Batched`` array is
+read by the batch reader (:mod:`effcone.batches`), loaded only then;
+entries that fail its checks or do not decode raise :class:`NotCanonical`,
+its one refusal.  Such a file, and any other document (a pipe, another
+layout, a genus-g class, a plain object passed in-process), is decoded by
+plain ``json.loads`` and read entry by entry through
 :func:`_boundary_entries`, the one place that words an entry's error.
 """
 
@@ -51,13 +42,10 @@ from __future__ import annotations
 import json
 import os
 import stat
-from array import array
-from bisect import bisect_left
-from functools import reduce
-from itertools import accumulate, chain, combinations, compress, groupby, islice, repeat
+from itertools import chain, groupby, islice, repeat
 from math import comb
-from operator import and_, itemgetter, le, lt, neg, or_, rshift, sub, xor
-from typing import Callable, Dict, Iterable, Iterator, Mapping, NamedTuple, Sequence, Tuple
+from operator import and_, itemgetter, or_, rshift, sub
+from typing import Dict, Iterable, Iterator, Mapping, NamedTuple, Sequence, Tuple
 
 from .scalars import Scalar, canon, parse_rat, scalar_from_json, scalar_to_json
 
@@ -567,6 +555,8 @@ def _m1n_fields(obj: dict, lam_key: str, key: str, what: str) -> tuple:
         return n, lam, _boundary_entries(_array(obj, key), n)
     if entries.profile is not None:
         _same_space(entries.profile, n)  # before any entry is decoded
+    from .batches import _batched_boundary
+
     return n, lam, _batched_boundary(entries, n)
 
 
@@ -597,8 +587,6 @@ class _Layout(NamedTuple):
 # from ``_FIRST`` to its coefficient, ``_BETWEEN`` lies between two pieces
 # and ``_NEXT`` between two entries of one; a batch is cut at a ``_BETWEEN``
 _MARKING_LINES = tuple(f"        {i}" for i in range(MAX_MARKINGS + 1))
-# the bit of marking k's line; any other line is a KeyError in the reader
-_LINE_BITS = {_MARKING_LINES[k]: 1 << (k - 1) for k in range(1, MAX_MARKINGS + 1)}
 _ENTRY = '    {\n      "S": [\n%s\n      ],\n      "coeff": %s\n    }'
 _HEAD, _MIDDLE, _END = _ENTRY.split("%s")
 _OPEN = _HEAD[:_HEAD.index("\n")]
@@ -609,7 +597,6 @@ _LAYOUTS = tuple(
     _Layout(key, lam_key, f'{{\n  "{key}": [\n{_OPEN}', f'{_END}\n  ],\n  "{lam_key}": ')
     for key, lam_key in (("boundary", "lambda"), ("on_boundary", "on_lambda"))
 )
-_BATCH_BYTES = 1 << 16
 _TAIL_BYTES = 1 << 16  # the tail read first; a longer one is read whole
 
 
@@ -622,7 +609,7 @@ class NotCanonical(Exception):
 class Batched(NamedTuple):
     """The boundary entries of a class or profile file in the writer's
     layout, bytes ``start`` to ``end`` of ``path``, to be read in batches
-    by :func:`_batched_boundary`, keeping the masks in ``profile``'s
+    by :func:`effcone.batches._batched_boundary`, keeping the masks in ``profile``'s
     support, or every mask when ``profile`` is None."""
 
     path: str
@@ -668,210 +655,6 @@ def batched_class(path: str, profile: CurveProfile | None) -> dict | None:
     return doc
 
 
-def _walk(n: int) -> Iterator[str]:
-    """The member texts of the subsets of 1..n with two or more markings,
-    in boundary order, drawn lazily."""
-    lines = map(combinations, repeat(_MARKING_LINES[1:n + 1]), range(2, n + 1))
-    return map(",\n".join, chain.from_iterable(lines))
-
-
-def _walk_ranks(masks: Iterable[int], n: int) -> tuple:
-    """``(ranks, masks)``: the position of each mask in :func:`_walk` of n
-    markings, as machine integers, and the masks, both in walk order.  A
-    mask's position counts the subsets of 1..n with two or more markings
-    and fewer than its own, then adds its :func:`_lex_rank` among those of
-    its size."""
-    # before[k]: the subsets of two to k markings
-    before = [count - n - 1 for count in accumulate(map(comb, repeat(n), range(n)))]
-    ranked = sorted(
-        (before[mask.bit_count() - 1] + _lex_rank(subset_members(mask), n), mask) for mask in masks
-    )
-    return array("Q", map(itemgetter(0), ranked)), list(map(itemgetter(1), ranked))
-
-
-def _decoded(pieces, values: dict) -> None:
-    """Decode each coefficient piece not yet in ``values`` once, by
-    ``json.loads`` and ``parse_rat``, into ``values``, which the batches of
-    one file share; their errors are passed on.  A zero raises
-    :class:`NotCanonical`: this is the batch reader's one nonzero gate."""
-    new = set(pieces).difference(values)
-    values.update(zip(new, map(parse_rat, map(json.loads, new))))
-    if not all(map(values.__getitem__, new)):
-        raise NotCanonical
-
-
-def _split(text: str, values: dict) -> tuple:
-    """``(members, coeffs)`` of a batch ``text`` of the writer's entries,
-    cut at ``_MIDDLE`` and ``_NEXT``: each entry's member text, its marking
-    lines joined by ``",\\n"``, and its coefficient piece, each distinct
-    piece decoded by :func:`_decoded`.  Text that does not start with
-    ``_FIRST`` or holds no coefficient raises :class:`NotCanonical`.  A raw
-    line break cannot occur inside a JSON string, so these separators, like
-    the batch cut ``_BETWEEN``, lie only between the parts of entries."""
-    pieces = text.split(_MIDDLE)
-    first = pieces[0]
-    if len(pieces) < 2 or not first.startswith(_FIRST):
-        raise NotCanonical
-    parts = list(map(str.partition, pieces[1:-1], repeat(_NEXT)))
-    coeffs = [*map(itemgetter(0), parts), pieces[-1]]
-    members = [first[len(_FIRST):], *map(itemgetter(2), parts)]
-    del pieces, parts  # freed before the members are compared or decoded
-    _decoded(coeffs, values)
-    return members, coeffs
-
-
-def _walked(text: str, texts: list, walk: Iterator[str], values: dict) -> list | None:
-    """The coefficient of each entry of a batch ``text`` of the writer's
-    entries, in order, if their member texts are the next texts of the
-    walk; None when the text differs from the one the writer gives those
-    subsets.  ``texts`` holds the walk's texts drawn and not yet read; more
-    are drawn from ``walk`` into it as the read needs them, and the caller
-    drops those read.
-
-    The text is read a run of one coefficient at a time, as
-    :func:`_entry_pieces` writes it, to its end.  The run's first entry
-    must hold the next member text and ``_MIDDLE``; its coefficient piece
-    ``c`` runs from there to ``_NEXT`` and is decoded by :func:`_decoded`.
-    With ``between`` the text ``_MIDDLE + c + _NEXT``, the run goes on over
-    the most entries k such that the text goes on with ``between.join`` of
-    the next k member texts, and ``between`` right after it.  k is found by
-    doubling the span joined while it matches and halving it back, each
-    step joining only the new span."""
-
-    def drawn(count: int) -> bool:  # whether the walk holds ``count`` texts unread
-        if len(texts) < count:
-            texts.extend(islice(walk, count - len(texts)))
-        return len(texts) >= count
-
-    if not text.startswith(_FIRST):
-        return None
-    out: list = []
-    at, i = len(_FIRST), 0
-    while drawn(i + 1):
-        head = texts[i] + _MIDDLE
-        if not text.startswith(head, at):
-            return None
-        start = at + len(head)
-        stop = text.find(_NEXT, start)
-        piece = text[start:] if stop < 0 else text[start:stop]
-        if piece not in values:
-            _decoded((piece,), values)
-        value = values[piece]
-        if stop < 0:  # the batch's last entry
-            out.append(value)
-            return out
-        between = _MIDDLE + piece + _NEXT
-        first, at, i = i, stop + len(_NEXT), i + 1
-        step, grow = 1, True
-        while step:
-            if drawn(i + step):
-                joined = between.join(texts[i:i + step])
-                if text.startswith(joined, at) and text.startswith(between, at + len(joined)):
-                    at += len(joined) + len(between)
-                    i += step
-                    step = step * 2 if grow else step // 2
-                    continue
-            grow = False
-            step //= 2
-        out += [value] * (i - first)
-    return None
-
-
-def _line_masks(members: list) -> list:
-    """The mask of each member text, the sum of its marking lines' bits in
-    ``_LINE_BITS``; a line the writer never writes raises ``KeyError``."""
-    lines = map(str.split, members, repeat(",\n"))
-    return list(map(sum, map(map, repeat(_LINE_BITS.__getitem__), lines)))
-
-
-def _batched_boundary(entries: Batched, n: int) -> Dict[int, Scalar]:
-    """The coefficients of ``entries`` on n markings at its profile's support,
-    or all of them.  Its entries are read a batch of about ``_BATCH_BYTES``
-    at a time, cut before an entry at ``_BETWEEN``.  With a profile, the
-    support is ranked once by :func:`_walk_ranks`, and while the file has
-    listed every subset of 1..n in boundary order, a batch must be the
-    writer's text of the next subsets of :func:`_walk`, which
-    :func:`_walked` reads a run of one coefficient at a time; each batch
-    keeps the support's ranks that it covers, so that no mask is built per
-    entry.  Every other batch (with no profile, from the first batch that
-    differs, which is read from its start, or once the walk runs out) is
-    split by :func:`_split`, :func:`_line_masks` reads its masks, and their
-    marking counts and bits are checked; the range is checked once the
-    array ends.  The writer lists each subset once, in boundary order, so
-    subsets that rise strictly in that order, from one batch to the next
-    too, refuse a subset twice without holding every mask.  A file that
-    fails any of this, or whose text or coefficients do not decode, raises
-    :class:`NotCanonical`."""
-    profile = entries.profile
-    if profile is None:
-        keep = walk = None
-    else:
-        keep = profile.on_boundary.__contains__
-        ranks, support = _walk_ranks(profile.on_boundary, n)
-        walk, texts = _walk(n), []  # the walk's texts drawn and not yet read
-    out: Dict[int, Scalar] = {}
-    values: dict = {}
-    done = kept = 0  # entries walked, and the support's ranks below that count
-    bits = size = top = 0  # size and mask of the last entry read
-    between = _BETWEEN.encode()
-    try:
-        with open(entries.path, "rb") as fh:
-            fh.seek(entries.start)
-            left = entries.end - entries.start
-            rest = b""
-            while left > 0:
-                read = fh.read(min(_BATCH_BYTES, left))
-                if not read:
-                    raise NotCanonical  # the file shrank since its tail was read
-                left -= len(read)
-                block = rest + read
-                cut = block.rfind(between) if left else len(block)
-                if cut < 0:
-                    rest = block
-                    continue
-                rest = block[cut + len(between):]
-                text = block[:cut].decode()
-                if walk is not None:
-                    walked = _walked(text, texts, walk, values)
-                    if walked:
-                        count = len(walked)
-                        below = bisect_left(ranks, done + count, kept)
-                        places = map(sub, ranks[kept:below], repeat(done))
-                        out.update(zip(support[kept:below], map(walked.__getitem__, places)))
-                        kept = below
-                        done += count
-                        top = sum(map(_LINE_BITS.__getitem__, texts[count - 1].split(",\n")))
-                        size = top.bit_count()
-                        del texts[:count]
-                        continue
-                    walk = None
-                members, coeffs = _split(text, values)
-                masks = _line_masks(members)
-                sizes = list(map((1).__add__, map(str.count, members, repeat(",\n"))))
-                # each entry against the one before: no size falls, and of
-                # two subsets of one size the earlier holds the lowest
-                # marking that lies in one of them alone
-                z, s = [size, *sizes], [top, *masks]
-                x = list(map(xor, s, masks))
-                if not (
-                    min(sizes) >= 2
-                    and list(map(int.bit_count, masks)) == sizes
-                    and all(map(le, z, sizes))
-                    and all(map(or_, map(lt, z, sizes), map(and_, map(and_, x, map(neg, x)), s)))
-                ):
-                    raise NotCanonical
-                bits |= reduce(or_, masks)
-                top = masks[-1]
-                size = top.bit_count()
-                pairs = zip(masks, map(values.__getitem__, coeffs))
-                out.update(pairs if keep is None else compress(pairs, map(keep, masks)))
-    except (OSError, KeyError, ValueError, RecursionError) as exc:
-        raise NotCanonical from exc
-    if not size or bits >> n:  # no entry at all, or a marking past n
-        raise NotCanonical
-    return out
-
-
 def profile_to_json(profile: CurveProfile) -> dict:
     return {
         "space": {"type": "M1n", "n": profile.n},
@@ -900,69 +683,3 @@ def mg_class_from_json(obj) -> DivisorClassMg:
         scalar_from_json(obj["delta_irr"]),
         [scalar_from_json(c) for c in _array(obj, "delta")],
     )
-
-
-# boundary entries are written this many at a time
-_CHUNK_ENTRIES = 512
-
-
-def _entry_pieces(mapping: Mapping[int, Scalar]) -> Iterator[str]:
-    """The rendered boundary entries of a mapping in pieces of at most
-    ``_CHUNK_ENTRIES`` entries, each from ``_FIRST`` to its last coefficient,
-    rendered a run of :func:`_runs` at a time: the entries of a run share
-    their coefficient, so they are joined by one constant, ``_MIDDLE``, the
-    coefficient's text and ``_NEXT``, and a piece is one ``join``.  Each
-    distinct coefficient is encoded once."""
-    texts: dict = {}
-    for value, members in _runs(mapping, _MARKING_LINES):
-        text = texts.get(value)
-        if text is None:
-            # the coefficient's text, indented to its place inside an entry
-            text = texts[value] = json.dumps(scalar_to_json(value), indent=2).replace("\n", "\n      ")
-        coeff = _MIDDLE + text
-        between = coeff + _NEXT
-        while piece := between.join(map(",\n".join, islice(members, _CHUNK_ENTRIES))):
-            yield _FIRST + piece + coeff
-
-
-def write_json(item, write: Callable[[str], object]) -> None:
-    """Write ``json.dumps(X_to_json(item), indent=2, sort_keys=True) + "\\n"``
-    for a class or profile ``item``, X its kind, through ``write``, byte for
-    byte, a piece of at most ``_CHUNK_ENTRIES`` boundary entries at a time,
-    so that memory does not grow with the entry count.  ``indent`` makes
-    ``json.dumps`` use its pure-Python encoder, so the entries are rendered
-    here from their runs instead, framed by the kind's layout in
-    :data:`_LAYOUTS`: its ``head``, the pieces joined by ``_BETWEEN``, its
-    ``mid``, and the text after the lambda key of ``X_to_json`` on the item
-    with an empty boundary, which is the whole text when there is no entry.
-    A genus-g class, which has no boundary entries, is dumped whole."""
-    if type(item) is DivisorClassMg:
-        write(json.dumps(mg_class_to_json(item), indent=2, sort_keys=True) + "\n")
-        return
-    if type(item) is CurveProfile:
-        layout, mapping = _LAYOUTS[1], item.on_boundary
-        obj = profile_to_json(CurveProfile._trusted(item.n, item.on_lambda, {}))
-    else:
-        layout, mapping = _LAYOUTS[0], item.boundary
-        obj = m1n_class_to_json(DivisorClassM1n._trusted(item.n, item.lam, {}))
-    text = json.dumps(obj, indent=2, sort_keys=True)
-    pieces = _entry_pieces(mapping)
-    first = next(pieces, None)  # drawn first: a refused listing writes nothing
-    if first is None:
-        write(text + "\n")
-        return
-    write(layout.head)
-    write(first)
-    for piece in pieces:
-        write(_BETWEEN)
-        write(piece)
-    # a line break followed by two spaces and a quoted key only starts a
-    # top-level key: strings never hold a raw line break
-    write(layout.mid + text.partition(f'\n  "{layout.lam_key}": ')[2] + "\n")
-
-
-def json_text(item) -> str:
-    """The text :func:`write_json` writes, as one string."""
-    parts: list = []
-    write_json(item, parts.append)
-    return "".join(parts)

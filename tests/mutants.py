@@ -64,7 +64,7 @@ MUTANTS = (
     Mutant(
         # the one range check, once the array ends
         "reader: no range check",
-        "picard.py",
+        "batches.py",
         "    if not size or bits >> n:",
         "    if not size:",
         (
@@ -75,14 +75,14 @@ MUTANTS = (
     ),
     Mutant(
         "reader: range check one marking too wide",
-        "picard.py",
+        "batches.py",
         " or bits >> n:",
         " or bits >> (n + 1):",
         ("tests/test_inputs.py::TestBatchedReader::test_a_marking_past_n_in_the_last_entry",),
     ),
     Mutant(
         "reader: one-marking subsets pass the size check",
-        "picard.py",
+        "batches.py",
         "                    min(sizes) >= 2\n",
         "                    min(sizes) >= 1\n",
         (
@@ -94,7 +94,7 @@ MUTANTS = (
         # the bit-count check: a repeated marking leaves fewer bits than
         # marking lines
         "reader: no repeated-marking check",
-        "picard.py",
+        "batches.py",
         "                    and list(map(int.bit_count, masks)) == sizes\n",
         "",
         (
@@ -105,7 +105,7 @@ MUTANTS = (
     Mutant(
         # the one nonzero gate, which the walk and the line-by-line read share
         "reader: zero coefficients kept on the bulk path",
-        "picard.py",
+        "batches.py",
         "    if not all(map(values.__getitem__, new)):\n        raise NotCanonical\n",
         "",
         (
@@ -119,7 +119,7 @@ MUTANTS = (
         # each batch's first entry is no longer checked against the last
         # entry of the batch before
         "batched reader: no duplicate check across batches",
-        "picard.py",
+        "batches.py",
         "                z, s = [size, *sizes], [top, *masks]\n",
         "                z, s = [0, *sizes], [0, *masks]\n",
         (
@@ -131,7 +131,7 @@ MUTANTS = (
         # the first entry of each run is taken for the next subset of the
         # walk, whatever its member text
         "walk: no comparison with the writer's text",
-        "picard.py",
+        "batches.py",
         "        if not text.startswith(head, at):\n            return None\n",
         "",
         (
@@ -143,7 +143,7 @@ MUTANTS = (
         # the last entry each step of a run joins is taken to share the
         # run's coefficient, whatever its own
         "walk: run coefficient not compared",
-        "picard.py",
+        "batches.py",
         " and text.startswith(between, at + len(joined)):",
         ":",
         (
@@ -153,7 +153,7 @@ MUTANTS = (
     ),
     Mutant(
         "walk: run ends one entry late",
-        "picard.py",
+        "batches.py",
         "        out += [value] * (i - first)\n",
         "        out += [value] * (i - first + 1)\n",
         (
@@ -165,7 +165,7 @@ MUTANTS = (
         # each walked batch takes the support's ranks from the first on, so
         # ranks of earlier batches index its coefficients from the end
         "walk: support rank slice not advanced",
-        "picard.py",
+        "batches.py",
         "                        kept = below\n",
         "",
         (
@@ -176,7 +176,7 @@ MUTANTS = (
     Mutant(
         # every size's ranks start one subset late
         "walk: support ranks one place late",
-        "picard.py",
+        "batches.py",
         "[count - n - 1 for count in",
         "[count - n for count in",
         (
@@ -196,7 +196,7 @@ MUTANTS = (
     Mutant(
         # the pieces no longer close and open their entries' braces
         'writer: pieces joined by "," and a line break instead of _BETWEEN',
-        "picard.py",
+        "writer.py",
         "        write(_BETWEEN)\n",
         '        write(",\\n")\n',
         (

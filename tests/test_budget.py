@@ -26,15 +26,15 @@ from effcone.picard import (
     DivisorClassM1n,
     DivisorClassMg,
     ResourceGuardError,
-    json_text,
     linear_combine,
     m1n_class_to_json,
     pair,
     permute_markings,
-    write_json,
 )
+from effcone.writer import write_json
 from test_gluing import wall_clock_bound
 from test_independence import MODULES, _parse
+from texts import json_text
 
 BUILD = {
     "glued": lambda: glue_pullback(DivisorClassMg(33, 1, 1, [1] * 16), 32),

@@ -1,5 +1,6 @@
 """The command-line driver: suites, file commands, exit codes, reports."""
 
+import ast
 import json
 import os
 import random
@@ -11,12 +12,14 @@ from pathlib import Path
 import pytest
 
 import effcone
-from effcone import certify, chow, cli, corpus, gonal, picard
-from effcone.cli import CheckRow, emit_report, main
+from effcone import certify, chow, cli, corpus, gonal, picard, suites
+from effcone.cli import emit_report, main
 from effcone.gluing import GluedBoundary, glue_pullback
 from effcone.picard import m1n_class_from_json, subset_mask
 from effcone.scalars import scalar_to_json
+from effcone.suites import CheckRow
 from test_gluing import wall_clock_bound
+from test_independence import MODULES, _parse
 
 
 @pytest.fixture()
@@ -376,8 +379,8 @@ class TestPropertySuiteCanFail:
 
     def test_binomial_identities_fail_when_binom_is_off(self, monkeypatch):
         """Both identities read ``binom``; one wrong at s = 2 fails them."""
-        honest = cli.binom
-        monkeypatch.setattr(cli, "binom", lambda n, k: honest(n, k) + (k == 2))
+        honest = suites.binom
+        monkeypatch.setattr(suites, "binom", lambda n, k: honest(n, k) + (k == 2))
         actual = self._actual()
         assert actual["binomial_identities"] != "0 failures"
         assert actual["pair_bilinearity"] == actual["pullback_linearity"] == "0 failures"
@@ -472,7 +475,10 @@ class TestClosedStdout:
 # HEAVY are loaded after each.
 STARTUP_CHILD = """
 import contextlib, io, json, sys
-HEAVY = ("effcone.corpus", "effcone.gluing", "effcone.gonal", "effcone.chow", "effcone.certify", "dataclasses")
+HEAVY = (
+    "effcone.corpus", "effcone.gluing", "effcone.gonal", "effcone.chow", "effcone.certify", "dataclasses",
+    "effcone.suites", "effcone.batches", "effcone.writer", "random",
+)
 def loaded():
     return [name for name in HEAVY if name in sys.modules]
 from effcone import cli
@@ -487,7 +493,9 @@ print(json.dumps(report))
 class TestStartupImports:
     """Commands load only the modules they run: ``corpus``, ``gluing`` and
     ``gonal`` with the commands that call them, ``chow`` and ``certify``
-    with their suites, and no module on the shared path needs
+    with their suites, the suites (and ``random``) with ``verify`` alone,
+    the batch reader with a file read in batches and the writer with a
+    written file, and no module on the shared path needs
     ``dataclasses``.  The child runs without ``site`` (``-S``), so only
     effcone's own imports are seen."""
 
@@ -516,15 +524,22 @@ class TestStartupImports:
     def test_verify_all_loads_both_suites_modules_without_dataclasses(self, tmp_path):
         (_, after) = self._run([["verify", "all"]], tmp_path)
         assert after[1] == 0
-        assert after[2] == ["effcone.corpus", "effcone.gluing", "effcone.gonal", "effcone.chow", "effcone.certify"]
+        assert after[2] == [
+            "effcone.corpus", "effcone.gluing", "effcone.gonal", "effcone.chow", "effcone.certify",
+            "effcone.suites", "random",
+        ]
 
     @pytest.mark.parametrize("step, loaded", [
-        (["intersect", "--profile", "trig.json", "--class", "pulled.json"], []),
-        (["pullback", "--g", "5", "--m", "4", "--input", "bn3.json", "--output", "out.json"], ["effcone.gluing"]),
-        (["export", "--name", "profile-gonal(4)", "--output", "out.json"], ["effcone.corpus"]),
-        (["export", "--name", "bn(3)", "--output", "out.json"], ["effcone.corpus"]),
-        (["verify", "gonal", "--max-d", "5"], ["effcone.corpus", "effcone.gluing", "effcone.gonal"]),
-        (["verify", "trigonal"], ["effcone.corpus", "effcone.gluing"]),
+        (["intersect", "--profile", "trig.json", "--class", "pulled.json"], ["effcone.batches"]),
+        # a genus-g input is read whole, so the batch reader stays unloaded
+        (["pullback", "--g", "5", "--m", "4", "--input", "bn3.json", "--output", "out.json"],
+         ["effcone.gluing", "effcone.writer"]),
+        (["export", "--name", "profile-gonal(4)", "--output", "out.json"], ["effcone.corpus", "effcone.writer"]),
+        (["export", "--name", "bn(3)", "--output", "out.json"], ["effcone.corpus", "effcone.writer"]),
+        (["verify", "gonal", "--max-d", "5"],
+         ["effcone.corpus", "effcone.gluing", "effcone.gonal", "effcone.suites", "random"]),
+        (["verify", "trigonal"], ["effcone.corpus", "effcone.gluing", "effcone.suites", "random"]),
+        (["pullback", "--g", "5", "--m", "4", "--input", "bn3.json"], ["effcone.gluing", "effcone.writer"]),
     ])
     def test_each_command_loads_only_the_modules_it_runs(self, tmp_path, step, loaded):
         for argv in (
@@ -541,3 +556,34 @@ class TestStartupImports:
         # positive control: the check sees a module once its suite runs
         (before, after) = self._run([["verify", suite, "--direct-max-d", "4"]], tmp_path)
         assert before[2] == [] and after[1] == 0 and module in after[2]
+
+    @staticmethod
+    def _imports_cli(tree):
+        """Whether the syntax tree of a package module imports
+        ``effcone.cli``, in any spelling."""
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = {alias.name for alias in node.names}
+            elif isinstance(node, ast.ImportFrom):
+                base = ".".join(filter(None, ["effcone" if node.level else None, node.module]))
+                names = {base} | {f"{base}.{alias.name}" for alias in node.names}
+            else:
+                continue
+            if "effcone.cli" in names:
+                return True
+        return False
+
+    def test_no_module_imports_the_command_line(self):
+        """Under ``python -m effcone.cli`` the command line runs as
+        ``__main__``, so a module that imports ``effcone.cli`` would compile
+        and run ``cli.py`` a second time."""
+        assert [module for module in MODULES if self._imports_cli(_parse(module))] == []
+
+    @pytest.mark.parametrize("source", [
+        "from . import cli", "from .cli import CheckRow", "import effcone.cli",
+        "from effcone import cli", "from effcone.cli import main", "def f():\n    from . import cli",
+    ])
+    def test_every_spelling_of_the_import_is_seen(self, source):
+        # positive control for the check above
+        assert self._imports_cli(ast.parse(source))
+        assert not self._imports_cli(ast.parse(source.replace("cli", "picard")))

@@ -116,7 +116,7 @@ class TestGoldenExpansions:
         assert used == set()
 
     def test_the_comparison_is_seen_to_use_gluing(self):
-        assert "gluing.glue_pullback" in reach("cli._golden_match")
+        assert "gluing.glue_pullback" in reach("suites._golden_match")
 
 
 class TestHodgeRoutes:
@@ -141,4 +141,4 @@ class TestLambdaFamily:
 
     def test_the_row_is_seen_to_use_both(self):
         # the walk is not vacuous: the property suite compares the two
-        assert {"gluing.GluedBoundary", "gluing.lambda_family"} <= reach("cli.property_suite")
+        assert {"gluing.GluedBoundary", "gluing.lambda_family"} <= reach("suites.property_suite")

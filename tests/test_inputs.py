@@ -23,12 +23,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import rationals
-from effcone import cli, corpus, gonal, picard
+from effcone import batches, cli, corpus, gonal, picard, writer
 from effcone.cli import main
 from effcone.gluing import forget_pullback, glue_pullback
 from effcone.picard import DivisorClassM1n, DivisorClassMg
 from effcone.scalars import format_rat, parse_rat, scalar_from_json, scalar_to_json
 from test_gluing import wall_clock_bound
+from texts import json_text
 
 BAD_RATIONALS = [
     "1e3",
@@ -288,7 +289,7 @@ class TestExportBudget:
         def record(cls, write):
             written.append(len(cls.boundary))
 
-        monkeypatch.setattr(picard, "write_json", record)
+        monkeypatch.setattr(writer, "write_json", record)
         out = tmp_path / "out.json"
         assert main(["pullback", "--g", "11", "--m", "10", "--input", _genus_file(tmp_path, 11), "--output", str(out)]) == 0
         assert written == [2**20 - 21] and 2**20 - 21 <= cli.EXPORT_BUDGET < 2**22 - 23
@@ -533,7 +534,7 @@ class TestWholeOutput:
         out.chmod(mode)
         assert main(["export", "--name", "bn(3)", "--output", str(out)]) == 0
         assert out.stat().st_mode & 0o7777 == mode
-        assert out.read_text() == picard.json_text(corpus.bn_class(3))
+        assert out.read_text() == json_text(corpus.bn_class(3))
         assert os.listdir(tmp_path) == ["out.json"]
 
     def test_a_symbolic_link_is_written_through(self, tmp_path):
@@ -541,7 +542,7 @@ class TestWholeOutput:
         target.write_bytes(b"old\n")
         link.symlink_to(target)
         assert main(["export", "--name", "bn(3)", "--output", str(link)]) == 0
-        assert link.is_symlink() and target.read_text() == picard.json_text(corpus.bn_class(3))
+        assert link.is_symlink() and target.read_text() == json_text(corpus.bn_class(3))
 
     def test_a_fifo_is_streamed_to(self, tmp_path):
         fifo = tmp_path / "pipe"
@@ -553,7 +554,7 @@ class TestWholeOutput:
             assert main(["export", "--name", "bn(3)", "--output", str(fifo)]) == 0
         finally:
             reader.join(10)
-        assert got == [picard.json_text(corpus.bn_class(3)).encode()]
+        assert got == [json_text(corpus.bn_class(3)).encode()]
         assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
 
     def test_a_missing_directory_is_named_as_before(self, tmp_path, capsys):
@@ -884,7 +885,7 @@ class TestReaderGuards:
     @pytest.mark.parametrize("m", [4, 5, 6, 7, 8])
     def test_pullback_files_take_the_bulk_check(self, monkeypatch, m):
         cls = glue_pullback(DivisorClassMg(m + 1, Fraction(7, 2), -1, [Fraction(-3, 4)] * ((m + 1) // 2)), m)
-        text = picard.json_text(cls)
+        text = json_text(cls)
         monkeypatch.setattr(picard, "_boundary_entries", mock.Mock(side_effect=AssertionError("fell back")))
         assert _read_file(text) == cls
 
@@ -899,7 +900,7 @@ class TestReaderGuards:
 
     def test_a_profile_file_takes_the_bulk_check(self, monkeypatch):
         profile = picard.CurveProfile(9, Fraction(-5, 3), {0b11: 2, 0b1_0000_0110: Fraction(1, 7), 0x1FF: -4})
-        text = picard.json_text(profile)
+        text = json_text(profile)
         monkeypatch.setattr(picard, "_boundary_entries", mock.Mock(side_effect=AssertionError("fell back")))
         assert _read_file(text, picard.profile_from_json) == profile
 
@@ -924,8 +925,8 @@ class TestReaderGuards:
         cls, prof = tmp_path / "cls.json", tmp_path / "prof.json"
         with open(cls, "w", encoding="utf-8") as fh:
             fh.write(" ")
-            picard.write_json(glue_pullback(DivisorClassMg(10, 1, 1, [1] * 5), 9), fh.write)
-        prof.write_text(picard.json_text(picard.CurveProfile(18, 0, {0b11: 1})))
+            writer.write_json(glue_pullback(DivisorClassMg(10, 1, 1, [1] * 5), 9), fh.write)
+        prof.write_text(json_text(picard.CurveProfile(18, 0, {0b11: 1})))
         argv = ["intersect", "--profile", str(prof), "--class", str(cls)]
         child = subprocess.run(
             [sys.executable, "-c", PEAK_CHILD, json.dumps(argv)],
@@ -1081,9 +1082,9 @@ def _run_file(case, size):
     elif case == "all distinct":
         boundary = {mask: Fraction(rank + 1, 3) for rank, mask in enumerate(RUN_ORDER)}
     elif case == "changed at a batch cut":
-        starts = _batch_starts(picard.json_text(DivisorClassM1n(10, Fraction(7, 2), RUNS)), size)
+        starts = _batch_starts(json_text(DivisorClassM1n(10, Fraction(7, 2), RUNS)), size)
         for at in (at for at in starts if at >= LONG_RUN[0]):
-            text = picard.json_text(DivisorClassM1n(10, Fraction(7, 2), {**RUNS, RUN_ORDER[at]: 12345}))
+            text = json_text(DivisorClassM1n(10, Fraction(7, 2), {**RUNS, RUN_ORDER[at]: 12345}))
             if at in _batch_starts(text, size):
                 return text
         raise AssertionError("no cut")
@@ -1094,7 +1095,7 @@ def _run_file(case, size):
             "changed at a run's last entry": LONG_RUN[-1],
         }[case]
         boundary = {**RUNS, RUN_ORDER[at]: 12345}
-    return picard.json_text(DivisorClassM1n(10, Fraction(7, 2), boundary))
+    return json_text(DivisorClassM1n(10, Fraction(7, 2), boundary))
 
 
 RUN_CASES = [
@@ -1109,7 +1110,7 @@ RUN_CASES = [
 
 class TestBatchedReader:
     """``intersect`` reads a regular class file in the writer's layout in
-    batches of about ``picard._BATCH_BYTES``, keeping only the profile's
+    batches of about ``batches._BATCH_BYTES``, keeping only the profile's
     support; every entry is still checked, and anything else is read whole,
     with the same result and the same error.  Here the batches are made
     small, so that every file spans many of them."""
@@ -1122,31 +1123,31 @@ class TestBatchedReader:
         file was read: in ``batches``, ``whole``, or both in turn.  With
         ``decoded``, add the entry counts of the batches whose members the
         profile file and the class file each had read line by line by
-        ``picard._line_masks``, not read by the walk, and then the number
-        of calls of ``picard._walked`` and of ``picard._split`` that each
+        ``batches._line_masks``, not read by the walk, and then the number
+        of calls of ``batches._walked`` and of ``batches._split`` that each
         file's read made."""
         prof, cls = tmp_path / "prof.json", tmp_path / "cls.json"
         default = picard.CurveProfile(8, 3, {mask: 1 for mask in range(3, 256, 5) if mask.bit_count() >= 2})
 
         def run(text, size=97, profile=default, whole=False, decoded=False):
-            prof.write_text(picard.json_text(profile))
+            prof.write_text(json_text(profile))
             cls.write_text(text)
             calls = mock.Mock()  # its mock_calls keep the order of every kind
-            batches = mock.Mock(wraps=picard._batched_boundary)  # the profile file's too
-            calls.attach_mock(batches, "batches")
+            reads = mock.Mock(wraps=batches._batched_boundary)  # the profile file's too
+            calls.attach_mock(reads, "batches")
             texts = mock.Mock(wraps=cli._text)
             with monkeypatch.context() as patch:
-                patch.setattr(picard, "_BATCH_BYTES", size)
-                patch.setattr(picard, "_batched_boundary", batches)
+                patch.setattr(batches, "_BATCH_BYTES", size)
+                patch.setattr(batches, "_batched_boundary", reads)
                 for name in ("_line_masks", "_walked", "_split"):
-                    calls.attach_mock(mock.Mock(wraps=getattr(picard, name)), name)
-                    patch.setattr(picard, name, getattr(calls, name))
+                    calls.attach_mock(mock.Mock(wraps=getattr(batches, name)), name)
+                    patch.setattr(batches, name, getattr(calls, name))
                 patch.setattr(cli, "_text", texts)
                 if whole:
                     patch.setattr(picard, "batched_class", mock.Mock(return_value=None))
                 code = main(["intersect", "--profile", str(prof), "--class", str(cls)])
             out, err = capsys.readouterr()
-            batched = [call for call in batches.call_args_list if call.args[0].path == str(cls)]
+            batched = [call for call in reads.call_args_list if call.args[0].path == str(cls)]
             read = ["batches"] * len(batched) + ["whole"] * texts.call_args_list.count(mock.call(str(cls)))
             result = code, out, err.replace(str(cls), "CLS"), " then ".join(read)
             if not decoded:
@@ -1175,7 +1176,7 @@ class TestBatchedReader:
         support = {mask: mask % 7 - 3 for mask in range(3, 1 << (2 * m), 11) if mask.bit_count() >= 2}
         profile = picard.CurveProfile(2 * m, 5, support)
         expected = f"{scalar_to_json(picard.pair(profile, cls))}\n"
-        *result, (_, decoded), routes = run(picard.json_text(cls), size, profile, decoded=True)
+        *result, (_, decoded), routes = run(json_text(cls), size, profile, decoded=True)
         assert result == [0, expected, "", "batches"]
         assert decoded == []
         # the profile file is never walked, and the class is read run by
@@ -1192,7 +1193,7 @@ class TestBatchedReader:
         # is decoded from its first batch
         if name == "pullback-trigonal":
             cls = corpus.golden_pullback("trigonal")
-            n, mapping, args = 8, cls.boundary, (picard.json_text(cls), size)
+            n, mapping, args = 8, cls.boundary, (json_text(cls), size)
         else:
             profile = corpus.profile("gonal", 5)
             n, mapping = 16, profile.on_boundary
@@ -1206,9 +1207,9 @@ class TestBatchedReader:
             return
         walk = (sum(1 << (i - 1) for i in members) for k in range(2, n + 1) for members in combinations(range(1, n + 1), k))
         gap = next(i for i, (mask, walked) in enumerate(zip(listed, walk)) if mask != walked)
-        batches = decoded[1]
-        start = len(listed) - sum(batches)  # the first entry decoded
-        assert start <= gap < start + batches[0]
+        counts = decoded[1]
+        start = len(listed) - sum(counts)  # the first entry decoded
+        assert start <= gap < start + counts[0]
         if size == 1:  # a batch a subset
             assert start == gap
         if size == 1 << 16:
@@ -1330,8 +1331,8 @@ class TestBatchedReader:
         tmp = tmp_path_factory.mktemp("large")
         cls, prof = tmp / "cls.json", tmp / "prof.json"
         with open(cls, "w", encoding="utf-8") as fh:
-            picard.write_json(glue_pullback(DivisorClassMg(10, 1, 1, [1] * 5), 9), fh.write)
-        prof.write_text(picard.json_text(picard.CurveProfile(18, 0, {0b11: 1})))
+            writer.write_json(glue_pullback(DivisorClassMg(10, 1, 1, [1] * 5), 9), fh.write)
+        prof.write_text(json_text(picard.CurveProfile(18, 0, {0b11: 1})))
         return str(cls), str(prof)
 
     @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM from /proc")
@@ -1391,15 +1392,15 @@ class TestBatchedReader:
         values = data.draw(st.lists(st.sampled_from(pool), min_size=len(masks), max_size=len(masks)), label="values")
         support = data.draw(st.none() | st.dictionaries(st.sampled_from(masks), rationals.filter(bool)), label="support")
         size = data.draw(st.integers(1, 4096), label="size")
-        text = picard.json_text(DivisorClassM1n(n, Fraction(7, 2), dict(zip(masks, values))))
+        text = json_text(DivisorClassM1n(n, Fraction(7, 2), dict(zip(masks, values))))
         profile = None if support is None else picard.CurveProfile(n, 1, support)
         with tempfile.TemporaryDirectory() as tmp:
             path = os.path.join(tmp, "cls.json")
             with open(path, "w", encoding="utf-8") as fh:
                 fh.write(text)
-            with mock.patch.object(picard, "_BATCH_BYTES", size), \
-                    mock.patch.object(picard, "_line_masks", wraps=picard._line_masks) as lines, \
-                    mock.patch.object(picard, "_walked", wraps=picard._walked) as walked:
+            with mock.patch.object(batches, "_BATCH_BYTES", size), \
+                    mock.patch.object(batches, "_line_masks", wraps=batches._line_masks) as lines, \
+                    mock.patch.object(batches, "_walked", wraps=batches._walked) as walked:
                 read = picard.m1n_class_from_json(picard.batched_class(path, profile))
         whole = picard.m1n_class_from_json(json.loads(text))
         assert (read.n, read.lam) == (whole.n, whole.lam)

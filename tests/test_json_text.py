@@ -1,4 +1,4 @@
-"""The class file writer: ``picard.json_text(item)`` gives the same bytes as
+"""The class file writer: ``json_text(item)`` gives the same bytes as
 ``json.dumps(X_to_json(item), indent=2, sort_keys=True) + "\\n"``, which
 stays here as the oracle, and the members table behind the boundary order.
 The writer renders every mapping from its runs, streams a glued view with
@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import rationals
-from effcone import corpus, gluing, picard
+from effcone import batches, corpus, gluing, picard, writer
 from effcone.cli import _EXPORTERS, main
 from effcone.gluing import ForgetfulBoundary, GluedBoundary, forget_pullback, glue_pullback
 from effcone.picard import (
@@ -29,16 +29,16 @@ from effcone.picard import (
     _lex_rank,
     _runs,
     boundary_order,
-    json_text,
     m1n_class_to_json,
     m1n_class_from_json,
     mg_class_to_json,
     profile_to_json,
     subset_mask,
     subset_members,
-    write_json,
 )
 from effcone.scalars import Poly, canon, parse_rat
+from effcone.writer import write_json
+from texts import json_text
 
 
 def oracle(obj) -> str:
@@ -180,7 +180,7 @@ class TestGluedViewWriter:
     @pytest.mark.parametrize("delta_irr", [0, 1])
     def test_every_piece_boundary(self, monkeypatch, delta_irr):
         """Pieces of three entries split runs and exceptions everywhere."""
-        monkeypatch.setattr(picard, "_CHUNK_ENTRIES", 3)
+        monkeypatch.setattr(writer, "_CHUNK_ENTRIES", 3)
         cls = glue_pullback(DivisorClassMg(6, 2, delta_irr, [3, delta_irr, 5]), 5)
         listed = _listed(cls)
         pieces = []
@@ -283,7 +283,7 @@ class TestListingOfADict:
     @pytest.mark.parametrize("kind", ["dict", "forgetful"])
     def test_every_piece_boundary(self, monkeypatch, kind):
         """Pieces of three entries split the runs of a sorted mapping."""
-        monkeypatch.setattr(picard, "_CHUNK_ENTRIES", 3)
+        monkeypatch.setattr(writer, "_CHUNK_ENTRIES", 3)
         base = DivisorClassM1n(4, 1, {0b0011: 2, 0b0110: 2, 0b1111: Poly((1, 2)), 0b0101: Fraction(1, 3)})
         cls = forget_pullback(base, 6)
         assert type(cls.boundary) is ForgetfulBoundary
@@ -309,21 +309,21 @@ class TestOneTemplate:
         text = json_text(item)
         body = text[len(layout.head):text.rindex(layout.mid)]
         values: dict = {}
-        members, coeffs = picard._split(body, values)
+        members, coeffs = batches._split(body, values)
         assert len(members) == body.count(picard._BETWEEN) + 1
         return members, [values[piece] for piece in coeffs]
 
     @staticmethod
     def _walk_masks(n):
         """The masks of the subsets of 1..n with two or more markings, in
-        the order of ``picard._walk``."""
+        the order of ``batches._walk``."""
         return (sum(1 << (i - 1) for i in members) for k in range(2, n + 1) for members in combinations(range(1, n + 1), k))
 
     @pytest.mark.parametrize("m", [3, 4, 5])
     def test_a_pullback_splits_into_the_walk(self, m):
         cls = glue_pullback(DivisorClassMg(m + 1, Fraction(7, 2), -1, [Fraction(-3, 4)] * ((m + 1) // 2)), m)
         members, coeffs = self._split(cls, picard._LAYOUTS[0])
-        assert members == list(picard._walk(cls.n))  # every subset was listed
+        assert members == list(batches._walk(cls.n))  # every subset was listed
         masks = list(self._walk_masks(cls.n))
         assert masks == sorted(cls.boundary, key=boundary_order)
         assert coeffs == [cls.boundary[mask] for mask in masks]
@@ -335,8 +335,8 @@ class TestOneTemplate:
         # _NEXT``, then ``_MIDDLE + c``, c the text of the coefficient that
         # the piece's entries share
         cls = glue_pullback(DivisorClassMg(m + 1, Fraction(7, 2), -1, [Fraction(-3, 4)] * ((m + 1) // 2)), m)
-        texts, masks = picard._walk(cls.n), self._walk_masks(cls.n)
-        for piece in picard._entry_pieces(cls.boundary):
+        texts, masks = batches._walk(cls.n), self._walk_masks(cls.n)
+        for piece in writer._entry_pieces(cls.boundary):
             c = piece[piece.rindex(picard._MIDDLE) + len(picard._MIDDLE):]
             k = piece.count(picard._MIDDLE)
             between = picard._MIDDLE + c + picard._NEXT
@@ -347,7 +347,7 @@ class TestOneTemplate:
     def test_a_sparse_profile_splits_into_its_marking_lines(self):
         profile = corpus.profile("gonal", 4)
         members, coeffs = self._split(profile, picard._LAYOUTS[1])
-        masks = picard._line_masks(members)
+        masks = batches._line_masks(members)
         assert masks == sorted(profile.on_boundary, key=boundary_order)
         assert coeffs == [profile.on_boundary[mask] for mask in masks]
 

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import effcone
-from effcone import cli
+from effcone import cli, suites
 from effcone.scalars import (
     A,
     Poly,
@@ -195,7 +195,7 @@ class TestVerifyScalarsAreExact:
             seen.append(value)
             return scalar_to_json(value)
 
-        monkeypatch.setattr(cli, "scalar_to_json", recording)
+        monkeypatch.setattr(suites, "scalar_to_json", recording)
         assert cli.main(["verify", "all"]) == 0
         capsys.readouterr()
 
