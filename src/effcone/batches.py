@@ -14,9 +14,10 @@ next subsets a run of one coefficient at a time (:func:`_walked`), only the
 coefficients are decoded, and the support is taken by its positions in the
 walk.  Any other batch is cut by :func:`_split` at the writer's entry
 separators into member texts and coefficient pieces, and each member's
-marking lines are read as bits (``_LINE_BITS``).  Entries that fail a check
-or do not decode raise :class:`~effcone.picard.NotCanonical`, the batch
-reader's one refusal, and the file is then read whole.
+marking lines are read as bits through a table of the file's own n lines,
+so a marking past n is refused in its own batch.  Entries that fail a
+check or do not decode raise :class:`~effcone.picard.NotCanonical`, the
+batch reader's one refusal, and the file is then read whole.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from __future__ import annotations
 import json
 from array import array
 from bisect import bisect_left
-from functools import reduce
 from itertools import accumulate, chain, combinations, compress, islice, repeat
 from math import comb
 from operator import and_, itemgetter, le, lt, neg, or_, sub, xor
@@ -36,7 +36,6 @@ from .picard import (
     _MARKING_LINES,
     _MIDDLE,
     _NEXT,
-    MAX_MARKINGS,
     Batched,
     NotCanonical,
     _lex_rank,
@@ -44,8 +43,6 @@ from .picard import (
 )
 from .scalars import Scalar, parse_rat
 
-# the bit of marking k's line; any other line is a KeyError in the reader
-_LINE_BITS = {_MARKING_LINES[k]: 1 << (k - 1) for k in range(1, MAX_MARKINGS + 1)}
 _BATCH_BYTES = 1 << 16
 
 
@@ -158,11 +155,11 @@ def _walked(text: str, texts: list, walk: Iterator[str], values: dict) -> list |
     return None
 
 
-def _line_masks(members: list) -> list:
+def _line_masks(members: list, table: dict) -> list:
     """The mask of each member text, the sum of its marking lines' bits in
-    ``_LINE_BITS``; a line the writer never writes raises ``KeyError``."""
+    ``table``; a line not in it raises ``KeyError``."""
     lines = map(str.split, members, repeat(",\n"))
-    return list(map(sum, map(map, repeat(_LINE_BITS.__getitem__), lines)))
+    return list(map(sum, map(map, repeat(table.__getitem__), lines)))
 
 
 def _batched_boundary(entries: Batched, n: int) -> Dict[int, Scalar]:
@@ -177,12 +174,16 @@ def _batched_boundary(entries: Batched, n: int) -> Dict[int, Scalar]:
     entry.  Every other batch (with no profile, from the first batch that
     differs, which is read from its start, or once the walk runs out) is
     split by :func:`_split`, :func:`_line_masks` reads its masks, and their
-    marking counts and bits are checked; the range is checked once the
-    array ends.  The writer lists each subset once, in boundary order, so
-    subsets that rise strictly in that order, from one batch to the next
-    too, refuse a subset twice without holding every mask.  A file that
-    fails any of this, or whose text or coefficients do not decode, raises
-    :class:`NotCanonical`."""
+    marking counts and bits are checked.  These masks and the last walked
+    subset's are read through one table of the lines of 1..n, so a marking
+    past n is a ``KeyError`` in its own batch.  The writer lists each
+    subset once, in boundary order, so subsets that rise strictly in that
+    order, from one batch to the next too, refuse a subset twice without
+    holding every mask.  A file that fails any of this, or whose text or
+    coefficients do not decode, raises :class:`NotCanonical`."""
+    if entries.end <= entries.start:  # no entry at all
+        raise NotCanonical
+    table = {line: 1 << k for k, line in enumerate(_MARKING_LINES[1:n + 1])}
     profile = entries.profile
     if profile is None:
         keep = walk = None
@@ -193,7 +194,7 @@ def _batched_boundary(entries: Batched, n: int) -> Dict[int, Scalar]:
     out: Dict[int, Scalar] = {}
     values: dict = {}
     done = kept = 0  # entries walked, and the support's ranks below that count
-    bits = size = top = 0  # size and mask of the last entry read
+    size = top = 0  # size and mask of the last entry read
     between = _BETWEEN.encode()
     try:
         with open(entries.path, "rb") as fh:
@@ -221,13 +222,13 @@ def _batched_boundary(entries: Batched, n: int) -> Dict[int, Scalar]:
                         out.update(zip(support[kept:below], map(walked.__getitem__, places)))
                         kept = below
                         done += count
-                        top = sum(map(_LINE_BITS.__getitem__, texts[count - 1].split(",\n")))
+                        top = sum(map(table.__getitem__, texts[count - 1].split(",\n")))
                         size = top.bit_count()
                         del texts[:count]
                         continue
                     walk = None
                 members, coeffs = _split(text, values)
-                masks = _line_masks(members)
+                masks = _line_masks(members, table)
                 sizes = list(map((1).__add__, map(str.count, members, repeat(",\n"))))
                 # each entry against the one before: no size falls, and of
                 # two subsets of one size the earlier holds the lowest
@@ -241,13 +242,10 @@ def _batched_boundary(entries: Batched, n: int) -> Dict[int, Scalar]:
                     and all(map(or_, map(lt, z, sizes), map(and_, map(and_, x, map(neg, x)), s)))
                 ):
                     raise NotCanonical
-                bits |= reduce(or_, masks)
                 top = masks[-1]
                 size = top.bit_count()
                 pairs = zip(masks, map(values.__getitem__, coeffs))
                 out.update(pairs if keep is None else compress(pairs, map(keep, masks)))
     except (OSError, KeyError, ValueError, RecursionError) as exc:
         raise NotCanonical from exc
-    if not size or bits >> n:  # no entry at all, or a marking past n
-        raise NotCanonical
     return out

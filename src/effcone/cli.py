@@ -31,7 +31,6 @@ import os
 import re
 import stat
 import sys
-from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Dict, List, Sequence
 
 from . import picard
@@ -145,7 +144,8 @@ SUITES: Dict[str, Callable[[argparse.Namespace], List[CheckRow]]] = {
 
 def _text(path: str) -> str:
     try:
-        return Path(path).read_text(encoding="utf-8")
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
 

@@ -29,14 +29,17 @@ Retired:
 
 - ``reader: no marking-type check`` and ``reader: range shift n in place
   of n + 1``.  The batch reader no longer decodes markings as JSON
-  integers: each marking line is looked up in ``_LINE_BITS``, which holds
-  the lines of 1..64 alone, so no line decodes to bit 0 and no tag shift
-  is left to get wrong; a ``true``, a float or a 0 is a line the writer
-  never writes, and a ``KeyError``.
+  integers: each marking line is looked up in a table of the lines of the
+  file's markings 1..n alone, built once per read, so no line decodes to
+  bit 0 and no tag shift is left to get wrong; a ``true``, a float, a 0 or
+  a marking past n is a line not in the table, and a ``KeyError``.
 - ``walk: zero coefficient pieces accepted`` and ``batched reader: no
   range check at the end of the array``.  The walk and the line-by-line
-  read now share one nonzero gate and one range check, so each is one
-  mutant above, naming the tests of both.
+  read share one nonzero gate and one line table, so each is one mutant
+  above, naming the tests of both.  No check is left after the batch loop
+  (the reader once tested the bits of every mask read against n there),
+  so ``reader: no range check`` and ``reader: range check one marking too
+  wide`` now widen the table's bound.
 """
 
 from __future__ import annotations
@@ -62,23 +65,31 @@ class Mutant(NamedTuple):
 
 MUTANTS = (
     Mutant(
-        # the one range check, once the array ends
+        # the one range check, the line table's bound: a table of all 64
+        # lines
         "reader: no range check",
         "batches.py",
-        "    if not size or bits >> n:",
-        "    if not size:",
+        "enumerate(_MARKING_LINES[1:n + 1])",
+        "enumerate(_MARKING_LINES[1:])",
         (
             "tests/test_inputs.py::TestBulkReader::test_same_error[marking past n]",
             "tests/test_inputs.py::TestTagExactness::test_every_reader_fault[marking past n]",
             "tests/test_inputs.py::TestBatchedReader::test_a_marking_past_n_in_the_last_entry",
+            "tests/test_inputs.py::TestBatchedReader::test_a_marking_past_n_in_the_first_batch_stops_the_read_there[class]",
+            "tests/test_inputs.py::TestBatchedReader::test_a_marking_past_n_in_the_first_batch_stops_the_read_there[profile]",
         ),
     ),
     Mutant(
+        # the lines of 1..n + 1
         "reader: range check one marking too wide",
         "batches.py",
-        " or bits >> n:",
-        " or bits >> (n + 1):",
-        ("tests/test_inputs.py::TestBatchedReader::test_a_marking_past_n_in_the_last_entry",),
+        "enumerate(_MARKING_LINES[1:n + 1])",
+        "enumerate(_MARKING_LINES[1:n + 2])",
+        (
+            "tests/test_inputs.py::TestBatchedReader::test_a_marking_past_n_in_the_last_entry",
+            "tests/test_inputs.py::TestBatchedReader::test_a_marking_past_n_in_the_first_batch_stops_the_read_there[class]",
+            "tests/test_inputs.py::TestBatchedReader::test_a_marking_past_n_in_the_first_batch_stops_the_read_there[profile]",
+        ),
     ),
     Mutant(
         "reader: one-marking subsets pass the size check",

@@ -477,7 +477,7 @@ STARTUP_CHILD = """
 import contextlib, io, json, sys
 HEAVY = (
     "effcone.corpus", "effcone.gluing", "effcone.gonal", "effcone.chow", "effcone.certify", "dataclasses",
-    "effcone.suites", "effcone.batches", "effcone.writer", "random",
+    "effcone.suites", "effcone.batches", "effcone.writer", "random", "pathlib",
 )
 def loaded():
     return [name for name in HEAVY if name in sys.modules]
@@ -495,8 +495,8 @@ class TestStartupImports:
     ``gonal`` with the commands that call them, ``chow`` and ``certify``
     with their suites, the suites (and ``random``) with ``verify`` alone,
     the batch reader with a file read in batches and the writer with a
-    written file, and no module on the shared path needs
-    ``dataclasses``.  The child runs without ``site`` (``-S``), so only
+    written file, and no module on the shared path needs ``dataclasses``
+    or ``pathlib``.  The child runs without ``site`` (``-S``), so only
     effcone's own imports are seen."""
 
     @staticmethod

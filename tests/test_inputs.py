@@ -734,7 +734,7 @@ class TestBulkReader:
 RAW_NUMBERS = {'"@big@"': "1" + "0" * 4999, '"@1e0@"': "1e0", '"@nan@"': "NaN"}
 # wrong values for a marking, an extra key or a coefficient: the first list
 # holds no integer, the second adds integers outside 1..64; the split reader
-# finds none of their marking lines among the 64 lines the writer writes
+# finds none of their marking lines among the lines of the file's markings
 TAGGED_ODD = [True, False, 2.0, 1.5, None, "3", [1, 2], [[3]], {"k": 1}, "@1e0@", "@nan@"]
 PLAIN_ODD = TAGGED_ODD + [0, -1, 65, "@big@"]
 
@@ -1117,20 +1117,21 @@ class TestBatchedReader:
 
     @pytest.fixture()
     def run(self, tmp_path, monkeypatch, capsys):
-        """Run ``intersect`` of ``profile`` against a class file holding
-        ``text``, in batches of ``size`` bytes or, with ``whole``, read
-        whole; give the exit code, the output, the error and how the class
-        file was read: in ``batches``, ``whole``, or both in turn.  With
-        ``decoded``, add the entry counts of the batches whose members the
-        profile file and the class file each had read line by line by
-        ``batches._line_masks``, not read by the walk, and then the number
-        of calls of ``batches._walked`` and of ``batches._split`` that each
-        file's read made."""
+        """Run ``intersect`` of ``profile`` (or of a profile file holding
+        it, if it is a text) against a class file holding ``text``, in
+        batches of ``size`` bytes or, with ``whole``, read whole; give the
+        exit code, the output, the error and how the class file was read:
+        in ``batches``, ``whole``, or both in turn.  With ``decoded``, add
+        the entry counts of the batches whose members the profile file and
+        the class file each had read line by line by ``batches._line_masks``,
+        not read by the walk, and then the number of calls of
+        ``batches._walked`` and of ``batches._split`` that each file's read
+        made."""
         prof, cls = tmp_path / "prof.json", tmp_path / "cls.json"
         default = picard.CurveProfile(8, 3, {mask: 1 for mask in range(3, 256, 5) if mask.bit_count() >= 2})
 
         def run(text, size=97, profile=default, whole=False, decoded=False):
-            prof.write_text(json_text(profile))
+            prof.write_text(profile if isinstance(profile, str) else json_text(profile))
             cls.write_text(text)
             calls = mock.Mock()  # its mock_calls keep the order of every kind
             reads = mock.Mock(wraps=batches._batched_boundary)  # the profile file's too
@@ -1266,11 +1267,36 @@ class TestBatchedReader:
             assert run(_written(boundary), size) == (2, "", error, "batches then whole")
 
     def test_a_marking_past_n_in_the_last_entry(self, run):
-        # in boundary order after 1..8, so only the range check at the end
-        # of the array can refuse it
+        # in boundary order after 1..8, so only the lookup of its line in
+        # the table of the lines of 1..8 can refuse it
         text = _written(ALL_SUBSETS + [{"S": [1, 2, 3, 4, 5, 6, 7, 9], "coeff": "1"}])
         error = "error: CLS: not a marked-space class file: marking 9 not in 1..8\n"
         assert run(text, 97) == (2, "", error, "batches then whole")
+
+    @pytest.mark.parametrize("kind", ["class", "profile"])
+    def test_a_marking_past_n_in_the_first_batch_stops_the_read_there(self, run, kind):
+        # {1, 8}, the seventh entry, becomes {1, 9}, which keeps boundary
+        # order, so only the range check refuses it.  The file spans about
+        # 25 batches of 1 KiB, and no batch after the first is read: the
+        # class file's first batch is walked and then split, the profile
+        # file's split alone, and each is then read whole for its error
+        def edited(text):
+            return text.replace('"S": [\n        1,\n        8\n', '"S": [\n        1,\n        9\n', 1)
+
+        profile = picard.CurveProfile(8, 3, {mask: 1 for mask in range(1 << 8) if mask.bit_count() >= 2})
+        cls, prof = _written(ALL_SUBSETS), json_text(profile)
+        at = 1 if kind == "class" else 0  # the file's place in the spy's counts
+        *_, routes = run(cls, 1024, prof, decoded=True)
+        assert routes[at]["_walked" if at else "_split"] > 10  # unedited, every batch is read
+        if kind == "class":
+            cls = edited(cls)
+        else:
+            prof = edited(prof)
+        whole = run(cls, profile=prof, whole=True)
+        *result, counts, routes = run(cls, 1024, prof, decoded=True)
+        assert whole[0] == 2 and "marking 9 not in 1..8" in whole[2]
+        assert result == [*whole[:3], "batches then whole" if at else ""]
+        assert (len(counts[at]), routes[at]) == (1, {"_walked": at, "_split": 1})
 
     @pytest.mark.parametrize("layout", ["compact", "reordered keys", "renamed array key", "array twice"])
     def test_another_layout_is_read_whole(self, run, layout):

@@ -347,7 +347,8 @@ class TestOneTemplate:
     def test_a_sparse_profile_splits_into_its_marking_lines(self):
         profile = corpus.profile("gonal", 4)
         members, coeffs = self._split(profile, picard._LAYOUTS[1])
-        masks = batches._line_masks(members)
+        table = {line: 1 << k for k, line in enumerate(picard._MARKING_LINES[1:profile.n + 1])}
+        masks = batches._line_masks(members, table)
         assert masks == sorted(profile.on_boundary, key=boundary_order)
         assert coeffs == [profile.on_boundary[mask] for mask in masks]
 
