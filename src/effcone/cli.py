@@ -120,7 +120,8 @@ def certificate_suite(direct_max_d: int = DIRECT_ROUTE_DEFAULT_CAP) -> List[Chec
 
 
 def property_suite(**options) -> List[CheckRow]:
-    """``suites.property_suite``, ``reps`` defaulting to ``suites.PROPERTY_REPS``."""
+    """``suites.property_suite``: ``reps`` (default ``suites.PROPERTY_REPS``)
+    draws the two linearity rows, which stay sampled; the others are proofs."""
     from . import suites
 
     return suites.property_suite(**options)

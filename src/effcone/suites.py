@@ -6,8 +6,15 @@ serializes every scalar into a :class:`CheckRow`.  The command line
 (:mod:`effcone.cli`) loads this module only when a suite runs, through its
 ``<name>_suite`` entry points, and renders the rows; ``gonal_suite`` and
 ``certificate_suite`` are given the ``verify`` options by those entry
-points.  The property suite draws from one generator seeded with
-``PROPERTY_SEED``.
+points.
+
+The property suite draws from one generator seeded with ``PROPERTY_SEED``,
+``reps`` times for each linearity row: no finite evaluation proves that an
+arbitrary map is linear.  Its other rows are proofs.  A mapping fixed by a
+group's generators is fixed by the group, so ``pullback_pair_symmetry``
+relabels its pullbacks (B_m for m = 3, 4, 6) by ``pair_generators`` alone.
+Both sides of each binomial identity are homogeneous of degree cap in
+(p, q), so agreeing at q = 1 and p = 0..cap proves it, for caps 1..24.
 
 Every effcone module but ``picard`` and ``scalars`` is imported where it is
 called, so that a suite loads only the modules it runs (``chow`` and
@@ -234,18 +241,11 @@ def _random_mg_class(rng: random.Random, g: int) -> picard.DivisorClassMg:
     )
 
 
-def pair_symmetry_permutation(rng: random.Random, m: int) -> tuple:
-    """A random element of the group generated by in-pair swaps and
-    permutations of the pair blocks."""
-    blocks = list(range(1, m + 1))
-    rng.shuffle(blocks)
-    sigma = []
-    for k in range(1, m + 1):
-        target = blocks[k - 1]
-        swap = rng.randrange(2)
-        odd, even = 2 * target - 1, 2 * target
-        sigma.extend((even, odd) if swap else (odd, even))
-    return tuple(sigma)
+def pair_generators(m: int) -> Tuple[tuple, ...]:
+    """Generators of B_m on 2m markings (m >= 2): the swap within pair 1,
+    the swap of pairs 1 and 2, and the cycle of the pairs."""
+    rest = tuple(range(3, 2 * m + 1))
+    return (2, 1, *rest), (3, 4, 1, 2, *rest[2:]), (*rest, 1, 2)
 
 
 def property_suite(reps: int = PROPERTY_REPS) -> List[CheckRow]:
@@ -290,8 +290,8 @@ def property_suite(reps: int = PROPERTY_REPS) -> List[CheckRow]:
         if lhs != rhs:
             failures["pullback_linearity"] += 1
 
-    # each pullback is listed into a dict once, so that every rep compares
-    # two dicts instead of walking a glued view twice
+    # each pullback is listed into a dict once, so that each generator
+    # compares two dicts instead of walking a glued view twice
     pullbacks = [
         (m, picard.DivisorClassM1n(2 * m, cls.lam, dict(cls.boundary.items())))
         for m, cls in (
@@ -300,11 +300,10 @@ def property_suite(reps: int = PROPERTY_REPS) -> List[CheckRow]:
             (6, gluing.glue_pullback(corpus.bn_class(4), 6)),
         )
     ]
-    for _ in range(reps):
-        m, cls = pullbacks[rng.randrange(len(pullbacks))]
-        sigma = pair_symmetry_permutation(rng, m)
-        if picard.permute_markings(cls, sigma) != cls:
-            failures["pullback_pair_symmetry"] += 1
+    for m, cls in pullbacks:
+        for sigma in pair_generators(m):
+            if picard.permute_markings(cls, sigma) != cls:
+                failures["pullback_pair_symmetry"] += 1
     # freed before the later checks, which would otherwise allocate on top of
     # them and raise the peak memory of `verify all`
     del pullbacks, cls
@@ -324,17 +323,16 @@ def property_suite(reps: int = PROPERTY_REPS) -> List[CheckRow]:
             if tuple(found) != family:
                 failures["lambda_family_sizes"] += 1
 
-    # both identities in x = p/q times q^cap, so checked exactly in integers
-    for _ in range(reps):
-        p, q = _random_rat(rng).as_integer_ratio()
-        cap = rng.randint(1, 24)
-        lhs = sum((s - 1) * binom(cap, s) * p ** (cap - s) * q ** s for s in range(1, cap + 1))
-        rhs = cap * (p + q) ** (cap - 1) * q - (p + q) ** cap + p ** cap
-        if lhs != rhs:
-            failures["binomial_identities"] += 1
-        lhs2 = sum(s * binom(cap, s) * p ** (cap - s) * q ** s for s in range(1, cap + 1))
-        if lhs2 != cap * (p + q) ** (cap - 1) * q:
-            failures["binomial_identities"] += 1
+    # each identity in x = p/q times q^cap: cap + 1 ratios p/q prove it
+    for cap in range(1, 25):
+        row = [binom(cap, s) for s in range(cap + 1)]
+        for p in range(cap + 1):
+            lhs = sum((s - 1) * row[s] * p ** (cap - s) for s in range(1, cap + 1))
+            if lhs != cap * (p + 1) ** (cap - 1) - (p + 1) ** cap + p ** cap:
+                failures["binomial_identities"] += 1
+            lhs2 = sum(s * row[s] * p ** (cap - s) for s in range(1, cap + 1))
+            if lhs2 != cap * (p + 1) ** (cap - 1):
+                failures["binomial_identities"] += 1
 
     from . import chow
 

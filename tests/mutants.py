@@ -289,6 +289,38 @@ MUTANTS = (
         ("tests/test_independence.py::TestGonalRoutes::test_route_reaches_no_pairing_of_the_pullback[gonal.pairing_binomial]",),
     ),
     Mutant(
+        "pair symmetry: the swap within pair 1 dropped",
+        "suites.py",
+        "(2, 1, *rest), ",
+        "",
+        (
+            "tests/test_cli.py::TestPairSymmetryRow::test_only_one_generator_catches_it[swap within pair 1]",
+            "tests/test_cli.py::TestPropertySuiteCanFail::test_pair_symmetry_fails_when_relabeling_moves_a_coefficient",
+        ),
+    ),
+    Mutant(
+        "pair symmetry: the swap of pairs 1 and 2 dropped",
+        "suites.py",
+        "(3, 4, 1, 2, *rest[2:]), ",
+        "",
+        (
+            "tests/test_cli.py::TestPairSymmetryRow::test_only_one_generator_catches_it[swap of pairs 1 and 2]",
+            "tests/test_cli.py::TestPropertySuiteCanFail::test_pair_symmetry_fails_when_relabeling_moves_a_coefficient",
+        ),
+    ),
+    Mutant(
+        # only a mapping moved by the cycle alone, such as one of a subset
+        # inside pair 3, shows it
+        "pair symmetry: the cycle of the pairs dropped",
+        "suites.py",
+        ", (*rest, 1, 2)",
+        "",
+        (
+            "tests/test_cli.py::TestPairSymmetryRow::test_only_one_generator_catches_it[cycle of the pairs]",
+            "tests/test_cli.py::TestPropertySuiteCanFail::test_pair_symmetry_fails_when_relabeling_moves_a_coefficient",
+        ),
+    ),
+    Mutant(
         "gluing: lambda_family in combination order, not ascending",
         "gluing.py",
         "    return tuple(sorted(sets))\n",
