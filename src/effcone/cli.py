@@ -20,6 +20,11 @@ before it builds anything, so ``export`` is refused before ``--output`` is
 opened, and a view before it lists anything; ``pullback`` checks its view's
 count before it opens ``--output``, and ``verify --direct-max-d`` before any
 suite runs.
+
+``python -m effcone.cli`` and the installed ``effcone`` script both run
+:func:`run`, which freezes the collector's heap before the process exits.
+:func:`main` returns the exit code and leaves the collector alone, for
+callers that run commands in-process.
 """
 
 from __future__ import annotations
@@ -441,5 +446,16 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 2
 
 
+def run() -> None:
+    """The process entry: run :func:`main` on ``sys.argv``, then exit with
+    its code.  The heap is frozen first (``gc.freeze``), so the
+    interpreter's exit-time cycle collections skip every object the command
+    made; ``main`` has flushed stdout by then, and the atexit handlers and
+    the final flush of the std streams still run."""
+    code = main()
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -4,6 +4,7 @@ import ast
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -508,6 +509,65 @@ class TestClosedStdout:
             _, err = child.communicate(timeout=60)
         assert first == b"{\n"
         assert child.returncode == 1 and err == b""
+
+
+# Runs in a fresh interpreter: records the collector's freeze count at exit
+# into the file sys.argv[1], then runs the command line sys.argv[3:] either
+# as the process entry runs it (sys.argv[2] == "module": effcone.cli as
+# __main__) or through main() in-process, exiting with its code.
+ENTRY_CHILD = """
+import atexit, gc, runpy, sys
+probe, mode, argv = sys.argv[1], sys.argv[2], sys.argv[3:]
+def record():
+    with open(probe, "w") as f:
+        f.write(str(gc.get_freeze_count()))
+atexit.register(record)
+sys.argv = ["effcone", *argv]
+if mode == "module":
+    runpy.run_module("effcone.cli", run_name="__main__")
+else:
+    from effcone import cli
+    sys.exit(cli.main(argv))
+"""
+
+
+class TestProcessEntry:
+    """Both process entries, ``python -m effcone.cli`` and the installed
+    ``effcone`` script, run ``cli.run``: it freezes the heap after
+    ``main`` returns, so the exit-time collections skip it, and changes
+    no byte of output and no exit code.  ``main`` alone leaves the
+    collector as it was."""
+
+    @staticmethod
+    def _run(mode, args, tmp_path):
+        env = {**os.environ, "PYTHONPATH": str(Path(effcone.__file__).resolve().parents[1])}
+        probe = tmp_path / f"{mode}.count"
+        child = subprocess.run(
+            [sys.executable, "-S", "-c", ENTRY_CHILD, str(probe), mode, *args],
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+        )
+        return child.returncode, child.stdout, child.stderr, int(probe.read_text())
+
+    @pytest.mark.parametrize("args, code", [
+        (["verify", "gonal"], 0),
+        (["verify", "gonal", "--max-d", "2"], 2),
+    ])
+    def test_the_entry_freezes_and_changes_no_output(self, tmp_path, args, code):
+        (entry_code, entry_out, entry_err, frozen) = self._run("module", args, tmp_path)
+        (main_code, main_out, main_err, unfrozen) = self._run("main", args, tmp_path)
+        assert frozen > 0 and unfrozen == 0
+        assert entry_code == main_code == code
+        assert (entry_out, entry_err) == (main_out, main_err)
+        if code == 2:
+            assert entry_out == "" and entry_err == "error: report range must reach at least d = 3, got 2\n"
+        else:
+            assert entry_out.endswith("20 checks, 0 failed\n") and entry_err == ""
+
+    def test_both_entries_run_the_same_function(self):
+        pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text(encoding="utf-8")
+        scripts = pyproject.split("[project.scripts]\n", 1)[1].split("\n[", 1)[0]
+        assert re.findall(r"^(\S+) = \"(.*)\"$", scripts, re.MULTILINE) == [("effcone", "effcone.cli:run")]
+        assert ast.unparse(_parse("cli").body[-1]) == "if __name__ == '__main__':\n    run()"
 
 
 # Runs in a fresh interpreter: imports effcone.cli, runs each command line
