@@ -122,7 +122,10 @@ def profile(name: str, d: int | None = None) -> CurveProfile:
     * ``gonal``: pencil of degree-d covers cut on a product of a genus-one
       curve and a line, after a base change of degree (d-1)^(2d-2)
       (4d-4 markings; requires ``d``).  Its d * 4^(d-1) - 2d + 1 entries are
-      refused past EXPORT_BUDGET before the first is built, so d <= 9.
+      refused past EXPORT_BUDGET before the first is built, so d <= 9.  They
+      are nonzero ints on subsets of two or more markings by construction,
+      so ``CurveProfile._trusted`` takes them unchecked and uncopied; the
+      hand-entered profiles go through the checked constructor.
     * ``gp``: pencil of genus-one fibrations marked on three 2-sections,
       after a base change of degree 8 (6 markings; values polynomial in a).
     """
@@ -165,7 +168,7 @@ def profile(name: str, d: int | None = None) -> CurveProfile:
             while sub:
                 boundary[sub | odd] = on_odd_fiber[sub.bit_count()]
                 sub = (sub - 1) & rest
-        return CurveProfile(n, 0, boundary)
+        return CurveProfile._trusted(n, 0, boundary)
 
     if name == "gp":
         n = 6

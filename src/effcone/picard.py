@@ -138,30 +138,12 @@ def _check_n(n: int) -> None:
 
 def _checked_boundary(boundary, n: int) -> Dict[int, Scalar]:
     """A canonical, zero-pruned copy of a boundary mapping whose keys are
-    subsets of 1..n with at least two markings.  The keys are checked over
-    the whole mapping at once; when a check fails, :func:`_checked_entries`
-    walks the entries to raise the error of the first offending one."""
-    if boundary is None:
-        boundary = {}
-    elif type(boundary) is not dict:
-        boundary = dict(boundary.items())  # dict(view) would read every key again
-    keys = boundary.keys()
-    if not (
-        keys
-        and set(map(type, keys)) == {int}
-        and min(keys) >= 0
-        and max(keys) <= full_mask(n)
-        and min(map(int.bit_count, keys)) >= 2
-    ):
-        return _checked_entries(boundary, n)
-    values = boundary.values()
-    if set(map(type, values)) == {int} and 0 not in values:
-        return dict(boundary)  # nonzero plain ints are canonical already
-    return {mask: value for mask, value in zip(keys, map(canon, values)) if value != 0}
-
-
-def _checked_entries(boundary: dict, n: int) -> Dict[int, Scalar]:
+    subsets of 1..n with at least two markings, read one entry at a time
+    (a view through its budget-guarded ``items``), raising the error of the
+    first offending entry.  Data derived from a rule skips it by ``_trusted``."""
     out: Dict[int, Scalar] = {}
+    if boundary is None:
+        return out
     top = full_mask(n)
     for mask, value in boundary.items():
         if not isinstance(mask, int) or mask < 0 or mask & ~top:
@@ -214,8 +196,10 @@ class DivisorClassM1n:
 
     @classmethod
     def _trusted(cls, n: int, lam: Scalar, boundary: Mapping[int, Scalar]) -> "DivisorClassM1n":
-        # internal fast path: caller guarantees canonical, pruned, in-range
-        # data; ``boundary`` may be a read-only view
+        """The class as given, unchecked and uncopied.  The caller derives
+        it from a rule it holds: ``lam`` and every coefficient are canonical,
+        no coefficient is zero, and every key is a subset of 1..n with two
+        or more markings.  ``boundary`` may be a read-only view."""
         obj = object.__new__(cls)
         obj.n = n
         obj.lam = lam
@@ -253,7 +237,8 @@ class CurveProfile:
 
     @classmethod
     def _trusted(cls, n: int, on_lambda: Scalar, on_boundary: Dict[int, Scalar]) -> "CurveProfile":
-        # internal fast path: caller guarantees canonical, pruned, in-range data
+        """The profile as given, as :meth:`DivisorClassM1n._trusted`; the
+        d-gonal profile of :func:`effcone.corpus.profile` comes this way."""
         obj = object.__new__(cls)
         obj.n = n
         obj.on_lambda = on_lambda
@@ -472,16 +457,21 @@ def _boundary_to_json(mapping: Mapping[int, Scalar]) -> list:
 
 
 def _boundary_entries(entries, n: int) -> Dict[int, Scalar]:
-    """Boundary coefficients of serialized entries: integer markings in
-    1..n, none repeated, at least two per subset and no subset twice, and
-    zero coefficients dropped.  The entries are read one at a time, and the
+    """Boundary coefficients of serialized entries: JSON objects whose
+    ``S`` is a JSON array of integer markings in 1..n, none repeated, at
+    least two per subset and no subset twice, and zero coefficients
+    dropped.  The entries are read one at a time, and the
     error raised is that of the first entry that breaks a rule; this is the
     one place those errors are worded."""
     out: Dict[int, Scalar] = {}
     values: Dict[str, Scalar] = {}
     zeros = []
     for entry in entries:
+        if type(entry) is not dict:
+            raise ValueError(f"boundary entry must be a JSON object, got {type(entry).__name__}")
         members = entry["S"]
+        if type(members) is not list:
+            raise ValueError(f"S must be a JSON array, got {type(members).__name__}")
         mask = 0
         for i in members:
             if type(i) is not int:
@@ -513,7 +503,11 @@ def _boundary_entries(entries, n: int) -> Dict[int, Scalar]:
 
 def _space(obj: dict, kind: str, key: str, what: str) -> int:
     """The size ``key`` (``n`` or ``g``) of the space of a serialized
-    ``what``, which must live on a space of type ``kind``."""
+    ``what``, which must live on a space of type ``kind``.  This is the
+    first read of every document, so it also refuses one that is not a JSON
+    object."""
+    if type(obj) is not dict:
+        raise ValueError(f"a {what} must be a JSON object, got {type(obj).__name__}")
     space = obj["space"]
     if type(space) is not dict:
         raise ValueError(f"space must be a JSON object, got {type(space).__name__}")

@@ -291,9 +291,10 @@ def property_suite(reps: int = PROPERTY_REPS) -> List[CheckRow]:
             failures["pullback_linearity"] += 1
 
     # each pullback is listed into a dict once, so that each generator
-    # compares two dicts instead of walking a glued view twice
+    # compares two dicts instead of walking a glued view twice; the listing
+    # of a zero-pruned view is canonical already, so it is not checked again
     pullbacks = [
-        (m, picard.DivisorClassM1n(2 * m, cls.lam, dict(cls.boundary.items())))
+        (m, picard.DivisorClassM1n._trusted(2 * m, cls.lam, dict(cls.boundary.items())))
         for m, cls in (
             (4, gluing.glue_pullback(corpus.bn_class(3), 4)),
             (3, gluing.glue_pullback(corpus.gp_class(), 3)),

@@ -10,8 +10,11 @@ Run it as:
 
     python tests/mutants.py
 
-Each mutant is applied to a copy of ``src/``, ``tests/`` and
-``pyproject.toml`` in a temporary directory, and its tests run there in a
+First the union of the named tests runs once on an unmutated copy of
+``src/``, ``tests/`` and ``pyproject.toml`` in a temporary directory: a
+test that already fails would count every mutant that names it as caught,
+so the runner prints each failure and exits 1 before any mutant is applied.
+Then each mutant is applied to a fresh copy, and its tests run there in a
 child pytest under a timeout.  A mutant is caught
 when one of its tests fails; the runner exits 1 when some mutant is caught
 by none of them, or its tests cannot be run.
@@ -27,6 +30,11 @@ Left out, as equivalent mutants:
 
 Retired:
 
+- ``constructor: int zeros kept in the copy``.  The constructor's check
+  (``picard._checked_boundary``) no longer has a bulk path that copies a
+  mapping of plain ints whole, so the ``0 not in values`` test it mutated
+  is gone; the one per-entry nonzero gate left is ``constructor: zero
+  coefficients kept``.
 - ``reader: no marking-type check`` and ``reader: range shift n in place
   of n + 1``.  The batch reader no longer decodes markings as JSON
   integers: each marking line is looked up in a table of the lines of the
@@ -245,13 +253,28 @@ MUTANTS = (
         ("tests/test_inputs.py::TestReaderGuards::test_the_text_is_freed_before_the_checks",),
     ),
     Mutant(
-        "constructor: int zeros kept in the copy",
+        # the constructor's one nonzero gate
+        "constructor: zero coefficients kept",
         "picard.py",
-        "    if set(map(type, values)) == {int} and 0 not in values:\n",
-        "    if set(map(type, values)) == {int}:\n",
+        "        if value != 0:\n",
+        "        if True:\n",
         (
             "tests/test_picard.py::TestConstruction::test_zero_coefficients_are_pruned",
             "tests/test_picard.py::TestCheckedBoundary::test_same_canonical_entries[int with zeros]",
+            "tests/test_picard.py::TestCheckedBoundary::test_same_canonical_entries[zeros of every type]",
+        ),
+    ),
+    Mutant(
+        # the profile is handed over unchecked, so the builder's own size
+        # gate is all that keeps one-marking subsets out of it
+        "gonal builder: one-even subsets listed",
+        "corpus.py",
+        "            if sub & (sub - 1):\n",
+        "            if sub:\n",
+        (
+            "tests/test_corpus.py::TestGonalBuilder::test_matches_the_combinations_builder[3]",
+            "tests/test_corpus.py::TestGonalBuilder::test_a_fixed_point_of_the_checked_constructor[3]",
+            "tests/test_corpus.py::TestGonalBuilder::test_a_fixed_point_of_the_checked_constructor[6]",
         ),
     ),
     Mutant(
@@ -344,22 +367,49 @@ MUTANTS = (
 )
 
 
+def _copy(work: Path) -> None:
+    """A fresh copy of the sources, the tests and ``pyproject.toml`` in ``work``."""
+    shutil.copytree(ROOT / "src", work / "src", ignore=shutil.ignore_patterns("__pycache__"))
+    shutil.copytree(ROOT / "tests", work / "tests", ignore=shutil.ignore_patterns("__pycache__"))
+    shutil.copy2(ROOT / "pyproject.toml", work / "pyproject.toml")
+
+
+def _pytest(work: Path, tests) -> subprocess.CompletedProcess:
+    """A child pytest of ``tests`` in ``work``; raises ``TimeoutExpired``."""
+    argv = [sys.executable, "-m", "pytest", "-q", "-rf", "-p", "no:cacheprovider", *tests]
+    return subprocess.run(argv, cwd=work, capture_output=True, text=True, timeout=TIMEOUT_S)
+
+
+def _baseline() -> list:
+    """The lines that report the failures of every named test, run once on
+    an unmutated copy; empty when all of them pass.  A test that fails
+    here would count each mutant that names it as caught."""
+    tests = sorted({test for mutant in MUTANTS for test in mutant.tests})
+    with tempfile.TemporaryDirectory(prefix="effcone-baseline-") as tmp:
+        _copy(Path(tmp))
+        try:
+            done = _pytest(Path(tmp), tests)
+        except subprocess.TimeoutExpired:
+            return [f"timeout: the {len(tests)} named tests ran past {TIMEOUT_S} s"]
+    if done.returncode == 0:
+        return []
+    failed = [line for line in done.stdout.splitlines() if line.startswith(("FAILED ", "ERROR "))]
+    return failed or (done.stdout + done.stderr).strip().splitlines()[-1:]
+
+
 def _run(mutant: Mutant) -> str:
     """``caught``, ``survived`` or ``error: ...`` for one mutant, run in a
     fresh copy of the sources."""
     with tempfile.TemporaryDirectory(prefix="effcone-mutant-") as tmp:
         work = Path(tmp)
-        shutil.copytree(ROOT / "src", work / "src", ignore=shutil.ignore_patterns("__pycache__"))
-        shutil.copytree(ROOT / "tests", work / "tests", ignore=shutil.ignore_patterns("__pycache__"))
-        shutil.copy2(ROOT / "pyproject.toml", work / "pyproject.toml")
+        _copy(work)
         target = work / "src" / "effcone" / mutant.path
         source = target.read_text(encoding="utf-8")
         if source.count(mutant.snippet) != 1:
             return f"error: snippet occurs {source.count(mutant.snippet)} times in {mutant.path}"
         target.write_text(source.replace(mutant.snippet, mutant.replacement), encoding="utf-8")
-        argv = [sys.executable, "-m", "pytest", "-q", "-rf", "-p", "no:cacheprovider", *mutant.tests]
         try:
-            done = subprocess.run(argv, cwd=work, capture_output=True, text=True, timeout=TIMEOUT_S)
+            done = _pytest(work, mutant.tests)
         except subprocess.TimeoutExpired:
             return "caught (timeout)"
     if done.returncode == 1:  # pytest: some test failed
@@ -372,6 +422,13 @@ def _run(mutant: Mutant) -> str:
 
 
 def main() -> int:
+    failing = _baseline()
+    if failing:
+        print("baseline: named tests fail on the unmutated sources", flush=True)
+        for line in failing:
+            print(f"  {line}", flush=True)
+        return 1
+    print("baseline: every named test passes on the unmutated sources", flush=True)
     escaped = 0
     for mutant in MUTANTS:
         outcome = _run(mutant)

@@ -205,16 +205,10 @@ class TestGonalBuilder:
         assert len(prof.on_boundary) == gonal_support(d)
         assert min(mask.bit_count() for mask in prof.on_boundary) >= 2
 
-    def test_built_through_the_validated_constructor(self, monkeypatch):
-        checked = []
-
-        def spy(boundary, n):
-            out = check(boundary, n)
-            checked.append((n, out))
-            return out
-
-        check = picard._checked_boundary
-        monkeypatch.setattr(picard, "_checked_boundary", spy)
-        prof = profile("gonal", 4)
-        assert len(checked) == 1 and checked[0][0] == 12
-        assert checked[0][1] is prof.on_boundary
+    @pytest.mark.parametrize("d", [3, 4, 5, 6, 7, 8])
+    def test_a_fixed_point_of_the_checked_constructor(self, d):
+        """The profile is handed over unchecked; the constructor's check
+        would keep every entry as it is."""
+        prof = profile("gonal", d)
+        assert picard._checked_boundary(prof.on_boundary, prof.n) == prof.on_boundary
+        assert all(type(value) is int and value != 0 for value in prof.on_boundary.values())

@@ -78,9 +78,11 @@ def files(tmp_path):
 
 
 def _intersect_fails(capsys, profile, class_file):
+    """The error text of an ``intersect`` that exits 2 with an input error."""
     assert main(["intersect", "--profile", profile, "--class", class_file]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+    return err
 
 
 class TestRationalGrammar:
@@ -356,19 +358,42 @@ class TestExportNames:
 
 
 class TestJsonKinds:
-    """``space`` is a JSON object, and ``delta``, ``boundary`` and
-    ``on_boundary`` are JSON arrays: a string there is not read character by
-    character, nor an object key by key."""
+    """The document, ``space`` and each boundary entry are JSON objects, and
+    ``delta``, ``boundary``, ``on_boundary`` and each ``S`` are JSON arrays:
+    a string there is not read character by character, nor an object key by
+    key, and any other kind is refused by name."""
 
     @pytest.mark.parametrize("space", [5, ["M1n"], "M1n", None])
     def test_space(self, files, capsys, space):
         _intersect_fails(capsys, files.write("p.json", {**files.prof, "space": space}), files.cls_path)
         _intersect_fails(capsys, files.prof_path, files.write("c.json", {**files.cls, "space": space}))
 
-    @pytest.mark.parametrize("obj", [[], 5, "M1n", None])
-    def test_file_is_an_object(self, files, capsys, obj):
-        _intersect_fails(capsys, files.write("p.json", obj), files.cls_path)
-        _intersect_fails(capsys, files.prof_path, files.write("c.json", obj))
+    @pytest.mark.parametrize("obj, kind", [([], "list"), (5, "int"), ("M1n", "str"), (None, "NoneType")])
+    def test_file_is_an_object(self, files, capsys, obj, kind):
+        err = _intersect_fails(capsys, files.write("p.json", obj), files.cls_path)
+        assert f"p.json: not a profile file: a profile must be a JSON object, got {kind}\n" in err
+        err = _intersect_fails(capsys, files.prof_path, files.write("c.json", obj))
+        assert f"c.json: not a marked-space class file: a class must be a JSON object, got {kind}\n" in err
+
+    @pytest.mark.parametrize("entry, kind", [(5, "int"), (None, "NoneType"), ([[1, 2], "1"], "list"), ("S", "str")])
+    def test_each_entry_is_an_object(self, files, capsys, entry, kind):
+        message = f"boundary entry must be a JSON object, got {kind}\n"
+        entries = [*files.prof["on_boundary"], entry]
+        err = _intersect_fails(capsys, files.write("p.json", {**files.prof, "on_boundary": entries}), files.cls_path)
+        assert message in err
+        entries = [entry, *files.cls["boundary"]]
+        err = _intersect_fails(capsys, files.prof_path, files.write("c.json", {**files.cls, "boundary": entries}))
+        assert message in err
+
+    @pytest.mark.parametrize("members, kind", [(5, "int"), (None, "NoneType"), ("12", "str"), ({"1": 2}, "dict")])
+    def test_each_subset_is_an_array(self, files, capsys, members, kind):
+        message = f"S must be a JSON array, got {kind}\n"
+        entries = [{"S": members, "coeff": "1"}]
+        err = _intersect_fails(capsys, files.write("p.json", {**files.prof, "on_boundary": entries}), files.cls_path)
+        assert message in err
+        entries = [*files.cls["boundary"], {"S": members, "coeff": "1"}]
+        err = _intersect_fails(capsys, files.prof_path, files.write("c.json", {**files.cls, "boundary": entries}))
+        assert message in err
 
     NOT_ARRAYS = [{}, "", "12", {"S": [1, 2], "coeff": "1"}, None, 0]
 
