@@ -1,8 +1,8 @@
 """The batch reader: the boundary entries of a class or profile file in
-the writer's layout, read from a :class:`~effcone.picard.Batched` array.
+the writer's layout, read from a :class:`~effcone.files.Batched` array.
 
-:func:`effcone.picard.batched_class` finds the array in a file's frame, as
-described by ``picard._LAYOUTS``, and the whole read hands it to
+:func:`effcone.files.batched_class` finds the array in a file's frame, as
+described by ``files._LAYOUTS``, and the whole read hands it to
 :func:`_batched_boundary`, which is the one entry point here; this module
 is loaded only then, so a command that reads no such file never compiles it.
 
@@ -16,7 +16,7 @@ walk.  Any other batch is cut by :func:`_split` at the writer's entry
 separators into member texts and coefficient pieces, and each member's
 marking lines are read as bits through a table of the file's own n lines,
 so a marking past n is refused in its own batch.  Entries that fail a
-check or do not decode raise :class:`~effcone.picard.NotCanonical`, the
+check or do not decode raise :class:`~effcone.files.NotCanonical`, the
 batch reader's one refusal, and the file is then read whole.
 """
 
@@ -30,17 +30,8 @@ from math import comb
 from operator import and_, itemgetter, le, lt, neg, or_, sub, xor
 from typing import Dict, Iterable, Iterator
 
-from .picard import (
-    _BETWEEN,
-    _FIRST,
-    _MARKING_LINES,
-    _MIDDLE,
-    _NEXT,
-    Batched,
-    NotCanonical,
-    _lex_rank,
-    subset_members,
-)
+from .files import _BETWEEN, _FIRST, _MARKING_LINES, _MIDDLE, _NEXT, Batched, NotCanonical
+from .picard import _lex_rank, subset_members
 from .scalars import Scalar, parse_rat
 
 _BATCH_BYTES = 1 << 16

@@ -1,17 +1,19 @@
 """Command-line driver: verification suites, ad-hoc pullback and pairing
 queries, and JSON export of the named corpus.
 
-``SUITES`` registers the suites of :mod:`effcone.suites` by module name; it
-supplies the ``verify`` choices, and ``verify all`` runs them all.  Each
-suite is called through its ``<name>_suite`` entry point here, which loads
-the suites module, and ``emit_report`` renders the rows.
+``SUITES`` registers the suites of :mod:`effcone.suites` and
+:mod:`effcone.properties` by module name; it supplies the ``verify``
+choices, and ``verify all`` runs them all.  Each suite is called through
+its ``<name>_suite`` entry point here, which loads the suite's module, and
+``emit_report`` renders the rows.
 
 Every effcone module but ``picard`` and ``scalars`` is imported where it
-is called, so that each command loads only the modules it runs:
-``intersect`` the batch reader (:mod:`effcone.batches`), ``pullback``
-``gluing`` and the writer (:mod:`effcone.writer`), ``export`` ``corpus``
-and the writer, and ``verify`` the suites and those of their modules that
-it runs (``chow`` and ``certify`` only with the suites that call them).
+is called, so that each command loads only the modules it runs: each file
+command the file format (:mod:`effcone.files`), ``intersect`` the batch
+reader (:mod:`effcone.batches`), ``pullback`` ``gluing`` and the writer
+(:mod:`effcone.writer`), ``export`` ``corpus`` and the writer, and
+``verify`` the suites and those of their modules that it runs (``chow``,
+``certify`` and :mod:`effcone.properties` only with their suites).
 
 Exit codes: 0 when every check passes, 1 on any failing row (an internal
 error in a suite is one), 2 on usage or input errors and on a refused budget.
@@ -90,8 +92,9 @@ def emit_report(rows: Sequence[CheckRow], fmt: str = "text") -> str:
     return "\n".join(lines) + "\n"
 
 
-# Each suite runs in effcone.suites, loaded when its entry point here is
-# called; the defaults of --max-d and --direct-max-d are the command line's.
+# Each suite runs in effcone.suites (the property suite in
+# effcone.properties), loaded when its entry point here is called; the
+# defaults of --max-d and --direct-max-d are the command line's.
 
 
 def trigonal_suite() -> List[CheckRow]:
@@ -125,11 +128,12 @@ def certificate_suite(direct_max_d: int = DIRECT_ROUTE_DEFAULT_CAP) -> List[Chec
 
 
 def property_suite(**options) -> List[CheckRow]:
-    """``suites.property_suite``: ``reps`` (default ``suites.PROPERTY_REPS``)
-    draws the two linearity rows, which stay sampled; the others are proofs."""
-    from . import suites
+    """``properties.property_suite``: ``reps`` (default
+    ``properties.PROPERTY_REPS``) draws the two linearity rows, which stay
+    sampled; the others are proofs."""
+    from . import properties
 
-    return suites.property_suite(**options)
+    return properties.property_suite(**options)
 
 
 # Each entry looks its suite up by name when called, so that a suite
@@ -249,12 +253,13 @@ def _read(path: str, parse, what: str, profile: picard.CurveProfile | None = Non
     space mismatch with ``profile`` is passed on as it is.
 
     A regular file in the writer's layout is first given to ``parse`` as
-    the document of ``picard.batched_class``, read in batches (see
+    the document of ``files.batched_class``, read in batches (see
     :mod:`effcone.batches`); a class read against ``profile`` keeps only its
     support, and only such a class is walked.
     A file of the other kind is refused from its tail.  Any other file, or
-    one the batch reader refuses (``picard.NotCanonical``), is decoded
-    whole and read entry by entry, which words every error.
+    one the batch reader refuses (``files.NotCanonical``), is decoded
+    whole and read entry by entry, which words every error but a missing
+    key, worded here.
 
     The text is freed as soon as it is decoded, before ``parse`` runs: on
     a large file it is as large as the parse's own working set.  The cycle
@@ -264,21 +269,25 @@ def _read(path: str, parse, what: str, profile: picard.CurveProfile | None = Non
     start collections that walk the whole young tree. A pause around the
     decode alone would only defer that walk to the first collection after
     it; by the end of the parse the tree is freed."""
+    from . import files
+
     enabled = gc.isenabled()
     gc.disable()
     try:
-        obj = picard.batched_class(path, profile)
+        obj = files.batched_class(path, profile)
         try:
             if obj is not None:
                 try:
                     return parse(obj)
-                except picard.NotCanonical:
+                except files.NotCanonical:
                     pass
             obj = _decode(path, _text(path))
             return parse(obj)
         except (InputError, picard.SpaceMismatchError):
             raise
-        except (KeyError, TypeError, ValueError) as exc:
+        except KeyError as exc:
+            raise InputError(f"{path}: not a {what} file: missing key {exc}") from exc
+        except (TypeError, ValueError) as exc:
             raise InputError(f"{path}: not a {what} file: {exc}") from exc
     finally:
         if enabled:

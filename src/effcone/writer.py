@@ -1,7 +1,7 @@
 """The writer of class and profile files: :func:`write_json` streams the
 canonical indented, sorted-key JSON text of a class or profile a bounded
 piece at a time, building no entry dict, in the frame given by
-``picard._LAYOUTS``, the one table of the file layout, which the batch
+``files._LAYOUTS`` (:mod:`effcone.files`), the one table of the file layout, which the batch
 reader (:mod:`effcone.batches`) looks for too.  This module is loaded
 only when a class or profile is written.  The ``X_to_json`` functions are
 looked up on :mod:`effcone.picard` when called, so that a wrapper set there
@@ -15,18 +15,8 @@ from itertools import islice
 from typing import Callable, Iterator, Mapping
 
 from . import picard
-from .picard import (
-    _BETWEEN,
-    _FIRST,
-    _LAYOUTS,
-    _MARKING_LINES,
-    _MIDDLE,
-    _NEXT,
-    CurveProfile,
-    DivisorClassM1n,
-    DivisorClassMg,
-    _runs,
-)
+from .files import _BETWEEN, _FIRST, _LAYOUTS, _MARKING_LINES, _MIDDLE, _NEXT
+from .picard import CurveProfile, DivisorClassM1n, DivisorClassMg, _runs
 from .scalars import Scalar, scalar_to_json
 
 # boundary entries are written this many at a time

@@ -207,7 +207,7 @@ MUTANTS = (
         # every file is taken for a class file: a renamed array key is read
         # as the boundary
         "batched reader: any head batched",
-        "picard.py",
+        "files.py",
         " for layout in _LAYOUTS if head.startswith(layout.head.encode())), None)",
         " for layout in _LAYOUTS), None)",
         ("tests/test_inputs.py::TestBatchedReader::test_another_layout_is_read_whole[renamed array key]",),
@@ -225,7 +225,7 @@ MUTANTS = (
     ),
     Mutant(
         "batched reader: profile files read whole",
-        "picard.py",
+        "files.py",
         '(("boundary", "lambda"), ("on_boundary", "on_lambda"))',
         '(("boundary", "lambda"),)',
         (
@@ -238,8 +238,8 @@ MUTANTS = (
         # read whole to word the same error
         "batched reader: its parse errors sent to the whole read",
         "cli.py",
-        "                except picard.NotCanonical:\n",
-        "                except (picard.NotCanonical, KeyError, TypeError, ValueError):\n",
+        "                except files.NotCanonical:\n",
+        "                except (files.NotCanonical, KeyError, TypeError, ValueError):\n",
         (
             "tests/test_inputs.py::TestBatchedReader::test_the_peak_of_a_large_file_is_that_of_the_imports[class as profile]",
             "tests/test_inputs.py::TestBatchedReader::test_the_peak_of_a_large_file_is_that_of_the_imports[class as genus-g class]",
@@ -313,7 +313,7 @@ MUTANTS = (
     ),
     Mutant(
         "pair symmetry: the swap within pair 1 dropped",
-        "suites.py",
+        "properties.py",
         "(2, 1, *rest), ",
         "",
         (
@@ -323,7 +323,7 @@ MUTANTS = (
     ),
     Mutant(
         "pair symmetry: the swap of pairs 1 and 2 dropped",
-        "suites.py",
+        "properties.py",
         "(3, 4, 1, 2, *rest[2:]), ",
         "",
         (
@@ -335,7 +335,7 @@ MUTANTS = (
         # only a mapping moved by the cycle alone, such as one of a subset
         # inside pair 3, shows it
         "pair symmetry: the cycle of the pairs dropped",
-        "suites.py",
+        "properties.py",
         ", (*rest, 1, 2)",
         "",
         (

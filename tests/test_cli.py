@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import effcone
-from effcone import certify, chow, cli, corpus, gluing, gonal, picard, suites
+from effcone import certify, chow, cli, corpus, gluing, gonal, picard, properties
 from effcone.cli import emit_report, main
 from effcone.gluing import GluedBoundary, glue_pullback
 from effcone.picard import m1n_class_from_json, subset_mask
@@ -381,15 +381,15 @@ class TestPropertySuiteCanFail:
 
     def test_binomial_identities_fail_when_binom_is_off(self, monkeypatch):
         """Both identities read ``binom``; one wrong at s = 2 fails them."""
-        honest = suites.binom
-        monkeypatch.setattr(suites, "binom", lambda n, k: honest(n, k) + (k == 2))
+        honest = properties.binom
+        monkeypatch.setattr(properties, "binom", lambda n, k: honest(n, k) + (k == 2))
         actual = self._actual()
         assert actual["binomial_identities"] != "0 failures"
         assert actual["pair_bilinearity"] == actual["pullback_linearity"] == "0 failures"
 
 
 def _fixed_by_two(m):
-    """Per generator of B_m (m >= 3), in ``suites.pair_generators`` order,
+    """Per generator of B_m (m >= 3), in ``properties.pair_generators`` order,
     subsets of a mapping that the other two generators fix and it moves."""
     def pair(k):
         return 2 * (k % m) + 1, 2 * (k % m) + 2
@@ -409,7 +409,7 @@ class TestPairSymmetryRow:
     third catches it, once per pullback."""
 
     def test_the_generators(self):
-        assert suites.pair_generators(3) == ((2, 1, 3, 4, 5, 6), (3, 4, 1, 2, 5, 6), (3, 4, 5, 6, 1, 2))
+        assert properties.pair_generators(3) == ((2, 1, 3, 4, 5, 6), (3, 4, 1, 2, 5, 6), (3, 4, 5, 6, 1, 2))
 
     @pytest.mark.parametrize(
         "moved", [0, 1, 2], ids=["swap within pair 1", "swap of pairs 1 and 2", "cycle of the pairs"]
@@ -418,7 +418,7 @@ class TestPairSymmetryRow:
         def skewed(source, m):
             masks = [subset_mask(members, 2 * m) for members in _fixed_by_two(m)[moved]]
             cls = picard.DivisorClassM1n(2 * m, 0, dict.fromkeys(masks, 1))
-            fixed = [picard.permute_markings(cls, sigma) == cls for sigma in suites.pair_generators(m)]
+            fixed = [picard.permute_markings(cls, sigma) == cls for sigma in properties.pair_generators(m)]
             assert fixed == [k != moved for k in range(3)]
             return cls
 
@@ -577,7 +577,8 @@ STARTUP_CHILD = """
 import contextlib, io, json, sys
 HEAVY = (
     "effcone.corpus", "effcone.gluing", "effcone.gonal", "effcone.chow", "effcone.certify", "dataclasses",
-    "effcone.suites", "effcone.batches", "effcone.writer", "random", "pathlib",
+    "effcone.suites", "effcone.properties", "effcone.files", "effcone.batches", "effcone.writer", "random",
+    "pathlib",
 )
 def loaded():
     return [name for name in HEAVY if name in sys.modules]
@@ -592,11 +593,12 @@ print(json.dumps(report))
 
 class TestStartupImports:
     """Commands load only the modules they run: ``corpus``, ``gluing`` and
-    ``gonal`` with the commands that call them, ``chow`` and ``certify``
-    with their suites, the suites (and ``random``) with ``verify`` alone,
-    the batch reader with a file read in batches and the writer with a
-    written file, and no module on the shared path needs ``dataclasses``
-    or ``pathlib``.  The child runs without ``site`` (``-S``), so only
+    ``gonal`` with the commands that call them, ``chow``, ``certify`` and
+    the property suite (with ``random``) with their suites, the suites with
+    ``verify`` alone, the file format with the file commands alone, the
+    batch reader with a file read in batches and the writer with a written
+    file, and no module on the shared path needs ``dataclasses`` or
+    ``pathlib``.  The child runs without ``site`` (``-S``), so only
     effcone's own imports are seen."""
 
     @staticmethod
@@ -618,7 +620,7 @@ class TestStartupImports:
         ]
         report = self._run(steps, tmp_path)
         assert [step for step, _, _ in report] == ["import"] + [" ".join(s) for s in steps]
-        unshared = {"effcone.chow", "effcone.certify", "dataclasses"}
+        unshared = {"effcone.chow", "effcone.certify", "effcone.properties", "random", "dataclasses"}
         assert [(step, code, heavy) for step, code, heavy in report if code or unshared & set(heavy)] == []
 
     def test_verify_all_loads_both_suites_modules_without_dataclasses(self, tmp_path):
@@ -626,20 +628,29 @@ class TestStartupImports:
         assert after[1] == 0
         assert after[2] == [
             "effcone.corpus", "effcone.gluing", "effcone.gonal", "effcone.chow", "effcone.certify",
-            "effcone.suites", "random",
+            "effcone.suites", "effcone.properties", "random",
         ]
 
     @pytest.mark.parametrize("step, loaded", [
-        (["intersect", "--profile", "trig.json", "--class", "pulled.json"], ["effcone.batches"]),
+        (["intersect", "--profile", "trig.json", "--class", "pulled.json"], ["effcone.files", "effcone.batches"]),
         # a genus-g input is read whole, so the batch reader stays unloaded
         (["pullback", "--g", "5", "--m", "4", "--input", "bn3.json", "--output", "out.json"],
-         ["effcone.gluing", "effcone.writer"]),
-        (["export", "--name", "profile-gonal(4)", "--output", "out.json"], ["effcone.corpus", "effcone.writer"]),
-        (["export", "--name", "bn(3)", "--output", "out.json"], ["effcone.corpus", "effcone.writer"]),
-        (["verify", "gonal", "--max-d", "5"],
-         ["effcone.corpus", "effcone.gluing", "effcone.gonal", "effcone.suites", "random"]),
-        (["verify", "trigonal"], ["effcone.corpus", "effcone.gluing", "effcone.suites", "random"]),
-        (["pullback", "--g", "5", "--m", "4", "--input", "bn3.json"], ["effcone.gluing", "effcone.writer"]),
+         ["effcone.gluing", "effcone.files", "effcone.writer"]),
+        (["export", "--name", "profile-gonal(4)", "--output", "out.json"],
+         ["effcone.corpus", "effcone.files", "effcone.writer"]),
+        (["export", "--name", "bn(3)", "--output", "out.json"], ["effcone.corpus", "effcone.files", "effcone.writer"]),
+        # no verify suite loads the file format, and only the property
+        # suite loads `properties` and `random`
+        (["verify", "gonal", "--max-d", "5"], ["effcone.corpus", "effcone.gluing", "effcone.gonal", "effcone.suites"]),
+        (["verify", "trigonal"], ["effcone.corpus", "effcone.gluing", "effcone.suites"]),
+        (["pullback", "--g", "5", "--m", "4", "--input", "bn3.json"],
+         ["effcone.gluing", "effcone.files", "effcone.writer"]),
+        (["verify", "gp"], ["effcone.corpus", "effcone.gluing", "effcone.suites"]),
+        (["verify", "chow"], ["effcone.corpus", "effcone.chow", "effcone.suites"]),
+        (["verify", "certify", "--direct-max-d", "4"],
+         ["effcone.corpus", "effcone.gluing", "effcone.gonal", "effcone.certify", "effcone.suites"]),
+        (["verify", "properties"],
+         ["effcone.corpus", "effcone.gluing", "effcone.chow", "effcone.suites", "effcone.properties", "random"]),
     ])
     def test_each_command_loads_only_the_modules_it_runs(self, tmp_path, step, loaded):
         for argv in (

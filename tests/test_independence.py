@@ -141,4 +141,4 @@ class TestLambdaFamily:
 
     def test_the_row_is_seen_to_use_both(self):
         # the walk is not vacuous: the property suite compares the two
-        assert {"gluing.GluedBoundary", "gluing.lambda_family"} <= reach("suites.property_suite")
+        assert {"gluing.GluedBoundary", "gluing.lambda_family"} <= reach("properties.property_suite")

@@ -24,6 +24,7 @@ from hypothesis import strategies as st
 
 from conftest import rationals
 from effcone import batches, cli, corpus, gonal, picard, writer
+from effcone import files as file_format  # the fixture ``files`` holds test files
 from effcone.cli import main
 from effcone.gluing import forget_pullback, glue_pullback
 from effcone.picard import DivisorClassM1n, DivisorClassMg
@@ -428,6 +429,59 @@ class TestJsonKinds:
         assert picard.m1n_class_from_json(obj) == cls
 
 
+class TestMissingKeys:
+    """A document that lacks a required key is refused with the key named
+    as missing, and the batch read (a file in the writer's indented layout)
+    and the whole read (a compact file) give the same text."""
+
+    DROPS = {
+        "coeff": lambda doc, key: doc[key][0].pop("coeff"),
+        "S": lambda doc, key: doc[key][-1].pop("S"),
+        "space": lambda doc, key: doc.pop("space"),
+        "n": lambda doc, key: doc["space"].pop("n"),
+    }
+
+    @staticmethod
+    def _errors(capsys, tmp_path, doc, argv):
+        """The error texts of ``argv`` run on ``doc`` written in each
+        layout, the file standing for ``@``, with its path read ``FILE``."""
+        errors = []
+        for name, layout in (("k1.json", {"indent": 2, "sort_keys": True}), ("k2.json", {})):
+            path = tmp_path / name
+            path.write_text(json.dumps(doc, **layout) + "\n")
+            assert main([str(path) if a == "@" else a for a in argv]) == 2
+            out, err = capsys.readouterr()
+            assert out == ""
+            errors.append(err.replace(str(path), "FILE"))
+        return errors
+
+    @pytest.mark.parametrize("key", DROPS)
+    def test_profile(self, files, capsys, tmp_path, key):
+        doc = json.loads(json.dumps(files.prof))
+        self.DROPS[key](doc, "on_boundary")
+        argv = ["intersect", "--profile", "@", "--class", files.cls_path]
+        message = f"error: FILE: not a profile file: missing key '{key}'\n"
+        assert self._errors(capsys, tmp_path, doc, argv) == [message] * 2
+
+    @pytest.mark.parametrize("key", DROPS)
+    def test_class(self, files, capsys, tmp_path, key):
+        doc = json.loads(json.dumps(files.cls))
+        self.DROPS[key](doc, "boundary")
+        argv = ["intersect", "--profile", files.prof_path, "--class", "@"]
+        message = f"error: FILE: not a marked-space class file: missing key '{key}'\n"
+        assert self._errors(capsys, tmp_path, doc, argv) == [message] * 2
+
+    @pytest.mark.parametrize("key", ["space", "g"])
+    def test_genus_class(self, capsys, tmp_path, key):
+        path = tmp_path / "bn3.json"
+        assert main(["export", "--name", "bn(3)", "--output", str(path)]) == 0
+        doc = json.loads(path.read_text())
+        (doc if key == "space" else doc["space"]).pop(key)
+        argv = ["pullback", "--g", "5", "--m", "4", "--input", "@"]
+        message = f"error: FILE: not a genus-g class file: missing key '{key}'\n"
+        assert self._errors(capsys, tmp_path, doc, argv) == [message] * 2
+
+
 class TestUnreadableFiles:
     """A file the JSON decoder cannot take is an input error that names the
     file, not a traceback."""
@@ -700,13 +754,13 @@ def _read_class(entries, n=8):
 class TestBulkReader:
     """The batch reader, fed class files in the writer's layout through
     :func:`cli._read`, reads what the entry loop
-    :func:`picard._boundary_entries` reads, and leaves every error to it."""
+    :func:`file_format._boundary_entries` reads, and leaves every error to it."""
 
     @pytest.mark.parametrize("case", READER_FAULTS)
     def test_same_error(self, case):
         entries = READER_FAULTS[case]
         with pytest.raises((KeyError, TypeError, ValueError)) as looped:
-            picard._boundary_entries(entries, 8)
+            file_format._boundary_entries(entries, 8)
         with pytest.raises(type(looped.value)) as bulk:
             _read_class(entries)
         assert type(bulk.value) is type(looped.value) and str(bulk.value) == str(looped.value)
@@ -731,17 +785,17 @@ class TestBulkReader:
         n, entries = drawn
         if ordered:
             entries.sort(key=lambda e: picard.boundary_order(picard.subset_mask(e["S"], n)))
-        looped = picard._boundary_entries(entries, n)
+        looped = file_format._boundary_entries(entries, n)
         written = all(type(e["coeff"]) is str and parse_rat(e["coeff"]) != 0 for e in entries)
         in_order = list(looped) == sorted(looped, key=picard.boundary_order)
-        with mock.patch.object(picard, "_boundary_entries", wraps=picard._boundary_entries) as loop:
+        with mock.patch.object(file_format, "_boundary_entries", wraps=file_format._boundary_entries) as loop:
             bulk = _read_class(entries, n).boundary
         assert list(bulk.items()) == list(looped.items())
         assert loop.call_count == (not (entries and written and in_order))
 
     def test_a_zero_string_goes_through_the_entry_loop(self):
         entries = [{"S": [1, 2], "coeff": "-0"}, {"S": [2, 3], "coeff": "-2/4"}, {"S": [3, 4], "coeff": "0/5"}]
-        with mock.patch.object(picard, "_boundary_entries", wraps=picard._boundary_entries) as loop:
+        with mock.patch.object(file_format, "_boundary_entries", wraps=file_format._boundary_entries) as loop:
             assert _read_class(entries, 4).boundary == {0b0110: Fraction(-1, 2)}
         loop.assert_called_once_with(entries, 4)
 
@@ -750,7 +804,7 @@ class TestBulkReader:
         # never checked in bulk
         entries = [{"S": [1, 2], "coeff": "3"}]
         obj = {"space": {"type": "M1n", "n": 4}, "lambda": "0", "boundary": entries}
-        with mock.patch.object(picard, "_boundary_entries", wraps=picard._boundary_entries) as loop:
+        with mock.patch.object(file_format, "_boundary_entries", wraps=file_format._boundary_entries) as loop:
             assert picard.m1n_class_from_json(obj).boundary == {0b11: 3}
         loop.assert_called_once_with(entries, 4)
 
@@ -852,7 +906,7 @@ class TestTagExactness:
     """Reading a file as the commands read it (:func:`cli._read`), cut by
     the batch reader at the writer's entry separators when it is in the
     writer's layout, gives exactly what a plain ``json.loads`` and the
-    plain reader (:func:`picard._boundary_entries`) give: the same entries
+    plain reader (:func:`file_format._boundary_entries`) give: the same entries
     in the same order, or the same exception type and message.  Each
     document is written compact and in the writer's layout."""
 
@@ -911,7 +965,7 @@ class TestReaderGuards:
     def test_pullback_files_take_the_bulk_check(self, monkeypatch, m):
         cls = glue_pullback(DivisorClassMg(m + 1, Fraction(7, 2), -1, [Fraction(-3, 4)] * ((m + 1) // 2)), m)
         text = json_text(cls)
-        monkeypatch.setattr(picard, "_boundary_entries", mock.Mock(side_effect=AssertionError("fell back")))
+        monkeypatch.setattr(file_format, "_boundary_entries", mock.Mock(side_effect=AssertionError("fell back")))
         assert _read_file(text) == cls
 
     @pytest.mark.parametrize("name", ["pullback-gp", "pullback-trigonal", "profile-gonal(4)", "profile-trig"])
@@ -920,13 +974,13 @@ class TestReaderGuards:
         assert main(["export", "--name", name, "--output", str(path)]) == 0
         parse = picard.profile_from_json if name.startswith("profile") else picard.m1n_class_from_json
         expected = parse(json.loads(path.read_text()))
-        monkeypatch.setattr(picard, "_boundary_entries", mock.Mock(side_effect=AssertionError("fell back")))
+        monkeypatch.setattr(file_format, "_boundary_entries", mock.Mock(side_effect=AssertionError("fell back")))
         assert cli._read(str(path), parse, name) == expected
 
     def test_a_profile_file_takes_the_bulk_check(self, monkeypatch):
         profile = picard.CurveProfile(9, Fraction(-5, 3), {0b11: 2, 0b1_0000_0110: Fraction(1, 7), 0x1FF: -4})
         text = json_text(profile)
-        monkeypatch.setattr(picard, "_boundary_entries", mock.Mock(side_effect=AssertionError("fell back")))
+        monkeypatch.setattr(file_format, "_boundary_entries", mock.Mock(side_effect=AssertionError("fell back")))
         assert _read_file(text, picard.profile_from_json) == profile
 
     def test_a_polynomial_file_goes_through_the_entry_loop(self, tmp_path, monkeypatch):
@@ -934,8 +988,8 @@ class TestReaderGuards:
         # polynomial boundary file the commands write
         path = tmp_path / "gp.json"
         assert main(["export", "--name", "profile-gp", "--output", str(path)]) == 0
-        loop = mock.Mock(wraps=picard._boundary_entries)
-        monkeypatch.setattr(picard, "_boundary_entries", loop)
+        loop = mock.Mock(wraps=file_format._boundary_entries)
+        monkeypatch.setattr(file_format, "_boundary_entries", loop)
         assert cli._read(str(path), picard.profile_from_json, "profile") == corpus.profile("gp")
         assert loop.call_count == 1
 
@@ -1005,7 +1059,7 @@ def _every_subset(n):
 ALL_SUBSETS = _every_subset(8)
 # a dense file of 1,013 entries, about 110 KB: more than one 64 KiB batch
 DENSE = _every_subset(10)
-BETWEEN = picard._BETWEEN
+BETWEEN = file_format._BETWEEN
 
 
 def _gap_at_the_first_cut(entries, n, size):
@@ -1014,7 +1068,7 @@ def _gap_at_the_first_cut(entries, n, size):
     first batch ends with the subset before the gap: reads of ``size``
     bytes until one holds a separator, cut at the last separator."""
     text = _written(entries, n)
-    head, mid = len(picard._LAYOUTS[0].head), text.rindex(picard._LAYOUTS[0].mid)
+    head, mid = len(file_format._LAYOUTS[0].head), text.rindex(file_format._LAYOUTS[0].mid)
     body = text[head:mid].split(BETWEEN)
     for gap in range(1, len(body)):
         kept = BETWEEN.join(body[:gap] + body[gap + 1:])
@@ -1085,7 +1139,7 @@ def _batch_starts(text, size):
     """The index of each entry but the first that starts a batch when the
     class file ``text`` is read in batches of ``size`` bytes: reads of
     ``size`` bytes until one holds a separator, cut at the last separator."""
-    body = text[len(picard._LAYOUTS[0].head):text.rindex(picard._LAYOUTS[0].mid)]
+    body = text[len(file_format._LAYOUTS[0].head):text.rindex(file_format._LAYOUTS[0].mid)]
     starts, start, read = [], 0, size
     while read < len(body):
         cut = body.rfind(BETWEEN, start, read)
@@ -1170,7 +1224,7 @@ class TestBatchedReader:
                     patch.setattr(batches, name, getattr(calls, name))
                 patch.setattr(cli, "_text", texts)
                 if whole:
-                    patch.setattr(picard, "batched_class", mock.Mock(return_value=None))
+                    patch.setattr(file_format, "batched_class", mock.Mock(return_value=None))
                 code = main(["intersect", "--profile", str(prof), "--class", str(cls)])
             out, err = capsys.readouterr()
             batched = [call for call in reads.call_args_list if call.args[0].path == str(cls)]
@@ -1258,7 +1312,7 @@ class TestBatchedReader:
         text = _written(ALL_SUBSETS)
         (tmp_path / "cls.json").write_text(text)
         profile = picard.CurveProfile(8, 1, {0b11: 2, 0b1010_0000: 1, 0xFF: -1})
-        cls = picard.m1n_class_from_json(picard.batched_class(str(tmp_path / "cls.json"), profile))
+        cls = picard.m1n_class_from_json(file_format.batched_class(str(tmp_path / "cls.json"), profile))
         whole = picard.m1n_class_from_json(json.loads(text))
         assert (cls.n, cls.lam) == (whole.n, whole.lam) == (8, Fraction(7, 2))
         assert cls.boundary == {mask: whole.boundary[mask] for mask in profile.on_boundary}
@@ -1356,12 +1410,15 @@ class TestBatchedReader:
             json.loads(broken.read_text())
         broken = str(broken)
         for argv, error in [
-            (["intersect", "--profile", cls, "--class", cls], f"{cls}: not a profile file: 'on_lambda'"),
-            (["intersect", "--profile", trig, "--class", trig], f"{trig}: not a marked-space class file: 'lambda'"),
-            (["intersect", "--profile", trig, "--class", gonal4], f"{gonal4}: not a marked-space class file: 'lambda'"),
+            (["intersect", "--profile", cls, "--class", cls], f"{cls}: not a profile file: missing key 'on_lambda'"),
+            (["intersect", "--profile", trig, "--class", trig],
+             f"{trig}: not a marked-space class file: missing key 'lambda'"),
+            (["intersect", "--profile", trig, "--class", gonal4],
+             f"{gonal4}: not a marked-space class file: missing key 'lambda'"),
             (["pullback", "--g", "5", "--m", "4", "--input", trig],
              f"{trig}: not a genus-g class file: expected an Mg class, got space {{'n': 8, 'type': 'M1n'}}"),
-            (["intersect", "--profile", trig, "--class", broken], f"{broken}: not a marked-space class file: 'lambda'"),
+            (["intersect", "--profile", trig, "--class", broken],
+             f"{broken}: not a marked-space class file: missing key 'lambda'"),
         ]:
             assert main(argv) == 2
             assert capsys.readouterr() == ("", f"error: {error}\n")
@@ -1373,7 +1430,7 @@ class TestBatchedReader:
         fifo = tmp_path / "cls.fifo"
         os.mkfifo(fifo)
         with wall_clock_bound(2):  # opening a FIFO that has no writer would block
-            assert picard.batched_class(str(fifo), picard.CurveProfile(8, 1)) is None
+            assert file_format.batched_class(str(fifo), picard.CurveProfile(8, 1)) is None
 
     @pytest.fixture(scope="class")
     def large_files(self, tmp_path_factory):
@@ -1398,7 +1455,7 @@ class TestBatchedReader:
             "class": (["intersect", "--profile", prof, "--class", cls], "0", ["-1"], ""),
             "class as profile": (
                 ["intersect", "--profile", cls, "--class", prof], "2", [],
-                f"error: {cls}: not a profile file: 'on_lambda'\n",
+                f"error: {cls}: not a profile file: missing key 'on_lambda'\n",
             ),
             "class as genus-g class": (
                 ["pullback", "--g", "10", "--m", "9", "--input", cls], "2", [],
@@ -1452,7 +1509,7 @@ class TestBatchedReader:
             with mock.patch.object(batches, "_BATCH_BYTES", size), \
                     mock.patch.object(batches, "_line_masks", wraps=batches._line_masks) as lines, \
                     mock.patch.object(batches, "_walked", wraps=batches._walked) as walked:
-                read = picard.m1n_class_from_json(picard.batched_class(path, profile))
+                read = picard.m1n_class_from_json(file_format.batched_class(path, profile))
         whole = picard.m1n_class_from_json(json.loads(text))
         assert (read.n, read.lam) == (whole.n, whole.lam)
         kept = [(mask, value) for mask, value in whole.boundary.items() if profile is None or mask in support]

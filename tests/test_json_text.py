@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import rationals
-from effcone import batches, corpus, gluing, picard, writer
+from effcone import batches, corpus, files, gluing, picard, writer
 from effcone.cli import _EXPORTERS, main
 from effcone.gluing import ForgetfulBoundary, GluedBoundary, forget_pullback, glue_pullback
 from effcone.picard import (
@@ -310,7 +310,7 @@ class TestOneTemplate:
         body = text[len(layout.head):text.rindex(layout.mid)]
         values: dict = {}
         members, coeffs = batches._split(body, values)
-        assert len(members) == body.count(picard._BETWEEN) + 1
+        assert len(members) == body.count(files._BETWEEN) + 1
         return members, [values[piece] for piece in coeffs]
 
     @staticmethod
@@ -322,7 +322,7 @@ class TestOneTemplate:
     @pytest.mark.parametrize("m", [3, 4, 5])
     def test_a_pullback_splits_into_the_walk(self, m):
         cls = glue_pullback(DivisorClassMg(m + 1, Fraction(7, 2), -1, [Fraction(-3, 4)] * ((m + 1) // 2)), m)
-        members, coeffs = self._split(cls, picard._LAYOUTS[0])
+        members, coeffs = self._split(cls, files._LAYOUTS[0])
         assert members == list(batches._walk(cls.n))  # every subset was listed
         masks = list(self._walk_masks(cls.n))
         assert masks == sorted(cls.boundary, key=boundary_order)
@@ -337,17 +337,17 @@ class TestOneTemplate:
         cls = glue_pullback(DivisorClassMg(m + 1, Fraction(7, 2), -1, [Fraction(-3, 4)] * ((m + 1) // 2)), m)
         texts, masks = batches._walk(cls.n), self._walk_masks(cls.n)
         for piece in writer._entry_pieces(cls.boundary):
-            c = piece[piece.rindex(picard._MIDDLE) + len(picard._MIDDLE):]
-            k = piece.count(picard._MIDDLE)
-            between = picard._MIDDLE + c + picard._NEXT
-            assert piece == picard._FIRST + between.join(islice(texts, k)) + picard._MIDDLE + c
+            c = piece[piece.rindex(files._MIDDLE) + len(files._MIDDLE):]
+            k = piece.count(files._MIDDLE)
+            between = files._MIDDLE + c + files._NEXT
+            assert piece == files._FIRST + between.join(islice(texts, k)) + files._MIDDLE + c
             assert {cls.boundary[mask] for mask in islice(masks, k)} == {parse_rat(json.loads(c))}
         assert next(texts, None) is None
 
     def test_a_sparse_profile_splits_into_its_marking_lines(self):
         profile = corpus.profile("gonal", 4)
-        members, coeffs = self._split(profile, picard._LAYOUTS[1])
-        table = {line: 1 << k for k, line in enumerate(picard._MARKING_LINES[1:profile.n + 1])}
+        members, coeffs = self._split(profile, files._LAYOUTS[1])
+        table = {line: 1 << k for k, line in enumerate(files._MARKING_LINES[1:profile.n + 1])}
         masks = batches._line_masks(members, table)
         assert masks == sorted(profile.on_boundary, key=boundary_order)
         assert coeffs == [profile.on_boundary[mask] for mask in masks]
