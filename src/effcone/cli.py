@@ -11,9 +11,10 @@ Every effcone module but ``picard`` and ``scalars`` is imported where it
 is called, so that each command loads only the modules it runs: each file
 command the file format (:mod:`effcone.files`), ``intersect`` the batch
 reader (:mod:`effcone.batches`), ``pullback`` ``gluing`` and the writer
-(:mod:`effcone.writer`), ``export`` ``corpus`` and the writer, and
-``verify`` the suites and those of their modules that it runs (``chow``,
-``certify`` and :mod:`effcone.properties` only with their suites).
+(:mod:`effcone.writer`, which owns the whole output path), ``export``
+``corpus`` and the writer, and ``verify`` the suites and those of their
+modules that it runs (``chow``, ``certify`` and :mod:`effcone.properties`
+only with their suites).
 
 Exit codes: 0 when every check passes, 1 on any failing row (an internal
 error in a suite is one), 2 on usage or input errors and on a refused budget.
@@ -36,7 +37,6 @@ import gc
 import json
 import os
 import re
-import stat
 import sys
 from typing import TYPE_CHECKING, Callable, Dict, List, Sequence
 
@@ -174,79 +174,6 @@ def _decode(path: str, text: str):
         raise InputError(f"{path}: JSON nested too deeply to read: {exc}") from exc
 
 
-def _replaced(output: str) -> bool:
-    """Whether ``output`` is written through a new file beside it, which
-    then replaces it: when it names a regular file or nothing yet.
-    Anything else (a device such as /dev/full, a FIFO, a symbolic link
-    such as /dev/stdout, a directory, a path with no file name or one
-    that cannot be looked up) is opened and written in place, and ``open``
-    words its error."""
-    if not os.path.basename(output):
-        return False
-    try:
-        return stat.S_ISREG(os.lstat(output).st_mode)
-    except FileNotFoundError:
-        return True
-    except OSError:
-        return False
-
-
-def _write_replacing(item, output: str) -> None:
-    """Write ``item`` to a new file in ``output``'s directory and rename it
-    onto ``output`` after the last write, so that a failure at any point
-    removes the new file and leaves ``output`` as it was.  The new file is
-    created as ``open(output, "w")`` would create it, under the umask, and
-    takes the mode of the file it replaces."""
-    from . import writer
-
-    head, name = os.path.split(output)
-    try:
-        mode = stat.S_IMODE(os.stat(output).st_mode)
-    except FileNotFoundError:
-        mode = None
-    attempt = 0
-    while True:
-        temp = os.path.join(head, f".{name}.{os.getpid()}-{attempt}.tmp")
-        try:
-            fd = os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
-            break
-        except FileExistsError:
-            attempt += 1
-        except OSError as exc:  # worded for output, as open(output) would word it
-            raise OSError(exc.errno, exc.strerror, output) from None
-    try:
-        with open(fd, "w", encoding="utf-8") as fh:
-            if mode is not None:
-                os.fchmod(fd, mode)
-            writer.write_json(item, fh.write)
-        os.replace(temp, output)
-    except BaseException:
-        os.unlink(temp)
-        raise
-
-
-def _dump_json(item, output: str | None) -> None:
-    """Stream the canonical text of a class or profile into ``output``, or
-    to stdout when it is omitted, a chunk of entries at a time.  Every
-    refusal comes before this call.  A regular file, or a path with
-    nothing there yet, is only replaced once the whole text is written
-    (:func:`_write_replacing`); any other ``output`` is written in place.
-    An empty ``output`` is a path like any other."""
-    from . import writer
-
-    if output is None:
-        writer.write_json(item, sys.stdout.write)
-        return
-    try:
-        if _replaced(output):
-            _write_replacing(item, output)
-        else:
-            with open(output, "w", encoding="utf-8") as fh:
-                writer.write_json(item, fh.write)
-    except OSError as exc:  # opening, a write, the flush at close, or the rename
-        raise InputError(f"cannot write {output}: {exc}") from exc
-
-
 def _read(path: str, parse, what: str, profile: picard.CurveProfile | None = None):
     """Parse the JSON file at ``path`` with ``parse``; a file that does not
     hold a ``what`` is an input error, worded here for either route.  A
@@ -302,7 +229,7 @@ def _check_pencil_markings(d: int) -> None:
 
 
 def _cmd_pullback(args) -> int:
-    from . import gluing
+    from . import gluing, writer
 
     cls = _read(args.input, picard.mg_class_from_json, "genus-g class")
     if cls.g != args.g:
@@ -311,7 +238,7 @@ def _cmd_pullback(args) -> int:
     # the view counts its entries combinatorially; len() itself would refuse
     # a count past sys.maxsize (64 markings)
     picard._check_budget(result.boundary.__len__(), f"the pullback to {result.n} markings")
-    _dump_json(result, args.output)
+    writer.dump(result, args.output)
     return 0
 
 
@@ -336,7 +263,7 @@ _EXPORTERS = {
 
 
 def _cmd_export(args) -> int:
-    from . import corpus
+    from . import corpus, writer
 
     name = args.name
     if name in _EXPORTERS:
@@ -350,7 +277,7 @@ def _cmd_export(args) -> int:
     else:
         known = ", ".join(sorted(_EXPORTERS) + ["bn(d)", "profile-gonal(d)"])
         raise InputError(f"unknown corpus item {name!r}; known: {known}")
-    _dump_json(item, args.output)
+    writer.dump(item, args.output)
     return 0
 
 

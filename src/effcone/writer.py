@@ -1,16 +1,20 @@
-"""The writer of class and profile files: :func:`write_json` streams the
-canonical indented, sorted-key JSON text of a class or profile a bounded
-piece at a time, building no entry dict, in the frame given by
-``files._LAYOUTS`` (:mod:`effcone.files`), the one table of the file layout, which the batch
-reader (:mod:`effcone.batches`) looks for too.  This module is loaded
-only when a class or profile is written.  The ``X_to_json`` functions are
-looked up on :mod:`effcone.picard` when called, so that a wrapper set there
+"""The writer, which owns the whole output path: :func:`dump` picks the
+route and :func:`write_json` streams the canonical indented, sorted-key
+JSON text of a class or profile a bounded piece at a time, building no
+entry dict, in the frame given by ``files._LAYOUTS`` (:mod:`effcone.files`),
+the one table of the file layout, which the batch reader
+(:mod:`effcone.batches`) looks for too.  This module is loaded only when a
+class or profile is written.  The ``X_to_json`` functions are looked up on
+:mod:`effcone.picard` when called, so that a wrapper set there
 (``bench/layers.py`` times them) is the one that runs.
 """
 
 from __future__ import annotations
 
 import json
+import os
+import stat
+import sys
 from itertools import islice
 from typing import Callable, Iterator, Mapping
 
@@ -76,3 +80,51 @@ def write_json(item, write: Callable[[str], object]) -> None:
     # a line break followed by two spaces and a quoted key only starts a
     # top-level key: strings never hold a raw line break
     write(layout.mid + text.partition(f'\n  "{layout.lam_key}": ')[2] + "\n")
+
+
+def dump(item, output: str | None) -> None:
+    """Write ``item``'s text to ``output``, or to stdout when it is None;
+    every refusal comes before this call.  One ``lstat`` picks the route
+    and the mode: a regular file, or nothing yet, is replaced only by a
+    whole file, written to ``.effcone-<pid>-<attempt>.tmp`` beside it
+    (created under the umask, with the mode of the file it replaces) and
+    renamed onto it, so a failure leaves ``output`` as it was.  Anything
+    else (a device, a FIFO, a symbolic link, a directory, a path with no
+    file name or one that cannot be looked up) is written in place.  An
+    ``OSError`` on a path is raised as a ``ValueError`` naming it."""
+    if output is None:
+        write_json(item, sys.stdout.write)
+        return
+    try:
+        try:
+            found = os.lstat(output) if os.path.basename(output) else None
+            replaced = found is not None and stat.S_ISREG(found.st_mode)
+        except FileNotFoundError:
+            found, replaced = None, True
+        except OSError:
+            replaced = False
+        if not replaced:
+            with open(output, "w", encoding="utf-8") as fh:
+                write_json(item, fh.write)
+            return
+        attempt = 0
+        while True:
+            temp = os.path.join(os.path.dirname(output), f".effcone-{os.getpid()}-{attempt}.tmp")
+            try:
+                fd = os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+                break
+            except FileExistsError:
+                attempt += 1
+            except OSError as exc:  # worded for output, as open(output) would word it
+                raise OSError(exc.errno, exc.strerror, output) from None
+        try:
+            with open(fd, "w", encoding="utf-8") as fh:
+                if found is not None:
+                    os.fchmod(fd, stat.S_IMODE(found.st_mode))
+                write_json(item, fh.write)
+            os.replace(temp, output)
+        except BaseException:
+            os.unlink(temp)
+            raise
+    except OSError as exc:  # opening, a write, the flush at close, or the rename
+        raise ValueError(f"cannot write {output}: {exc}") from exc

@@ -224,6 +224,30 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        # every output written in place: a failure mid-write leaves half a file
+        "writer: the output always written in place",
+        "writer.py",
+        "        if not replaced:\n",
+        "        if True:\n",
+        ("tests/test_inputs.py::TestWholeOutput::test_a_failure_mid_write_leaves_the_output_as_it_was",),
+    ),
+    Mutant(
+        # the new file keeps the umask mode
+        "writer: the mode of the replaced file not carried",
+        "writer.py",
+        "                    os.fchmod(fd, stat.S_IMODE(found.st_mode))\n",
+        "                    pass\n",
+        ("tests/test_inputs.py::TestWholeOutput::test_an_existing_file_keeps_its_mode",),
+    ),
+    Mutant(
+        # a taken temporary name is an error that names the output
+        "writer: no retry past a taken temporary name",
+        "writer.py",
+        "            except FileExistsError:\n                attempt += 1\n",
+        "",
+        ("tests/test_inputs.py::TestWholeOutput::test_a_taken_temporary_name_is_passed_over",),
+    ),
+    Mutant(
         "batched reader: profile files read whole",
         "files.py",
         '(("boundary", "lambda"), ("on_boundary", "on_lambda"))',

@@ -616,6 +616,24 @@ class TestWholeOutput:
         assert out.read_text() == json_text(corpus.bn_class(3))
         assert os.listdir(tmp_path) == ["out.json"]
 
+    @pytest.mark.parametrize("length", [250, 255])
+    def test_a_long_file_name_is_written(self, tmp_path, length):
+        # the new file's name does not grow with the output's, so any name
+        # that open() takes, up to NAME_MAX, is written
+        name = "a" * (length - len(".json")) + ".json"
+        assert main(["export", "--name", "bn(3)", "--output", str(tmp_path / name)]) == 0
+        assert (tmp_path / name).read_text() == json_text(corpus.bn_class(3))
+        assert os.listdir(tmp_path) == [name]
+
+    def test_a_taken_temporary_name_is_passed_over(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(os, "getpid", lambda: 4242)
+        squatter, out = tmp_path / ".effcone-4242-0.tmp", tmp_path / "out.json"
+        squatter.write_bytes(b"squatter\n")
+        assert main(["export", "--name", "bn(3)", "--output", str(out)]) == 0
+        assert out.read_text() == json_text(corpus.bn_class(3))
+        assert squatter.read_bytes() == b"squatter\n"
+        assert sorted(os.listdir(tmp_path)) == [".effcone-4242-0.tmp", "out.json"]
+
     def test_a_symbolic_link_is_written_through(self, tmp_path):
         target, link = tmp_path / "target.json", tmp_path / "link.json"
         target.write_bytes(b"old\n")
