@@ -15,9 +15,11 @@ coefficients are decoded, and the support is taken by its positions in the
 walk.  Any other batch is cut by :func:`_split` at the writer's entry
 separators into member texts and coefficient pieces, and each member's
 marking lines are read as bits through a table of the file's own n lines,
-so a marking past n is refused in its own batch.  Entries that fail a
-check or do not decode raise :class:`~effcone.files.NotCanonical`, the
-batch reader's one refusal, and the file is then read whole.
+so a marking past n is refused in its own batch.  Coefficients are decoded
+as the whole read decodes them, and :func:`~effcone.files._nonzero` drops
+the zeros.  Entries that fail a check or do not decode raise
+:class:`~effcone.files.NotCanonical`, the batch reader's one refusal, and
+the file is then read whole.
 """
 
 from __future__ import annotations
@@ -30,9 +32,9 @@ from math import comb
 from operator import and_, itemgetter, le, lt, neg, or_, sub, xor
 from typing import Dict, Iterable, Iterator
 
-from .files import _BETWEEN, _FIRST, _MARKING_LINES, _MIDDLE, _NEXT, Batched, NotCanonical
+from .files import _BETWEEN, _FIRST, _MARKING_LINES, _MIDDLE, _NEXT, Batched, NotCanonical, _nonzero
 from .picard import _lex_rank, subset_members
-from .scalars import Scalar, parse_rat
+from .scalars import Scalar, scalar_from_json
 
 _BATCH_BYTES = 1 << 16
 
@@ -60,13 +62,11 @@ def _walk_ranks(masks: Iterable[int], n: int) -> tuple:
 
 def _decoded(pieces, values: dict) -> None:
     """Decode each coefficient piece not yet in ``values`` once, by
-    ``json.loads`` and ``parse_rat``, into ``values``, which the batches of
-    one file share; their errors are passed on.  A zero raises
-    :class:`NotCanonical`: this is the batch reader's one nonzero gate."""
+    ``json.loads`` and ``scalar_from_json`` as the whole read does, into
+    ``values``, which the batches of one file share; their errors are
+    passed on.  Zeros are kept here, for :func:`_nonzero` to drop."""
     new = set(pieces).difference(values)
-    values.update(zip(new, map(parse_rat, map(json.loads, new))))
-    if not all(map(values.__getitem__, new)):
-        raise NotCanonical
+    values.update(zip(new, map(scalar_from_json, map(json.loads, new))))
 
 
 def _split(text: str, values: dict) -> tuple:
@@ -239,4 +239,4 @@ def _batched_boundary(entries: Batched, n: int) -> Dict[int, Scalar]:
                 out.update(pairs if keep is None else compress(pairs, map(keep, masks)))
     except (OSError, KeyError, ValueError, RecursionError) as exc:
         raise NotCanonical from exc
-    return out
+    return _nonzero(out)

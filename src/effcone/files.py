@@ -8,7 +8,8 @@ layout first and gives the whole read's document, but for a
 :class:`Batched` entry array, which the batch reader reads; its one
 refusal is :class:`NotCanonical`.  Any other document is read entry by
 entry by :func:`_boundary_entries`, the one place that words an entry's
-error.
+error.  Both readers decode coefficients by ``scalar_from_json`` and drop
+zeros by :func:`_nonzero`, the format's one coefficient rule.
 """
 
 from __future__ import annotations
@@ -87,7 +88,6 @@ def _boundary_entries(entries, n: int) -> Dict[int, Scalar]:
     one place those errors are worded."""
     out: Dict[int, Scalar] = {}
     values: Dict[str, Scalar] = {}
-    zeros = []
     for entry in entries:
         if type(entry) is not dict:
             raise ValueError(f"boundary entry must be a JSON object, got {type(entry).__name__}")
@@ -116,9 +116,13 @@ def _boundary_entries(entries, n: int) -> Dict[int, Scalar]:
         else:
             value = scalar_from_json(coeff)
         out[mask] = value
-        if not value:
-            zeros.append(mask)
-    for mask in zeros:
+    return _nonzero(out)
+
+
+def _nonzero(out: Dict[int, Scalar]) -> Dict[int, Scalar]:
+    """``out`` without its zero coefficients, dropped in place once every
+    entry is read, so that a subset listed twice still gets its error."""
+    for mask in [mask for mask, value in out.items() if not value]:
         del out[mask]
     return out
 
@@ -147,9 +151,9 @@ def _m1n_fields(obj: dict, lam_key: str, key: str, what: str) -> tuple:
 
 
 class NotCanonical(Exception):
-    """The entries of a :class:`Batched` array fail a check, or the file
-    shrank since its tail was read: the file is to be read whole, which
-    words any error."""
+    """A batch of a :class:`Batched` array is not in the writer's structure
+    or does not decode, or the file shrank since its tail was read: the
+    file is to be read whole, which words any error."""
 
 
 class Batched(NamedTuple):

@@ -123,14 +123,6 @@ class Poly:
 
     __rmul__ = __mul__
 
-    def __pow__(self, k: int):
-        if not isinstance(k, int) or k < 0:
-            return NotImplemented
-        out = Poly((1,))
-        for _ in range(k):
-            out = out * self
-        return out
-
     # comparisons --------------------------------------------------------
 
     def __eq__(self, other):

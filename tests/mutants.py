@@ -19,15 +19,6 @@ child pytest under a timeout.  A mutant is caught
 when one of its tests fails; the runner exits 1 when some mutant is caught
 by none of them, or its tests cannot be run.
 
-Left out, as equivalent mutants:
-
-- A string gate on the batch reader's coefficients.  ``_split`` has none
-  to remove: each piece is decoded by ``json.loads`` and then
-  ``parse_rat``, which refuses anything but a rational string, so a
-  polynomial or any other value already sends the file to the whole read
-  and its entry loop, and only the nonzero gate (``reader: zero
-  coefficients kept on the bulk path``) can be removed.
-
 Retired:
 
 - ``constructor: int zeros kept in the copy``.  The constructor's check
@@ -48,6 +39,10 @@ Retired:
   (the reader once tested the bits of every mask read against n there),
   so ``reader: no range check`` and ``reader: range check one marking too
   wide`` now widen the table's bound.
+- ``reader: zero coefficients kept on the bulk path``.  The batch reader
+  no longer refuses a zero: it decodes each coefficient as the whole read
+  does, and both readers drop zeros through one helper,
+  ``files._nonzero``, which ``readers: zero coefficients kept`` mutates.
 """
 
 from __future__ import annotations
@@ -122,16 +117,29 @@ MUTANTS = (
         ),
     ),
     Mutant(
-        # the one nonzero gate, which the walk and the line-by-line read share
-        "reader: zero coefficients kept on the bulk path",
-        "batches.py",
-        "    if not all(map(values.__getitem__, new)):\n        raise NotCanonical\n",
+        # the one zero rule, which both readers share, so no comparison of
+        # the batch read with the whole read can catch it: only tests that
+        # hold an absolute dict
+        "readers: zero coefficients kept",
+        "files.py",
+        "    for mask in [mask for mask, value in out.items() if not value]:\n        del out[mask]\n",
         "",
         (
-            "tests/test_inputs.py::TestBulkReader::test_a_zero_string_goes_through_the_entry_loop",
-            "tests/test_inputs.py::TestBulkReader::test_same_dict_in_the_same_order",
-            "tests/test_inputs.py::TestBatchedReader::test_a_dense_file_edited_gives_the_whole_read[zero coefficient-1]",
-            "tests/test_inputs.py::TestBatchedReader::test_a_dense_file_edited_gives_the_whole_read[zero coefficient-65536]",
+            "tests/test_inputs.py::TestBoundaryEntries::test_zero_coefficients_are_dropped",
+            "tests/test_inputs.py::TestBulkReader::test_a_zero_string_stays_on_the_batch_path",
+        ),
+    ),
+    Mutant(
+        # the batch reader's decode narrowed to rational strings, as it was:
+        # a polynomial coefficient then sends the file to the whole read
+        "reader: string-only coefficient decode",
+        "batches.py",
+        "    values.update(zip(new, map(scalar_from_json, map(json.loads, new))))\n",
+        "    from .scalars import parse_rat\n\n    values.update(zip(new, map(parse_rat, map(json.loads, new))))\n",
+        (
+            "tests/test_inputs.py::TestReaderGuards::test_a_polynomial_file_stays_on_the_batch_path",
+            "tests/test_inputs.py::TestBatchedReader::test_a_dense_file_edited_gives_the_whole_read[polynomial coefficient-1]",
+            "tests/test_inputs.py::TestBatchedReader::test_a_dense_file_edited_gives_the_whole_read[polynomial coefficient-65536]",
         ),
     ),
     Mutant(
@@ -436,9 +444,18 @@ def _run(mutant: Mutant) -> str:
             done = _pytest(work, mutant.tests)
         except subprocess.TimeoutExpired:
             return "caught (timeout)"
+    return _outcome(done, mutant.tests)
+
+
+def _outcome(done: subprocess.CompletedProcess, tests) -> str:
+    """``caught``, ``survived`` or ``error: ...`` from a child pytest of the
+    named ``tests`` run with ``-rf``.  A caught mutant reports how many
+    named tests had a failing case: a name without ``[...]`` stands for
+    all of its parametrized cases, and counts once however many fail."""
     if done.returncode == 1:  # pytest: some test failed
-        failed = sum(line.startswith("FAILED ") for line in done.stdout.splitlines())
-        return f"caught ({failed} of {len(mutant.tests)} tests failed)"
+        failed = [line[len("FAILED "):] + " " for line in done.stdout.splitlines() if line.startswith("FAILED ")]
+        caught = [test for test in tests if any(line.startswith((test + " ", test + "[")) for line in failed)]
+        return f"caught ({len(caught)} of {len(tests)} tests failed)"
     if done.returncode == 0:
         return "survived"
     tail = (done.stdout + done.stderr).strip().splitlines()[-1:]

@@ -15,7 +15,7 @@ import pytest
 import effcone
 from effcone import certify, chow, cli, corpus, gluing, gonal, picard, properties
 from effcone.cli import emit_report, main
-from effcone.gluing import GluedBoundary, glue_pullback
+from effcone.gluing import ForgetfulBoundary, GluedBoundary, glue_pullback
 from effcone.picard import m1n_class_from_json, subset_mask
 from effcone.scalars import scalar_to_json
 from effcone.suites import CheckRow
@@ -321,6 +321,97 @@ class TestWholeReport:
         recorded = (Path(__file__).parent / "data" / "verify_all.txt").read_text(encoding="utf-8")
         assert main(["verify", "all"]) == 0
         assert capsys.readouterr().out == recorded
+
+    def test_the_report_does_not_depend_on_the_hash_seed(self, tmp_path):
+        """``verify all`` run as a process under two hash seeds: the text is
+        the recorded report under both, and the two ``--json`` reports are
+        equal, so no row follows the order of a set or dict of strings."""
+        recorded = (Path(__file__).parent / "data" / "verify_all.txt").read_text(encoding="utf-8")
+        env = {**os.environ, "PYTHONPATH": str(Path(effcone.__file__).resolve().parents[1])}
+        reports = []
+        for seed in ("0", "12345"):
+            for form in ([], ["--json"]):
+                child = subprocess.run(
+                    [sys.executable, "-m", "effcone.cli", "verify", "all", *form],
+                    cwd=tmp_path, env={**env, "PYTHONHASHSEED": seed}, capture_output=True, text=True, timeout=120,
+                )
+                assert (child.returncode, child.stderr) == (0, "")
+                reports.append(child.stdout)
+        text_0, json_0, text_12345, json_12345 = reports
+        assert text_0 == text_12345 == recorded
+        assert json_0 == json_12345
+
+
+# the reads of the boundary views by each suite of ``verify all``: the
+# ``get``s per view and marking count, and the largest listing drawn
+# through ``items`` as (entries, view, marking count), or None
+SUITE_READS = {
+    "trigonal": ({("GluedBoundary", 8): 250}, (243, "GluedBoundary", 8)),
+    "gonal": (
+        {("GluedBoundary", 8): 43, ("GluedBoundary", 12): 249, ("GluedBoundary", 16): 1271, ("GluedBoundary", 20): 6133},
+        None,
+    ),
+    "gp": ({("GluedBoundary", 6): 68}, (57, "GluedBoundary", 6)),
+    "chow": ({}, None),
+    "certificate": (
+        {
+            ("ForgetfulBoundary", 8): 11, ("ForgetfulBoundary", 10): 5, ("ForgetfulBoundary", 14): 249,
+            ("ForgetfulBoundary", 18): 1271, ("ForgetfulBoundary", 22): 6133,
+            ("GluedBoundary", 6): 22, ("GluedBoundary", 8): 53, ("GluedBoundary", 12): 498,
+            ("GluedBoundary", 16): 2542, ("GluedBoundary", 20): 12266,
+        },
+        None,
+    ),
+    "property": (
+        {
+            ("GluedBoundary", 2): 4, ("GluedBoundary", 4): 16, ("GluedBoundary", 6): 64,
+            ("GluedBoundary", 8): 256, ("GluedBoundary", 10): 1024, ("GluedBoundary", 12): 4096,
+        },
+        (4083, "GluedBoundary", 12),
+    ),
+}
+
+
+class TestSuiteReads:
+    """Each suite of ``verify all`` reads the boundary views exactly as
+    often as ``SUITE_READS`` pins, so that its cost is seen to follow the
+    profile support it reads and not the 2^n subsets of the space: a
+    change of a count, up or down, fails here and edits the pin."""
+
+    @staticmethod
+    def _reads(monkeypatch, suite):
+        """``(gets, largest)`` of one suite run in process, the views'
+        ``get`` and ``items`` wrapped by counters."""
+        gets, listings = Counter(), []
+        for view in (GluedBoundary, ForgetfulBoundary):
+            def counted_get(self, mask, default=None, get=view.get, name=view.__name__):
+                gets[name, self.n] += 1
+                return get(self, mask, default)
+
+            def counted_items(self, items=view.items, name=view.__name__):
+                drawn = 0
+                try:
+                    for pair in items(self):
+                        drawn += 1
+                        yield pair
+                finally:
+                    listings.append((drawn, name, self.n))
+
+            monkeypatch.setattr(view, "get", counted_get)
+            monkeypatch.setattr(view, "items", counted_items)
+        getattr(cli, f"{suite}_suite")()
+        return dict(gets), max(listings, default=None)
+
+    @pytest.mark.parametrize("suite", SUITE_READS)
+    def test_each_suite_reads_the_pinned_counts(self, monkeypatch, suite):
+        assert self._reads(monkeypatch, suite) == SUITE_READS[suite]
+
+    def test_the_pins_sum_to_the_whole_report(self):
+        gets = Counter()
+        for suite_gets, _ in SUITE_READS.values():
+            gets.update(suite_gets)
+        assert (gets["GluedBoundary", 20], gets["ForgetfulBoundary", 22]) == (18399, 6133)
+        assert max(largest for _, largest in SUITE_READS.values() if largest) == (4083, "GluedBoundary", 12)
 
 
 class TestNoetherRow:

@@ -797,25 +797,24 @@ class TestBulkReader:
     @settings(max_examples=200, deadline=None)
     @given(_valid_entries(), st.booleans())
     def test_same_dict_in_the_same_order(self, drawn, ordered):
-        # only entries the writer writes, in boundary order with every
-        # coefficient a nonzero rational string, stay on the batch path;
-        # any other draw goes to the loop once
+        # entries in boundary order stay on the batch path, whatever their
+        # coefficients; any other draw goes to the loop once
         n, entries = drawn
         if ordered:
             entries.sort(key=lambda e: picard.boundary_order(picard.subset_mask(e["S"], n)))
         looped = file_format._boundary_entries(entries, n)
-        written = all(type(e["coeff"]) is str and parse_rat(e["coeff"]) != 0 for e in entries)
-        in_order = list(looped) == sorted(looped, key=picard.boundary_order)
+        masks = [picard.subset_mask(e["S"], n) for e in entries]
+        in_order = masks == sorted(masks, key=picard.boundary_order)
         with mock.patch.object(file_format, "_boundary_entries", wraps=file_format._boundary_entries) as loop:
             bulk = _read_class(entries, n).boundary
         assert list(bulk.items()) == list(looped.items())
-        assert loop.call_count == (not (entries and written and in_order))
+        assert loop.call_count == (not (entries and in_order))
 
-    def test_a_zero_string_goes_through_the_entry_loop(self):
+    def test_a_zero_string_stays_on_the_batch_path(self):
         entries = [{"S": [1, 2], "coeff": "-0"}, {"S": [2, 3], "coeff": "-2/4"}, {"S": [3, 4], "coeff": "0/5"}]
         with mock.patch.object(file_format, "_boundary_entries", wraps=file_format._boundary_entries) as loop:
             assert _read_class(entries, 4).boundary == {0b0110: Fraction(-1, 2)}
-        loop.assert_called_once_with(entries, 4)
+        loop.assert_not_called()
 
     def test_a_plain_object_goes_through_the_entry_loop(self):
         # a plain object, from an in-process caller or a file read whole, is
@@ -986,8 +985,13 @@ class TestReaderGuards:
         monkeypatch.setattr(file_format, "_boundary_entries", mock.Mock(side_effect=AssertionError("fell back")))
         assert _read_file(text) == cls
 
-    @pytest.mark.parametrize("name", ["pullback-gp", "pullback-trigonal", "profile-gonal(4)", "profile-trig"])
+    @pytest.mark.parametrize("name", [
+        "pullback-gp", "pullback-trigonal", "profile-gonal(4)", "profile-trig",
+        "profile-bnd", "profile-gp", "profile-gonal(3)", "profile-gonal(5)", "profile-gonal(6)",
+    ])
     def test_exported_files_take_the_bulk_check(self, tmp_path, monkeypatch, name):
+        # every export of a marked-space class or profile, the polynomial
+        # profile-gp among them
         path = tmp_path / "item.json"
         assert main(["export", "--name", name, "--output", str(path)]) == 0
         parse = picard.profile_from_json if name.startswith("profile") else picard.m1n_class_from_json
@@ -995,13 +999,28 @@ class TestReaderGuards:
         monkeypatch.setattr(file_format, "_boundary_entries", mock.Mock(side_effect=AssertionError("fell back")))
         assert cli._read(str(path), parse, name) == expected
 
+    def test_a_pulled_back_file_takes_the_bulk_check(self, tmp_path, monkeypatch):
+        # the file of the pullback command, read with no profile and
+        # against a profile, which walks it
+        bn3, pulled, gonal3 = (str(tmp_path / name) for name in ("bn3.json", "pulled.json", "gonal3.json"))
+        assert main(["export", "--name", "bn(3)", "--output", bn3]) == 0
+        assert main(["pullback", "--g", "5", "--m", "4", "--input", bn3, "--output", pulled]) == 0
+        assert main(["export", "--name", "profile-gonal(3)", "--output", gonal3]) == 0
+        whole = picard.m1n_class_from_json(json.loads(Path(pulled).read_text()))
+        profile = picard.profile_from_json(json.loads(Path(gonal3).read_text()))
+        monkeypatch.setattr(file_format, "_boundary_entries", mock.Mock(side_effect=AssertionError("fell back")))
+        assert cli._read(pulled, picard.m1n_class_from_json, "class") == whole
+        walked = cli._read(pulled, picard.m1n_class_from_json, "class", profile)
+        assert (walked.n, walked.lam) == (whole.n, whole.lam)
+        assert walked.boundary == {mask: whole.boundary[mask] for mask in profile.on_boundary if mask in whole.boundary}
+
     def test_a_profile_file_takes_the_bulk_check(self, monkeypatch):
         profile = picard.CurveProfile(9, Fraction(-5, 3), {0b11: 2, 0b1_0000_0110: Fraction(1, 7), 0x1FF: -4})
         text = json_text(profile)
         monkeypatch.setattr(file_format, "_boundary_entries", mock.Mock(side_effect=AssertionError("fell back")))
         assert _read_file(text, picard.profile_from_json) == profile
 
-    def test_a_polynomial_file_goes_through_the_entry_loop(self, tmp_path, monkeypatch):
+    def test_a_polynomial_file_stays_on_the_batch_path(self, tmp_path, monkeypatch):
         # profile-gp, 11 entries with polynomial coefficients, is the one
         # polynomial boundary file the commands write
         path = tmp_path / "gp.json"
@@ -1009,7 +1028,7 @@ class TestReaderGuards:
         loop = mock.Mock(wraps=file_format._boundary_entries)
         monkeypatch.setattr(file_format, "_boundary_entries", loop)
         assert cli._read(str(path), picard.profile_from_json, "profile") == corpus.profile("gp")
-        assert loop.call_count == 1
+        assert loop.call_count == 0
 
     @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM from /proc")
     def test_the_text_is_freed_before_the_checks(self, tmp_path):
@@ -1139,8 +1158,8 @@ DENSE_EDITS = {
     "subset repeated": "batches then whole",
     "marking past n": "batches then whole",
     "marking moved": "batches then whole",
-    "zero coefficient": "batches then whole",
-    "polynomial coefficient": "batches then whole",
+    "zero coefficient": "batches",
+    "polynomial coefficient": "batches",
     "marking re-indented": "batches then whole",
     "extra key in an entry": "batches then whole",
 }
@@ -1452,25 +1471,33 @@ class TestBatchedReader:
 
     @pytest.fixture(scope="class")
     def large_files(self, tmp_path_factory):
-        """A 41 MB class file of 262,125 entries on 18 markings, and a
-        profile on the same space."""
+        """A 41 MB class file of 262,125 entries on 18 markings, a profile
+        on the same space, and the class file with the coefficient of its
+        next to last entry, {2, ..., 18}, set to the string "0"."""
         tmp = tmp_path_factory.mktemp("large")
-        cls, prof = tmp / "cls.json", tmp / "prof.json"
+        cls, prof, zeroed = tmp / "cls.json", tmp / "prof.json", tmp / "zeroed.json"
         with open(cls, "w", encoding="utf-8") as fh:
             writer.write_json(glue_pullback(DivisorClassMg(10, 1, 1, [1] * 5), 9), fh.write)
         prof.write_text(json_text(picard.CurveProfile(18, 0, {0b11: 1})))
-        return str(cls), str(prof)
+        with open(cls, "rb") as src, open(zeroed, "wb") as dst:
+            text = src.read()
+            at = text.rindex(b'"coeff": "-16"')
+            dst.write(text[:at] + b'"coeff": "0"' + text[at + len(b'"coeff": "-16"'):])
+        return str(cls), str(prof), str(zeroed)
 
     @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM from /proc")
-    @pytest.mark.parametrize("command", ["class", "class as profile", "class as genus-g class"])
+    @pytest.mark.parametrize("command", ["class", "class as profile", "class as genus-g class", "class with a zero"])
     def test_the_peak_of_a_large_file_is_that_of_the_imports(self, large_files, command):
         # this file peaked at 163 MiB when it was read whole; in batches the
         # command's peak stays within a few MiB of that of the interpreter
         # and its imports, and so does either refusal of it as a file of
-        # another kind, which its tail alone shows
-        cls, prof = large_files
+        # another kind, which its tail alone shows.  A zero coefficient is
+        # read in batches too, and dropped as the whole read drops it; it
+        # lies off the profile's support, so the pairing is unchanged
+        cls, prof, zeroed = large_files
         argv, code, out, err = {
             "class": (["intersect", "--profile", prof, "--class", cls], "0", ["-1"], ""),
+            "class with a zero": (["intersect", "--profile", prof, "--class", zeroed], "0", ["-1"], ""),
             "class as profile": (
                 ["intersect", "--profile", cls, "--class", prof], "2", [],
                 f"error: {cls}: not a profile file: missing key 'on_lambda'\n",

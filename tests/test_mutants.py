@@ -1,14 +1,16 @@
 """The mutant catalogue (``tests/mutants.py``) stays applicable: each snippet
 occurs exactly once in its file, each mutant's source still parses, and
-each mutant names tests that exist."""
+each mutant names tests that exist.  The runner counts the named tests
+that failed, not the failed cases."""
 
 import ast
+import subprocess
 from pathlib import Path
 
 import pytest
 
 import effcone
-from mutants import MUTANTS, ROOT
+from mutants import MUTANTS, ROOT, _outcome
 
 PACKAGE = Path(effcone.__file__).parent
 
@@ -58,3 +60,28 @@ def test_a_misspelt_name_is_not_found():
     path, cls, function = named.split("::")
     for wrong in (f"{path}x::{cls}::{function}", f"{path}::{cls}x::{function}", f"{path}::{cls}::x{function}"):
         assert not _defined(wrong)
+
+
+# the tail of a child ``pytest -q -rf`` run: one name without parameters
+# failed three cases, and one of the two cases named with parameters failed
+CANNED = """\
+F.FFF.                                                                   [100%]
+=========================== short test summary info ============================
+FAILED tests/test_x.py::TestA::test_one[1] - assert 1 == 2
+FAILED tests/test_x.py::TestA::test_one[2] - assert 1 == 2
+FAILED tests/test_x.py::TestA::test_one[3] - assert 1 == 2
+FAILED tests/test_x.py::TestA::test_two[a b-1] - AssertionError: x - y
+4 failed, 2 passed in 0.12s
+"""
+
+
+def test_the_count_is_of_named_tests_that_failed():
+    named = (
+        "tests/test_x.py::TestA::test_one",
+        "tests/test_x.py::TestA::test_on",  # a prefix of a failed name, not a name
+        "tests/test_x.py::TestA::test_two[a b-1]",
+        "tests/test_x.py::TestA::test_two[a b-2]",
+    )
+    done = subprocess.CompletedProcess([], 1, CANNED, "")
+    assert _outcome(done, named) == "caught (2 of 4 tests failed)"
+    assert _outcome(subprocess.CompletedProcess([], 0, "", ""), named) == "survived"
