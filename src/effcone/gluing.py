@@ -34,12 +34,15 @@ coefficient at ``T & low``, with ``low`` the mask of {1..m}.
 Neither pullback is expanded.  Each returns a class whose boundary is a
 read-only, zero-pruned mapping view that applies its rule to the subsets
 asked for: a pairing reads the profile support and nothing else.  ``len``
-is counted combinatorially; iterating the view (equality, relabeling,
-linear combination) lists its nonzero coefficients in one pass, refused
-past EXPORT_BUDGET entries before the first, as ``runs`` below is.  A glued
-view also lists itself in boundary order for export, one subset size at a
-time: the row value of the size, with the few unions of pairs that differ
-from it spliced in at their ranks (``runs``), so no entry is sorted.
+is counted combinatorially.  Two glued views on one m compare, and glued
+views on one m combine linearly, by their rule slots alone; any other
+iteration of a view (equality with another mapping, relabeling, a linear
+combination with another kind of boundary) lists its nonzero coefficients
+in one pass, refused past EXPORT_BUDGET entries before the first, as
+``runs`` below is.  A glued view also lists itself in boundary order for
+export, one subset size at a time: the row value of the size, with the few
+unions of pairs that differ from it spliced in at their ranks (``runs``),
+so no entry is sorted.
 """
 
 from __future__ import annotations
@@ -87,8 +90,9 @@ class _CoefficientView(Mapping):
     Subclasses give ``get`` (None for a zero coefficient), ``items`` (one
     pass over the nonzero coefficients, through which every listing goes,
     refused past EXPORT_BUDGET entries before the first) and ``__len__``.
-    Equality is ``Mapping``'s: it lists both sides through ``items``, so a
-    side past EXPORT_BUDGET entries is refused there."""
+    Equality is ``Mapping``'s, save between two glued views on one m,
+    which compare their rules: it lists both sides through ``items``, so
+    a side past EXPORT_BUDGET entries is refused there."""
 
     __slots__ = ()
 
@@ -105,8 +109,8 @@ class _CoefficientView(Mapping):
         return self.__len__() > 0
 
 
-def _pruned(values: Sequence[Scalar]) -> List[Scalar | None]:
-    return [None if v == 0 else v for v in values]
+def _pruned(values: Sequence[Scalar | None]) -> List[Scalar | None]:
+    return [None if v is None or v == 0 else canon(v) for v in values]
 
 
 class GluedBoundary(_CoefficientView):
@@ -116,10 +120,47 @@ class GluedBoundary(_CoefficientView):
     __slots__ = ("m", "n", "_odd", "_by_size", "_on_pairs")
 
     def __init__(self, m: int, row: Sequence[Scalar], by_pairs: Sequence[Scalar]):
+        self._set(m, row, [row[2 * k] + by_pairs[k] for k in range(m + 1)])
+
+    def _set(self, m: int, by_size: Sequence[Scalar | None], on_pairs: Sequence[Scalar | None]) -> None:
+        """The rule from its slots, the value at each size and on the unions
+        of k pairs; those no boundary index reads (sizes 0 and 1, k = 0)
+        hold None whatever is given."""
         self.m, self.n = m, 2 * m
         self._odd = full_mask(2 * m) // 3  # 0b0101...01: markings 1, 3, ..., 2m-1
-        self._by_size = _pruned(row)
-        self._on_pairs = _pruned([canon(row[2 * k] + by_pairs[k]) for k in range(m + 1)])
+        self._by_size = [None, None] + _pruned(by_size[2:])
+        self._on_pairs = [None] + _pruned(on_pairs[1:])
+
+    def __eq__(self, other):
+        """Two glued views on one m agree iff they agree on every slot a
+        subset of two or more markings reads: ``_by_size`` for sizes
+        2..2m-1 and ``_on_pairs`` for k >= 1 (the only subset of size 2m
+        is a union of pairs).  Any other comparison is ``Mapping``'s."""
+        if type(other) is not GluedBoundary or other.m != self.m:
+            return super().__eq__(other)
+        top = 2 * self.m
+        return self._by_size[2:top] == other._by_size[2:top] and self._on_pairs[1:] == other._on_pairs[1:]
+
+    def combined(self, terms: Sequence[Tuple[Scalar, Mapping]]) -> "GluedBoundary | None":
+        """The sum of ``coeff * view`` over ``terms`` (canonical coefficients)
+        as the glued view whose slots are the sums of ``coeff * slot``, when
+        every view is glued on this view's m; None when some view is not."""
+        m = self.m
+        if any(type(view) is not GluedBoundary or view.m != m for _, view in terms):
+            return None
+        by_size: List[Scalar | None] = [None] * (2 * m + 1)
+        on_pairs: List[Scalar | None] = [None] * (m + 1)
+        for coeff, view in terms:
+            if coeff == 0:
+                continue
+            for sums, slots in ((by_size, view._by_size), (on_pairs, view._on_pairs)):
+                for i, value in enumerate(slots):
+                    if value is not None:
+                        old = sums[i]
+                        sums[i] = coeff * value if old is None else old + coeff * value
+        out = object.__new__(GluedBoundary)
+        out._set(m, by_size, on_pairs)
+        return out
 
     def get(self, mask: int, default=None):
         if mask >> self.n:
@@ -214,16 +255,18 @@ def glue_pullback(W: DivisorClassMg, m: int) -> DivisorClassM1n:
     if W.g != m + 1:
         raise SpaceMismatchError(f"class lives on genus {W.g}, gluing lands in genus {m + 1}")
     w_irr = W.delta_irr
-    lam = canon(W.lam + (12 - 2 * m) * w_irr)
-    row = [0, 0] + [canon((1 - b) * w_irr) for b in range(2, 2 * m + 1)]
+    # w_irr * int: a Fraction multiplies on its forward path, building no Fraction(int)
+    lam = canon(W.lam + w_irr * (12 - 2 * m))
+    row = [0, 0] + [w_irr * (1 - b) for b in range(2, 2 * m + 1)]
     by_pairs: List[Scalar] = [0] * (m + 1)
     for i in range(1, (m + 1) // 2 + 1):
         adjust = W.delta[i - 1] - w_irr
-        by_pairs[i] += adjust
+        by_pairs[i] = adjust
         if 2 * i != m + 1:
             # complements of (i-1)-pair unions; at the odd-m middle index
-            # they are the i-pair unions already counted
-            by_pairs[m - i + 1] += adjust
+            # they are the i-pair unions already counted.  Assigned: as
+            # i <= (m+1)/2 <= m - i + 1, the indices of two i never collide
+            by_pairs[m - i + 1] = adjust
     return DivisorClassM1n._trusted(2 * m, lam, GluedBoundary(m, row, by_pairs))
 
 

@@ -299,36 +299,32 @@ class DivisorClassMg:
 
 
 def linear_combine(terms: Sequence[Tuple[Scalar, DivisorClassM1n]]) -> DivisorClassM1n:
-    """Exact linear combination of classes on one marked space.  Each sum
-    is memoized by the identity of its operands (coefficient, value, and
-    the sum before it or None), so each distinct triple is scaled, added
-    and made canonical once and no value is hashed; a memo entry holds its
-    operands, so that no id in a key is reused while the memo lives."""
-    terms = list(terms)
+    """Exact linear combination of classes on one marked space.  The first
+    term's boundary is asked to combine the boundaries by their rule
+    (``combined``, which glued views on one m have); when it cannot, the
+    terms are summed entry by entry, made canonical, and zeros dropped."""
+    terms = [(canon(coeff), cls) for coeff, cls in terms]
     if not terms:
         raise ValueError("empty combination has no ambient space")
     n = terms[0][1].n
     lam: Scalar = 0
-    boundary: Dict[int, Scalar] = {}
-    memo: Dict[Tuple[int, int, int], tuple] = {}
     for coeff, cls in terms:
         if cls.n != n:
             raise SpaceMismatchError(f"cannot combine classes on n={n} and n={cls.n}")
-        coeff = canon(coeff)
-        if coeff == 0:
-            continue
-        lam = lam + coeff * cls.lam
-        coeff_id = id(coeff)
-        for mask, value in cls.boundary.items():
-            old = boundary.get(mask)
-            key = (coeff_id, id(value), id(old))
-            hit = memo.get(key)
-            if hit is None:
-                total = coeff * value if old is None else old + coeff * value
-                hit = memo[key] = (canon(total), coeff, value, old)
-            boundary[mask] = hit[0]
-    if any(hit[0] == 0 for hit in memo.values()):
-        boundary = {m: v for m, v in boundary.items() if v != 0}
+        if coeff != 0:
+            lam = lam + coeff * cls.lam
+    combined = getattr(terms[0][1].boundary, "combined", None)
+    boundary = None if combined is None else combined([(coeff, cls.boundary) for coeff, cls in terms])
+    if boundary is None:
+        sums: Dict[int, Scalar] = {}
+        for coeff, cls in terms:
+            if coeff == 0:
+                continue
+            for mask, value in cls.boundary.items():
+                old = sums.get(mask)
+                sums[mask] = coeff * value if old is None else old + coeff * value
+        canonical = zip(sums, map(canon, sums.values()))
+        boundary = {mask: value for mask, value in canonical if value != 0}
     return DivisorClassM1n._trusted(n, canon(lam), boundary)
 
 

@@ -317,6 +317,29 @@ MUTANTS = (
         ("tests/test_gluing.py::TestForgetfulView::test_dict_source[5]",),
     ),
     Mutant(
+        # the unions of pairs keep no value in a combination of glued views
+        "glued combination: _on_pairs left out",
+        "gluing.py",
+        "            for sums, slots in ((by_size, view._by_size), (on_pairs, view._on_pairs)):\n",
+        "            for sums, slots in ((by_size, view._by_size),):\n",
+        (
+            "tests/test_gluing.py::TestRuleCombination::test_matches_the_combination_of_the_listings",
+            "tests/test_picard.py::TestMemoizedLinearCombine::test_matches_the_per_entry_loop",
+            "tests/test_cli.py::TestPropertySuite::test_all_properties_hold",
+        ),
+    ),
+    Mutant(
+        # two glued views that differ on the unions of pairs alone compare equal
+        "glued equality: _by_size alone",
+        "gluing.py",
+        "        return self._by_size[2:top] == other._by_size[2:top] and self._on_pairs[1:] == other._on_pairs[1:]\n",
+        "        return self._by_size[2:top] == other._by_size[2:top]\n",
+        (
+            "tests/test_gluing.py::TestViewEquality::test_rules_compare_as_their_listings",
+            "tests/test_cli.py::TestPropertySuiteCanFail::test_linearity_row_fails_when_one_slot_is_off[a union of pairs]",
+        ),
+    ),
+    Mutant(
         "lift: no projection-formula check",
         "certify.py",
         "    if pushforward_profile(profile, cert.n) != cert.profile:\n",

@@ -4,6 +4,8 @@ at the view, through one guard and one error type.
 The route tests call every method of ``Mapping`` and every package function
 that takes a boundary on a 64-marking glued view and on a forgetful view of
 2^60 entries; each call answers or raises ``ResourceGuardError`` at once.
+Two glued views on one m compare and combine by their rule, so those routes
+answer for the glued view and stay refused for the forgetful one.
 The builders of a 2^n count (the gonal profile, the lambda families) refuse
 the same way, before they enumerate.
 The source tests read the package's syntax trees, so that a check at a call
@@ -88,6 +90,9 @@ REFUSED = {
     "dict", "==", "!=", "== same kind", "!= same kind", "DivisorClassM1n", "CurveProfile", "linear_combine",
     "permute_markings", "m1n_class_to_json", "json_text",
 }
+# routes of REFUSED that a glued view answers from its rule: two glued views
+# on one m compare and combine by their rule slots
+BY_RULE = {("glued", "== same kind"), ("glued", "!= same kind"), ("glued", "linear_combine")}
 
 
 class TestListingRoutes:
@@ -107,7 +112,18 @@ class TestListingRoutes:
     def test_route(self, which, name):
         call = ROUTES[name]
         found = outcome(lambda: call(CLASSES[which], CLASSES[OTHER[which]]))
-        assert (found is ResourceGuardError) if name in REFUSED else (found in (None, ResourceGuardError))
+        if (which, name) in BY_RULE:
+            assert found is None
+        elif name in REFUSED:
+            assert found is ResourceGuardError
+        else:
+            assert found in (None, ResourceGuardError)
+
+    def test_the_rule_routes_answer_right(self):
+        cls, twin = CLASSES["glued"], TWINS[type(CLASSES["glued"].boundary)]
+        with wall_clock_bound(2):
+            assert cls.boundary == twin.boundary and not cls.boundary != twin.boundary
+            assert linear_combine([(1, cls)]) == cls
 
     def test_runs_is_refused(self):
         assert outcome(lambda: CLASSES["glued"].boundary.runs(range(65))) is ResourceGuardError

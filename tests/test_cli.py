@@ -470,6 +470,31 @@ class TestPropertySuiteCanFail:
         assert actual["pullback_linearity"] == f"{self.REPS} failures"
         assert actual["pullback_pair_symmetry"] == "0 failures"
 
+    @pytest.mark.parametrize("size", [3, 2], ids=["a size's row", "a union of pairs"])
+    def test_linearity_row_fails_when_one_slot_is_off(self, monkeypatch, size):
+        """A combination of glued views off at one slot alone, the row value
+        of an odd size or the value on the unions of one pair, fails every
+        linearity rep: the row's comparison reads both kinds of slot."""
+        honest = picard.linear_combine
+
+        def skewed(terms):
+            combo = honest(terms)
+            view = combo.boundary
+            if type(view) is not GluedBoundary:
+                return combo
+            row = [value or 0 for value in view._by_size]
+            by_pairs = [(pairs or 0) - size_value for pairs, size_value in zip(view._on_pairs, row[::2])]
+            if size % 2:
+                row[size] += 1
+            else:
+                by_pairs[size // 2] += 1
+            return picard.DivisorClassM1n._trusted(combo.n, combo.lam, GluedBoundary(view.m, row, by_pairs))
+
+        monkeypatch.setattr(picard, "linear_combine", skewed)
+        actual = self._actual()
+        assert actual["pullback_linearity"] == f"{self.REPS} failures"
+        assert actual["pair_bilinearity"] == "0 failures"
+
     def test_binomial_identities_fail_when_binom_is_off(self, monkeypatch):
         """Both identities read ``binom``; one wrong at s = 2 fails them."""
         honest = properties.binom
@@ -549,6 +574,22 @@ class TestPropertySuiteListing:
         monkeypatch.setattr(GluedBoundary, "items", counted)
         assert all(row.ok for row in cli.property_suite())
         assert listed[12] == 1 and listed[8] == 1
+
+    def test_the_linearity_reps_list_no_glued_view(self, monkeypatch):
+        """Each linearity rep combines and compares its 4- or 6-marking
+        glued pullbacks by their rules, so the only glued views the suite
+        lists are the three pair-symmetry pullbacks, on 6, 8 and 12
+        markings, once each."""
+        listed = Counter()
+        honest = GluedBoundary.items
+
+        def counted(self):
+            listed[self.n] += 1
+            return honest(self)
+
+        monkeypatch.setattr(GluedBoundary, "items", counted)
+        assert all(row.ok for row in cli.property_suite())
+        assert listed == {6: 1, 8: 1, 12: 1}
 
 
 class TestLambdaFamilyRow:

@@ -32,7 +32,7 @@ from effcone.picard import (
     permute_markings,
     subset_mask,
 )
-from effcone.scalars import binom, canon
+from effcone.scalars import Poly, binom, canon
 
 
 def dense_glue_pullback(W, m):
@@ -356,10 +356,99 @@ def test_full_pair_symmetry_orbit_randomized():
         assert permute_markings(cls, tuple(sigma)) == cls
 
 
+_slot_values = st.sampled_from([0, 1, -1, Fraction(1, 2), Fraction(4, 2), Poly((0, 1)), Poly((3,))])
+
+
+@st.composite
+def glued_rules(draw, m):
+    """``(row, by_pairs)`` of a glued view on m pairs, every slot drawn,
+    the unread ones (sizes 0 and 1, and k = 0) and zeros included."""
+    row = draw(st.lists(_slot_values, min_size=2 * m + 1, max_size=2 * m + 1))
+    return row, draw(st.lists(_slot_values, min_size=m + 1, max_size=m + 1))
+
+
+class TestUnreadSlots:
+    """No subset of fewer than two markings is a boundary index, so the
+    slots only such a subset would read (sizes 0 and 1, and the union of
+    no pairs) hold nothing, whatever the rule gives there: ``get``,
+    ``items`` and ``len`` agree."""
+
+    def test_a_one_marking_row_value(self):
+        view = GluedBoundary(2, [0, 5, 1, 1, 1], [0, 0, 0])
+        assert len(view) == len(dict(view.items())) == 11
+        assert [view.get(mask) for mask in (0, 1, 2, 4, 8)] == [None] * 5
+        assert dict(view.items()) == {mask: 1 for mask in range(16) if mask.bit_count() >= 2}
+
+    @given(data=st.data(), m=st.integers(min_value=1, max_value=4))
+    @settings(max_examples=200, deadline=None)
+    def test_get_items_and_len_agree(self, data, m):
+        view = GluedBoundary(m, *data.draw(glued_rules(m)))
+        listed = dict(view.items())
+        assert len(view) == len(listed)
+        assert {mask: view.get(mask) for mask in range(1 << 2 * m) if view.get(mask) is not None} == listed
+        assert all(mask.bit_count() >= 2 and value != 0 for mask, value in listed.items())
+
+
+def _listed_combination(terms):
+    """Reference: the per-entry combination of the listed views."""
+    out = {}
+    for coeff, view in terms:
+        for mask, value in view.items():
+            out[mask] = out.get(mask, 0) + coeff * value
+    return {mask: canon(value) for mask, value in out.items() if value != 0}
+
+
+class TestRuleCombination:
+    """Glued views on one m combine slot by slot into a glued view, as
+    their listings combine entry by entry."""
+
+    @given(
+        data=st.data(),
+        m=st.integers(min_value=1, max_value=4),
+        coefficients=st.lists(st.one_of(st.just(0), rationals, st.just(Poly((1, 1)))), min_size=1, max_size=3),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_combination_of_the_listings(self, data, m, coefficients):
+        views = [GluedBoundary(m, *data.draw(glued_rules(m))) for _ in coefficients]
+        if len(views) > 1 and data.draw(st.booleans()):
+            views[-1] = views[0]  # a term that may cancel the first
+            coefficients[-1] = -canon(coefficients[0])
+        terms = [(canon(coeff), view) for coeff, view in zip(coefficients, views)]
+        result = views[0].combined(terms)
+        assert type(result) is GluedBoundary and result.m == m
+        listed = dict(result.items())
+        assert listed == _listed_combination(terms)
+        assert all(value == canon(value) and type(value) is type(canon(value)) for value in listed.values())
+
+    def test_other_terms_are_not_combined(self):
+        glued = glue_pullback(gp_class(), 3).boundary
+        other_m = GluedBoundary(2, [0, 0, 1, 1, 1], [0, 1, 1])
+        for other in (ForgetfulBoundary(glued, 6, 6), dict(glued.items()), other_m):
+            assert glued.combined([(1, glued), (2, other)]) is None
+
+
 class TestViewEquality:
-    """Views compare by ``Mapping``'s equality, which lists both sides
-    through ``items``: with a view of either kind or a dict, each answer
-    must agree with equality of the fully listed mappings."""
+    """Two glued views on one m compare their rules; any other two views
+    compare by ``Mapping``'s equality, which lists both sides through
+    ``items``.  With a view of either kind or a dict, each answer must
+    agree with equality of the fully listed mappings."""
+
+    @given(
+        data=st.data(),
+        m=st.integers(min_value=1, max_value=4),
+        edits=st.lists(st.tuples(st.integers(min_value=0, max_value=13), _slot_values), max_size=2),
+    )
+    @settings(max_examples=500, deadline=None)
+    def test_rules_compare_as_their_listings(self, data, m, edits):
+        # the second rule is the first with at most two slots redrawn, the
+        # unread ones included, so that equal views are common
+        row, by_pairs = data.draw(glued_rules(m))
+        slots = row + by_pairs
+        for index, value in edits:
+            slots[index % len(slots)] = value
+        a, b = GluedBoundary(m, row, by_pairs), GluedBoundary(m, slots[:2 * m + 1], slots[2 * m + 1:])
+        expected = dict(a.items()) == dict(b.items())
+        assert (a == b) is expected and (b == a) is expected and (a != b) is not expected
 
     @staticmethod
     def listed(boundary):
@@ -520,12 +609,14 @@ class TestSixtyFourMarkingViews:
         assert (refused.value.limit, refused.value.asked) == (EXPORT_BUDGET, asked)
 
     def test_equality_without_enumeration(self):
-        # equality lists both sides, so it is refused before the first entry
+        # two glued views on one m compare their rules; against any other
+        # mapping equality lists both sides, so it is refused before the
+        # first entry
         other = glue_pullback(DivisorClassMg(33, 1, 1, [1] * 15 + [2]), 32)
         with wall_clock_bound(2):
+            assert glue_pullback(self.W, 32) == glue_pullback(self.W, 32)
+            assert glue_pullback(self.W, 32) != other
             for compare in (
-                lambda: glue_pullback(self.W, 32) == glue_pullback(self.W, 32),
-                lambda: glue_pullback(self.W, 32) != other,
                 lambda: glue_pullback(self.W, 32).boundary != {},
                 lambda: {} != glue_pullback(self.W, 32).boundary,
             ):
@@ -564,10 +655,18 @@ class TestSixtyFourMarkingViews:
             with pytest.raises(ValueError, match=f"export budget is {2**21} boundary entries; a ForgetfulBoundary has {2**60}"):
                 on_four == on_glued
 
-    def test_linear_combination_is_refused_with_the_count(self):
+    def test_linear_combination_answers_from_the_rule(self):
+        # glued views on one m combine slot by slot; mixed with another kind
+        # of boundary the combination lists each term, and is refused
+        cls = glue_pullback(self.W, 32)
+        twice = glue_pullback(DivisorClassMg(33, 2, 2, [2] * 16), 32)
+        forgetful = forget_pullback(DivisorClassM1n(4, 0, {3: 1}), 64)
         with wall_clock_bound(2):
+            assert linear_combine([(1, cls)]) == cls
+            assert linear_combine([(3, cls), (-1, twice)]) == cls
+            assert linear_combine([(1, cls), (-1, cls)]).is_zero()
             with pytest.raises(ValueError, match=f"export budget is {2**21} boundary entries; a GluedBoundary has {2**64 - 65}"):
-                linear_combine([(1, glue_pullback(self.W, 32))])
+                linear_combine([(1, cls), (1, forgetful)])
 
     @pytest.mark.parametrize("record", [DivisorClassM1n, CurveProfile])
     def test_copying_into_a_class_or_profile_is_refused_with_the_count(self, record):
