@@ -195,7 +195,26 @@ def triple(x: ChowDeg1, y: ChowDeg1, z: ChowDeg1) -> Scalar:
 
 
 def product(x: ChowDeg1, y: ChowDeg1) -> ChowDeg2:
-    return ChowDeg2(triple(x, y, _unit(k)) for k in range(6))
+    """The degree-2 class x.y: its intersection number with generator k is
+    the top form contracted with x and y, read off one pass over the table
+    rows ``[i][j]`` of the nonzero pairs (x_i, y_j).  It is ``triple``
+    against each generator in turn, without the six contractions."""
+    table = top_form()
+    out: List[Scalar] = [0] * 6
+    for i, xi in enumerate(x.coeffs):
+        if xi == 0:
+            continue
+        row = table[i]
+        for j, yj in enumerate(y.coeffs):
+            if yj == 0:
+                continue
+            xy = xi * yj
+            line = row[j]
+            for k in range(6):
+                t = line[k]
+                if t:
+                    out[k] = out[k] + xy * t
+    return ChowDeg2(out)
 
 
 def dot(d2: ChowDeg2, d1: ChowDeg1) -> Scalar:

@@ -134,14 +134,20 @@ def property_suite(reps: int = PROPERTY_REPS) -> List[CheckRow]:
             if tuple(found) != family:
                 failures["lambda_family_sizes"] += 1
 
-    # each identity in x = p/q times q^cap: cap + 1 ratios p/q prove it
+    # each identity in x = p/q times q^cap: cap + 1 ratios p/q prove it.
+    # The left sides are polynomials in p whose p^(cap - s) coefficients,
+    # s = 1..cap, are listed highest power first and evaluated by Horner
     for cap in range(1, 25):
         row = [binom(cap, s) for s in range(cap + 1)]
+        shifted = [(s - 1) * row[s] for s in range(1, cap + 1)]
+        weighted = [s * row[s] for s in range(1, cap + 1)]
         for p in range(cap + 1):
-            lhs = sum((s - 1) * row[s] * p ** (cap - s) for s in range(1, cap + 1))
+            lhs = lhs2 = 0
+            for c, c2 in zip(shifted, weighted):
+                lhs = lhs * p + c
+                lhs2 = lhs2 * p + c2
             if lhs != cap * (p + 1) ** (cap - 1) - (p + 1) ** cap + p ** cap:
                 failures["binomial_identities"] += 1
-            lhs2 = sum(s * row[s] * p ** (cap - s) for s in range(1, cap + 1))
             if lhs2 != cap * (p + 1) ** (cap - 1):
                 failures["binomial_identities"] += 1
 

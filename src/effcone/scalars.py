@@ -6,6 +6,11 @@ are degree-zero elements, represented directly by ``int`` or
 ``fractions.Fraction``; genuinely polynomial values use :class:`Poly`.  The
 three types mix freely under arithmetic and compare equal whenever they
 denote the same ring element.  There is no floating point anywhere.
+
+Every rational has one canonical form, a :class:`Poly` coefficient
+included: an ``int`` when it is integral, else a ``Fraction`` whose
+denominator is not 1.  :func:`canon` gives it for any scalar, and a
+constant polynomial's canonical form is the rational it denotes.
 """
 
 from __future__ import annotations
@@ -19,19 +24,35 @@ Rat = Union[int, Fraction]
 Scalar = Union[int, Fraction, "Poly"]
 
 
+def _coefficient(value: Rat) -> Rat:
+    """The canonical form of a rational coefficient: an ``int`` when it is
+    integral, else a ``Fraction``.  Anything else, a polynomial included,
+    is a ``TypeError``, as :func:`canon` makes it."""
+    if type(value) is int:
+        return value
+    if type(value) is Fraction:
+        return value.numerator if value.denominator == 1 else value
+    if isinstance(value, Poly):
+        raise TypeError(f"not a rational coefficient: {value!r}")
+    return canon(value)
+
+
 class Poly:
     """Univariate polynomial in the formal parameter ``a`` over Q.
 
-    Coefficients are stored ascending by degree and kept canonical (no
-    trailing zeros).  Instances are immutable; a constant polynomial hashes
-    and compares equal to the rational it denotes, so mixed int / Fraction /
-    Poly containers behave like a single coefficient ring.
+    Coefficients are stored ascending by degree, each in its canonical form
+    (an ``int`` when integral, else a ``Fraction``), with no trailing zeros.
+    The constructor refuses what :func:`canon` refuses: a float, a bool, a
+    complex or a string is a ``TypeError``.  Instances are immutable; a
+    constant polynomial hashes and compares equal to the rational it
+    denotes, so mixed int / Fraction / Poly containers behave like a single
+    coefficient ring.
     """
 
     __slots__ = ("_coeffs",)
 
     def __init__(self, coeffs: Iterable[Rat] = ()):
-        cs = [Fraction(c) for c in coeffs]
+        cs = [_coefficient(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         self._coeffs = tuple(cs)
@@ -62,14 +83,14 @@ class Poly:
     def is_constant(self) -> bool:
         return len(self._coeffs) <= 1
 
-    def constant(self) -> Fraction:
+    def constant(self) -> Rat:
         """The value of a constant polynomial."""
         if len(self._coeffs) > 1:
             raise ValueError(f"{self} is not constant")
-        return self._coeffs[0] if self._coeffs else Fraction(0)
+        return self._coeffs[0] if self._coeffs else 0
 
-    def coeff(self, k: int) -> Fraction:
-        return self._coeffs[k] if 0 <= k < len(self._coeffs) else Fraction(0)
+    def coeff(self, k: int) -> Rat:
+        return self._coeffs[k] if 0 <= k < len(self._coeffs) else 0
 
     def eval(self, x: Rat) -> Rat:
         """Exact evaluation at ``a = x`` (Horner)."""
@@ -88,8 +109,10 @@ class Poly:
             other = Poly.of(other)
         if not isinstance(other, Poly):
             return NotImplemented
-        k = max(len(self._coeffs), len(other._coeffs))
-        return Poly(self.coeff(i) + other.coeff(i) for i in range(k))
+        longer, shorter = self._coeffs, other._coeffs
+        if len(longer) < len(shorter):
+            longer, shorter = shorter, longer
+        return Poly([a + b for a, b in zip(longer, shorter)] + list(longer[len(shorter):]))
 
     __radd__ = __add__
 
@@ -108,12 +131,13 @@ class Poly:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return Poly(c * other for c in self._coeffs)
+            other = _coefficient(other)
+            return Poly([c * other for c in self._coeffs])
         if not isinstance(other, Poly):
             return NotImplemented
         if self.is_zero() or other.is_zero():
             return Poly()
-        out = [Fraction(0)] * (len(self._coeffs) + len(other._coeffs) - 1)
+        out = [0] * (len(self._coeffs) + len(other._coeffs) - 1)
         for i, ci in enumerate(self._coeffs):
             if ci == 0:
                 continue

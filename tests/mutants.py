@@ -419,6 +419,41 @@ MUTANTS = (
             "tests/test_chow.py::TestDerivedSections::test_full_table_check_passes",
         ),
     ),
+    Mutant(
+        # the one-pass product reads no intersection number with e3
+        "chow: product contracts against five generators",
+        "chow.py",
+        "for k in range(6):",
+        "for k in range(5):",
+        (
+            "tests/test_chow.py::TestProductReference::test_every_generator_pair",
+            "tests/test_chow.py::TestProductReference::test_drawn_classes",
+            "tests/test_chow.py::TestChernData::test_chi_normalization_on_both_spaces",
+        ),
+    ),
+    Mutant(
+        # a sum keeps only the degrees both operands have
+        "scalars: Poly sum drops the longer operand's tail",
+        "scalars.py",
+        " + list(longer[len(shorter):])",
+        "",
+        (
+            "tests/test_scalars.py::TestCanonicalCoefficients::test_ring_operations_match_fraction_lists",
+            "tests/test_scalars.py::TestCanonicalCoefficients::test_mixed_operations_match_fraction_lists",
+            "tests/test_chow.py::TestFamilyInvariants::test_frozen_polynomials",
+        ),
+    ),
+    Mutant(
+        # the first identity's Horner coefficients become the second's
+        "properties: binomial Horner coefficient s in place of s - 1",
+        "properties.py",
+        "(s - 1) * row[s]",
+        "s * row[s]",
+        (
+            "tests/test_cli.py::TestPropertySuite::test_all_properties_hold",
+            "tests/test_acceptance.py::test_criterion_8_property_suites",
+        ),
+    ),
 )
 
 

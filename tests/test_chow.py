@@ -1,8 +1,11 @@
 """The blown-up bundle threefold: top form, Chern data, family invariants."""
 
+from fractions import Fraction
 from itertools import permutations, product as iproduct
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from effcone.chow import (
     E1,
@@ -34,6 +37,23 @@ from effcone.chow import (
 from effcone.scalars import A, Poly
 
 EXCEPTIONAL = (E1, E2, E3)
+GENERATORS = (ZETA, F1, F2, E1, E2, E3)
+
+
+def reference_product(x, y):
+    """The product as it was first defined: six full contractions, each
+    against a fresh unit vector of one generator."""
+    units = [ChowDeg1(tuple(1 if j == k else 0 for j in range(6))) for k in range(6)]
+    return ChowDeg2(triple(x, y, u) for u in units)
+
+
+entries = st.one_of(
+    st.integers(-6, 6),
+    st.fractions(min_value=-6, max_value=6, max_denominator=5),
+    st.builds(Poly, st.lists(st.fractions(min_value=-6, max_value=6, max_denominator=5), max_size=3)),
+)
+# sparse classes too: zero entries are the ones the contraction skips
+classes = st.builds(ChowDeg1, st.lists(st.one_of(st.just(0), entries), min_size=6, max_size=6))
 
 
 def expected_generator_triple(i, j, k):
@@ -173,6 +193,32 @@ class TestDeg2Normalization:
         x = 3 * ZETA + F1 - 2 * E1
         y = SIGMA + E2
         z = family_divisor()
+        assert dot(product(x, y), z) == triple(x, y, z)
+
+
+class TestProductReference:
+    """``product`` reads the top form once per nonzero pair; it equals the
+    six contractions ``triple(x, y, g)``, value and type alike."""
+
+    def assert_matches(self, x, y):
+        got, want = product(x, y), reference_product(x, y)
+        assert got == want, (x, y)
+        assert [type(c) for c in got.coeffs] == [type(c) for c in want.coeffs], (x, y)
+
+    @pytest.mark.parametrize("i, j", list(iproduct(range(6), repeat=2)))
+    def test_every_generator_pair(self, i, j):
+        self.assert_matches(GENERATORS[i], GENERATORS[j])
+
+    def test_the_named_classes(self):
+        named = (family_divisor(), SIGMA, PI_SECTION, E_SUM, *GENERATORS)
+        for x, y in iproduct(named, repeat=2):
+            self.assert_matches(x, y)
+
+    @given(x=classes, y=classes)
+    @settings(max_examples=100, deadline=None)
+    def test_drawn_classes(self, x, y):
+        self.assert_matches(x, y)
+        z = ChowDeg1((1, Fraction(1, 2), -2, 3, 0, A))
         assert dot(product(x, y), z) == triple(x, y, z)
 
 

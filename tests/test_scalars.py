@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import effcone
 from effcone import cli, suites
+from effcone.picard import DivisorClassMg
 from effcone.scalars import (
     A,
     Poly,
@@ -25,6 +26,38 @@ from effcone.scalars import (
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=20)
 polys = st.builds(Poly, st.lists(rationals, max_size=4))
+# coefficient lists as given, integral Fractions and trailing zeros included
+coefficient_lists = st.lists(
+    st.one_of(st.integers(-20, 20), st.fractions(min_value=-20, max_value=20, max_denominator=6)),
+    max_size=5,
+)
+
+
+def canonical_coefficient(c):
+    """An ``int``, or a ``Fraction`` whose denominator is not 1."""
+    return type(c) is int or (type(c) is Fraction and c.denominator != 1)
+
+
+def stripped(cs):
+    """Fractions of ``cs`` with the trailing zeros dropped."""
+    cs = [Fraction(c) for c in cs]
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return cs
+
+
+def fraction_sum(xs, ys):
+    k = max(len(xs), len(ys))
+    xs, ys = list(xs) + [0] * (k - len(xs)), list(ys) + [0] * (k - len(ys))
+    return stripped(Fraction(x) + Fraction(y) for x, y in zip(xs, ys))
+
+
+def fraction_product(xs, ys):
+    out = [Fraction(0)] * max(len(xs) + len(ys) - 1, 0)
+    for i, x in enumerate(xs):
+        for j, y in enumerate(ys):
+            out[i + j] += Fraction(x) * Fraction(y)
+    return stripped(out)
 
 
 class TestBinom:
@@ -98,6 +131,79 @@ class TestPoly:
         assert p + c == p + Poly((c,))
         assert c * p == Poly((c,)) * p
         assert c - p == Poly((c,)) - p
+
+
+class TestCanonicalCoefficients:
+    """Each ``Poly`` coefficient is stored in its canonical form, and the
+    ring operations agree with plain ``Fraction`` coefficient lists."""
+
+    def assert_canonical(self, p):
+        assert all(canonical_coefficient(c) for c in p.coeffs), p.coeffs
+        assert not p.coeffs or p.coeffs[-1] != 0, p.coeffs
+
+    def test_integral_fractions_are_stored_as_ints(self):
+        p = Poly((Fraction(4, 2), Fraction(1, 2), Fraction(-3, 1), Fraction(0, 5)))
+        assert p.coeffs == (2, Fraction(1, 2), -3)
+        assert [type(c) for c in p.coeffs] == [int, Fraction, int]
+
+    def test_zeros_read_off_a_poly_are_ints(self):
+        assert type(Poly().constant()) is int and Poly().constant() == 0
+        assert type(A.coeff(5)) is int and type(A.coeff(0)) is int
+        assert type((2 * A).coeff(1)) is int
+
+    @given(xs=coefficient_lists, ys=coefficient_lists)
+    @settings(max_examples=200)
+    def test_ring_operations_match_fraction_lists(self, xs, ys):
+        p, q = Poly(xs), Poly(ys)
+        self.assert_canonical(p)
+        assert list(p.coeffs) == stripped(xs)
+        negated = [-Fraction(y) for y in ys]
+        for result, expected in (
+            (p + q, fraction_sum(xs, ys)),
+            (p - q, fraction_sum(xs, negated)),
+            (p * q, fraction_product(xs, ys)),
+            (-p, stripped(-Fraction(x) for x in xs)),
+        ):
+            self.assert_canonical(result)
+            assert list(result.coeffs) == expected
+
+    @given(xs=coefficient_lists, c=st.one_of(st.integers(-20, 20), rationals))
+    @settings(max_examples=200)
+    def test_mixed_operations_match_fraction_lists(self, xs, c):
+        p = Poly(xs)
+        for result, expected in (
+            (p + c, fraction_sum(xs, [c])),
+            (c + p, fraction_sum(xs, [c])),
+            (p - c, fraction_sum(xs, [-c])),
+            (c - p, fraction_sum([c], [-Fraction(x) for x in xs])),
+            (p * c, fraction_product(xs, [c])),
+            (c * p, fraction_product(xs, [c])),
+        ):
+            self.assert_canonical(result)
+            assert list(result.coeffs) == expected
+
+    @pytest.mark.parametrize("value", [0.5, True, 1j, "1/2"], ids=["float", "bool", "complex", "str"])
+    def test_poly_refuses_what_canon_refuses(self, value):
+        with pytest.raises(TypeError):
+            canon(value)
+        with pytest.raises(TypeError):
+            Poly((value,))
+        with pytest.raises(TypeError):
+            Poly((1, value))
+        with pytest.raises(TypeError):
+            A + value
+        with pytest.raises(TypeError):
+            A * value
+
+    def test_a_class_with_a_float_in_a_poly_is_refused(self):
+        with pytest.raises(TypeError):
+            DivisorClassMg(3, Poly((0.5,)), 0, [0])
+
+    def test_a_poly_is_not_a_coefficient(self):
+        with pytest.raises(TypeError):
+            Poly((A,))
+        with pytest.raises(TypeError):
+            Poly((Poly((2,)),))
 
 
 class TestCanonicalization:
@@ -184,7 +290,8 @@ class TestNoFloatingPoint:
 class TestVerifyScalarsAreExact:
     def test_every_serialized_verify_all_scalar(self, monkeypatch, capsys):
         """Each scalar behind a ``verify all`` row is an int, a Fraction, or a
-        Poly with Fraction coefficients."""
+        Poly whose coefficients are ints or Fractions with a denominator
+        other than 1."""
         seen = []
 
         def recording(value):
@@ -197,8 +304,18 @@ class TestVerifyScalarsAreExact:
 
         def exact(value):
             if type(value) is Poly:
-                return all(type(c) is Fraction for c in value.coeffs)
+                return all(canonical_coefficient(c) for c in value.coeffs)
             return type(value) in (int, Fraction)
 
         assert [v for v in seen if not exact(v)] == []
         assert {type(v) for v in seen} >= {int, Poly}
+
+    @pytest.mark.parametrize(
+        "c", [0.5, 2.0, True, False, Fraction(2, 1), Fraction(0, 1)], ids=repr
+    )
+    def test_the_coefficient_check_refuses_noncanonical_values(self, c):
+        assert not canonical_coefficient(c)
+
+    @pytest.mark.parametrize("c", [0, 3, -7, Fraction(1, 2), Fraction(-5, 3)], ids=repr)
+    def test_the_coefficient_check_accepts_canonical_values(self, c):
+        assert canonical_coefficient(c)
